@@ -4,7 +4,9 @@ One binary, seven subcommands: build, query, stats, entropy, encode,
 eliminate, tradeoff.  Everything is seeded and deterministic: the same
 invocation produces byte-identical output, and the seed is recorded in
 the output header.  Exit codes: 0 success, 2 usage error, 3 refusal
-(the computation was out of honest range).
+(the computation was out of honest range), 4 simulation fault (a query
+misbehaved or overran its probe budget), 5 corrupt footprint, 6 corrupt
+encoding record.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import sys
 import numpy as np
 
 from .bits import BitArray
-from .encoding import decode, encode
+from .encoding import CorruptEncoding, decode, encode
 from .entropy import ENUM_LIMIT, LabConfig, analytic_deficit, brute_force_deficit
 from .elimination import run_elimination
 from .errors import RefusalError
+from .model import CorruptFootprint, SimulationFault
 from .structures import (
     build_naive,
     build_recursive,
@@ -204,7 +207,7 @@ def _cmd_encode(args):
     rec = encode(layout, args.k, args.delta)
     back = decode(rec, layout.params, args.k)
     if back != array:
-        raise AssertionError("decode failed to invert encode")
+        raise CorruptEncoding("decode failed to invert encode")
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(rec.to_rpe1())
@@ -303,6 +306,9 @@ def _cmd_tradeoff(args):
     return None
 
 
+_FAULT_CODES = {SimulationFault: 4, CorruptFootprint: 5, CorruptEncoding: 6}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="rankprobe",
@@ -349,6 +355,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (SimulationFault, CorruptFootprint, CorruptEncoding) as e:
+        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return _FAULT_CODES[type(e)]
     return 0
 
 

@@ -87,12 +87,9 @@ def overlap_probability(layout: StructureLayout, queries=None, sample: int = 409
     published = set(layout.published.cells)
     if not published:
         return 0.0
-    from .model import PublishedBits
-
-    free = PublishedBits()  # undiscounted traces: charge everything
     hits = 0
     for q in queries:
-        tr = run_query(layout.step, q, layout.memory, free)
+        tr = run_query(layout.step, q, layout.memory)  # undiscounted: charge everything
         if any(a in published for a in tr.addresses):
             hits += 1
     return hits / len(queries)

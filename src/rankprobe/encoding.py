@@ -19,7 +19,7 @@ canonical codes built by enumerating every array of the given length,
 and is honest only at enumerable sizes.
 
 Decoding replays the recorded footprints through the structure's own
-step function, fills the untouched cells, answers every rank query
+query generators, fills the untouched cells, answers every rank query
 against the reconstructed memory, and differences consecutive answers
 back into bits.
 """
@@ -41,6 +41,7 @@ from .coding import (
 from .errors import RefusalError
 from .model import (
     CellMemory,
+    CorruptFootprint,
     Footprint,
     PublishedBits,
     QueryBlocks,
@@ -471,9 +472,9 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
     ref_q = blocks.offset_queries(0)
     if mode == "verbatim":
         f_ref = _verbatim_footprint(record.foot_reference, w)
-        ref_answers, seen_ref = replay_from_footprint(step, ref_q, f_ref, published)
+        ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
         f_det = _verbatim_footprint(record.foot_detached, w)
-        det_replay, seen_det = replay_from_footprint(step, det, f_det, published)
+        det_replay, seen_det = _replay(step, det, f_det, published)
     else:
         if layout_factory is None:
             raise ValueError("ensemble mode needs a layout factory")
@@ -489,7 +490,7 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
         if used != record.foot_reference.length:
             raise CorruptEncoding("reference footprint overlong")
         f_ref = Footprint(ref_sym, len(ref_sym), w)
-        ref_answers, seen_ref = replay_from_footprint(step, ref_q, f_ref, published)
+        ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
         ra = tuple(ref_answers[q] for q in ref_q)
         try:
             det_sym, used = det_tab[(det_answers, ra)].decode_symbol(
@@ -500,7 +501,7 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
         if used != record.foot_detached.length:
             raise CorruptEncoding("detached footprint overlong")
         f_det = Footprint(det_sym, len(det_sym), w)
-        det_replay, seen_det = replay_from_footprint(step, det, f_det, published)
+        det_replay, seen_det = _replay(step, det, f_det, published)
 
     for q, ans in zip(det, det_answers):
         if det_replay[q] != ans:
@@ -533,10 +534,9 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
         raise CorruptEncoding("remaining-cells component overlong")
 
     memory = CellMemory(w, [cells[a] for a in range(cell_count)])
-    free = PublishedBits(length=0, cells={})
     answers = {}
     for q in range(n):
-        answers[q] = run_query(step, q, memory, free).answer
+        answers[q] = run_query(step, q, memory).answer
     out = BitArray(n)
     prev = 0
     for i in range(1, n + 1):
@@ -548,6 +548,13 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
             out.set(i, 1)
         prev = cur
     return out
+
+
+def _replay(step, queries, footprint: Footprint, published: PublishedBits):
+    try:
+        return replay_from_footprint(step, queries, footprint, published)
+    except CorruptFootprint as e:
+        raise CorruptEncoding(str(e)) from None
 
 
 def _verbatim_footprint(comp: BitString, w: int) -> Footprint:

@@ -1,29 +1,30 @@
 """Instrumented cell-probe simulator.
 
 A data structure lives in a :class:`CellMemory` of fixed-width cells.  A
-query is a *step function*: called with ``(query, published, reads)`` it
-returns either ``("probe", address)`` or ``("answer", value)``.  ``reads``
-maps addresses to the cell contents the query has seen so far, so the step
-function is a resumable decision tree.  The simulator charges one probe per
-address actually read from memory; addresses already published are served
-for free and never appear in the trace.
-
-The same machinery replays queries from a :class:`Footprint` (first-seen
-cell contents in probe order) instead of live memory, which is what the
-encoding/decoding argument relies on.
+query is a generator: ``step(query)`` yields cell addresses, receives each
+cell's contents, and returns the answer.  One driver runs every query.  It
+serves each address from the query's own earlier reads, then from known
+cells (published ones, and those an earlier query of the same set
+recovered), and only then charges a probe by fetching the cell: from
+memory for live runs and :func:`build_footprint`, from the next cell of a
+recorded :class:`Footprint` (first-seen contents in probe order) for
+:func:`replay_from_footprint`, which the encoding argument relies on.
+Free reads never appear in a trace, and a query costs time linear in the
+addresses it yields.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
 class SimulationFault(Exception):
-    """A step function misbehaved (bad address, no progress, bad step)."""
+    """A query misbehaved (bad address, step budget, probe budget)."""
 
 
 class CorruptFootprint(Exception):
-    """Replay ran out of recorded cells or saw inconsistent content."""
+    """Replay ran out of recorded cells or left some unread."""
 
 
 class CellMemory:
@@ -160,27 +161,39 @@ class QueryBlocks:
         return [b * self.block_size + d for b in range(self.k)]
 
 
-MAX_STEPS = 1 << 20  # runaway step-function guard
+MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
+
+
+def _drive(step_fn, query: int, known: dict, fetch):
+    """Run one query generator; returns (answer, charged (address, content) steps).
+
+    `known` cells read free; `fetch(address)` charges a probe."""
+    gen = step_fn(operator.index(query))
+    reads = {}
+    steps = []
+    try:
+        addr = next(gen)
+        for _ in range(MAX_STEPS):
+            if addr.__class__ is not int:
+                raise SimulationFault(f"query {query} yielded {addr!r}, not a cell address")
+            content = reads.get(addr)
+            if content is None:
+                content = known.get(addr)
+                if content is None:
+                    content = fetch(addr)
+                    steps.append((addr, content))
+                reads[addr] = content
+            addr = gen.send(content)
+    except StopIteration as stop:
+        return stop.value, steps
+    raise SimulationFault(f"query {query} exceeded step budget")
 
 
 def run_query(step_fn, query: int, memory: CellMemory, published: PublishedBits | None = None) -> ProbeTrace:
     """Drive one query against live memory.  Published cells read free."""
-    if published is None:
-        published = PublishedBits()
-    reads = dict(published.cells)
-    steps = []
-    for _ in range(MAX_STEPS):
-        op, arg = step_fn(query, published, reads)
-        if op == "answer":
-            return ProbeTrace(query, tuple(steps), arg)
-        if op != "probe":
-            raise SimulationFault(f"unknown step op {op!r}")
-        if arg in reads:
-            continue  # free or repeated read, not charged
-        content = memory.read(arg)
-        reads[arg] = content
-        steps.append((arg, content))
-    raise SimulationFault("query exceeded step budget")
+    known = published.cells if published is not None else {}
+    answer, steps = _drive(step_fn, query, known, memory.read)
+    return ProbeTrace(query, tuple(steps), answer)
 
 
 def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
@@ -194,61 +207,44 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
     return traces, union
 
 
+def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
+    """Drive `queries` in increasing order.  A cell fetched for one query
+    reads free for the later ones.  Returns (answers, known cells)."""
+    known = dict(published.cells) if published is not None else {}
+
+    def charge(address):
+        known[address] = content = fetch(address)
+        return content
+
+    return {q: _drive(step_fn, q, known, charge)[0] for q in sorted(queries)}, known
+
+
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
     """First-seen probed cell contents over `queries` in increasing order."""
-    if published is None:
-        published = PublishedBits()
-    seen = set()
-    contents = []
-    for q in sorted(queries):
-        tr = run_query(step_fn, q, memory, published)
-        for a, c in tr.steps:
-            if a not in seen:
-                seen.add(a)
-                contents.append(c)
-    return Footprint(tuple(contents), len(contents), memory.word_bits)
+    skip = len(published.cells) if published is not None else 0
+    _, known = _drive_set(step_fn, queries, published, memory.read)
+    # known keeps insertion order: the published cells, then each fetch
+    contents = tuple(known.values())[skip:]
+    return Footprint(contents, len(contents), memory.word_bits)
 
 
-def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None, known: dict | None = None):
-    """Re-run `queries` (increasing order) feeding probes from the footprint.
+def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):
+    """Re-run `queries` (increasing order) feeding charged probes from the
+    footprint instead of memory.
 
-    `known` optionally pre-seeds address -> content (cells recovered by an
-    earlier replay).  Returns (answers dict, address -> content map of all
-    cells seen).  Raises CorruptFootprint when the recording is too short.
+    Returns (answers dict, address -> content map of every cell seen,
+    published ones included).  Raises CorruptFootprint when the recording
+    is too short or has cells left over.
     """
-    if published is None:
-        published = PublishedBits()
-    reads_global = dict(published.cells)
-    if known:
-        reads_global.update(known)
-    cursor = 0
-    answers = {}
-    for q in sorted(queries):
-        reads = dict(reads_global)
-        steps = 0
-        while steps < MAX_STEPS:
-            op, arg = step_fn(q, published, reads)
-            if op == "answer":
-                answers[q] = arg
-                break
-            if op != "probe":
-                raise SimulationFault(f"unknown step op {op!r}")
-            if arg in reads:
-                steps += 1
-                continue
-            if arg in reads_global:
-                reads[arg] = reads_global[arg]
-                steps += 1
-                continue
-            if cursor >= footprint.probed_cell_count:
-                raise CorruptFootprint(
-                    f"footprint exhausted at query {q}, address {arg}"
-                )
-            content = footprint.bits[cursor]
-            cursor += 1
-            reads_global[arg] = content
-            reads[arg] = content
-            steps += 1
-        else:
-            raise SimulationFault("query exceeded step budget")
-    return answers, reads_global
+    cells = iter(footprint.bits)
+
+    def fetch(address):
+        content = next(cells, None)
+        if content is None:
+            raise CorruptFootprint(f"footprint exhausted at address {address}")
+        return content
+
+    answers, known = _drive_set(step_fn, queries, published, fetch)
+    if next(cells, None) is not None:
+        raise CorruptFootprint("footprint has cells left over")
+    return answers, known

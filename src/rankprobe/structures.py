@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitArray
-from .model import CellMemory, ProbeTrace, PublishedBits, run_query
+from .model import CellMemory, ProbeTrace, PublishedBits, SimulationFault, run_query
 
 
 def rank_oracle(array: BitArray, k: int) -> int:
@@ -105,9 +105,7 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     cum64 = np.concatenate(([0], np.cumsum(counts)))
 
     def rank_at(bit_pos: int) -> int:
-        # bit_pos is a multiple of w; w divides 64 or is a multiple of 64
-        if w >= 64:
-            return int(cum64[bit_pos // 64])
+        # ones among the first bit_pos bits: whole words, then a partial one
         full = int(cum64[bit_pos // 64])
         rem = bit_pos % 64
         if rem:
@@ -183,32 +181,35 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     )
 
 
+def _scan(lo: int, bits: int, w: int):
+    """Query generator counting the ones among the first `bits` raw bits
+    stored from cell `lo` on, probing cells in increasing order."""
+    full, rem = divmod(bits, w)
+    mask = (1 << w) - 1
+    total = 0
+    for c in range(lo, lo + full):
+        total += ((yield c) & mask).bit_count()
+    if rem:
+        total += ((yield lo + full) & ((1 << rem) - 1)).bit_count()
+    return total
+
+
 def step_from_params(params: dict):
-    """Rebuild a layout's query step function from its params alone.
+    """Rebuild a layout's query generator from its params alone.
 
     Probe addresses depend only on the query index, never on the data, so
     a decoder holding just the params can replay queries from recorded
-    cell contents.
+    cell contents.  Counter layouts probe the absolute counter, then the
+    relative counter (absent for a superblock's first block), then the raw
+    cells from the block start up to the query position.
     """
-    kind = params["kind"]
     w = params["word_bits"]
-    if kind == "naive":
+    if params["kind"] == "naive":
 
-        def naive_step(query, published, reads):
-            pos = query + 1
-            hi = (pos - 1) // w
-            for c in range(hi + 1):
-                if c not in reads:
-                    return ("probe", c)
-            total = 0
-            scanned = pos
-            for c in range(hi + 1):
-                take = min(w, scanned)
-                total += (reads[c] & ((1 << take) - 1)).bit_count()
-                scanned -= take
-            return ("answer", total)
+        def naive_query(query):
+            return _scan(0, query + 1, w)
 
-        return naive_step
+        return naive_query
 
     superblock = params["superblock"]
     block = params["block"]
@@ -217,37 +218,20 @@ def step_from_params(params: dict):
     per = params["per_cell"]
     abs_base = params["abs_base"]
     rel_base = params["rel_base"]
+    slot_mask = (1 << width) - 1
 
-    def step(query, published, reads):
+    def counter_query(query):
         pos = query + 1
-        s = pos // superblock
         j = pos // block
-        a_abs = abs_base + s
-        if a_abs not in reads:
-            return ("probe", a_abs)
-        has_rel = j % ratio != 0
-        if has_rel:
+        total = yield abs_base + pos // superblock
+        if j % ratio:
             store_idx = j - j // ratio - 1
-            a_rel = rel_base + store_idx // per
-            if a_rel not in reads:
-                return ("probe", a_rel)
-        lo = (j * block) // w
-        hi = (pos - 1) // w
-        for c in range(lo, hi + 1):
-            if c not in reads:
-                return ("probe", c)
-        total_count = reads[a_abs]
-        if has_rel:
-            slot = store_idx % per
-            total_count += (reads[a_rel] >> (slot * width)) & ((1 << width) - 1)
-        scanned = pos - j * block
-        for c in range(lo, hi + 1):
-            take = min(w, scanned)
-            total_count += (reads[c] & ((1 << take) - 1)).bit_count()
-            scanned -= take
-        return ("answer", total_count)
+            rel = yield rel_base + store_idx // per
+            total += (rel >> (store_idx % per * width)) & slot_mask
+        total += yield from _scan(j * block // w, pos - j * block, w)
+        return total
 
-    return step
+    return counter_query
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
@@ -326,7 +310,9 @@ def rank(layout: StructureLayout, k: int) -> ProbeTrace:
         return ProbeTrace(query=-1, steps=(), answer=0)
     trace = run_query(layout.step, k - 1, layout.memory, layout.published)
     if len(trace.steps) > layout.worst_probes:
-        raise AssertionError("probe budget exceeded")  # contract violation
+        raise SimulationFault(
+            f"rank({k}) charged {len(trace.steps)} probes, over the budget of {layout.worst_probes}"
+        )
     return trace
 
 

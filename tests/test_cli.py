@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
+from rankprobe import cli
 from rankprobe.cli import main
 from rankprobe.encoding import EncodingRecord, decode
 from rankprobe.structures import build_recursive, build_two_level, max_stage, rank_oracle
@@ -73,6 +74,34 @@ def test_query_requires_position(capsys):
 def test_query_out_of_range(capsys):
     code, _, err = run_cli(capsys, "query", "--n", "64", "--k", "65")
     assert code == 2 and err.startswith("error:")
+
+
+def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
+    build = cli._build_layout
+
+    def overrunning(args, array):
+        layout = build(args, array)
+
+        def query(q):
+            total = 0
+            for a in range(layout.worst_probes + 1):
+                total += yield a
+            return total
+
+        layout.step = query
+        return layout
+
+    monkeypatch.setattr(cli, "_build_layout", overrunning)
+    code, out, err = run_cli(capsys, "query", "--n", "4096", "--k", "100")
+    assert code == 4 and out == ""
+    assert err.startswith("error: SimulationFault") and err.count("\n") == 1
+
+
+def test_failed_decode_identity_exits_6(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "decode", lambda rec, params, k: BitArray(params["n"]))
+    code, out, err = run_cli(capsys, "encode", "--n", "512", "--k", "4", "--seed", "1")
+    assert code == 6 and out == ""
+    assert err.startswith("error: CorruptEncoding") and err.count("\n") == 1
 
 
 def test_stats_fields(capsys):

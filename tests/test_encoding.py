@@ -157,6 +157,21 @@ def test_decode_rejects_truncated_remaining():
         decode(rec, layout.params, 2)
 
 
+def test_decode_rejects_overlong_footprint():
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
+    rec = encode(layout, 4, d=512)
+    assert decode(rec, layout.params, 4) == BitArray.random(4096, np.random.default_rng(0))
+    w = layout.memory.word_bits
+    longer = BitString()
+    for i in range(rec.foot_reference.length // w):
+        longer.append_bits(rec.foot_reference.read_bits(i * w, w), w)
+    longer.append_bits(0, w)
+    rec.foot_reference = longer
+    assert rec.total_bits == 5215 + w
+    with pytest.raises(CorruptEncoding):
+        decode(rec, layout.params, 4)
+
+
 def test_mode_validation():
     a = BitArray.from_int(12, 5)
     layout = build_two_level(a)

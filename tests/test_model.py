@@ -14,12 +14,12 @@ from rankprobe.model import (
 )
 
 
-def sum_step(query, published, reads):
+def sum_step(query):
     """Toy structure: 8-bit cells, query q sums cells 0..q."""
+    total = 0
     for a in range(query + 1):
-        if a not in reads:
-            return ("probe", a)
-    return ("answer", sum(reads[a] for a in range(query + 1)) & 0xFF)
+        total += yield a
+    return total & 0xFF
 
 
 def test_cell_memory_contract():
@@ -69,14 +69,15 @@ def test_publish_cells_exact_growth():
 def test_bad_step_faults():
     mem = CellMemory(8, [0])
 
-    def bad(query, published, reads):
-        return ("jump", 0)
+    def bad(query):
+        yield ("jump", 0)
 
     with pytest.raises(SimulationFault):
         run_query(bad, 0, mem)
 
-    def runaway(query, published, reads):
-        return ("probe", 0) if 0 not in reads else ("probe", 0)
+    def runaway(query):
+        while True:
+            yield 0
 
     # probing a known cell repeatedly burns steps without progress
     with pytest.raises(SimulationFault):
@@ -139,3 +140,22 @@ def test_replay_truncated_footprint():
     short = Footprint(fp.bits[:-1], fp.probed_cell_count - 1, 8)
     with pytest.raises(CorruptFootprint):
         replay_from_footprint(sum_step, [3], short)
+
+
+def test_replay_overlong_footprint():
+    mem = CellMemory(8, [5, 7, 11, 13])
+    fp = build_footprint(sum_step, [1], mem)
+    long = Footprint(fp.bits + (11,), fp.probed_cell_count + 1, 8)
+    with pytest.raises(CorruptFootprint):
+        replay_from_footprint(sum_step, [1], long)
+
+
+def test_repeated_reads_charged_once():
+    def twice(query):
+        first = yield 1
+        second = yield 1
+        return first + second
+
+    tr = run_query(twice, 0, CellMemory(8, [3, 4]))
+    assert tr.answer == 8
+    assert tr.steps == ((1, 4),)

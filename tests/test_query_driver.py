@@ -1,0 +1,79 @@
+"""Differential test of the query driver against an address oracle.
+
+The oracle derives every charged address from the geometry alone: the
+absolute counter of the query's superblock, the relative counter of its
+block (not stored for a superblock's first block), then the raw cells
+from the block start to the cell holding the queried bit.  Naive layouts
+scan raw cells from the front.
+"""
+
+import numpy as np
+import pytest
+
+from rankprobe.bits import BitArray
+from rankprobe.structures import build_naive, build_recursive, build_two_level, max_stage, rank
+
+
+def oracle_addresses(kind, n, w, superblock, block, q):
+    pos = q + 1
+    last = (pos - 1) // w
+    if kind == "naive":
+        return list(range(last + 1))
+    raw_cells = -(-n // w)
+    abs_base = raw_cells
+    rel_base = abs_base + n // superblock + 1
+    per = w // min(superblock - block, n).bit_length()
+    ratio = superblock // block
+    j = pos // block
+    out = [abs_base + pos // superblock]
+    if j % ratio:
+        stored = j - j // ratio - 1  # blocks before j minus skipped first blocks
+        out.append(rel_base + stored // per)
+    out.extend(range(j * block // w, last + 1))
+    return out
+
+
+def _cases():
+    small = BitArray.random(200, np.random.default_rng(11))
+    big = BitArray.random(3000, np.random.default_rng(12))
+    yield "naive-w8", small, lambda a: build_naive(a, 8), None
+    yield "naive-w64", big, lambda a: build_naive(a, 64), None
+    yield "two_level-w8", small, lambda a: build_two_level(a, word_bits=8), (512, 64)
+    yield "two_level-64/8-w8", small, lambda a: build_two_level(a, 64, 8, 8), (64, 8)
+    yield "two_level-w64", big, lambda a: build_two_level(a), (512, 64)
+    yield "two_level-384/96-w96", big, lambda a: build_two_level(a, 384, 96, 96), (384, 96)
+    for array, w in ((small, 8), (big, 64)):
+        for t in range(1, max_stage(array.n) + 1):
+            block = min(1 << (2 * t + 4), 1 << max(6, (array.n - 1).bit_length()))
+            yield (
+                f"recursive-t{t}-w{w}",
+                array,
+                lambda a, t=t, w=w: build_recursive(a, t, w),
+                (8 * block, block),
+            )
+
+
+CASES = list(_cases())
+
+
+@pytest.mark.parametrize("published", [False, True], ids=["bare", "published"])
+@pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
+def test_driver_matches_address_oracle(case, published):
+    _, array, build, geometry = case
+    layout = build(array)
+    kind = "naive" if geometry is None else "counter"
+    superblock, block = geometry or (None, None)
+    w = layout.memory.word_bits
+    if published:
+        layout.publish_redundancy()
+    free = set(layout.published.cells)
+    for k in range(1, array.n + 1):
+        tr = rank(layout, k)
+        want = [
+            a for a in oracle_addresses(kind, array.n, w, superblock, block, k - 1)
+            if a not in free
+        ]
+        assert list(tr.addresses) == want, k
+        assert tr.steps == tuple((a, layout.memory.cells[a]) for a in want)
+        assert tr.answer == array.rank(k)
+        assert len(tr.steps) <= layout.worst_probes

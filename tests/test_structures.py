@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
@@ -151,3 +153,33 @@ def test_bad_geometry_rejected():
         build_two_level(a, superblock=64, block=64)
     with pytest.raises(ValueError):
         build_two_level(a, superblock=512, block=63)
+
+
+@pytest.mark.parametrize("superblock,block,w", [(384, 96, 96), (400, 80, 80), (640, 128, 128)])
+def test_wide_cells_off_word_boundaries(superblock, block, w):
+    a = BitArray.random(4096, np.random.default_rng(10))
+    layout = build_two_level(a, superblock=superblock, block=block, word_bits=w)
+    wrong = [k for k in range(a.n + 1) if rank(layout, k).answer != a.rank(k)]
+    assert wrong == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 1200),
+    w=st.integers(8, 140),
+    cells_per_block=st.integers(1, 3),
+    ratio=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_accepted_geometry_ranks_exactly(n, w, cells_per_block, ratio, seed):
+    """A geometry the builder accepts answers every rank query exactly."""
+    a = BitArray.random(n, np.random.default_rng(seed))
+    block = w * cells_per_block
+    try:
+        layout = build_two_level(a, superblock=ratio * block, block=block, word_bits=w)
+    except ValueError:
+        return  # refused geometry: counters do not fit the cell width
+    for k in range(n + 1):
+        tr = rank(layout, k)
+        assert tr.answer == a.rank(k), (k, layout.params)
+        assert len(tr.steps) <= layout.worst_probes
