@@ -127,7 +127,8 @@ class BitArray:
     # -- RPL1 format ------------------------------------------------------
     # magic "RPL1", n as 8-byte little-endian unsigned, then ceil(n/8)
     # payload bytes; bit i (1-indexed) lives in byte (i-1)//8 at bit
-    # position (i-1) % 8.
+    # position (i-1) % 8.  The reader accepts only that canonical form:
+    # no bytes after the payload, and zero padding bits in the last byte.
 
     def to_rpl1(self) -> bytes:
         n_bytes = (self.n + 7) // 8
@@ -145,6 +146,10 @@ class BitArray:
         payload = blob[12 : 12 + n_bytes]
         if len(payload) != n_bytes:
             raise ValueError("truncated RPL1 payload")
+        if len(blob) != 12 + n_bytes:
+            raise ValueError("trailing bytes after RPL1 payload")
+        if n % 8 and payload[-1] >> (n % 8):
+            raise ValueError("RPL1 padding bits are not zero")
         padded = payload + b"\x00" * (((n + 63) // 64) * 8 - n_bytes)
         return cls(n, np.frombuffer(padded, dtype=np.uint64).copy())
 

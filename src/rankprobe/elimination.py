@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .entropy import LabConfig
-from .model import QueryBlocks, probes_of_set, run_query
-from .structures import StructureLayout
-
-EXHAUSTIVE_LIMIT = 1 << 14
+from .model import QueryBlocks
+from .structures import ProbePlan, StructureLayout, sample_queries
 
 
 @dataclass
@@ -63,18 +61,8 @@ class EliminationTrajectory:
         return out.getvalue()
 
 
-def _sample_queries(n: int, sample: int, seed: int):
-    if n <= EXHAUSTIVE_LIMIT:
-        return list(range(n))
-    rng = np.random.default_rng(seed)
-    return [int(q) for q in rng.integers(0, n, size=sample)]
-
-
-def _avg_probes(layout: StructureLayout, queries) -> float:
-    total = 0
-    for q in queries:
-        total += len(run_query(layout.step, q, layout.memory, layout.published).steps)
-    return total / len(queries)
+def _mean(values: np.ndarray) -> float:
+    return int(values.sum()) / values.size
 
 
 def overlap_probability(layout: StructureLayout, queries=None, sample: int = 4096, seed: int = 0) -> float:
@@ -83,21 +71,14 @@ def overlap_probability(layout: StructureLayout, queries=None, sample: int = 409
     uniform-query average is measured exactly (small n) or by seeded
     sampling; the published set is the one being tested against."""
     if queries is None:
-        queries = _sample_queries(layout.n, sample, seed)
-    published = set(layout.published.cells)
-    if not published:
-        return 0.0
-    hits = 0
-    for q in queries:
-        tr = run_query(layout.step, q, layout.memory)  # undiscounted: charge everything
-        if any(a in published for a in tr.addresses):
-            hits += 1
-    return hits / len(queries)
+        queries = sample_queries(layout.n, sample, seed)
+    return _mean(ProbePlan(layout.params, queries).touches(layout.published_mask()))
 
 
-def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, queries, cap_blocks: bool = False):
-    """One publish round.  Returns (row, saturated_blocks) where the row
-    is None when k_i > n and capping is off (the saturation signal)."""
+def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, plan: ProbePlan, cap_blocks: bool = False):
+    """One publish round, measured on the sampled queries of `plan`.
+    Returns (row, saturated_blocks) where the row is None when k_i > n
+    and capping is off (the saturation signal)."""
     n = layout.n
     p_before = layout.published.length
     k = math.ceil(config.gamma * max(p_before, 1))
@@ -105,15 +86,14 @@ def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, q
         if not cap_blocks:
             return None, True
         k = n
-    before = _avg_probes(layout, queries)
-    ov = overlap_probability(layout, queries)
-    blocks = QueryBlocks(n, k)
-    _, union = probes_of_set(
-        layout.step, blocks.offset_queries(0), layout.memory, layout.published
-    )
-    new_cells = [a for a in union if a not in layout.published.cells]
-    layout.published.publish_cells(layout.memory, new_cells)
-    after = _avg_probes(layout, queries)
+    published = layout.published_mask()
+    before = _mean(plan.charged(published))
+    ov = _mean(plan.touches(published))
+    reference = ProbePlan(layout.params, QueryBlocks(n, k).offset_queries(0))
+    new_cells = np.flatnonzero(reference.cells(published))
+    layout.published.publish_cells(layout.memory, new_cells.tolist())
+    published[new_cells] = True
+    after = _mean(plan.charged(published))
     row = EliminationRow(
         round=round_no,
         published_bits=p_before,
@@ -138,16 +118,16 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None, ma
         gamma=config.gamma,
         seed=config.rng_seed,
     )
-    queries = _sample_queries(n, sample, config.rng_seed)
+    plan = ProbePlan(layout.params, sample_queries(n, sample, config.rng_seed))
     if not layout.published.bootstrapped:
         layout.publish_redundancy()
         if layout.published.length == 0:
             layout.published.publish_raw(1)  # floor: start from one bit
     for i in range(max_rounds):
-        row, overflow = eliminate_round(layout, i, config, queries)
+        row, overflow = eliminate_round(layout, i, config, plan)
         if overflow:
             if config.final_full_round:
-                row, _ = eliminate_round(layout, i, config, queries, cap_blocks=True)
+                row, _ = eliminate_round(layout, i, config, plan, cap_blocks=True)
                 traj.rows.append(row)
                 traj.status = "drained" if row.avg_probes_after < 0.01 else "block_overflow"
             else:

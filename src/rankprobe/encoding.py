@@ -20,8 +20,9 @@ and is honest only at enumerable sizes.
 
 Decoding replays the recorded footprints through the structure's own
 query generators, fills the untouched cells, answers every rank query
-against the reconstructed memory, and differences consecutive answers
-back into bits.
+against the reconstructed memory in one batch (a
+:class:`~rankprobe.structures.ProbePlan` reading its counters and raw
+cells), and differences consecutive answers back into bits.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bits import BitArray, BitString
 from .coding import (
@@ -50,7 +53,7 @@ from .model import (
     replay_from_footprint,
     run_query,
 )
-from .structures import StructureLayout, step_from_params
+from .structures import ProbePlan, StructureLayout, step_from_params
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
@@ -136,20 +139,16 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     offset-0 reference queries; ties go to the smallest offset.  Offset 0
     itself is excluded (it IS the reference)."""
     blocks = QueryBlocks(layout.n, k)
-    if blocks.block_size < 2:
+    bs = blocks.block_size
+    if bs < 2:
         raise ValueError("blocks too small to hold a nonzero offset")
-    _, ref_cells = probes_of_set(
-        layout.step, blocks.offset_queries(0), layout.memory, layout.published
-    )
-    best_d, best_overlap = None, None
-    for d in range(1, blocks.block_size):
-        _, cells = probes_of_set(
-            layout.step, blocks.offset_queries(d), layout.memory, layout.published
-        )
-        overlap = len(cells & ref_cells)
-        if best_overlap is None or overlap < best_overlap:
-            best_d, best_overlap = d, overlap
-    return best_d
+    ref_cells = ProbePlan(layout.params, blocks.offset_queries(0)).cells(layout.published_mask())
+    # Row d - 1 holds offset d's queries.  The reference cells exclude the
+    # published ones, so the reference cells a row reads are exactly the
+    # charged cells it shares with the reference.
+    offsets = np.arange(1, bs)[:, None] + bs * np.arange(k)
+    overlap = ProbePlan(layout.params, offsets).row_hits(ref_cells)
+    return int(np.argmin(overlap)) + 1
 
 
 def detached_queries(layout: StructureLayout, queries) -> list:
@@ -534,20 +533,15 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
         raise CorruptEncoding("remaining-cells component overlong")
 
     memory = CellMemory(w, [cells[a] for a in range(cell_count)])
-    answers = {}
-    for q in range(n):
-        answers[q] = run_query(step, q, memory).answer
-    out = BitArray(n)
-    prev = 0
-    for i in range(1, n + 1):
-        cur = answers[i - 1]
-        bit = cur - prev
-        if bit not in (0, 1):
-            raise CorruptEncoding(f"rank answers not unit-increment at {i}")
-        if bit:
-            out.set(i, 1)
-        prev = cur
-    return out
+    try:
+        answers = ProbePlan(params, np.arange(n)).answers(memory.cells)
+    except ValueError as e:
+        raise CorruptEncoding(str(e)) from None
+    bits = np.diff(answers, prepend=0)
+    bad = np.flatnonzero((bits != 0) & (bits != 1))
+    if bad.size:
+        raise CorruptEncoding(f"rank answers not unit-increment at {bad[0] + 1}")
+    return BitArray.from_bits(bits)
 
 
 def _replay(step, queries, footprint: Footprint, published: PublishedBits):

@@ -11,6 +11,11 @@ recorded :class:`Footprint` (first-seen contents in probe order) for
 :func:`replay_from_footprint`, which the encoding argument relies on.
 Free reads never appear in a trace, and a query costs time linear in the
 addresses it yields.
+
+The driver serves single queries and whatever depends on content order
+(footprints, replay).  Probe counts, published overlaps and answers for
+many queries at once come from the batch plans in :mod:`structures`,
+which are tested against this driver as their oracle.
 """
 
 from __future__ import annotations

@@ -17,6 +17,14 @@ Three builders, one layout family:
 Raw bits are stored contiguously, never compressed; padding in the last
 raw cell counts toward redundancy.  The relative counter for the first
 block of each superblock is always zero and is not stored.
+
+Queries run two ways over one geometry expression.  The generator
+queries of :func:`step_from_params`, driven by :mod:`model`, answer
+single queries (``rank``), record and replay footprints, and are the
+oracle.  A :class:`ProbePlan` is the batch path: probe counts, published
+overlaps, charged-cell sets and rank answers for a whole query array,
+computed with numpy.  Both need only a layout's params, because probe
+addresses depend on the query index and never on the data.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ import numpy as np
 
 from .bits import BitArray
 from .model import CellMemory, ProbeTrace, PublishedBits, SimulationFault, run_query
+
+EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
 
 
 def rank_oracle(array: BitArray, k: int) -> int:
@@ -65,6 +75,12 @@ class StructureLayout:
     @property
     def worst_probes(self) -> int:
         return self.params["worst_probes"]
+
+    def published_mask(self) -> np.ndarray:
+        """Boolean mask over the cells: True where a published cell reads free."""
+        mask = np.zeros(self.memory.cell_count, dtype=bool)
+        mask[list(self.published.cells)] = True
+        return mask
 
     def publish_redundancy(self) -> int:
         """Free the counter region: contents plus padding slack, exactly
@@ -181,16 +197,36 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     )
 
 
-def _scan(lo: int, bits: int, w: int):
-    """Query generator counting the ones among the first `bits` raw bits
-    stored from cell `lo` on, probing cells in increasing order."""
-    full, rem = divmod(bits, w)
-    mask = (1 << w) - 1
+def _counter_geometry(params: dict):
+    """Where Rank(pos) reads in a counter layout, as arithmetic that works
+    the same on a Python int and on an int64 array of positions.
+
+    Returns a function of pos giving the absolute counter's address,
+    whether the block stores a relative counter, that counter's cell
+    address and entry index (meaningless where it stores none), and the
+    first raw cell of the scan."""
+    superblock = params["superblock"]
+    block = params["block"]
+    ratio = params["ratio"]
+    per = params["per_cell"]
+    abs_base = params["abs_base"]
+    rel_base = params["rel_base"]
+    w = params["word_bits"]
+
+    def where(pos):
+        j = pos // block
+        entry = j - j // ratio - 1  # blocks before j minus skipped first blocks
+        return abs_base + pos // superblock, j % ratio != 0, rel_base + entry // per, entry, j * block // w
+
+    return where
+
+
+def _scan(lo: int, pos: int, w: int):
+    """Query generator counting the ones among raw bits lo * w .. pos - 1,
+    probing cells lo .. (pos - 1) // w in increasing order."""
     total = 0
-    for c in range(lo, lo + full):
-        total += ((yield c) & mask).bit_count()
-    if rem:
-        total += ((yield lo + full) & ((1 << rem) - 1)).bit_count()
+    for c in range(lo, (pos - 1) // w + 1):
+        total += ((yield c) & ((1 << min(pos - c * w, w)) - 1)).bit_count()
     return total
 
 
@@ -211,27 +247,132 @@ def step_from_params(params: dict):
 
         return naive_query
 
-    superblock = params["superblock"]
-    block = params["block"]
-    ratio = params["ratio"]
+    where = _counter_geometry(params)
     width = params["width"]
     per = params["per_cell"]
-    abs_base = params["abs_base"]
-    rel_base = params["rel_base"]
     slot_mask = (1 << width) - 1
 
     def counter_query(query):
         pos = query + 1
-        j = pos // block
-        total = yield abs_base + pos // superblock
-        if j % ratio:
-            store_idx = j - j // ratio - 1
-            rel = yield rel_base + store_idx // per
-            total += (rel >> (store_idx % per * width)) & slot_mask
-        total += yield from _scan(j * block // w, pos - j * block, w)
+        a_abs, has_rel, a_rel, entry, lo = where(pos)
+        total = yield a_abs
+        if has_rel:
+            total += ((yield a_rel) >> (entry % per * width)) & slot_mask
+        total += yield from _scan(lo, pos, w)
         return total
 
     return counter_query
+
+
+def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Whether each address (-1 for none) is a cell that `mask` flags."""
+    return (addresses >= 0) & mask[addresses]
+
+
+class ProbePlan:
+    """A query array's probes, built from a layout's params alone.
+
+    The batch counterpart of driving each query through :mod:`model`,
+    which stays its oracle.  For every query (an int64 array of any
+    shape) the plan holds the absolute-counter address (-1 for naive
+    layouts), the relative-counter address (-1 where the block stores
+    none) and the raw cells ``lo .. hi`` its scan reads (``hi = lo - 1``
+    when the scan is empty).  A query reads no cell twice, so its charged
+    probes are the cells it reads that are not published.  Cell sets are
+    boolean masks over the layout's cells, such as
+    :meth:`StructureLayout.published_mask`.
+    """
+
+    def __init__(self, params: dict, queries):
+        q = np.asarray(queries, dtype=np.int64)
+        if q.size and (q.min() < 0 or q.max() >= params["n"]):
+            raise IndexError(f"query outside [0, {params['n']})")
+        self.params = params
+        self.queries = q
+        self.hi = q // params["word_bits"]
+        if params["kind"] == "naive":
+            self.abs_addr = self.rel_addr = np.full(q.shape, -1, dtype=np.int64)
+            self.lo = np.zeros(q.shape, dtype=np.int64)
+        else:
+            a_abs, has_rel, a_rel, _, self.lo = _counter_geometry(params)(q + 1)
+            self.abs_addr = a_abs
+            self.rel_addr = np.where(has_rel, a_rel, -1)
+
+    def _raw_prefix(self, mask: np.ndarray) -> np.ndarray:
+        """How many raw cells below each index `mask` flags."""
+        return np.concatenate(([0], np.cumsum(mask[: self.params["raw_cells"]], dtype=np.int64)))
+
+    def _hits(self, mask: np.ndarray) -> np.ndarray:
+        """Per query, how many of the cells it reads `mask` flags."""
+        pre = self._raw_prefix(mask)
+        return pre[self.hi + 1] - pre[self.lo] + _flagged(self.abs_addr, mask) + _flagged(self.rel_addr, mask)
+
+    def charged(self, published: np.ndarray) -> np.ndarray:
+        """Charged probes per query when published cells read free."""
+        return self._hits(~published)
+
+    def touches(self, published: np.ndarray) -> np.ndarray:
+        """Whether each query's full probe set meets a published cell."""
+        return self._hits(published) > 0
+
+    def cells(self, published: np.ndarray) -> np.ndarray:
+        """Mask of the cells some query charges: the union of charged
+        addresses that :func:`model.probes_of_set` returns."""
+        raw = self.params["raw_cells"]
+        read = np.zeros(published.shape, dtype=bool)
+        for addresses in (self.abs_addr, self.rel_addr):
+            read[addresses[addresses >= 0]] = True
+        edges = np.bincount(self.lo.ravel(), minlength=raw + 1) - np.bincount(self.hi.ravel() + 1, minlength=raw + 1)
+        read[:raw] |= np.cumsum(edges)[:raw] > 0
+        return read & ~published
+
+    def row_hits(self, mask: np.ndarray) -> np.ndarray:
+        """Per row (the last axis) of a query array sorted by position
+        along each row, how many distinct cells `mask` flags the row reads.
+
+        In a sorted row the counter addresses and both ends of the scan
+        never decrease, so a counter cell is new exactly when it lies past
+        every earlier query's, and the new part of a scan is the part past
+        the previous query's last raw cell."""
+
+        def before(a: np.ndarray) -> np.ndarray:  # running max over earlier queries
+            seen = np.maximum.accumulate(a, axis=-1)
+            return np.concatenate((np.full(a.shape[:-1] + (1,), -1), seen[..., :-1]), axis=-1)
+
+        pre = self._raw_prefix(mask)
+        start = np.maximum(self.lo, before(self.hi) + 1)
+        hits = pre[self.hi + 1] - pre[start]
+        for addresses in (self.abs_addr, self.rel_addr):
+            hits += _flagged(addresses, mask) & (addresses > before(addresses))
+        return hits.sum(axis=-1)
+
+    def answers(self, cells) -> np.ndarray:
+        """Rank(q + 1) per query, read from a memory's cells: the absolute
+        counter, the relative counter's slot, and a prefix popcount of the
+        raw bits from the block start.  Raises ValueError on an absolute
+        counter above n, which no rank can be."""
+        p = self.params
+        w = p["word_bits"]
+        nb = -(-w // 8)
+        data = np.frombuffer(b"".join(c.to_bytes(nb, "little") for c in cells[: p["raw_cells"]]), dtype=np.uint8)
+        raw_bits = np.unpackbits(data.reshape(-1, nb), axis=1, count=w, bitorder="little")
+        ones = np.concatenate(([0], np.cumsum(raw_bits, dtype=np.int64)))  # ones[b]: among the first b raw bits
+        total = ones[self.queries + 1] - ones[self.lo * w]
+        if p["kind"] == "naive":
+            return total
+        counters = cells[p["abs_base"] : p["rel_base"]]
+        if max(counters) > p["n"]:
+            raise ValueError(f"absolute counter {max(counters)} above n = {p['n']}")
+        total += np.array(counters, dtype=np.int64)[self.abs_addr - p["abs_base"]]
+        width = p["width"]
+        slots = np.array(
+            [(c >> (s * width)) & ((1 << width) - 1) for c in cells[p["rel_base"] : p["cell_count"]] for s in range(p["per_cell"])],
+            dtype=np.int64,
+        )
+        has_rel = self.rel_addr >= 0
+        entry = _counter_geometry(p)(self.queries + 1)[3]
+        total[has_rel] += slots[entry[has_rel]]
+        return total
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
@@ -316,25 +457,19 @@ def rank(layout: StructureLayout, k: int) -> ProbeTrace:
     return trace
 
 
+def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:
+    """The query indices probe statistics average over: all of them when
+    n is small, otherwise a seeded uniform sample."""
+    if n <= EXHAUSTIVE_LIMIT:
+        return np.arange(n, dtype=np.int64)
+    return np.random.default_rng(seed).integers(0, n, size=sample)
+
+
 def structure_stats(layout: StructureLayout, sample: int = 4096, seed: int = 0) -> StructureStats:
-    """Measured probe statistics: exhaustive when n is small, otherwise a
-    seeded uniform sample of queries."""
-    n = layout.n
-    if n <= (1 << 14):
-        queries = range(n)
-        count = n
-    else:
-        rng = np.random.default_rng(seed)
-        queries = rng.integers(0, n, size=sample)
-        count = sample
-    total = 0
-    worst = 0
-    for q in queries:
-        tr = run_query(layout.step, int(q), layout.memory, layout.published)
-        total += len(tr.steps)
-        worst = max(worst, len(tr.steps))
+    """Measured probe statistics over :func:`sample_queries`."""
+    probes = ProbePlan(layout.params, sample_queries(layout.n, sample, seed)).charged(layout.published_mask())
     return StructureStats(
         redundancy_bits=layout.redundancy_bits,
-        worst_probes=worst,
-        avg_probes=total / count,
+        worst_probes=int(probes.max()),
+        avg_probes=int(probes.sum()) / probes.size,
     )

@@ -85,6 +85,22 @@ def test_rpl1_corrupt():
         BitArray.from_rpl1(blob[:8])
 
 
+def test_rpl1_rejects_trailing_bytes():
+    a = BitArray.random(13, np.random.default_rng(1))
+    blob = a.to_rpl1()
+    assert BitArray.from_rpl1(blob) == a
+    with pytest.raises(ValueError):
+        BitArray.from_rpl1(blob + b"xyz")
+
+
+@pytest.mark.parametrize("n", [13, 100])
+def test_rpl1_rejects_nonzero_padding(n):
+    blob = BitArray.random(n, np.random.default_rng(2)).to_rpl1()
+    for pad_bit in range(n % 8, 8):
+        with pytest.raises(ValueError):
+            BitArray.from_rpl1(blob[:-1] + bytes([blob[-1] | (1 << pad_bit)]))
+
+
 def test_bitstring_append_read():
     s = BitString()
     s.append_bits(0b101, 3)

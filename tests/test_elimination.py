@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
-from rankprobe.elimination import (
-    EXHAUSTIVE_LIMIT,
-    _sample_queries,
-    overlap_probability,
-    run_elimination,
-)
+from rankprobe.elimination import overlap_probability, run_elimination
 from rankprobe.entropy import LabConfig
-from rankprobe.structures import build_naive, build_two_level
+from rankprobe.structures import EXHAUSTIVE_LIMIT, build_naive, build_two_level, sample_queries
 
 
 def slim_layout(seed=0):
@@ -105,12 +100,13 @@ def test_overlap_probability_bounds():
 
 
 def test_sample_queries():
-    assert _sample_queries(100, 50, 0) == list(range(100))
-    assert _sample_queries(EXHAUSTIVE_LIMIT, 10, 0) == list(range(EXHAUSTIVE_LIMIT))
-    big = _sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0)
+    # the one sample elimination and structure_stats both draw
+    assert sample_queries(100, 50, 0).tolist() == list(range(100))
+    assert sample_queries(EXHAUSTIVE_LIMIT, 10, 0).tolist() == list(range(EXHAUSTIVE_LIMIT))
+    big = sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0).tolist()
     assert len(big) == 64
-    assert big == _sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0)
-    assert big != _sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 1)
+    assert big == sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0).tolist()
+    assert big != sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 1).tolist()
 
 
 def test_csv_shape():

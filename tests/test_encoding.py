@@ -12,7 +12,7 @@ from rankprobe.encoding import (
     size_accounting,
 )
 from rankprobe.errors import RefusalError
-from rankprobe.model import QueryBlocks, run_query
+from rankprobe.model import QueryBlocks, probes_of_set, run_query
 from rankprobe.structures import build_naive, build_recursive, build_two_level
 
 
@@ -168,6 +168,29 @@ def test_decode_rejects_overlong_footprint():
     longer.append_bits(0, w)
     rec.foot_reference = longer
     assert rec.total_bits == 5215 + w
+    with pytest.raises(CorruptEncoding):
+        decode(rec, layout.params, 4)
+
+
+@pytest.mark.parametrize("bit", [63, 10], ids=["past-int64", "plausible-rank"])
+def test_decode_rejects_corrupt_counter(bit):
+    # decode answers every rank query from the rebuilt memory, so a
+    # corrupt absolute counter must surface even though the raw bits
+    # alone still spell the array.  The last counter holds Rank(n); it is
+    # probed by neither query set, so the record carries it in the
+    # remaining-cells component.
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
+    rec = encode(layout, 4, d=512)
+    blocks = QueryBlocks(4096, 4)
+    det = detached_queries(layout, blocks.offset_queries(512))
+    probed = set()
+    for qs in (blocks.offset_queries(0), det):
+        probed |= probes_of_set(layout.step, qs, layout.memory, layout.published)[1]
+    carried = [a for a in range(layout.memory.cell_count) if a not in probed]
+    counter = layout.params["rel_base"] - 1
+    assert counter in carried
+    at = carried.index(counter) * layout.memory.word_bits + bit
+    rec.remaining = BitString(rec.remaining.value ^ (1 << at), rec.remaining.length)
     with pytest.raises(CorruptEncoding):
         decode(rec, layout.params, 4)
 

@@ -1,0 +1,111 @@
+"""Differential tests of the batch probe plan against the query driver.
+
+The driver runs one generator query at a time and is the oracle.  For
+every query of a layout with a random set of published cells, the plan's
+charged count, published-overlap flag and rank answer must equal what
+the driver reports; its charged-cell mask must equal the union that
+``probes_of_set`` collects; and ``choose_offset`` must pick the offset a
+search over ``probes_of_set`` unions picks.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankprobe.bits import BitArray
+from rankprobe.encoding import choose_offset
+from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query
+from rankprobe.structures import (
+    ProbePlan,
+    build_naive,
+    build_recursive,
+    build_two_level,
+    max_stage,
+)
+
+
+@st.composite
+def layouts(draw):
+    """(n, array -> layout): naive, two-level and staged layouts at w = 8
+    and 64, and the two-level 384/96 (w = 96), 400/80 (w = 80) and 350/70
+    (w = 70, not a whole number of bytes) geometries.  8-bit cells hold
+    counters only while n < 256."""
+    kind = draw(st.sampled_from(["naive", "two_level", "recursive", "384/96/96", "400/80/80", "350/70/70"]))
+    w = draw(st.sampled_from([8, 64])) if kind in ("naive", "two_level", "recursive") else None
+    n = draw(st.integers(1, 255 if w == 8 else 1200))
+    if kind == "naive":
+        return n, lambda a: build_naive(a, w)
+    if kind == "two_level":
+        return n, (lambda a: build_two_level(a, 64, 8, 8)) if w == 8 else build_two_level
+    if kind == "recursive":
+        t = draw(st.integers(1, max_stage(n)))
+        return n, lambda a: build_recursive(a, t, w)
+    superblock, block, cell = (int(x) for x in kind.split("/"))
+    return n, lambda a: build_two_level(a, superblock, block, cell)
+
+
+def publish_at_random(layout, rng, share):
+    """Publish a random subset of the cells; returns its mask."""
+    mask = rng.random(layout.memory.cell_count) < share
+    layout.published = PublishedBits(
+        cells={int(a): layout.memory.cells[a] for a in np.flatnonzero(mask)}
+    )
+    assert np.array_equal(layout.published_mask(), mask)
+    return mask
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=layouts(), share=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_plan_matches_driver(case, share, seed):
+    n, build = case
+    rng = np.random.default_rng(seed)
+    a = BitArray.random(n, rng)
+    layout = build(a)
+    published = publish_at_random(layout, rng, share)
+    plan = ProbePlan(layout.params, np.arange(n))
+    charged = plan.charged(published)
+    touches = plan.touches(published)
+    answers = plan.answers(layout.memory.cells)
+    for q in range(n):
+        live = run_query(layout.step, q, layout.memory, layout.published)
+        bare = run_query(layout.step, q, layout.memory)  # undiscounted
+        assert charged[q] == len(live.steps), q
+        assert touches[q] == any(published[x] for x in bare.addresses), q
+        assert answers[q] == live.answer == a.rank(q + 1), q
+    subset = sorted(rng.choice(n, size=1 + n // 8, replace=False).tolist())
+    _, union = probes_of_set(layout.step, subset, layout.memory, layout.published)
+    assert np.flatnonzero(ProbePlan(layout.params, subset).cells(published)).tolist() == sorted(union)
+
+
+def brute_force_overlaps(layout, k):
+    """|charged cells of offset d ∩ charged cells of offset 0| for every
+    d in [1, block_size), from probes_of_set unions."""
+    blocks = QueryBlocks(layout.n, k)
+
+    def charged_cells(d):
+        return probes_of_set(layout.step, blocks.offset_queries(d), layout.memory, layout.published)[1]
+
+    ref = charged_cells(0)
+    return [len(charged_cells(d) & ref) for d in range(1, blocks.block_size)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=layouts(), k=st.integers(1, 9), share=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_choose_offset_matches_brute_force(case, k, share, seed):
+    n, build = case
+    if n // k < 2:
+        return  # no nonzero offset to choose
+    rng = np.random.default_rng(seed)
+    layout = build(BitArray.random(n, rng))
+    published = publish_at_random(layout, rng, share)
+    overlaps = brute_force_overlaps(layout, k)
+    blocks = QueryBlocks(n, k)
+    ref = ProbePlan(layout.params, blocks.offset_queries(0)).cells(published)
+    grid = [blocks.offset_queries(d) for d in range(1, blocks.block_size)]
+    assert ProbePlan(layout.params, grid).row_hits(ref).tolist() == overlaps
+    assert choose_offset(layout, k) == 1 + overlaps.index(min(overlaps))
+
+
+def test_choose_offset_benchmark_geometry():
+    a = BitArray.random(1 << 16, np.random.default_rng(0))
+    assert choose_offset(build_two_level(a), 16) == 511
