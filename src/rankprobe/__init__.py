@@ -26,7 +26,6 @@ from .structures import (
     build_two_level,
     max_stage,
     rank,
-    rank_oracle,
     structure_stats,
 )
 from .entropy import (

@@ -249,35 +249,27 @@ def _cmd_eliminate(args):
     layout = _build_layout(args, array)
     config = LabConfig(rng_seed=args.seed)
     traj = run_elimination(layout, config)
-    if args.format == "json":
-        obj = {
-            "command": "eliminate",
-            "seed": args.seed,
-            "structure": traj.structure,
-            "n": traj.n,
-            "gamma": traj.gamma,
-            "status": traj.status,
-            "rows": [
-                {
-                    "round": r.round,
-                    "published_bits": r.published_bits,
-                    "block_count": r.block_count,
-                    "overlap_prob": round(r.overlap_prob, 6),
-                    "avg_probes_before": round(r.avg_probes_before, 6),
-                    "avg_probes_after": round(r.avg_probes_after, 6),
-                    "published_cells": r.published_cells,
-                }
-                for r in traj.rows
-            ],
-        }
-        _emit(args, [], obj)
-    else:
-        text = traj.to_csv()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+    obj = {
+        "command": "eliminate",
+        "seed": args.seed,
+        "structure": traj.structure,
+        "n": traj.n,
+        "gamma": traj.gamma,
+        "status": traj.status,
+        "rows": [
+            {
+                "round": r.round,
+                "published_bits": r.published_bits,
+                "block_count": r.block_count,
+                "overlap_prob": round(r.overlap_prob, 6),
+                "avg_probes_before": round(r.avg_probes_before, 6),
+                "avg_probes_after": round(r.avg_probes_after, 6),
+                "published_cells": r.published_cells,
+            }
+            for r in traj.rows
+        ],
+    }
+    _emit(args, traj.to_csv().splitlines(), obj)
     return None
 
 

@@ -12,11 +12,13 @@ and account for every bit.  A record has six components:
 5. the footprint of the detached queries,
 6. every cell probed by neither, verbatim in address order.
 
-Components 4 and 5 come in two modes: ``verbatim`` stores the raw
-first-seen cell contents (exactly probed_cells * word_bits bits) and
-works at any size; ``ensemble`` replaces them with exact conditional
-canonical codes built by enumerating every array of the given length,
-and is honest only at enumerable sizes.
+Each query set is simulated once: its pass yields the answers, the
+footprint and the charged cells that component 6 leaves out.  One
+footprint codec writes and reads components 4 and 5.  By default it
+stores the raw first-seen cell contents (exactly probed_cells *
+word_bits bits), which works at any size.  Given a layout factory it is
+the ensemble: exact conditional canonical codes built by enumerating
+every array of the given length, honest only at enumerable sizes.
 
 Decoding replays the recorded footprints through the structure's own
 query generators, fills the untouched cells, answers every rank query
@@ -48,10 +50,9 @@ from .model import (
     Footprint,
     PublishedBits,
     QueryBlocks,
-    build_footprint,
-    probes_of_set,
     replay_from_footprint,
     run_query,
+    simulate_set,
 )
 from .structures import ProbePlan, StructureLayout, step_from_params
 
@@ -166,6 +167,18 @@ def detached_queries(layout: StructureLayout, queries) -> list:
     return kept
 
 
+def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
+    """The detached queries at offset `d`, then (answers in query order,
+    charged cells) for the reference set and for the detached set, each
+    set simulated once by :func:`model.simulate_set`."""
+    det = detached_queries(layout, blocks.offset_queries(d))
+    runs = []
+    for queries in (blocks.offset_queries(0), det):
+        answers, cells = simulate_set(layout.step, queries, layout.memory, layout.published)
+        runs.append((tuple(answers.values()), cells))
+    return det, *runs
+
+
 # -- answer coding --------------------------------------------------------
 
 _BINOM_CODE_CACHE: dict = {}
@@ -174,9 +187,12 @@ _BINOM_CODE_CACHE: dict = {}
 def _binom_code(m: int) -> CanonicalCode:
     code = _BINOM_CODE_CACHE.get(m)
     if code is None:
-        code = CanonicalCode.from_weights(
-            {v: math.comb(m, v) for v in range(m + 1)}
-        )
+        weights = {}
+        c = 1
+        for v in range(m + 1):
+            weights[v] = c  # C(m, v), by the running product
+            c = c * (m - v) // (v + 1)
+        code = CanonicalCode.from_weights(weights)
         _BINOM_CODE_CACHE[m] = code
     return code
 
@@ -196,7 +212,33 @@ def _increment_codes(n: int, bs: int, d: int, blocks: tuple) -> list:
     return codes
 
 
-# -- ensemble tables ------------------------------------------------------
+# -- footprint codec ------------------------------------------------------
+#
+# Components 4 and 5 are coded under a condition: (detached answers,) for
+# the reference footprint and (detached answers, reference answers) for
+# the detached one.  The codes are looked up by condition: w-bit cells
+# for every condition, or the exact ensemble codes when a layout factory
+# is given.
+
+class _CellCode:
+    """Verbatim footprint code: each cell in w bits, under any condition."""
+
+    def __init__(self, w: int):
+        self.w = w
+
+    def __getitem__(self, cond):
+        return self
+
+    def encode_symbol(self, out: BitString, cells: tuple) -> None:
+        for c in cells:
+            out.append_bits(c, self.w)
+
+    def decode_symbol(self, data: BitString, offset: int):
+        if (data.length - offset) % self.w:
+            raise CorruptEncoding("verbatim footprint not cell-aligned")
+        cells = tuple(data.read_bits(i, self.w) for i in range(offset, data.length, self.w))
+        return cells, data.length
+
 
 _ENSEMBLE_CACHE: dict = {}
 
@@ -208,9 +250,10 @@ def _params_key(params: dict) -> tuple:
 def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
     """Exact conditional footprint codes by full enumeration.
 
-    Keyed by structure config; valid because probe addresses are
-    data-independent, so the detached set and footprint lengths are the
-    same for every array of the length."""
+    Returns (codes by condition, detached blocks).  Keyed by structure
+    config; valid because probe addresses are data-independent, so the
+    detached set and footprint lengths are the same for every array of
+    the length."""
     n = params["n"]
     if n > ENSEMBLE_LIMIT:
         raise RefusalError(
@@ -222,46 +265,54 @@ def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
         return hit
 
     blocks = QueryBlocks(n, k)
-    ref_q = blocks.offset_queries(0)
-    off_q = blocks.offset_queries(d)
-
-    ref_weights: dict = {}
-    det_weights: dict = {}
+    weights: dict = {}
     det_blocks = None
     for v in range(1 << n):
         layout = layout_factory(BitArray.from_int(n, v))
         if v == 0 and _params_key(layout.params) != _params_key(params):
             raise ValueError("layout factory does not match the given params")
-        det = detached_queries(layout, off_q)
+        det, (ref_ans, ref_cells), (det_ans, det_cells) = _simulate_sets(layout, blocks, d)
         db = tuple(q // blocks.block_size for q in det)
         if det_blocks is None:
             det_blocks = db
         elif det_blocks != db:
             raise CorruptEncoding("detached set varies with data")
-        det_ans = tuple(
-            run_query(layout.step, q, layout.memory, layout.published).answer
-            for q in det
-        )
-        f_ref = build_footprint(layout.step, ref_q, layout.memory, layout.published)
-        f_det = build_footprint(layout.step, det, layout.memory, layout.published)
-        ref_ans = tuple(
-            run_query(layout.step, q, layout.memory, layout.published).answer
-            for q in ref_q
-        )
-        rk = det_ans
-        ref_weights.setdefault(rk, {}).setdefault(f_ref.bits, 0)
-        ref_weights[rk][f_ref.bits] += 1
-        dk = (det_ans, ref_ans)
-        det_weights.setdefault(dk, {}).setdefault(f_det.bits, 0)
-        det_weights[dk][f_det.bits] += 1
+        for cond, cells in (((det_ans,), ref_cells), ((det_ans, ref_ans), det_cells)):
+            counts = weights.setdefault(cond, {})
+            foot = tuple(cells.values())
+            counts[foot] = counts.get(foot, 0) + 1
 
     tables = (
-        {cond: CanonicalCode.from_weights(w) for cond, w in ref_weights.items()},
-        {cond: CanonicalCode.from_weights(w) for cond, w in det_weights.items()},
+        {cond: CanonicalCode.from_weights(w) for cond, w in weights.items()},
         det_blocks,
     )
     _ENSEMBLE_CACHE[key] = tables
     return tables
+
+
+def _footprint_codes(layout_factory, params: dict, k: int, d: int, det_blocks: tuple):
+    if layout_factory is None:
+        return _CellCode(params["word_bits"])
+    codes, expected_blocks = _ensemble_tables(layout_factory, params, k, d)
+    if expected_blocks != det_blocks:
+        raise CorruptEncoding("detached set disagrees with ensemble tables")
+    return codes
+
+
+def _write_footprint(codes, cond, cells: dict) -> BitString:
+    out = BitString()
+    codes[cond].encode_symbol(out, tuple(cells.values()))
+    return out
+
+
+def _read_footprint(codes, cond, comp: BitString, w: int, name: str) -> Footprint:
+    try:
+        cells, used = codes[cond].decode_symbol(comp, 0)
+    except (KeyError, ValueError) as e:
+        raise CorruptEncoding(str(e)) from None
+    if used != comp.length:
+        raise CorruptEncoding(f"{name} footprint overlong")
+    return Footprint(cells, len(cells), w)
 
 
 # -- encode ---------------------------------------------------------------
@@ -296,14 +347,14 @@ def _published_bits(layout: StructureLayout) -> BitString:
     return out
 
 
-def encode(layout: StructureLayout, k: int, d: int | None = None, mode: str = "verbatim", layout_factory=None) -> EncodingRecord:
+def encode(layout: StructureLayout, k: int, d: int | None = None, layout_factory=None) -> EncodingRecord:
     """Encode the layout's array as a six-component record.
 
-    `mode` picks how the two footprints are stored.  Ensemble mode needs
-    `layout_factory` (array -> layout with identical params) to build its
-    enumeration tables."""
-    if mode not in ("verbatim", "ensemble"):
-        raise ValueError(f"unknown footprint mode {mode!r}")
+    The reference and detached query sets are each simulated once; their
+    answers and charged cells feed components 3 to 6.  The footprints are
+    stored verbatim unless `layout_factory` (array -> layout with
+    identical params) is given, which selects the ensemble codes built by
+    enumerating every array of the length."""
     n = layout.n
     blocks = QueryBlocks(n, k)
     bs = blocks.block_size
@@ -312,21 +363,14 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, mode: str = "v
     if not 0 < d < bs:
         raise ValueError(f"offset {d} outside (0, {bs})")
 
-    ref_q = blocks.offset_queries(0)
-    det = detached_queries(layout, blocks.offset_queries(d))
+    det, (ref_answers, ref_cells), (det_answers, det_cells) = _simulate_sets(layout, blocks, d)
     det_blocks = tuple(q // bs for q in det)
-
-    comp1 = _published_bits(layout)
 
     comp2 = BitString()
     comp2.append_bits(len(det_blocks), subset_header_bits(k))
     idx = subset_rank(k, det_blocks)
     comp2.append_bits(idx, subset_index_bits(k, len(det_blocks)))
 
-    det_answers = tuple(
-        run_query(layout.step, q, layout.memory, layout.published).answer
-        for q in det
-    )
     comp3 = BitString()
     codes = _increment_codes(n, bs, d, det_blocks)
     prev = 0
@@ -334,50 +378,19 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, mode: str = "v
         code.encode_symbol(comp3, ans - prev)
         prev = ans
 
-    f_ref = build_footprint(layout.step, ref_q, layout.memory, layout.published)
-    f_det = build_footprint(layout.step, det, layout.memory, layout.published)
+    foot = _footprint_codes(layout_factory, layout.params, k, d, det_blocks)
     w = layout.memory.word_bits
-
-    if mode == "verbatim":
-        comp4 = BitString()
-        for c in f_ref.bits:
-            comp4.append_bits(c, w)
-        comp5 = BitString()
-        for c in f_det.bits:
-            comp5.append_bits(c, w)
-        if comp4.length != f_ref.length or comp5.length != f_det.length:
-            raise CorruptEncoding("footprint length accounting broke")
-    else:
-        if layout_factory is None:
-            raise ValueError("ensemble mode needs a layout factory")
-        ref_tab, det_tab, expected_blocks = _ensemble_tables(
-            layout_factory, layout.params, k, d
-        )
-        if expected_blocks != det_blocks:
-            raise CorruptEncoding("detached set disagrees with ensemble tables")
-        ref_ans = tuple(
-            run_query(layout.step, q, layout.memory, layout.published).answer
-            for q in ref_q
-        )
-        comp4 = BitString()
-        ref_tab[det_answers].encode_symbol(comp4, f_ref.bits)
-        comp5 = BitString()
-        det_tab[(det_answers, ref_ans)].encode_symbol(comp5, f_det.bits)
-
-    _, ref_cells = probes_of_set(layout.step, ref_q, layout.memory, layout.published)
-    _, det_cells = probes_of_set(layout.step, det, layout.memory, layout.published)
-    union = ref_cells | det_cells
     comp6 = BitString()
     for a in range(layout.memory.cell_count):
-        if a not in union:
+        if a not in ref_cells and a not in det_cells:
             comp6.append_bits(layout.memory.read(a), w)
 
     return EncodingRecord(
-        published=comp1,
+        published=_published_bits(layout),
         detached_id=comp2,
         detached_answers=comp3,
-        foot_reference=comp4,
-        foot_detached=comp5,
+        foot_reference=_write_footprint(foot, (det_answers,), ref_cells),
+        foot_detached=_write_footprint(foot, (det_answers, ref_answers), det_cells),
         remaining=comp6,
         offset=d,
     )
@@ -385,10 +398,13 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, mode: str = "v
 
 # -- decode ---------------------------------------------------------------
 
-def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim", layout_factory=None) -> BitArray:
-    """Rebuild the array from a record plus the structure config."""
-    if mode not in ("verbatim", "ensemble"):
-        raise ValueError(f"unknown footprint mode {mode!r}")
+def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) -> BitArray:
+    """Rebuild the array from a record plus the structure config.
+
+    Pass the `layout_factory` the record was encoded with, if any: it
+    selects the ensemble footprint codes.  The reference footprint is
+    read and replayed before the detached one, whose ensemble code is
+    conditioned on the reference answers."""
     n = params["n"]
     w = params["word_bits"]
     cell_count = params["cell_count"]
@@ -467,40 +483,14 @@ def decode(record: EncodingRecord, params: dict, k: int, mode: str = "verbatim",
         raise CorruptEncoding("detached answers overlong")
     det_answers = tuple(det_answers)
 
-    # components 4 and 5: footprints
+    # components 4 and 5: footprints, the reference set first
+    foot = _footprint_codes(layout_factory, params, k, d, det_blocks)
     ref_q = blocks.offset_queries(0)
-    if mode == "verbatim":
-        f_ref = _verbatim_footprint(record.foot_reference, w)
-        ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
-        f_det = _verbatim_footprint(record.foot_detached, w)
-        det_replay, seen_det = _replay(step, det, f_det, published)
-    else:
-        if layout_factory is None:
-            raise ValueError("ensemble mode needs a layout factory")
-        ref_tab, det_tab, expected_blocks = _ensemble_tables(
-            layout_factory, params, k, d
-        )
-        if expected_blocks != det_blocks:
-            raise CorruptEncoding("detached set disagrees with ensemble tables")
-        try:
-            ref_sym, used = ref_tab[det_answers].decode_symbol(record.foot_reference, 0)
-        except (KeyError, ValueError) as e:
-            raise CorruptEncoding(str(e)) from None
-        if used != record.foot_reference.length:
-            raise CorruptEncoding("reference footprint overlong")
-        f_ref = Footprint(ref_sym, len(ref_sym), w)
-        ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
-        ra = tuple(ref_answers[q] for q in ref_q)
-        try:
-            det_sym, used = det_tab[(det_answers, ra)].decode_symbol(
-                record.foot_detached, 0
-            )
-        except (KeyError, ValueError) as e:
-            raise CorruptEncoding(str(e)) from None
-        if used != record.foot_detached.length:
-            raise CorruptEncoding("detached footprint overlong")
-        f_det = Footprint(det_sym, len(det_sym), w)
-        det_replay, seen_det = _replay(step, det, f_det, published)
+    f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w, "reference")
+    ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
+    ref_cond = (det_answers, tuple(ref_answers.values()))
+    f_det = _read_footprint(foot, ref_cond, record.foot_detached, w, "detached")
+    det_replay, seen_det = _replay(step, det, f_det, published)
 
     for q, ans in zip(det, det_answers):
         if det_replay[q] != ans:
@@ -549,15 +539,6 @@ def _replay(step, queries, footprint: Footprint, published: PublishedBits):
         return replay_from_footprint(step, queries, footprint, published)
     except CorruptFootprint as e:
         raise CorruptEncoding(str(e)) from None
-
-
-def _verbatim_footprint(comp: BitString, w: int) -> Footprint:
-    if comp.length % w:
-        raise CorruptEncoding("verbatim footprint not cell-aligned")
-    count = comp.length // w
-    return Footprint(
-        tuple(comp.read_bits(i * w, w) for i in range(count)), count, w
-    )
 
 
 # -- size accounting ------------------------------------------------------

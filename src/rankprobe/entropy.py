@@ -140,25 +140,20 @@ def block_deficit_argmin(m: int) -> list:
 class LabConfig:
     """Shared experiment knobs.
 
-    epsilon bounds the conditioning-event rarity: events must keep mass at
-    least 2^(-epsilon * |offset blocks|).  gamma scales published bits into
-    block counts for the elimination driver.
+    gamma scales published bits into block counts for the elimination
+    driver.
     """
 
-    epsilon: float = 0.05
     gamma: float = 4.0
     montecarlo_trials: int = 20000
     rng_seed: int = 0
     bootstrap_rounds: int = 200
     saturation_fraction: float = 0.1
     final_full_round: bool = False
-    footprint_mode: str = "verbatim"  # or "ensemble"
 
     def __post_init__(self):
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must sit in (0, 1)")
 
 
 # -- analytic route -------------------------------------------------------
@@ -346,12 +341,6 @@ def brute_force_deficit(n: int, k: int, d: int, blocks=None, weights: dict | Non
         joint_entropy=h_j,
         deficit=max(deficit, 0.0),
     )
-
-
-def event_mass(n: int, weights: dict) -> float:
-    """Probability mass of a conditioning event given per-class keep counts."""
-    kept = sum(weights.values())
-    return kept / (1 << n)
 
 
 # -- Monte-Carlo route ----------------------------------------------------

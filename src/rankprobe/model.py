@@ -6,9 +6,10 @@ cell's contents, and returns the answer.  One driver runs every query.  It
 serves each address from the query's own earlier reads, then from known
 cells (published ones, and those an earlier query of the same set
 recovered), and only then charges a probe by fetching the cell: from
-memory for live runs and :func:`build_footprint`, from the next cell of a
-recorded :class:`Footprint` (first-seen contents in probe order) for
-:func:`replay_from_footprint`, which the encoding argument relies on.
+memory for live runs and set passes (:func:`simulate_set`), from the
+next cell of a recorded :class:`Footprint` (first-seen contents in probe
+order) for :func:`replay_from_footprint`, which the encoding argument
+relies on.
 Free reads never appear in a trace, and a query costs time linear in the
 addresses it yields.
 
@@ -21,6 +22,7 @@ which are tested against this driver as their oracle.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 from dataclasses import dataclass, field
 
 
@@ -224,12 +226,22 @@ def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
     return {q: _drive(step_fn, q, known, charge)[0] for q in sorted(queries)}, known
 
 
+def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
+    """Drive `queries` once against live memory, in increasing order.
+
+    Returns (answers dict, charged cells): every address the set fetched,
+    mapped to its contents in first-seen order.  The contents are the
+    set's footprint; the addresses are the union of charged probes that
+    :func:`probes_of_set` collects query by query."""
+    answers, known = _drive_set(step_fn, queries, published, memory.read)
+    # known keeps insertion order: the published cells, then each fetch
+    skip = len(published.cells) if published is not None else 0
+    return answers, dict(islice(known.items(), skip, None))
+
+
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
     """First-seen probed cell contents over `queries` in increasing order."""
-    skip = len(published.cells) if published is not None else 0
-    _, known = _drive_set(step_fn, queries, published, memory.read)
-    # known keeps insertion order: the published cells, then each fetch
-    contents = tuple(known.values())[skip:]
+    contents = tuple(simulate_set(step_fn, queries, memory, published)[1].values())
     return Footprint(contents, len(contents), memory.word_bits)
 
 

@@ -39,11 +39,6 @@ from .model import CellMemory, ProbeTrace, PublishedBits, SimulationFault, run_q
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
 
 
-def rank_oracle(array: BitArray, k: int) -> int:
-    """Ground-truth Rank(k) = number of ones among A[1..k]."""
-    return array.rank(k)
-
-
 @dataclass
 class StructureLayout:
     """A built structure: memory, query algorithm, and bookkeeping.
@@ -409,7 +404,7 @@ def build_two_level(array: BitArray, superblock: int = 512, block: int = 64, wor
     return _counter_layout(array, superblock, block, word_bits, "two_level")
 
 
-def _stage_params(n: int, t: int, word_bits: int = 64):
+def _stage_params(n: int, t: int):
     if t < 1:
         raise ValueError("stage must be >= 1")
     ceiling = 1 << max(6, (max(n, 2) - 1).bit_length())
@@ -437,7 +432,7 @@ def build_recursive(array: BitArray, t: int, word_bits: int = 64) -> StructureLa
         raise ValueError(
             f"stage {t} too deep for n={array.n} (max {max_stage(array.n)})"
         )
-    superblock, block = _stage_params(array.n, t, word_bits)
+    superblock, block = _stage_params(array.n, t)
     return _counter_layout(
         array, superblock, block, word_bits, "recursive", {"stage": t}
     )

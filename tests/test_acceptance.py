@@ -248,8 +248,8 @@ def test_encoding_roundtrip_and_size():
     for v in range(1 << 12):
         a = BitArray.from_int(12, v)
         layout = factory(a)
-        rec_e = encode(layout, 3, d=2, mode="ensemble", layout_factory=factory)
-        assert decode(rec_e, layout.params, 3, mode="ensemble", layout_factory=factory).to_int() == v
+        rec_e = encode(layout, 3, d=2, layout_factory=factory)
+        assert decode(rec_e, layout.params, 3, layout_factory=factory).to_int() == v
         total_e += rec_e.total_bits
         total_v += encode(layout, 3, d=2).total_bits
     mean_e = total_e / (1 << 12)

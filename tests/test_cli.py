@@ -9,7 +9,7 @@ from rankprobe.bits import BitArray
 from rankprobe import cli
 from rankprobe.cli import main
 from rankprobe.encoding import EncodingRecord, decode
-from rankprobe.structures import build_recursive, build_two_level, max_stage, rank_oracle
+from rankprobe.structures import build_recursive, build_two_level, max_stage
 
 
 def run_cli(capsys, *argv):
@@ -52,7 +52,7 @@ def test_build_writes_array_file(tmp_path, capsys):
 
 def test_query_matches_oracle(capsys):
     array = BitArray.random(2048, np.random.default_rng(5))
-    want = rank_oracle(array, 777)
+    want = array.rank(777)
     code, out, _ = run_cli(
         capsys, "query", "--n", "2048", "--k", "777", "--seed", "5",
         "--structure", "recursive", "--t", "1",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,7 @@ from rankprobe.structures import build_naive, build_recursive, build_two_level
 
 def roundtrip(layout, k, **kw):
     rec = encode(layout, k, **kw)
-    back = decode(rec, layout.params, k, mode=kw.get("mode", "verbatim"),
-                  layout_factory=kw.get("layout_factory"))
+    back = decode(rec, layout.params, k, layout_factory=kw.get("layout_factory"))
     return rec, back
 
 
@@ -195,16 +196,51 @@ def test_decode_rejects_corrupt_counter(bit):
         decode(rec, layout.params, 4)
 
 
-def test_mode_validation():
-    a = BitArray.from_int(12, 5)
-    layout = build_two_level(a)
-    with pytest.raises(ValueError):
-        encode(layout, 3, d=2, mode="mystery")
-    with pytest.raises(ValueError):
-        encode(layout, 3, d=2, mode="ensemble")  # no factory
-    rec = encode(layout, 3, d=2)
-    with pytest.raises(ValueError):
-        decode(rec, layout.params, 3, mode="ensemble")
+def _random_layout(build, n, seed, **kw):
+    return build(BitArray.random(n, np.random.default_rng(seed)), **kw)
+
+
+def _bootstrapped(layout):
+    layout.publish_redundancy()
+    return layout
+
+
+# sha256 of the .rpe1 bytes: (layout, k, offset or None to choose it,
+# layout factory for ensemble footprints, digest)
+RPE1_PINS = {
+    "bench-geometry-offset-511": (
+        lambda: _random_layout(build_two_level, 1 << 16, 0), 16, None, None,
+        "7e450e4b278af76290879b2fa7217d15fa7f34bc8e784a2706572dbd4fdb53d5",
+    ),
+    "bootstrapped-two-level": (
+        lambda: _bootstrapped(_random_layout(build_two_level, 4096, 1)), 4, 512, None,
+        "b47be329de62e58dd8b72dd37fc7336bfc47215560c5f761eb65319ad525f6b5",
+    ),
+    "w96-384-96": (
+        lambda: _random_layout(build_two_level, 4096, 2, superblock=384, block=96, word_bits=96),
+        4, None, None,
+        "13fcbe9fb0e1f9f92deb1b0121cc279b2642deec07b8077725eb415ec5598e32",
+    ),
+    "naive-w8": (
+        lambda: _random_layout(build_naive, 4096, 3, word_bits=8), 4, None, None,
+        "99cd843a9b3923fd3bc3fb1a7bf84039aeafe15521fbc912685aa76a74e7d8a9",
+    ),
+    "recursive-t2": (
+        lambda: _random_layout(build_recursive, 4096, 4, t=2), 4, 700, None,
+        "b12321eedcac2fbb79946aa19d87a87ab4fedc7b5a296800986962c512e13ead",
+    ),
+    "ensemble-n12": (
+        lambda: build_two_level(BitArray.from_int(12, 0b101100111010)), 3, 2, build_two_level,
+        "9cfabbcc97a082bcd37c7ca1a2cd680610334aa1826996fd81202b8214272e89",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(RPE1_PINS))
+def test_rpe1_bytes_pinned(case):
+    make, k, d, factory, digest = RPE1_PINS[case]
+    rec = encode(make(), k, d, layout_factory=factory)
+    assert hashlib.sha256(rec.to_rpe1()).hexdigest() == digest
 
 
 def test_ensemble_roundtrip_and_compression():
@@ -216,8 +252,8 @@ def test_ensemble_roundtrip_and_compression():
         a = BitArray.from_int(8, v)
         layout = factory(a)
         rec_v = encode(layout, 2, d=2)
-        rec_e = encode(layout, 2, d=2, mode="ensemble", layout_factory=factory)
-        back = decode(rec_e, layout.params, 2, mode="ensemble", layout_factory=factory)
+        rec_e = encode(layout, 2, d=2, layout_factory=factory)
+        back = decode(rec_e, layout.params, 2, layout_factory=factory)
         assert back.to_int() == v
         verbatim_foot += rec_v.sizes[3] + rec_v.sizes[4]
         ensemble_foot += rec_e.sizes[3] + rec_e.sizes[4]
@@ -232,7 +268,7 @@ def test_ensemble_refuses_large_n():
     a = BitArray.random(1 << 6, np.random.default_rng(3))
     layout = build_two_level(a)
     with pytest.raises(RefusalError):
-        encode(layout, 4, d=2, mode="ensemble", layout_factory=build_two_level)
+        encode(layout, 4, d=2, layout_factory=build_two_level)
 
 
 def test_ensemble_factory_must_match():
@@ -240,7 +276,7 @@ def test_ensemble_factory_must_match():
     a = BitArray.from_int(8, 3)
     layout = build_two_level(a)
     with pytest.raises(ValueError):
-        encode(layout, 2, d=3, mode="ensemble", layout_factory=build_naive)
+        encode(layout, 2, d=3, layout_factory=build_naive)
 
 
 def test_size_accounting():

@@ -10,7 +10,6 @@ from rankprobe.structures import (
     build_two_level,
     max_stage,
     rank,
-    rank_oracle,
     structure_stats,
 )
 
@@ -32,7 +31,7 @@ def test_exhaustive_small():
             a = BitArray.from_int(n, v)
             layouts = all_layouts(a)
             for k in range(n + 1):
-                want = rank_oracle(a, k)
+                want = a.rank(k)
                 for layout in layouts:
                     tr = rank(layout, k)
                     assert tr.answer == want, (n, v, k, layout.kind)
@@ -47,7 +46,7 @@ def test_random_sweep_2_16():
     ]
     ks = rng.integers(0, a.n + 1, size=800)
     for k in ks:
-        want = rank_oracle(a, int(k))
+        want = a.rank(int(k))
         for layout in layouts:
             tr = rank(layout, int(k))
             assert tr.answer == want
@@ -131,7 +130,7 @@ def test_eight_bit_cells():
         a = BitArray.from_int(20, int(v))
         layout = build_two_level(a, superblock=64, block=8, word_bits=8)
         for k in range(21):
-            assert rank(layout, k).answer == rank_oracle(a, k)
+            assert rank(layout, k).answer == a.rank(k)
 
 
 def test_structure_stats():
