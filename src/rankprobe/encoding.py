@@ -152,9 +152,9 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     return int(np.argmin(overlap)) + 1
 
 
-def detached_queries(layout: StructureLayout, queries) -> list:
-    """Greedy scan in increasing order keeping queries whose charged
-    probes avoid every previously kept query's probes."""
+def _detached_traces(layout: StructureLayout, queries) -> list:
+    """Greedy scan in increasing order keeping the traces of queries whose
+    charged probes avoid every previously kept query's probes."""
     kept = []
     used: set = set()
     for q in sorted(queries):
@@ -162,21 +162,33 @@ def detached_queries(layout: StructureLayout, queries) -> list:
         addrs = set(tr.addresses)
         if addrs & used:
             continue
-        kept.append(q)
+        kept.append(tr)
         used |= addrs
     return kept
 
 
+def detached_queries(layout: StructureLayout, queries) -> list:
+    """Greedy scan in increasing order keeping queries whose charged
+    probes avoid every previously kept query's probes."""
+    return [tr.query for tr in _detached_traces(layout, queries)]
+
+
 def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
     """The detached queries at offset `d`, then (answers in query order,
-    charged cells) for the reference set and for the detached set, each
-    set simulated once by :func:`model.simulate_set`."""
-    det = detached_queries(layout, blocks.offset_queries(d))
-    runs = []
-    for queries in (blocks.offset_queries(0), det):
-        answers, cells = simulate_set(layout.step, queries, layout.memory, layout.published)
-        runs.append((tuple(answers.values()), cells))
-    return det, *runs
+    charged cells) for the reference set and for the detached set.
+
+    The reference set is simulated once by :func:`model.simulate_set`.
+    The detached set comes from the greedy scan's own traces: their
+    charged cells are pairwise disjoint, so a set pass would charge each
+    query exactly the cells it charged alone, in the same order."""
+    kept = _detached_traces(layout, blocks.offset_queries(d))
+    answers, cells = simulate_set(layout.step, blocks.offset_queries(0), layout.memory, layout.published)
+    det_cells = {a: c for tr in kept for a, c in tr.steps}
+    return (
+        [tr.query for tr in kept],
+        (tuple(answers.values()), cells),
+        (tuple(tr.answer for tr in kept), det_cells),
+    )
 
 
 # -- answer coding --------------------------------------------------------

@@ -28,6 +28,7 @@ Monte-Carlo sampling.  Entropies are in bits throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,7 +108,9 @@ def binom_entropy(m: int) -> float:
         lgc[mid - 1 :: -1] = lg_mid + np.cumsum(np.log2(ratio_dn))
 
     live = p > 0.0
-    h = math.fsum((p[live] * (m - lgc[live])).tolist())
+    # fsum is correctly rounded, so term order cannot change the sum; it
+    # is fastest when the largest terms come first
+    h = math.fsum(np.sort(p[live] * (m - lgc[live]))[::-1].tolist())
     _H_CACHE[m] = h
     return h
 
@@ -250,14 +253,41 @@ def reference_entropy(n: int, k: int) -> float:
 # -- exact enumeration route ---------------------------------------------
 
 ENUM_LIMIT = 20
+_KEY_LIMIT = 1 << 62  # mixed-radix row keys stay below this
+
+
+def _dense(key: np.ndarray) -> np.ndarray:
+    """Rank of each key among the distinct keys (np.unique's inverse)."""
+    return np.searchsorted(np.unique(key), key)
+
+
+def _row_ids(rows, radix: int) -> np.ndarray:
+    """Dense int64 ids for the rows of a 2-D array of ints in [0, radix).
+
+    Equal rows get equal ids, and id order is lexicographic row order, so
+    the ids are the inverse ``np.unique(rows, axis=0)`` gives.  The key is
+    mixed radix, ``key * radix + column``; before it could pass 2^62 it is
+    re-densified, so any number of columns works."""
+    key = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # key < bound
+    for col in np.asarray(rows).T:
+        if bound * radix > _KEY_LIMIT:
+            key = _dense(key)
+            bound = int(key.max()) + 1
+        key = key * radix + col
+        bound *= radix
+    return _dense(key)
 
 
 def signature_counts(n: int, k: int, d: int, blocks=None):
     """Count arrays by joint answer signature.
 
     Returns (blocks, dict mapping (reference tuple, offset tuple) -> count
-    over all 2^n arrays).  Refuses n > 20: past that the enumeration is no
-    longer honest desk-scale work.
+    over all 2^n arrays), keyed in order of each signature's smallest
+    array.  Each rank column is a uint8 popcount of the arrays' low bits;
+    the signatures become row ids, and the dict is built over the distinct
+    ones only.  Refuses n > 20: past that the enumeration is no longer
+    honest desk-scale work.
     """
     if n > ENUM_LIMIT:
         raise RefusalError(f"exact enumeration capped at n = {ENUM_LIMIT}")
@@ -266,26 +296,34 @@ def signature_counts(n: int, k: int, d: int, blocks=None):
     blocks = _check_lab_args(n, k, d, blocks)
     bs = n // k
 
-    vs = np.arange(1 << n, dtype=np.int64)
-    bits = (vs[:, None] >> np.arange(n, dtype=np.int64)) & 1
-    csum = np.cumsum(bits, axis=1)  # csum[:, p-1] = Rank(p)
-    ref = csum[:, [b * bs + bs - 1 for b in range(k)]]
-    off = csum[:, [b * bs + d - 1 for b in blocks]]
-
-    counts: dict = {}
-    for i in range(1 << n):
-        sig = (tuple(int(x) for x in ref[i]), tuple(int(x) for x in off[i]))
-        counts[sig] = counts.get(sig, 0) + 1
-    return blocks, counts
+    vs = np.arange(1 << n, dtype=np.uint32)
+    positions = [(b + 1) * bs for b in range(k)] + [b * bs + d for b in blocks]
+    cols = np.stack([np.bitwise_count(vs & np.uint32((1 << p) - 1)) for p in positions], axis=1)
+    ids = _row_ids(cols, n + 1)
+    counts = np.bincount(ids)
+    # each signature's smallest array, which orders the dict
+    first = np.full(len(counts), len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    order = np.argsort(first)
+    sigs = cols[first[order]].tolist()
+    return blocks, {
+        (tuple(sig[:k]), tuple(sig[k:])): c for sig, c in zip(sigs, counts[order].tolist())
+    }
 
 
 def _entropy_of_counts(counts) -> float:
-    total = sum(counts)
+    """Entropy in bits of non-negative integer weights.  The log of each
+    distinct weight is taken once and its term repeated, so fsum sees the
+    same terms as one per weight."""
+    mult = Counter(counts)
+    mult.pop(0, None)
+    total = sum(c * m for c, m in mult.items())
     if total <= 0:
         raise ValueError("empty distribution")
-    lg_total = _lg_int(total)
-    terms = [c * (_lg_int(c)) for c in counts if c]
-    return lg_total - math.fsum(terms) / total
+    terms = []
+    for c, m in mult.items():
+        terms += [c * _lg_int(c)] * m
+    return _lg_int(total) - math.fsum(terms) / total
 
 
 def deficit_from_counts(sig_counts: dict) -> tuple:
@@ -295,20 +333,16 @@ def deficit_from_counts(sig_counts: dict) -> tuple:
     sub-count of each signature class); entropies stay exact because the
     weights are integers.
     """
-    ref_c: dict = {}
-    off_c: dict = {}
-    joint = []
+    if sig_counts and min(sig_counts.values()) < 0:
+        raise ValueError("negative weight")
+    ref_c: dict = defaultdict(int)
+    off_c: dict = defaultdict(int)
     for (r, o), c in sig_counts.items():
-        if c < 0:
-            raise ValueError("negative weight")
-        if c == 0:
-            continue
-        ref_c[r] = ref_c.get(r, 0) + c
-        off_c[o] = off_c.get(o, 0) + c
-        joint.append(c)
+        ref_c[r] += c
+        off_c[o] += c
     h_r = _entropy_of_counts(ref_c.values())
     h_o = _entropy_of_counts(off_c.values())
-    h_j = _entropy_of_counts(joint)
+    h_j = _entropy_of_counts(sig_counts.values())
     return h_r, h_o, h_j, h_r + h_o - h_j
 
 
@@ -358,18 +392,21 @@ class MonteCarloReport:
     ci_high: float
 
 
-def _plugin_deficit(ref_rows, off_rows) -> float:
-    """Plug-in deficit with Miller-Madow bias correction."""
+def _plugin_entropy(counts) -> float:
+    """Plug-in entropy of bin counts with Miller-Madow bias correction.
+    Empty bins are dropped; the rest keep their (row id) order."""
+    counts = counts[counts > 0]
+    tot = counts.sum()
+    p = counts / tot
+    plug = -float(np.sum(p * np.log2(p)))
+    return plug + (len(counts) - 1) / (2.0 * tot * math.log(2.0))
 
-    def h(rows) -> float:
-        _, counts = np.unique(rows, axis=0, return_counts=True)
-        tot = counts.sum()
-        p = counts / tot
-        plug = -float(np.sum(p * np.log2(p)))
-        return plug + (len(counts) - 1) / (2.0 * tot * math.log(2.0))
 
-    both = np.concatenate([ref_rows, off_rows], axis=1)
-    return h(ref_rows) + h(off_rows) - h(both)
+def _plugin_deficit(ids, idx=slice(None)) -> float:
+    """Plug-in deficit of the sample rows `idx` from (reference, offset,
+    joint) row ids."""
+    h_r, h_o, h_j = (_plugin_entropy(np.bincount(i[idx])) for i in ids)
+    return h_r + h_o - h_j
 
 
 def montecarlo_deficit(
@@ -389,6 +426,11 @@ def montecarlo_deficit(
     Rejection sampling keeps rows where the mask is true; if fewer than
     100 samples survive, the event is too rare for an honest estimate and
     the run refuses.
+
+    The reference, offset and joint answer rows are mapped to row ids
+    once; the point estimate and every bootstrap round are then bincounts
+    of (resampled) ids, whose nonzero bins come in np.unique's sorted row
+    order.
     """
     if config is None:
         config = LabConfig()
@@ -419,11 +461,12 @@ def montecarlo_deficit(
             f"conditioning event too rare: {accepted}/{trials} samples survive"
         )
 
-    point = _plugin_deficit(ref, off)
+    ids = [_row_ids(rows, n + 1) for rows in (ref, off, np.concatenate([ref, off], axis=1))]
+    point = _plugin_deficit(ids)
     boots = []
     for _ in range(config.bootstrap_rounds):
         idx = rng.integers(0, accepted, size=accepted)
-        boots.append(_plugin_deficit(ref[idx], off[idx]))
+        boots.append(_plugin_deficit(ids, idx))
     # normal-approximation bootstrap: percentile intervals sit off-center
     # for plug-in entropies (resampling shrinks the support)
     spread = 1.96 * float(np.std(boots))

@@ -13,8 +13,9 @@ from rankprobe.encoding import (
     decode,
     size_accounting,
 )
+from rankprobe.encoding import _simulate_sets
 from rankprobe.errors import RefusalError
-from rankprobe.model import QueryBlocks, probes_of_set, run_query
+from rankprobe.model import QueryBlocks, probes_of_set, run_query, simulate_set
 from rankprobe.structures import build_naive, build_recursive, build_two_level
 
 
@@ -241,6 +242,21 @@ def test_rpe1_bytes_pinned(case):
     make, k, d, factory, digest = RPE1_PINS[case]
     rec = encode(make(), k, d, layout_factory=factory)
     assert hashlib.sha256(rec.to_rpe1()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", list(RPE1_PINS))
+def test_detached_traces_match_set_pass(case):
+    # the detached answers and cells come from the greedy scan's traces;
+    # a set pass over the kept queries must give the same, in order
+    make, k, d, _, _ = RPE1_PINS[case]
+    layout = make()
+    if d is None:
+        d = choose_offset(layout, k)
+    det, _, (answers, cells) = _simulate_sets(layout, QueryBlocks(layout.n, k), d)
+    assert det == detached_queries(layout, QueryBlocks(layout.n, k).offset_queries(d))
+    want_answers, want_cells = simulate_set(layout.step, det, layout.memory, layout.published)
+    assert answers == tuple(want_answers.values())
+    assert list(cells.items()) == list(want_cells.items())
 
 
 def test_ensemble_roundtrip_and_compression():

@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.errors import RefusalError
 from rankprobe.entropy import (
@@ -18,6 +21,7 @@ from rankprobe.entropy import (
     reference_entropy,
     signature_counts,
 )
+from rankprobe.entropy import _row_ids
 
 # frozen oracle values (independent bigint computation)
 H_SMALL = {
@@ -120,12 +124,71 @@ def test_signature_counts_total():
         signature_counts(24, 4, 2, None)
 
 
+def _enumerate_signatures(n, k, d, blocks):
+    """Pure-Python oracle: one signature per array, in array order."""
+    bs = n // k
+    counts = {}
+    for v in range(1 << n):
+        def rank(p):
+            return bin(v & ((1 << p) - 1)).count("1")
+
+        sig = (
+            tuple(rank((b + 1) * bs) for b in range(k)),
+            tuple(rank(b * bs + d) for b in blocks),
+        )
+        counts[sig] = counts.get(sig, 0) + 1
+    return counts
+
+
+@st.composite
+def lab_geometries(draw):
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(1, n // 2))
+    d = draw(st.integers(1, n // k - 1))
+    blocks = draw(st.sets(st.integers(0, k - 1), min_size=1))
+    return n, k, d, tuple(sorted(blocks))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=lab_geometries())
+def test_signature_counts_match_enumeration(case):
+    n, k, d, blocks = case
+    got_blocks, got = signature_counts(n, k, d, blocks)
+    assert got_blocks == blocks
+    # same signatures, counts and key order (each signature's first array)
+    assert list(got.items()) == list(_enumerate_signatures(n, k, d, blocks).items())
+
+
+@pytest.mark.parametrize(
+    "shape, radix",
+    [((500, 1), 3), ((2000, 6), 4), ((3000, 8), 21), ((1500, 40), 61), ((800, 80), 201)],
+)
+def test_row_ids_follow_unique_rows(shape, radix):
+    # the last two shapes need more than 62 bits of mixed-radix key
+    rng = np.random.default_rng(shape[1])
+    rows = rng.integers(0, radix, size=shape)
+    rows[1::3] = rows[::3][: len(rows[1::3])]  # repeated rows
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    ids = _row_ids(rows, radix)
+    assert ids.dtype == np.int64
+    assert np.array_equal(ids, inverse.ravel())
+
+
 def test_deficit_from_counts_uniform():
     _, counts = signature_counts(16, 4, 2, None)
     h_r, h_o, h_j, deficit = deficit_from_counts(counts)
     assert deficit == pytest.approx(3.7144734356069637, abs=1e-9)
     assert h_r == pytest.approx(reference_entropy(16, 4), abs=1e-9)
     assert h_j <= h_r + h_o + 1e-9
+
+
+def test_deficit_from_counts_big_weights():
+    # weights past 2^53 (and past int64) stay exact ints; value pinned
+    _, counts = signature_counts(12, 3, 2, None)
+    big = {sig: c * (2**70 + 1) for sig, c in counts.items()}
+    got = deficit_from_counts(big)
+    assert got == (6.09191718668869, 5.561278124459122, 9.0, 2.6531953111478117)
+    assert got == pytest.approx(deficit_from_counts(counts), abs=1e-12)
 
 
 def test_deficit_nonneg_on_random_events():
@@ -175,6 +238,42 @@ def test_montecarlo_event_filter():
 
     with pytest.raises(RefusalError):
         montecarlo_deficit(16, 4, 2, config=cfg, event=reject_all)
+
+
+# Reports taken from the np.unique(axis=0) bootstrap and compared exactly.
+MC_PINS = {
+    "n16_200_rounds": (
+        (16, 4, 2),
+        dict(config=LabConfig(montecarlo_trials=20000, rng_seed=0, bootstrap_rounds=200)),
+        (20000, 3.7820377178952302, 3.7545936149157866, 3.809481820874674),
+    ),
+    "n16_even_ref": (
+        (16, 4, 2),
+        dict(
+            config=LabConfig(montecarlo_trials=5000, rng_seed=1, bootstrap_rounds=50),
+            event=lambda ref, off: (ref[:, -1] % 2) == 0,
+        ),
+        (2468, 4.146860458168991, 4.0851221067430785, 4.208598809594903),
+    ),
+    "n60_k20": (
+        (60, 20, 1),
+        dict(config=LabConfig(montecarlo_trials=3000, rng_seed=2, bootstrap_rounds=20)),
+        (3000, 12.271853856654241, 12.224797157483765, 12.318910555824717),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MC_PINS))
+def test_montecarlo_reports_pinned(case):
+    args, kwargs, (accepted, deficit, lo, hi) = MC_PINS[case]
+    rep = montecarlo_deficit(*args, **kwargs)
+    assert (rep.accepted, rep.deficit, rep.ci_low, rep.ci_high) == (accepted, deficit, lo, hi)
+
+
+def test_binom_entropy_table_pinned():
+    table = np.array([binom_entropy(m) for m in range(1, 4097)], dtype=np.float64)
+    digest = hashlib.sha256(table.tobytes()).hexdigest()
+    assert digest == "d6b3291e3b155ca75e5b95de8c9c0fddf9c156a4ad0909117b2014a8fbf266ee"
 
 
 def test_config_validation():
