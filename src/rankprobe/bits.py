@@ -9,6 +9,11 @@ Two containers with different jobs:
 * :class:`BitString` is a growable bit buffer used for published bits and
   encodings, backed by a Python int (LSB first) with an explicit length so
   trailing zeros survive.
+
+Both meet the cell memories of :mod:`structures` through one codec:
+:func:`cells_from_bytes` cuts packed bits into w-bit cells and
+:func:`cells_to_bytes` packs cells back, for any width, in time linear in
+the bits.
 """
 
 from __future__ import annotations
@@ -18,6 +23,54 @@ import struct
 import numpy as np
 
 RPL1_MAGIC = b"RPL1"
+
+
+def cells_from_bytes(data: np.ndarray, nbits: int, width: int) -> list:
+    """Cut the first `nbits` bits of `data` into ceil(nbits / width) cells
+    of `width` bits, as Python ints; the last cell is zero-padded.
+
+    `data` is a uint8 array of packed bits, LSB first (a ``BitArray``'s
+    words viewed as bytes), at least ceil(nbits / 8) long and zero past
+    `nbits`."""
+    if width < 1:
+        raise ValueError("cell width must be positive")
+    count = -(-nbits // width)
+    if width == 64 and data.size >= count * 8:
+        return data[: count * 8].view("<u8").tolist()
+    bits = np.zeros(count * width, dtype=np.uint8)
+    bits[:nbits] = np.unpackbits(data, count=nbits, bitorder="little")
+    rows = np.packbits(bits.reshape(count, width), axis=1, bitorder="little")
+    nb = rows.shape[1]  # bytes per cell
+    if nb > 8:
+        raw = rows.tobytes()
+        return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+    wide = np.zeros((count, 8), dtype=np.uint8)
+    wide[:, :nb] = rows
+    return wide.view("<u8").ravel().tolist()
+
+
+def cells_to_bytes(cells, width: int) -> bytes:
+    """Pack `width`-bit cells LSB first into ceil(len(cells) * width / 8)
+    bytes, padding bits zero: the inverse of :func:`cells_from_bytes`.
+    Raises ValueError on a cell that is negative or wider than `width`."""
+    if width < 1:
+        raise ValueError("cell width must be positive")
+    count = len(cells)
+    nb = -(-width // 8)
+    try:
+        if nb <= 8:
+            values = np.array(cells, dtype=np.uint64)
+            if width < 64 and (values >> np.uint64(width)).any():
+                raise OverflowError
+            rows = values.astype("<u8").view(np.uint8).reshape(count, 8)[:, :nb]
+        else:
+            rows = np.frombuffer(b"".join(c.to_bytes(nb, "little") for c in cells), dtype=np.uint8).reshape(count, nb)
+            if (rows[:, -1] >> (width - 8 * nb + 8)).any():
+                raise OverflowError
+    except OverflowError:
+        raise ValueError(f"a cell does not fit in {width} bits") from None
+    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 class BitArray:
@@ -94,12 +147,23 @@ class BitArray:
             raise IndexError(f"rank position {k} outside [0, {self.n}]")
         if k == 0:
             return 0
+        q, r = divmod(k - 1, 64)
+        return int(self._word_ranks()[q]) - (int(self.words[q]) >> (r + 1)).bit_count()
+
+    def ranks(self, positions: np.ndarray) -> np.ndarray:
+        """Rank(k) for every k of an int64 array with 0 <= k <= n."""
+        if not (self.n and positions.size):
+            return np.zeros(positions.shape, dtype=np.int64)
+        q = np.minimum(positions >> 6, len(self.words) - 1)
+        # ones through word q, less those of word q at or past position k
+        high = self.words[q] >> (positions - (q << 6)).astype(np.uint64)
+        return self._word_ranks()[q] - np.bitwise_count(high)
+
+    def _word_ranks(self) -> np.ndarray:
+        """Ones through each 64-bit word; cached until set()."""
         if self._prefix is None:
-            counts = np.bitwise_count(self.words).astype(np.int64)
-            self._prefix = np.concatenate(([0], np.cumsum(counts)))
-        j = k - 1
-        word = int(self.words[j // 64]) & ((1 << (j % 64 + 1)) - 1)
-        return int(self._prefix[j // 64]) + word.bit_count()
+            self._prefix = np.add.accumulate(np.bitwise_count(self.words), dtype=np.int64)
+        return self._prefix
 
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum())
@@ -181,6 +245,11 @@ class BitString:
         self.value |= value << self.length
         self.length += width
 
+    def append_cells(self, cells, width: int) -> None:
+        """Append each cell in `width` bits, LSB first."""
+        self.value |= int.from_bytes(cells_to_bytes(cells, width), "little") << self.length
+        self.length += len(cells) * width
+
     def append(self, other: "BitString") -> None:
         self.value |= other.value << self.length
         self.length += other.length
@@ -189,6 +258,12 @@ class BitString:
         if offset < 0 or width < 0 or offset + width > self.length:
             raise ValueError("bit read outside string")
         return (self.value >> offset) & ((1 << width) - 1)
+
+    def read_cells(self, offset: int, count: int, width: int) -> list:
+        """`count` cells of `width` bits starting at bit `offset`."""
+        nbits = count * width
+        raw = self.read_bits(offset, nbits).to_bytes(-(-nbits // 8), "little")
+        return cells_from_bytes(np.frombuffer(raw, dtype=np.uint8), nbits, width)
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")

@@ -6,7 +6,7 @@ invocation produces byte-identical output, and the seed is recorded in
 the output header.  Exit codes: 0 success, 2 usage error, 3 refusal
 (the computation was out of honest range), 4 simulation fault (a query
 misbehaved or overran its probe budget), 5 corrupt footprint, 6 corrupt
-encoding record.
+encoding record, 7 an output file could not be written.
 """
 
 from __future__ import annotations
@@ -350,6 +350,9 @@ def main(argv=None) -> int:
     except (SimulationFault, CorruptFootprint, CorruptEncoding) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return _FAULT_CODES[type(e)]
+    except OSError as e:  # the CLI reads no files: this is an output write
+        print(f"error: cannot write {e.filename or 'output'}: {e.strerror or e}", file=sys.stderr)
+        return 7
     return 0
 
 

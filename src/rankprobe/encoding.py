@@ -242,14 +242,13 @@ class _CellCode:
         return self
 
     def encode_symbol(self, out: BitString, cells: tuple) -> None:
-        for c in cells:
-            out.append_bits(c, self.w)
+        out.append_cells(cells, self.w)
 
     def decode_symbol(self, data: BitString, offset: int):
-        if (data.length - offset) % self.w:
+        count, rest = divmod(data.length - offset, self.w)
+        if rest:
             raise CorruptEncoding("verbatim footprint not cell-aligned")
-        cells = tuple(data.read_bits(i, self.w) for i in range(offset, data.length, self.w))
-        return cells, data.length
+        return tuple(data.read_cells(offset, count, self.w)), data.length
 
 
 _ENSEMBLE_CACHE: dict = {}
@@ -340,8 +339,7 @@ def _published_bits(layout: StructureLayout) -> BitString:
     pub = layout.published
     w = layout.memory.word_bits
     if pub.bootstrapped:
-        for a in layout.redundancy_region:
-            out.append_bits(pub.cells[a], w)
+        out.append_cells([pub.cells[a] for a in layout.redundancy_region], w)
         pad = layout.params["raw_cells"] * w - layout.n
         out.append_bits(0, pad)
         region = set(layout.redundancy_region)
@@ -393,9 +391,7 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, layout_factory
     foot = _footprint_codes(layout_factory, layout.params, k, d, det_blocks)
     w = layout.memory.word_bits
     comp6 = BitString()
-    for a in range(layout.memory.cell_count):
-        if a not in ref_cells and a not in det_cells:
-            comp6.append_bits(layout.memory.read(a), w)
+    comp6.append_cells([c for a, c in enumerate(layout.memory.cells) if a not in ref_cells and a not in det_cells], w)
 
     return EncodingRecord(
         published=_published_bits(layout),
@@ -443,9 +439,8 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
         and comp1.length >= boot_bits
         and (comp1.length - boot_bits) % (addr_bits + w) == 0
     ):
-        for a in region:
-            published.cells[a] = comp1.read_bits(pos, w)
-            pos += w
+        published.cells.update(zip(region, comp1.read_cells(0, len(region), w)))
+        pos = len(region) * w
         if comp1.read_bits(pos, pad):
             raise CorruptEncoding("padding slack bits not zero")
         pos += pad
@@ -520,19 +515,15 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
     cells.update(seen_ref)
     cells.update(seen_det)
     comp6 = record.remaining
-    pos = 0
-    for a in range(cell_count):
-        if a in recovered:
-            continue
-        if pos + w > comp6.length:
-            raise CorruptEncoding("remaining-cells component truncated")
-        val = comp6.read_bits(pos, w)
-        pos += w
-        if a in cells and cells[a] != val:
+    rest = [a for a in range(cell_count) if a not in recovered]
+    if len(rest) * w > comp6.length:
+        raise CorruptEncoding("remaining-cells component truncated")
+    if len(rest) * w < comp6.length:
+        raise CorruptEncoding("remaining-cells component overlong")
+    for a, val in zip(rest, comp6.read_cells(0, len(rest), w)):
+        if cells.get(a, val) != val:
             raise CorruptEncoding(f"cell {a} disagrees with published copy")
         cells[a] = val
-    if pos != comp6.length:
-        raise CorruptEncoding("remaining-cells component overlong")
 
     memory = CellMemory(w, [cells[a] for a in range(cell_count)])
     try:

@@ -71,6 +71,19 @@ def binom_entropy_exact(m: int) -> float:
 
 
 _H_CACHE: dict = {0: 0.0}
+_CENTRAL = [0, 1]  # the last (m, C(m, m // 2)) binom_entropy computed
+
+
+def _central_binomial(m: int) -> int:
+    """C(m, m // 2), stepped exactly from C(m - 1, (m - 1) // 2) when that
+    was the last one computed, as in a fill over consecutive m."""
+    last, c = _CENTRAL
+    if last == m - 1:
+        c = 2 * c if m % 2 == 0 else c * m // (m // 2 + 1)
+    elif last != m:
+        c = math.comb(m, m // 2)
+    _CENTRAL[:] = (m, c)
+    return c
 
 
 def binom_entropy(m: int) -> float:
@@ -87,7 +100,7 @@ def binom_entropy(m: int) -> float:
     if h is not None:
         return h
     mid = m // 2
-    c_mid = math.comb(m, mid)
+    c_mid = _central_binomial(m)
     p_mid = c_mid / (1 << m)
     lg_mid = _lg_int(c_mid)
 

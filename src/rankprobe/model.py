@@ -44,10 +44,8 @@ class CellMemory:
             raise ValueError("word width must be positive")
         self.word_bits = word_bits
         self.cells = list(cells)
-        limit = 1 << word_bits
-        for c in self.cells:
-            if not 0 <= c < limit:
-                raise ValueError("cell content wider than word")
+        if self.cells and (min(self.cells) < 0 or max(self.cells) >> word_bits):
+            raise ValueError("cell content wider than word")
 
     @property
     def cell_count(self) -> int:
@@ -81,9 +79,6 @@ class PublishedBits:
     length: int = 0
     cells: dict = field(default_factory=dict)
     bootstrapped: bool = False  # redundancy region released wholesale
-
-    def knows(self, address: int) -> bool:
-        return address in self.cells
 
     def publish_cells(self, memory: CellMemory, addresses) -> int:
         """Publish whole cells: content plus address, charged exactly

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray
+from .bits import BitArray, cells_from_bytes, cells_to_bytes
 from .model import CellMemory, ProbeTrace, PublishedBits, SimulationFault, run_query
 
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
@@ -100,10 +100,26 @@ class StructureStats:
     avg_probes: float
 
 
+def _slot_cells(values: np.ndarray, width: int, per: int, w: int) -> list:
+    """Pack counters of `width` bits, `per` to a cell from the low end, into
+    w-bit cells: a bit matrix of one row per cell, zero-padded to w."""
+    if not len(values):  # below one block: spare tiny builds the numpy calls
+        return []
+    rows = -(-len(values) // per)
+    slots = np.zeros(rows * per, dtype="<u8")
+    slots[: len(values)] = values
+    bits = np.unpackbits(slots.view(np.uint8).reshape(-1, 8), axis=1, count=width, bitorder="little")
+    matrix = np.zeros((rows, w), dtype=np.uint8)
+    matrix[:, : per * width] = bits.reshape(rows, per * width)
+    return cells_from_bytes(np.packbits(matrix, bitorder="little"), rows * w, w)
+
+
 def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int, kind: str, extra: dict | None = None) -> StructureLayout:
     """Shared constructor for the two-level and staged builders."""
     n = array.n
     w = word_bits
+    if w < 1:
+        raise ValueError("cell width must be positive")
     if superblock % block or superblock <= block:
         raise ValueError("superblock must be a proper multiple of block")
     if block % w:
@@ -111,50 +127,25 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     ratio = superblock // block
 
     raw_cells = (n + w - 1) // w
-    # exact prefix counts at every 64-bit word boundary
-    counts = np.bitwise_count(array.words).astype(np.int64)
-    cum64 = np.concatenate(([0], np.cumsum(counts)))
-
-    def rank_at(bit_pos: int) -> int:
-        # ones among the first bit_pos bits: whole words, then a partial one
-        full = int(cum64[bit_pos // 64])
-        rem = bit_pos % 64
-        if rem:
-            word = int(array.words[bit_pos // 64]) & ((1 << rem) - 1)
-            full += word.bit_count()
-        return full
-
-    n_abs = n // superblock + 1
-    abs_vals = [rank_at(s * superblock) for s in range(n_abs)]
-
     width = max(1, min(superblock - block, n).bit_length())
     per = w // width
     if per < 1:
         raise ValueError("counter width exceeds cell width")
-    n_blocks = n // block + 1
-    rel_entries = []
-    for j in range(n_blocks):
-        if j % ratio == 0:
-            continue
-        rel_entries.append(rank_at(j * block) - abs_vals[j // ratio])
+    # ones before each block start, one row per superblock
+    n_abs = n // superblock + 1
+    starts = np.zeros(n_abs * ratio, dtype=np.int64)
+    starts[1 : n // block + 1] = array.ranks(np.arange(block, n + 1, block))
+    starts = starts.reshape(n_abs, ratio)
+    abs_vals = starts[:, 0]
+    # a superblock's first block stores no relative counter; the last row
+    # runs past n, and its blocks past n // block are no blocks at all
+    rel_entries = (starts[:, 1:] - starts[:, :1]).ravel()[: n // block + 1 - n_abs]
     rel_cells = (len(rel_entries) + per - 1) // per
 
     # memory image: [raw][absolute][relative]
-    cells = []
-    if w == 64:
-        cells.extend(int(x) for x in array.words)
-    else:
-        mask = (1 << w) - 1
-        big = array.to_int()
-        cells.extend((big >> (c * w)) & mask for c in range(raw_cells))
-    cells.extend(abs_vals)
-    for c in range(rel_cells):
-        val = 0
-        for slot in range(per):
-            idx = c * per + slot
-            if idx < len(rel_entries):
-                val |= rel_entries[idx] << (slot * width)
-        cells.append(val)
+    cells = cells_from_bytes(array.words.view(np.uint8), n, w)
+    cells += abs_vals.tolist()
+    cells += _slot_cells(rel_entries, width, per, w)
 
     abs_base = raw_cells
     rel_base = raw_cells + n_abs
@@ -348,9 +339,7 @@ class ProbePlan:
         counter above n, which no rank can be."""
         p = self.params
         w = p["word_bits"]
-        nb = -(-w // 8)
-        data = np.frombuffer(b"".join(c.to_bytes(nb, "little") for c in cells[: p["raw_cells"]]), dtype=np.uint8)
-        raw_bits = np.unpackbits(data.reshape(-1, nb), axis=1, count=w, bitorder="little")
+        raw_bits = np.unpackbits(np.frombuffer(cells_to_bytes(cells[: p["raw_cells"]], w), dtype=np.uint8), bitorder="little")
         ones = np.concatenate(([0], np.cumsum(raw_bits, dtype=np.int64)))  # ones[b]: among the first b raw bits
         total = ones[self.queries + 1] - ones[self.lo * w]
         if p["kind"] == "naive":
@@ -374,14 +363,10 @@ def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
     """Raw bits only; rank scans from the front.  Redundancy = padding."""
     n = array.n
     w = word_bits
+    if w < 1:
+        raise ValueError("cell width must be positive")
     raw_cells = (n + w - 1) // w
-    if w == 64:
-        cells = [int(x) for x in array.words]
-    else:
-        mask = (1 << w) - 1
-        big = array.to_int()
-        cells = [(big >> (c * w)) & mask for c in range(raw_cells)]
-    memory = CellMemory(w, cells)
+    memory = CellMemory(w, cells_from_bytes(array.words.view(np.uint8), n, w))
     params = {
         "kind": "naive",
         "n": n,
@@ -462,6 +447,8 @@ def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:
 
 def structure_stats(layout: StructureLayout, sample: int = 4096, seed: int = 0) -> StructureStats:
     """Measured probe statistics over :func:`sample_queries`."""
+    if layout.n < 1:
+        raise ValueError("probe statistics need n >= 1")
     probes = ProbePlan(layout.params, sample_queries(layout.n, sample, seed)).charged(layout.published_mask())
     return StructureStats(
         redundancy_bits=layout.redundancy_bits,

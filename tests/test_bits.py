@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rankprobe.bits import BitArray, BitString
+from rankprobe.bits import BitArray, BitString, cells_from_bytes, cells_to_bytes
 
 
 def ref_rank(value: int, k: int) -> int:
@@ -127,3 +129,46 @@ def test_bitstring_bytes_round_trip():
         BitString.from_bytes(data, s.length - 9)
     with pytest.raises(ValueError):
         BitString.from_bytes(b"\xff\xff\xff", 17)  # nonzero padding
+
+
+def sliced_cells(value: int, n: int, w: int) -> list:
+    """The big-int reference: w-bit cells sliced off the bits of `value`."""
+    return [(value >> (c * w)) & ((1 << w) - 1) for c in range(-(-n // w))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 2000), w=st.integers(1, 130), seed=st.integers(0, 2**32 - 1))
+def test_cell_codec_matches_big_int_slicing(n, w, seed):
+    a = BitArray.random(n, np.random.default_rng(seed))
+    cells = cells_from_bytes(a.words.view(np.uint8), n, w)
+    assert cells == sliced_cells(a.to_int(), n, w)
+    assert all(type(c) is int for c in cells)
+    packed = cells_to_bytes(cells, w)
+    assert len(packed) == (len(cells) * w + 7) // 8
+    assert int.from_bytes(packed, "little") == a.to_int()
+    s = BitString(0b10, 2)
+    s.append_cells(cells, w)
+    assert s.length == 2 + len(cells) * w
+    assert s.value == 0b10 | a.to_int() << 2
+    assert s.read_cells(2, len(cells), w) == cells
+
+
+@pytest.mark.parametrize("w", [1, 8, 13, 63, 64, 96, 130])
+def test_cell_codec_rejects_bad_cells(w):
+    for bad in (-1, 1 << w):
+        with pytest.raises(ValueError):
+            cells_to_bytes([0, bad], w)
+        with pytest.raises(ValueError):
+            BitString().append_cells([bad], w)
+    for width in (0, -3):
+        with pytest.raises(ValueError, match="cell width must be positive"):
+            cells_from_bytes(np.zeros(8, dtype=np.uint8), 8, width)
+
+
+def test_ranks_match_rank():
+    rng = np.random.default_rng(11)
+    for n in (0, 1, 63, 64, 65, 128, 1000):
+        a = BitArray.random(n, rng)
+        ks = np.arange(n + 1)
+        assert a.ranks(ks).tolist() == [a.rank(k) for k in range(n + 1)]
+        assert a.ranks(ks[::-7]).tolist() == [a.rank(int(k)) for k in ks[::-7]]

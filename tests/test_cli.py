@@ -104,6 +104,37 @@ def test_failed_decode_identity_exits_6(capsys, monkeypatch):
     assert err.startswith("error: CorruptEncoding") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--n", "64", "--w", "0"), "error: cell width must be positive"),
+        (("--n", "64", "--w", "-3"), "error: cell width must be positive"),
+        (("--n", "64", "--w", "-3", "--structure", "naive"), "error: cell width must be positive"),
+        (("--n", "0",), "error: probe statistics need n >= 1"),
+    ],
+)
+def test_stats_bad_size_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "stats", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "--n", "64"),
+        ("encode", "--n", "512", "--k", "4"),
+        ("eliminate", "--n", "64", "--structure", "naive"),
+    ],
+)
+def test_output_into_missing_directory_exits_7(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.bin"
+    code, out, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == 7 and out == ""
+    assert err.startswith(f"error: cannot write {path}:") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
 def test_stats_fields(capsys):
     code, out, _ = run_cli(capsys, "stats", "--n", "4096", "--structure", "naive")
     assert code == 0

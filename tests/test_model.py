@@ -36,6 +36,13 @@ def test_cell_memory_contract():
         CellMemory(8, [256])
 
 
+@pytest.mark.parametrize("w,cells", [(8, [0, 256, 1]), (8, [3, -1]), (64, [1 << 64]), (96, [5, 1 << 96, 0])])
+def test_cell_memory_rejects_out_of_range_cells(w, cells):
+    with pytest.raises(ValueError, match="wider than word"):
+        CellMemory(w, cells)
+    CellMemory(w, [max(0, min(c, (1 << w) - 1)) for c in cells])
+
+
 def test_run_query_trace_and_determinism():
     mem = CellMemory(8, [5, 7, 11, 13])
     tr1 = run_query(sum_step, 2, mem)

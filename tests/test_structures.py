@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
+    _stage_params,
     build_naive,
     build_recursive,
     build_two_level,
@@ -182,3 +183,80 @@ def test_every_accepted_geometry_ranks_exactly(n, w, cells_per_block, ratio, see
         tr = rank(layout, k)
         assert tr.answer == a.rank(k), (k, layout.params)
         assert len(tr.steps) <= layout.worst_probes
+
+
+def _old_build(array, w, superblock=None, block=None):
+    """The memory image as it was built before the cell codec: cells cut
+    from one big int, one rank per block start, counters packed slot by
+    slot.  Raises ValueError where the counters do not fit a cell."""
+    n = array.n
+    big = array.to_int()
+    raw = [(big >> (c * w)) & ((1 << w) - 1) for c in range(-(-n // w))]
+    if superblock is None:
+        return raw
+
+    def rank_at(p):
+        return (big & ((1 << p) - 1)).bit_count()
+
+    ratio = superblock // block
+    abs_vals = [rank_at(s * superblock) for s in range(n // superblock + 1)]
+    width = max(1, min(superblock - block, n).bit_length())
+    per = w // width
+    if per < 1:
+        raise ValueError("counter width exceeds cell width")
+    rel = [rank_at(j * block) - abs_vals[j // ratio] for j in range(n // block + 1) if j % ratio]
+    packed = []
+    for c in range(-(-len(rel) // per)):
+        val = 0
+        for slot in range(per):
+            if c * per + slot < len(rel):
+                val |= rel[c * per + slot] << (slot * width)
+        packed.append(val)
+    cells = raw + abs_vals + packed
+    if max(cells) >> w:
+        raise ValueError("counters do not fit the cell width")
+    return cells
+
+
+BUILD_CASES = [
+    (8, build_two_level, {"superblock": 512, "block": 64}),
+    (8, build_recursive, {"t": 1}),
+    (13, build_two_level, {"superblock": 416, "block": 104}),
+    (64, build_two_level, {"superblock": 512, "block": 64}),
+    (64, build_recursive, {"t": 2}),
+    (64, build_two_level, {"superblock": 192, "block": 64}),
+    (96, build_two_level, {"superblock": 384, "block": 96}),
+    (80, build_two_level, {"superblock": 400, "block": 80}),
+    (130, build_two_level, {"superblock": 1040, "block": 260}),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(0, 2000), case=st.sampled_from(BUILD_CASES), seed=st.integers(0, 2**32 - 1))
+def test_builders_match_old_construction(n, case, seed):
+    w, build, kw = case
+    a = BitArray.random(n, np.random.default_rng(seed))
+    assert build_naive(a, w).memory.cells == _old_build(a, w)
+    if build is build_recursive:
+        if kw["t"] > max_stage(n):
+            return
+        superblock, block = _stage_params(n, kw["t"])
+    else:
+        superblock, block = kw["superblock"], kw["block"]
+    try:
+        want = _old_build(a, w, superblock, block)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build(a, word_bits=w, **kw)
+        return
+    layout = build(a, word_bits=w, **kw)
+    assert layout.memory.cells == want
+    assert layout.params["cell_count"] == len(want)
+
+
+@pytest.mark.parametrize("w", [0, -3])
+@pytest.mark.parametrize("build", [build_naive, build_two_level, lambda a, word_bits: build_recursive(a, 1, word_bits)])
+def test_nonpositive_width_refused(w, build):
+    a = BitArray.random(64, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="cell width must be positive"):
+        build(a, word_bits=w)

@@ -1,0 +1,156 @@
+"""Record the performance trajectory: perfbench medians plus tier-1 time.
+
+    python3 tools/bench_record.py --out BENCH_6.json
+    python3 tools/bench_record.py --out BENCH_6.json --baseline ../parent
+
+Run from the root of a checkout.  For every workload and every seed from
+6000 to 6009, it runs
+
+    python3 perfbench/run.py --workload W --seed S --seconds 10 --trace 0
+
+and keeps each run's six end-to-end metrics.  With ``--baseline DIR`` (a
+checkout of the parent commit) every seed is run on both trees, the
+order alternating from seed to seed, and each metric also gets the count
+of pairs the change wins.  A run that passes its time limit is recorded
+as a timeout, and one whose checks fail as incorrect; neither is dropped,
+and neither enters the medians.  Last, the tier-1 suite is timed once
+per tree.  The JSON written holds, per tree, the median and quartiles of
+every metric and perfbench's provenance (host, Python and numpy, git
+commit, source digest) plus a digest of ``perfbench/`` itself.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+WORKLOADS = ("stage_ladder", "publish_drain", "encode_roundtrip", "entropy_triangulate")
+METRICS = ("setup_s", "cold_experiment_s", "experiment_p50_s", "experiment_tail_s", "peak_rss_mib", "ok_ratio")
+HIGHER_IS_BETTER = {"ok_ratio"}
+SEEDS = tuple(range(6000, 6010))
+SECONDS = 10  # the run length of the benchmark itself
+RUN_TIMEOUT_S = 400  # perfbench ends a run within 180 s; this catches a hang
+TIER1_TIMEOUT_S = 1800
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+
+
+def run_perfbench(root: Path, workload: str, seed: int) -> dict:
+    """One perfbench run: its metrics, or why there are none."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(SECONDS), "--trace", "0"]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"seed": seed, "status": "timeout", "wall_s": time.perf_counter() - start}
+    run = {"seed": seed, "wall_s": time.perf_counter() - start}
+    lines = done.stdout.strip().splitlines()
+    if done.returncode or not lines:
+        return {**run, "status": f"exit {done.returncode}", "stderr": done.stderr[-2000:]}
+    result = json.loads(lines[-1])
+    record = json.loads((root / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return {
+        **run,
+        "status": "ok" if result["correct"] else "incorrect",
+        "failures": record["failures"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+        "provenance": record["provenance"],
+    }
+
+
+def summarize(runs: list) -> dict:
+    good = [r for r in runs if r["status"] == "ok"]
+    out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs)}
+    for name in METRICS:
+        values = [r["metrics"][name] for r in good]
+        if len(values) >= 2:
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            out[name] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+        elif values:
+            out[name] = {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
+    return out
+
+
+def change_wins(change: list, base: list) -> dict:
+    """Per metric, the pairs (same seed) where the change reads better."""
+    pairs = [(c, b) for c, b in zip(change, base) if c["status"] == b["status"] == "ok"]
+    wins = {}
+    for name in METRICS:
+        sign = -1 if name in HIGHER_IS_BETTER else 1
+        won = sum(sign * (c["metrics"][name] - b["metrics"][name]) < 0 for c, b in pairs)
+        wins[name] = f"{won}/{len(pairs)}"
+    return wins
+
+
+def time_tier1(root: Path) -> dict:
+    start = time.perf_counter()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    try:
+        done = subprocess.run(TIER1, cwd=root, capture_output=True, text=True, timeout=TIER1_TIMEOUT_S, env=env)
+    except subprocess.TimeoutExpired:
+        return {"status": "timeout", "wall_s": time.perf_counter() - start}
+    tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
+    counts = {word: int(num) for num, word in re.findall(r"(\d+) (passed|failed|error|errors)", tail)}
+    return {"status": f"exit {done.returncode}", "wall_s": time.perf_counter() - start, "summary": tail, **counts}
+
+
+def perfbench_digest(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((root / "perfbench").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_6.json")
+    ap.add_argument("--baseline", help="checkout of the parent commit to pair every run with")
+    args = ap.parse_args(argv)
+
+    trees = {"change": Path.cwd()}
+    if args.baseline:
+        trees["baseline"] = Path(args.baseline).resolve()
+    report = {
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0",
+        "seeds": list(SEEDS),
+        "trees": {},
+    }
+    runs = {tree: {w: [] for w in WORKLOADS} for tree in trees}
+    for w in WORKLOADS:
+        for i, seed in enumerate(SEEDS):
+            order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+            for tree in order:
+                run = run_perfbench(trees[tree], w, seed)
+                runs[tree][w].append(run)
+                p50 = run.get("metrics", {}).get("experiment_p50_s")
+                print(f"{tree} {w} seed={seed} {run['status']} p50={p50}", flush=True)
+    for tree, root in trees.items():
+        first = next((r for rs in runs[tree].values() for r in rs if "provenance" in r), {})
+        prov = {k: v for k, v in first.get("provenance", {}).items() if k not in ("workload", "seed", "trace")}
+        report["trees"][tree] = {
+            "provenance": {**prov, "perfbench_sha256": perfbench_digest(root)},
+            "workloads": {w: summarize(rs) for w, rs in runs[tree].items()},
+            "runs": runs[tree],
+        }
+        for rs in runs[tree].values():
+            for r in rs:
+                r.pop("provenance", None)
+    if args.baseline:
+        report["change_wins"] = {w: change_wins(runs["change"][w], runs["baseline"][w]) for w in WORKLOADS}
+    for tree, root in trees.items():
+        report["trees"][tree]["tier1"] = time_tier1(root)
+        print(f"{tree} tier-1 {report['trees'][tree]['tier1']}", flush=True)
+    Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
