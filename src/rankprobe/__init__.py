@@ -4,15 +4,13 @@ structures with a tunable redundancy ladder, an answer-entropy lab, an
 encode/decode accounting engine, and a probe-elimination driver."""
 
 from .bits import BitArray, BitString
-from .errors import RefusalError
+from .errors import CorruptEncoding, CorruptFootprint, LabError, RefusalError, SimulationFault
 from .model import (
     CellMemory,
-    CorruptFootprint,
     Footprint,
     ProbeTrace,
     PublishedBits,
     QueryBlocks,
-    SimulationFault,
     build_footprint,
     probes_of_set,
     replay_from_footprint,
@@ -40,10 +38,8 @@ from .entropy import (
     block_deficit_argmin,
     brute_force_deficit,
     montecarlo_deficit,
-    reference_entropy,
 )
 from .encoding import (
-    CorruptEncoding,
     EncodingRecord,
     SizeAccounting,
     choose_offset,
@@ -56,7 +52,6 @@ from .elimination import (
     EliminationRow,
     EliminationTrajectory,
     eliminate_round,
-    overlap_probability,
     run_elimination,
 )
 

@@ -18,11 +18,10 @@ import sys
 import numpy as np
 
 from .bits import BitArray
-from .encoding import CorruptEncoding, decode, encode
+from .encoding import decode, encode
 from .entropy import ENUM_LIMIT, LabConfig, analytic_deficit, brute_force_deficit
 from .elimination import run_elimination
-from .errors import RefusalError
-from .model import CorruptFootprint, SimulationFault
+from .errors import CorruptEncoding, LabError
 from .structures import (
     build_naive,
     build_recursive,
@@ -274,8 +273,10 @@ def _cmd_eliminate(args):
 
 
 def _cmd_tradeoff(args):
+    if args.t is not None and args.t < 1:
+        raise ValueError("stage must be >= 1")
     array = _array(args)
-    top = min(args.t, max_stage(args.n)) if args.t else max_stage(args.n)
+    top = max_stage(args.n) if args.t is None else min(args.t, max_stage(args.n))
     rows = [
         f"# rankprobe tradeoff seed={args.seed}",
         "stage,redundancy_bits,worst_probes,avg_probes",
@@ -296,9 +297,6 @@ def _cmd_tradeoff(args):
     obj = {"command": "tradeoff", "seed": args.seed, "n": args.n, "stages": entries}
     _emit(args, rows, obj)
     return None
-
-
-_FAULT_CODES = {SimulationFault: 4, CorruptFootprint: 5, CorruptEncoding: 6}
 
 
 def main(argv=None) -> int:
@@ -341,15 +339,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.fn(args)
-    except RefusalError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return 3
+    except LabError as e:
+        print(e.cli_line(), file=sys.stderr)
+        return e.exit_code
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (SimulationFault, CorruptFootprint, CorruptEncoding) as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return _FAULT_CODES[type(e)]
     except OSError as e:  # the CLI reads no files: this is an output write
         print(f"error: cannot write {e.filename or 'output'}: {e.strerror or e}", file=sys.stderr)
         return 7

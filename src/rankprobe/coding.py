@@ -94,9 +94,6 @@ class CanonicalCode:
                 return row[idx], offset + length
         raise ValueError("invalid codeword")
 
-    def expected_bits(self, probs: dict) -> float:
-        return math.fsum(probs[s] * self.lengths[s] for s in probs)
-
 
 # -- subsets in lexicographic order ---------------------------------------
 

@@ -65,16 +65,6 @@ def _mean(values: np.ndarray) -> float:
     return int(values.sum()) / values.size
 
 
-def overlap_probability(layout: StructureLayout, queries=None, sample: int = 4096, seed: int = 0) -> float:
-    """Fraction of queries whose undiscounted probe set intersects the
-    published cells.  Probe addresses are data-independent here, so the
-    uniform-query average is measured exactly (small n) or by seeded
-    sampling; the published set is the one being tested against."""
-    if queries is None:
-        queries = sample_queries(layout.n, sample, seed)
-    return _mean(ProbePlan(layout.params, queries).touches(layout.published_mask()))
-
-
 def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, plan: ProbePlan, cap_blocks: bool = False):
     """One publish round, measured on the sampled queries of `plan`.
     Returns (row, saturated_blocks) where the row is None when k_i > n
@@ -108,9 +98,11 @@ def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, p
 
 def run_elimination(layout: StructureLayout, config: LabConfig | None = None, max_rounds: int = 16, sample: int = 4096) -> EliminationTrajectory:
     """Drive rounds until queries are nearly free or the process saturates."""
+    n = layout.n
+    if n < 1:
+        raise ValueError("probe elimination needs n >= 1")
     if config is None:
         config = LabConfig()
-    n = layout.n
     traj = EliminationTrajectory(
         structure=layout.kind,
         n=n,

@@ -16,15 +16,18 @@ Each query set is simulated once: its pass yields the answers, the
 footprint and the charged cells that component 6 leaves out.  One
 footprint codec writes and reads components 4 and 5.  By default it
 stores the raw first-seen cell contents (exactly probed_cells *
-word_bits bits), which works at any size.  Given a layout factory it is
+word_bits bits), which works at any size.  With ``ensemble=True`` it is
 the ensemble: exact conditional canonical codes built by enumerating
 every array of the given length, honest only at enumerable sizes.
 
 Decoding replays the recorded footprints through the structure's own
-query generators, fills the untouched cells, answers every rank query
-against the reconstructed memory in one batch (a
-:class:`~rankprobe.structures.ProbePlan` reading its counters and raw
-cells), and differences consecutive answers back into bits.
+query generators and fills the untouched cells; a cell that two
+components both carry must read the same in each.  The array is the raw
+cells of the reconstructed memory.  The record is accepted only if
+rebuilding the layout over that array
+(:func:`~rankprobe.structures.layout_from_params`) gives back exactly
+that memory, so stored counters, padding bits and raw cells can never
+disagree.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray, BitString
+from .bits import BitArray, BitString, cells_to_bytes
 from .coding import (
     CanonicalCode,
     subset_header_bits,
@@ -43,10 +46,8 @@ from .coding import (
     subset_rank,
     subset_unrank,
 )
-from .errors import RefusalError
+from .errors import CorruptEncoding, CorruptFootprint, RefusalError
 from .model import (
-    CellMemory,
-    CorruptFootprint,
     Footprint,
     PublishedBits,
     QueryBlocks,
@@ -54,14 +55,10 @@ from .model import (
     run_query,
     simulate_set,
 )
-from .structures import ProbePlan, StructureLayout, step_from_params
+from .structures import ProbePlan, StructureLayout, layout_from_params, step_from_params
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
-
-
-class CorruptEncoding(Exception):
-    """A record failed to parse or contradicts itself."""
 
 
 @dataclass
@@ -229,8 +226,7 @@ def _increment_codes(n: int, bs: int, d: int, blocks: tuple) -> list:
 # Components 4 and 5 are coded under a condition: (detached answers,) for
 # the reference footprint and (detached answers, reference answers) for
 # the detached one.  The codes are looked up by condition: w-bit cells
-# for every condition, or the exact ensemble codes when a layout factory
-# is given.
+# for every condition, or the exact ensemble codes.
 
 class _CellCode:
     """Verbatim footprint code: each cell in w bits, under any condition."""
@@ -254,12 +250,9 @@ class _CellCode:
 _ENSEMBLE_CACHE: dict = {}
 
 
-def _params_key(params: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in params.items() if k != "worst_probes"))
-
-
-def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
-    """Exact conditional footprint codes by full enumeration.
+def _ensemble_tables(params: dict, k: int, d: int):
+    """Exact conditional footprint codes by full enumeration of the arrays
+    of the length, each built into the layout `params` describes.
 
     Returns (codes by condition, detached blocks).  Keyed by structure
     config; valid because probe addresses are data-independent, so the
@@ -270,7 +263,7 @@ def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
         raise RefusalError(
             f"ensemble tables need full enumeration; n capped at {ENSEMBLE_LIMIT}"
         )
-    key = (_params_key(params), k, d)
+    key = (tuple(sorted(params.items())), k, d)
     hit = _ENSEMBLE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -279,9 +272,7 @@ def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
     weights: dict = {}
     det_blocks = None
     for v in range(1 << n):
-        layout = layout_factory(BitArray.from_int(n, v))
-        if v == 0 and _params_key(layout.params) != _params_key(params):
-            raise ValueError("layout factory does not match the given params")
+        layout = layout_from_params(BitArray.from_int(n, v), params)
         det, (ref_ans, ref_cells), (det_ans, det_cells) = _simulate_sets(layout, blocks, d)
         db = tuple(q // blocks.block_size for q in det)
         if det_blocks is None:
@@ -301,10 +292,10 @@ def _ensemble_tables(layout_factory, params: dict, k: int, d: int):
     return tables
 
 
-def _footprint_codes(layout_factory, params: dict, k: int, d: int, det_blocks: tuple):
-    if layout_factory is None:
+def _footprint_codes(ensemble: bool, params: dict, k: int, d: int, det_blocks: tuple):
+    if not ensemble:
         return _CellCode(params["word_bits"])
-    codes, expected_blocks = _ensemble_tables(layout_factory, params, k, d)
+    codes, expected_blocks = _ensemble_tables(params, k, d)
     if expected_blocks != det_blocks:
         raise CorruptEncoding("detached set disagrees with ensemble tables")
     return codes
@@ -357,13 +348,12 @@ def _published_bits(layout: StructureLayout) -> BitString:
     return out
 
 
-def encode(layout: StructureLayout, k: int, d: int | None = None, layout_factory=None) -> EncodingRecord:
+def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool = False) -> EncodingRecord:
     """Encode the layout's array as a six-component record.
 
     The reference and detached query sets are each simulated once; their
     answers and charged cells feed components 3 to 6.  The footprints are
-    stored verbatim unless `layout_factory` (array -> layout with
-    identical params) is given, which selects the ensemble codes built by
+    stored verbatim unless `ensemble` selects the codes built by
     enumerating every array of the length."""
     n = layout.n
     blocks = QueryBlocks(n, k)
@@ -388,7 +378,7 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, layout_factory
         code.encode_symbol(comp3, ans - prev)
         prev = ans
 
-    foot = _footprint_codes(layout_factory, layout.params, k, d, det_blocks)
+    foot = _footprint_codes(ensemble, layout.params, k, d, det_blocks)
     w = layout.memory.word_bits
     comp6 = BitString()
     comp6.append_cells([c for a, c in enumerate(layout.memory.cells) if a not in ref_cells and a not in det_cells], w)
@@ -406,13 +396,14 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, layout_factory
 
 # -- decode ---------------------------------------------------------------
 
-def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) -> BitArray:
+def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False) -> BitArray:
     """Rebuild the array from a record plus the structure config.
 
-    Pass the `layout_factory` the record was encoded with, if any: it
-    selects the ensemble footprint codes.  The reference footprint is
-    read and replayed before the detached one, whose ensemble code is
-    conditioned on the reference answers."""
+    Pass the `ensemble` flag the record was encoded with.  The reference
+    footprint is read and replayed before the detached one, whose
+    ensemble code is conditioned on the reference answers.  Raises
+    CorruptEncoding unless the record is exactly the encoding of the
+    array it decodes to."""
     n = params["n"]
     w = params["word_bits"]
     cell_count = params["cell_count"]
@@ -447,11 +438,17 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
         published.bootstrapped = True
     if (comp1.length - pos) % (addr_bits + w):
         raise CorruptEncoding("published ledger has a partial entry")
+    # pairs come in increasing address order, outside a bootstrapped region
+    end = region.start if published.bootstrapped else cell_count
+    prev = -1
     while pos < comp1.length:
         a = comp1.read_bits(pos, addr_bits)
         pos += addr_bits
-        if a >= cell_count:
+        if a >= end:
             raise CorruptEncoding("published address out of range")
+        if a <= prev:
+            raise CorruptEncoding("published addresses not increasing")
+        prev = a
         published.cells[a] = comp1.read_bits(pos, w)
         pos += w
     published.length = comp1.length
@@ -491,7 +488,7 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
     det_answers = tuple(det_answers)
 
     # components 4 and 5: footprints, the reference set first
-    foot = _footprint_codes(layout_factory, params, k, d, det_blocks)
+    foot = _footprint_codes(ensemble, params, k, d, det_blocks)
     ref_q = blocks.offset_queries(0)
     f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w, "reference")
     ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
@@ -513,7 +510,9 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
     recovered.update(a for a in seen_det if a not in published.cells)
     cells = dict(published.cells)
     cells.update(seen_ref)
-    cells.update(seen_det)
+    for a, val in seen_det.items():
+        if cells.setdefault(a, val) != val:
+            raise CorruptEncoding(f"cell {a} disagrees between the footprints")
     comp6 = record.remaining
     rest = [a for a in range(cell_count) if a not in recovered]
     if len(rest) * w > comp6.length:
@@ -525,16 +524,12 @@ def decode(record: EncodingRecord, params: dict, k: int, layout_factory=None) ->
             raise CorruptEncoding(f"cell {a} disagrees with published copy")
         cells[a] = val
 
-    memory = CellMemory(w, [cells[a] for a in range(cell_count)])
-    try:
-        answers = ProbePlan(params, np.arange(n)).answers(memory.cells)
-    except ValueError as e:
-        raise CorruptEncoding(str(e)) from None
-    bits = np.diff(answers, prepend=0)
-    bad = np.flatnonzero((bits != 0) & (bits != 1))
-    if bad.size:
-        raise CorruptEncoding(f"rank answers not unit-increment at {bad[0] + 1}")
-    return BitArray.from_bits(bits)
+    memory = [cells[a] for a in range(cell_count)]
+    raw = np.frombuffer(cells_to_bytes(memory[: params["raw_cells"]], w), dtype=np.uint8)
+    array = BitArray.from_bits(np.unpackbits(raw, count=n, bitorder="little"))
+    if layout_from_params(array, params).memory.cells != memory:
+        raise CorruptEncoding("memory is not the layout of its own raw cells")
+    return array
 
 
 def _replay(step, queries, footprint: Footprint, published: PublishedBits):

@@ -256,13 +256,6 @@ def analytic_deficit(n: int, k: int, d: int, blocks=None) -> EntropyReport:
     )
 
 
-def reference_entropy(n: int, k: int) -> float:
-    """Entropy of the k right-edge answers: exactly k * h(n // k)."""
-    if k < 1 or n < k:
-        raise ValueError("need 1 <= k <= n")
-    return k * binom_entropy(n // k)
-
-
 # -- exact enumeration route ---------------------------------------------
 
 ENUM_LIMIT = 20

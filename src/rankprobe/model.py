@@ -14,9 +14,9 @@ Free reads never appear in a trace, and a query costs time linear in the
 addresses it yields.
 
 The driver serves single queries and whatever depends on content order
-(footprints, replay).  Probe counts, published overlaps and answers for
-many queries at once come from the batch plans in :mod:`structures`,
-which are tested against this driver as their oracle.
+(footprints, replay).  Probe counts, published overlaps and charged
+cells for many queries at once come from the batch plans in
+:mod:`structures`, which are tested against this driver as their oracle.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import operator
 from itertools import islice
 from dataclasses import dataclass, field
 
-
-class SimulationFault(Exception):
-    """A query misbehaved (bad address, step budget, probe budget)."""
-
-
-class CorruptFootprint(Exception):
-    """Replay ran out of recorded cells or left some unread."""
+from .errors import CorruptFootprint, SimulationFault
 
 
 class CellMemory:

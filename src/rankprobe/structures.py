@@ -22,9 +22,10 @@ Queries run two ways over one geometry expression.  The generator
 queries of :func:`step_from_params`, driven by :mod:`model`, answer
 single queries (``rank``), record and replay footprints, and are the
 oracle.  A :class:`ProbePlan` is the batch path: probe counts, published
-overlaps, charged-cell sets and rank answers for a whole query array,
-computed with numpy.  Both need only a layout's params, because probe
-addresses depend on the query index and never on the data.
+overlaps and charged-cell sets for a whole query array, computed with
+numpy.  Both need only a layout's params, because probe addresses depend
+on the query index and never on the data.  :func:`layout_from_params`
+rebuilds a whole layout from those params and an array.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray, cells_from_bytes, cells_to_bytes
-from .model import CellMemory, ProbeTrace, PublishedBits, SimulationFault, run_query
+from .bits import BitArray, cells_from_bytes
+from .errors import SimulationFault
+from .model import CellMemory, ProbeTrace, PublishedBits, run_query
 
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
 
@@ -274,7 +276,6 @@ class ProbePlan:
         if q.size and (q.min() < 0 or q.max() >= params["n"]):
             raise IndexError(f"query outside [0, {params['n']})")
         self.params = params
-        self.queries = q
         self.hi = q // params["word_bits"]
         if params["kind"] == "naive":
             self.abs_addr = self.rel_addr = np.full(q.shape, -1, dtype=np.int64)
@@ -331,32 +332,6 @@ class ProbePlan:
         for addresses in (self.abs_addr, self.rel_addr):
             hits += _flagged(addresses, mask) & (addresses > before(addresses))
         return hits.sum(axis=-1)
-
-    def answers(self, cells) -> np.ndarray:
-        """Rank(q + 1) per query, read from a memory's cells: the absolute
-        counter, the relative counter's slot, and a prefix popcount of the
-        raw bits from the block start.  Raises ValueError on an absolute
-        counter above n, which no rank can be."""
-        p = self.params
-        w = p["word_bits"]
-        raw_bits = np.unpackbits(np.frombuffer(cells_to_bytes(cells[: p["raw_cells"]], w), dtype=np.uint8), bitorder="little")
-        ones = np.concatenate(([0], np.cumsum(raw_bits, dtype=np.int64)))  # ones[b]: among the first b raw bits
-        total = ones[self.queries + 1] - ones[self.lo * w]
-        if p["kind"] == "naive":
-            return total
-        counters = cells[p["abs_base"] : p["rel_base"]]
-        if max(counters) > p["n"]:
-            raise ValueError(f"absolute counter {max(counters)} above n = {p['n']}")
-        total += np.array(counters, dtype=np.int64)[self.abs_addr - p["abs_base"]]
-        width = p["width"]
-        slots = np.array(
-            [(c >> (s * width)) & ((1 << width) - 1) for c in cells[p["rel_base"] : p["cell_count"]] for s in range(p["per_cell"])],
-            dtype=np.int64,
-        )
-        has_rel = self.rel_addr >= 0
-        entry = _counter_geometry(p)(self.queries + 1)[3]
-        total[has_rel] += slots[entry[has_rel]]
-        return total
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
@@ -421,6 +396,17 @@ def build_recursive(array: BitArray, t: int, word_bits: int = 64) -> StructureLa
     return _counter_layout(
         array, superblock, block, word_bits, "recursive", {"stage": t}
     )
+
+
+def layout_from_params(array: BitArray, params: dict) -> StructureLayout:
+    """The layout `params` describes, built over `array` by the builder
+    and with the geometry that made it."""
+    w = params["word_bits"]
+    if params["kind"] == "naive":
+        return build_naive(array, w)
+    if params["kind"] == "recursive":
+        return build_recursive(array, params["stage"], w)
+    return build_two_level(array, params["superblock"], params["block"], w)
 
 
 def rank(layout: StructureLayout, k: int) -> ProbeTrace:

@@ -242,14 +242,13 @@ def test_encoding_roundtrip_and_size():
     acc = size_accounting(records, 12, 3)
     assert acc.mean_total >= 12 - 0.01
     # the tight route: exact conditional codes over the full ensemble
-    factory = build_two_level
     total_e = 0
     total_v = 0
     for v in range(1 << 12):
         a = BitArray.from_int(12, v)
-        layout = factory(a)
-        rec_e = encode(layout, 3, d=2, layout_factory=factory)
-        assert decode(rec_e, layout.params, 3, layout_factory=factory).to_int() == v
+        layout = build_two_level(a)
+        rec_e = encode(layout, 3, d=2, ensemble=True)
+        assert decode(rec_e, layout.params, 3, ensemble=True).to_int() == v
         total_e += rec_e.total_bits
         total_v += encode(layout, 3, d=2).total_bits
     mean_e = total_e / (1 << 12)

@@ -9,6 +9,7 @@ from rankprobe.bits import BitArray
 from rankprobe import cli
 from rankprobe.cli import main
 from rankprobe.encoding import EncodingRecord, decode
+from rankprobe.errors import CorruptEncoding, CorruptFootprint, RefusalError, SimulationFault
 from rankprobe.structures import build_recursive, build_two_level, max_stage
 
 
@@ -97,6 +98,23 @@ def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
     assert err.startswith("error: SimulationFault") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "error,code,line",
+    [
+        (RefusalError("sample too small"), 3, "refused: sample too small\n"),
+        (SimulationFault("bad address"), 4, "error: SimulationFault: bad address\n"),
+        (CorruptFootprint("exhausted"), 5, "error: CorruptFootprint: exhausted\n"),
+        (CorruptEncoding("bad magic"), 6, "error: CorruptEncoding: bad magic\n"),
+    ],
+)
+def test_lab_errors_map_to_exit_codes(capsys, monkeypatch, error, code, line):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "structure_stats", fail)
+    assert run_cli(capsys, "stats", "--n", "64") == (code, "", line)
+
+
 def test_failed_decode_identity_exits_6(capsys, monkeypatch):
     monkeypatch.setattr(cli, "decode", lambda rec, params, k: BitArray(params["n"]))
     code, out, err = run_cli(capsys, "encode", "--n", "512", "--k", "4", "--seed", "1")
@@ -115,6 +133,20 @@ def test_failed_decode_identity_exits_6(capsys, monkeypatch):
 )
 def test_stats_bad_size_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, "stats", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("tradeoff", "--n", "4096", "--t", "0"), "error: stage must be >= 1"),
+        (("eliminate", "--n", "0"), "error: probe elimination needs n >= 1"),
+    ],
+    ids=["tradeoff-t0", "eliminate-n0"],
+)
+def test_empty_run_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err == message + "\n"
 

@@ -109,11 +109,6 @@ def test_decode_rejects_unused_codeword():
         code.decode_symbol(data, 0)
 
 
-def test_expected_bits():
-    code = CanonicalCode.from_weights({0: 3, 1: 1})
-    assert code.expected_bits({0: 0.75, 1: 0.25}) == pytest.approx(1.0)
-
-
 def test_empty_alphabet_rejected():
     with pytest.raises(ValueError):
         CanonicalCode.from_weights({})

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
-from rankprobe.elimination import overlap_probability, run_elimination
+from rankprobe.elimination import run_elimination
 from rankprobe.entropy import LabConfig
 from rankprobe.structures import EXHAUSTIVE_LIMIT, build_naive, build_two_level, sample_queries
 
@@ -86,17 +86,6 @@ def test_saturation_stop():
     assert traj.status == "saturated"
     assert len(traj.rows) == 1
     assert layout.published.length >= 0.001 * layout.n
-
-
-def test_overlap_probability_bounds():
-    layout = slim_layout(6)
-    assert overlap_probability(layout) == 0.0
-    layout.publish_redundancy()
-    ov1 = overlap_probability(layout)
-    assert 0.0 < ov1 <= 1.0
-    # publishing more cells can only widen the overlap
-    run_elimination(layout, config=LabConfig(saturation_fraction=1.0), max_rounds=1)
-    assert overlap_probability(layout) >= ov1
 
 
 def test_sample_queries():

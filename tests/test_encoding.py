@@ -1,7 +1,10 @@
+import functools
 import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray, BitString
 from rankprobe.encoding import (
@@ -15,13 +18,13 @@ from rankprobe.encoding import (
 )
 from rankprobe.encoding import _simulate_sets
 from rankprobe.errors import RefusalError
-from rankprobe.model import QueryBlocks, probes_of_set, run_query, simulate_set
-from rankprobe.structures import build_naive, build_recursive, build_two_level
+from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query, simulate_set
+from rankprobe.structures import build_naive, build_recursive, build_two_level, layout_from_params
 
 
 def roundtrip(layout, k, **kw):
     rec = encode(layout, k, **kw)
-    back = decode(rec, layout.params, k, layout_factory=kw.get("layout_factory"))
+    back = decode(rec, layout.params, k, ensemble=kw.get("ensemble", False))
     return rec, back
 
 
@@ -176,8 +179,8 @@ def test_decode_rejects_overlong_footprint():
 
 @pytest.mark.parametrize("bit", [63, 10], ids=["past-int64", "plausible-rank"])
 def test_decode_rejects_corrupt_counter(bit):
-    # decode answers every rank query from the rebuilt memory, so a
-    # corrupt absolute counter must surface even though the raw bits
+    # decode rebuilds the layout over the raw cells and compares memories,
+    # so a corrupt absolute counter must surface even though the raw bits
     # alone still spell the array.  The last counter holds Rank(n); it is
     # probed by neither query set, so the record carries it in the
     # remaining-cells component.
@@ -197,6 +200,36 @@ def test_decode_rejects_corrupt_counter(bit):
         decode(rec, layout.params, 4)
 
 
+def test_decode_rejects_noncanonical_published_pairs():
+    # (address, content) pairs after the bootstrap prefix are written in
+    # increasing address order and never name a cell of the region
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
+    layout.publish_redundancy()
+    layout.published.publish_cells(layout.memory, [40, 7])
+    rec = encode(layout, 4, d=512)
+    assert decode(rec, layout.params, 4) == BitArray.random(4096, np.random.default_rng(0))
+    w = layout.memory.word_bits
+    addr_bits = layout.memory.address_bits()
+    prefix = len(layout.redundancy_region) * w
+    pair = addr_bits + w
+    assert rec.published.length == prefix + 2 * pair
+
+    def ledger(*pairs):
+        out = BitString()
+        out.append_bits(rec.published.read_bits(0, prefix), prefix)
+        for a in pairs:
+            out.append_bits(a, addr_bits)
+            out.append_bits(layout.memory.cells[a], w)
+        return out
+
+    assert ledger(7, 40) == rec.published
+    region_cell = layout.redundancy_region.start
+    for bad in (ledger(40, 7), ledger(7, 7, 40), ledger(7, 40, region_cell)):
+        rec.published = bad
+        with pytest.raises(CorruptEncoding):
+            decode(rec, layout.params, 4)
+
+
 def _random_layout(build, n, seed, **kw):
     return build(BitArray.random(n, np.random.default_rng(seed)), **kw)
 
@@ -207,31 +240,31 @@ def _bootstrapped(layout):
 
 
 # sha256 of the .rpe1 bytes: (layout, k, offset or None to choose it,
-# layout factory for ensemble footprints, digest)
+# ensemble footprints, digest)
 RPE1_PINS = {
     "bench-geometry-offset-511": (
-        lambda: _random_layout(build_two_level, 1 << 16, 0), 16, None, None,
+        lambda: _random_layout(build_two_level, 1 << 16, 0), 16, None, False,
         "7e450e4b278af76290879b2fa7217d15fa7f34bc8e784a2706572dbd4fdb53d5",
     ),
     "bootstrapped-two-level": (
-        lambda: _bootstrapped(_random_layout(build_two_level, 4096, 1)), 4, 512, None,
+        lambda: _bootstrapped(_random_layout(build_two_level, 4096, 1)), 4, 512, False,
         "b47be329de62e58dd8b72dd37fc7336bfc47215560c5f761eb65319ad525f6b5",
     ),
     "w96-384-96": (
         lambda: _random_layout(build_two_level, 4096, 2, superblock=384, block=96, word_bits=96),
-        4, None, None,
+        4, None, False,
         "13fcbe9fb0e1f9f92deb1b0121cc279b2642deec07b8077725eb415ec5598e32",
     ),
     "naive-w8": (
-        lambda: _random_layout(build_naive, 4096, 3, word_bits=8), 4, None, None,
+        lambda: _random_layout(build_naive, 4096, 3, word_bits=8), 4, None, False,
         "99cd843a9b3923fd3bc3fb1a7bf84039aeafe15521fbc912685aa76a74e7d8a9",
     ),
     "recursive-t2": (
-        lambda: _random_layout(build_recursive, 4096, 4, t=2), 4, 700, None,
+        lambda: _random_layout(build_recursive, 4096, 4, t=2), 4, 700, False,
         "b12321eedcac2fbb79946aa19d87a87ab4fedc7b5a296800986962c512e13ead",
     ),
     "ensemble-n12": (
-        lambda: build_two_level(BitArray.from_int(12, 0b101100111010)), 3, 2, build_two_level,
+        lambda: build_two_level(BitArray.from_int(12, 0b101100111010)), 3, 2, True,
         "9cfabbcc97a082bcd37c7ca1a2cd680610334aa1826996fd81202b8214272e89",
     ),
 }
@@ -239,8 +272,8 @@ RPE1_PINS = {
 
 @pytest.mark.parametrize("case", list(RPE1_PINS))
 def test_rpe1_bytes_pinned(case):
-    make, k, d, factory, digest = RPE1_PINS[case]
-    rec = encode(make(), k, d, layout_factory=factory)
+    make, k, d, ensemble, digest = RPE1_PINS[case]
+    rec = encode(make(), k, d, ensemble)
     assert hashlib.sha256(rec.to_rpe1()).hexdigest() == digest
 
 
@@ -259,17 +292,89 @@ def test_detached_traces_match_set_pass(case):
     assert list(cells.items()) == list(want_cells.items())
 
 
+def assert_canonical_or_rejected(layout, k, ensemble, blob):
+    """Either the .rpe1 bytes are refused, or they decode to an array
+    whose encoding (same layout, published state, k and offset) is
+    exactly those bytes."""
+    try:
+        rec = EncodingRecord.from_rpe1(blob)
+        array = decode(rec, layout.params, k, ensemble)
+    except CorruptEncoding:
+        return
+    again = layout_from_params(array, layout.params)
+    pub = layout.published
+    again.published = PublishedBits(pub.length, {a: again.memory.read(a) for a in pub.cells}, pub.bootstrapped)
+    assert encode(again, k, rec.offset, ensemble).to_rpe1() == blob
+
+
+@functools.cache
+def pinned_record(case):
+    make, k, d, ensemble, _ = RPE1_PINS[case]
+    layout = make()
+    return layout, k, ensemble, encode(layout, k, d, ensemble).to_rpe1()
+
+
+def flip_bit(blob, bit):
+    out = bytearray(blob)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    case=st.sampled_from(list(RPE1_PINS)),
+    kind=st.sampled_from(["flip", "truncate", "insert"]),
+    at=st.floats(0, 1, exclude_max=True),
+    byte=st.integers(0, 255),
+)
+def test_rpe1_mutations_rejected_or_canonical(case, kind, at, byte):
+    layout, k, ensemble, blob = pinned_record(case)
+    if kind == "flip":
+        blob = flip_bit(blob, int(at * 8 * len(blob)))
+    elif kind == "truncate":
+        blob = blob[: int(at * len(blob))]
+    else:
+        cut = int(at * (len(blob) + 1))
+        blob = blob[:cut] + bytes([byte]) + blob[cut:]
+    assert_canonical_or_rejected(layout, k, ensemble, blob)
+
+
+def component_bit(rec, index, bit):
+    """Position in the .rpe1 bytes, in bits, of bit `bit` of component `index`."""
+    start = 4 + sum(8 + (c.length + 7) // 8 for c in rec.components[:index]) + 8
+    return 8 * start + bit
+
+
+@pytest.mark.parametrize(
+    "make,k,d,component,bit",
+    [
+        # naive cell 0 is in both footprints; the detached query (position
+        # 3) never reads bits 4-7 of its copy
+        *[(lambda: _random_layout(build_naive, 512, 0, word_bits=8), 4, 3, 4, b) for b in range(4, 8)],
+        # a raw bit carried in the remaining cells, against the counters
+        (lambda: _random_layout(build_two_level, 4096, 0), 4, 512, 5, 28),
+    ],
+    ids=["naive-shared-cell-bit4", "naive-shared-cell-bit5", "naive-shared-cell-bit6", "naive-shared-cell-bit7", "two-level-remaining-bit28"],
+)
+def test_decode_rejects_flip(make, k, d, component, bit):
+    layout = make()
+    rec = encode(layout, k, d)
+    blob = flip_bit(rec.to_rpe1(), component_bit(rec, component, bit))
+    with pytest.raises(CorruptEncoding):
+        decode(EncodingRecord.from_rpe1(blob), layout.params, k)
+    assert_canonical_or_rejected(layout, k, False, blob)
+
+
 def test_ensemble_roundtrip_and_compression():
-    factory = build_two_level
     verbatim_foot = 0
     ensemble_foot = 0
     total = 0
     for v in range(1 << 8):
         a = BitArray.from_int(8, v)
-        layout = factory(a)
+        layout = build_two_level(a)
         rec_v = encode(layout, 2, d=2)
-        rec_e = encode(layout, 2, d=2, layout_factory=factory)
-        back = decode(rec_e, layout.params, 2, layout_factory=factory)
+        rec_e = encode(layout, 2, d=2, ensemble=True)
+        back = decode(rec_e, layout.params, 2, ensemble=True)
         assert back.to_int() == v
         verbatim_foot += rec_v.sizes[3] + rec_v.sizes[4]
         ensemble_foot += rec_e.sizes[3] + rec_e.sizes[4]
@@ -284,15 +389,7 @@ def test_ensemble_refuses_large_n():
     a = BitArray.random(1 << 6, np.random.default_rng(3))
     layout = build_two_level(a)
     with pytest.raises(RefusalError):
-        encode(layout, 4, d=2, layout_factory=build_two_level)
-
-
-def test_ensemble_factory_must_match():
-    # d = 3 dodges any table cached by other tests, forcing a fresh build
-    a = BitArray.from_int(8, 3)
-    layout = build_two_level(a)
-    with pytest.raises(ValueError):
-        encode(layout, 2, d=3, layout_factory=build_naive)
+        encode(layout, 4, d=2, ensemble=True)
 
 
 def test_size_accounting():

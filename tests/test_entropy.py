@@ -18,7 +18,6 @@ from rankprobe.entropy import (
     brute_force_deficit,
     deficit_from_counts,
     montecarlo_deficit,
-    reference_entropy,
     signature_counts,
 )
 from rankprobe.entropy import _row_ids
@@ -84,11 +83,6 @@ def test_block_deficit_argmin_is_central():
         assert m // 2 in mins
         # symmetric: if d is a minimiser so is m - d
         assert {m - d for d in mins} == mins
-
-
-def test_reference_entropy():
-    assert reference_entropy(16, 4) == pytest.approx(4 * H_SMALL[4], abs=1e-12)
-    assert reference_entropy(16, 4) == pytest.approx(8.122556248918265, abs=1e-12)
 
 
 def test_analytic_deficit_frozen():
@@ -178,7 +172,7 @@ def test_deficit_from_counts_uniform():
     _, counts = signature_counts(16, 4, 2, None)
     h_r, h_o, h_j, deficit = deficit_from_counts(counts)
     assert deficit == pytest.approx(3.7144734356069637, abs=1e-9)
-    assert h_r == pytest.approx(reference_entropy(16, 4), abs=1e-9)
+    assert h_r == pytest.approx(4 * H_SMALL[4], abs=1e-9)  # k * h(n / k)
     assert h_j <= h_r + h_o + 1e-9
 
 

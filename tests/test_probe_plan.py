@@ -2,8 +2,8 @@
 
 The driver runs one generator query at a time and is the oracle.  For
 every query of a layout with a random set of published cells, the plan's
-charged count, published-overlap flag and rank answer must equal what
-the driver reports; its charged-cell mask must equal the union that
+charged count and published-overlap flag must equal what the driver
+reports; its charged-cell mask must equal the union that
 ``probes_of_set`` collects; and ``choose_offset`` must pick the offset a
 search over ``probes_of_set`` unions picks.
 """
@@ -65,13 +65,12 @@ def test_plan_matches_driver(case, share, seed):
     plan = ProbePlan(layout.params, np.arange(n))
     charged = plan.charged(published)
     touches = plan.touches(published)
-    answers = plan.answers(layout.memory.cells)
     for q in range(n):
         live = run_query(layout.step, q, layout.memory, layout.published)
         bare = run_query(layout.step, q, layout.memory)  # undiscounted
         assert charged[q] == len(live.steps), q
         assert touches[q] == any(published[x] for x in bare.addresses), q
-        assert answers[q] == live.answer == a.rank(q + 1), q
+        assert live.answer == a.rank(q + 1), q
     subset = sorted(rng.choice(n, size=1 + n // 8, replace=False).tolist())
     _, union = probes_of_set(layout.step, subset, layout.memory, layout.published)
     assert np.flatnonzero(ProbePlan(layout.params, subset).cells(published)).tolist() == sorted(union)
