@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .bits import BitArray
-from .encoding import decode, encode
+from .encoding import COMPONENTS, decode, encode
 from .entropy import ENUM_LIMIT, LabConfig, analytic_deficit, brute_force_deficit
 from .elimination import run_elimination
 from .errors import CorruptEncoding, LabError
@@ -210,18 +210,10 @@ def _cmd_encode(args):
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(rec.to_rpe1())
-    names = (
-        "published",
-        "detached_id",
-        "detached_answers",
-        "foot_reference",
-        "foot_detached",
-        "remaining",
-    )
     rows = [
         f"# rankprobe encode seed={args.seed}",
         "component,bits",
-        *[f"{name},{size}" for name, size in zip(names, rec.sizes)],
+        *[f"{name},{size}" for name, size in zip(COMPONENTS, rec.sizes)],
         f"total,{rec.total_bits}",
         f"offset,{rec.offset}",
         "decode_identity,ok",
@@ -232,7 +224,7 @@ def _cmd_encode(args):
         "n": layout.n,
         "k": args.k,
         "offset": rec.offset,
-        "sizes": dict(zip(names, rec.sizes)),
+        "sizes": dict(zip(COMPONENTS, rec.sizes)),
         "total_bits": rec.total_bits,
         "decode_identity": "ok",
         "record_file": args.out or None,

@@ -25,7 +25,9 @@ import numpy as np
 
 from .entropy import LabConfig
 from .model import QueryBlocks
-from .structures import ProbePlan, StructureLayout, sample_queries
+from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, sample_queries
+
+MAX_ROUNDS = 16  # the round cap
 
 
 @dataclass
@@ -96,7 +98,7 @@ def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, p
     return row, False
 
 
-def run_elimination(layout: StructureLayout, config: LabConfig | None = None, max_rounds: int = 16, sample: int = 4096) -> EliminationTrajectory:
+def run_elimination(layout: StructureLayout, config: LabConfig | None = None) -> EliminationTrajectory:
     """Drive rounds until queries are nearly free or the process saturates."""
     n = layout.n
     if n < 1:
@@ -110,12 +112,12 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None, ma
         gamma=config.gamma,
         seed=config.rng_seed,
     )
-    plan = ProbePlan(layout.params, sample_queries(n, sample, config.rng_seed))
+    plan = ProbePlan(layout.params, sample_queries(n, STATS_SAMPLE, config.rng_seed))
     if not layout.published.bootstrapped:
         layout.publish_redundancy()
         if layout.published.length == 0:
             layout.published.publish_raw(1)  # floor: start from one bit
-    for i in range(max_rounds):
+    for i in range(MAX_ROUNDS):
         row, overflow = eliminate_round(layout, i, config, plan)
         if overflow:
             if config.final_full_round:

@@ -20,14 +20,21 @@ word_bits bits), which works at any size.  With ``ensemble=True`` it is
 the ensemble: exact conditional canonical codes built by enumerating
 every array of the given length, honest only at enumerable sizes.
 
-Decoding replays the recorded footprints through the structure's own
-query generators and fills the untouched cells; a cell that two
-components both carry must read the same in each.  The array is the raw
-cells of the reconstructed memory.  The record is accepted only if
-rebuilding the layout over that array
-(:func:`~rankprobe.structures.layout_from_params`) gives back exactly
-that memory, so stored counters, padding bits and raw cells can never
-disagree.
+Decoding parses the record back into cells: it replays the recorded
+footprints through the structure's own query generators, fills the
+untouched cells from component 6 and reads the array from the raw cells.
+One rule then decides acceptance: the record is valid exactly when
+encoding that array again (the layout rebuilt by
+:func:`~rankprobe.structures.layout_from_params`, with the cells the
+record publishes, the same k, offset and footprint codes) gives back the
+record, component by component.  So no padding bit, counter, duplicate
+copy or trailing bit can disagree with the array it decodes to.
+
+A published state the format cannot carry is refused at encode time:
+a ledger its serialization does not match in length (such as the 1-bit
+floor elimination starts from when there is no redundancy to publish),
+a non-bootstrapped ledger whose length reads as a bootstrap prefix plus
+pairs, or ensemble footprints over a layout with published cells.
 """
 
 from __future__ import annotations
@@ -59,13 +66,15 @@ from .structures import ProbePlan, StructureLayout, layout_from_params, step_fro
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
+COMPONENTS = ("published", "detached_id", "detached_answers", "foot_reference", "foot_detached", "remaining")
+SIZE_EPSILON = 0.05  # detached fraction behind the detached-id yardstick
+MIN_RECORDS = 100  # size accounting refuses smaller batches
 
 
 @dataclass
 class EncodingRecord:
     """Six components plus the chosen offset.  Sizes are bit lengths; the
-    component-sum identity total == sum(sizes) holds by construction and
-    is re-checked on parse."""
+    component-sum identity total == sum(sizes) holds by construction."""
 
     published: BitString
     detached_id: BitString
@@ -77,14 +86,7 @@ class EncodingRecord:
 
     @property
     def components(self) -> tuple:
-        return (
-            self.published,
-            self.detached_id,
-            self.detached_answers,
-            self.foot_reference,
-            self.foot_detached,
-            self.remaining,
-        )
+        return tuple(getattr(self, name) for name in COMPONENTS)
 
     @property
     def sizes(self) -> tuple:
@@ -206,7 +208,7 @@ def _binom_code(m: int) -> CanonicalCode:
     return code
 
 
-def _increment_codes(n: int, bs: int, d: int, blocks: tuple) -> list:
+def _increment_codes(bs: int, d: int, blocks: tuple) -> list:
     """Exact canonical codes for the detached answers, one per increment.
 
     The i-th detached answer minus the previous one is Binomial over the
@@ -241,10 +243,8 @@ class _CellCode:
         out.append_cells(cells, self.w)
 
     def decode_symbol(self, data: BitString, offset: int):
-        count, rest = divmod(data.length - offset, self.w)
-        if rest:
-            raise CorruptEncoding("verbatim footprint not cell-aligned")
-        return tuple(data.read_cells(offset, count, self.w)), data.length
+        count = (data.length - offset) // self.w
+        return tuple(data.read_cells(offset, count, self.w)), offset + count * self.w
 
 
 _ENSEMBLE_CACHE: dict = {}
@@ -254,10 +254,9 @@ def _ensemble_tables(params: dict, k: int, d: int):
     """Exact conditional footprint codes by full enumeration of the arrays
     of the length, each built into the layout `params` describes.
 
-    Returns (codes by condition, detached blocks).  Keyed by structure
-    config; valid because probe addresses are data-independent, so the
-    detached set and footprint lengths are the same for every array of
-    the length."""
+    Returns the codes by condition.  Keyed by structure config; valid
+    because probe addresses are data-independent, so the detached set
+    and footprint lengths are the same for every array of the length."""
     n = params["n"]
     if n > ENSEMBLE_LIMIT:
         raise RefusalError(
@@ -284,21 +283,13 @@ def _ensemble_tables(params: dict, k: int, d: int):
             foot = tuple(cells.values())
             counts[foot] = counts.get(foot, 0) + 1
 
-    tables = (
-        {cond: CanonicalCode.from_weights(w) for cond, w in weights.items()},
-        det_blocks,
-    )
+    tables = {cond: CanonicalCode.from_weights(w) for cond, w in weights.items()}
     _ENSEMBLE_CACHE[key] = tables
     return tables
 
 
-def _footprint_codes(ensemble: bool, params: dict, k: int, d: int, det_blocks: tuple):
-    if not ensemble:
-        return _CellCode(params["word_bits"])
-    codes, expected_blocks = _ensemble_tables(params, k, d)
-    if expected_blocks != det_blocks:
-        raise CorruptEncoding("detached set disagrees with ensemble tables")
-    return codes
+def _footprint_codes(ensemble: bool, params: dict, k: int, d: int):
+    return _ensemble_tables(params, k, d) if ensemble else _CellCode(params["word_bits"])
 
 
 def _write_footprint(codes, cond, cells: dict) -> BitString:
@@ -307,17 +298,28 @@ def _write_footprint(codes, cond, cells: dict) -> BitString:
     return out
 
 
-def _read_footprint(codes, cond, comp: BitString, w: int, name: str) -> Footprint:
-    try:
-        cells, used = codes[cond].decode_symbol(comp, 0)
-    except (KeyError, ValueError) as e:
-        raise CorruptEncoding(str(e)) from None
-    if used != comp.length:
-        raise CorruptEncoding(f"{name} footprint overlong")
+def _read_footprint(codes, cond, comp: BitString, w: int) -> Footprint:
+    cells = codes[cond].decode_symbol(comp, 0)[0]
     return Footprint(cells, len(cells), w)
 
 
 # -- encode ---------------------------------------------------------------
+
+def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
+    """Bits of the bootstrap prefix (the redundancy region's contents in
+    address order, then the zero padding slack) that a published ledger
+    of `ledger_bits` bits starts with: the prefix is there exactly when
+    the length admits it with whole (address, content) pairs after.
+    Returns 0 when it is not."""
+    w = params["word_bits"]
+    cell_count = params["cell_count"]
+    region = cell_count - params.get("abs_base", cell_count)
+    prefix = region * w + params["raw_cells"] * w - params["n"]
+    pair = max(1, (cell_count - 1).bit_length()) + w
+    if prefix and ledger_bits >= prefix and (ledger_bits - prefix) % pair == 0:
+        return prefix
+    return 0
+
 
 def _published_bits(layout: StructureLayout) -> BitString:
     """Canonical serialization of the published ledger.
@@ -325,16 +327,15 @@ def _published_bits(layout: StructureLayout) -> BitString:
     Bootstrap publishing (the redundancy region plus padding slack) is
     laid out as region contents in address order then zero padding;
     anything published later by address arrives as (address, content)
-    pairs.  The bit length always equals the ledger exactly."""
+    pairs.  Raises RefusalError unless the bit length equals the ledger
+    exactly and decoding would read the prefix back as it was written."""
     out = BitString()
     pub = layout.published
     w = layout.memory.word_bits
     if pub.bootstrapped:
         out.append_cells([pub.cells[a] for a in layout.redundancy_region], w)
-        pad = layout.params["raw_cells"] * w - layout.n
-        out.append_bits(0, pad)
-        region = set(layout.redundancy_region)
-        extra = sorted(a for a in pub.cells if a not in region)
+        out.append_bits(0, layout.params["raw_cells"] * w - layout.n)
+        extra = sorted(a for a in pub.cells if a not in layout.redundancy_region)
     else:
         extra = sorted(pub.cells)
     addr_bits = layout.memory.address_bits()
@@ -342,9 +343,9 @@ def _published_bits(layout: StructureLayout) -> BitString:
         out.append_bits(a, addr_bits)
         out.append_bits(pub.cells[a], w)
     if out.length != pub.length:
-        raise CorruptEncoding(
-            f"published ledger {pub.length} bits, serialized {out.length}"
-        )
+        raise RefusalError(f"published ledger {pub.length} bits, serialized {out.length}: a record cannot carry it")
+    if not pub.bootstrapped and _bootstrap_prefix(layout.params, pub.length):
+        raise RefusalError(f"a {pub.length}-bit ledger of pairs reads as a bootstrap prefix: a record cannot carry it")
     return out
 
 
@@ -354,7 +355,9 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     The reference and detached query sets are each simulated once; their
     answers and charged cells feed components 3 to 6.  The footprints are
     stored verbatim unless `ensemble` selects the codes built by
-    enumerating every array of the length."""
+    enumerating every array of the length; those tables know only
+    layouts with nothing published, so a layout with published cells is
+    refused.  So is a published ledger the record cannot carry."""
     n = layout.n
     blocks = QueryBlocks(n, k)
     bs = blocks.block_size
@@ -362,6 +365,8 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
         d = choose_offset(layout, k)
     if not 0 < d < bs:
         raise ValueError(f"offset {d} outside (0, {bs})")
+    if ensemble and layout.published.cells:
+        raise RefusalError("ensemble tables enumerate layouts with no published cells")
 
     det, (ref_answers, ref_cells), (det_answers, det_cells) = _simulate_sets(layout, blocks, d)
     det_blocks = tuple(q // bs for q in det)
@@ -372,13 +377,13 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     comp2.append_bits(idx, subset_index_bits(k, len(det_blocks)))
 
     comp3 = BitString()
-    codes = _increment_codes(n, bs, d, det_blocks)
+    codes = _increment_codes(bs, d, det_blocks)
     prev = 0
     for code, ans in zip(codes, det_answers):
         code.encode_symbol(comp3, ans - prev)
         prev = ans
 
-    foot = _footprint_codes(ensemble, layout.params, k, d, det_blocks)
+    foot = _footprint_codes(ensemble, layout.params, k, d)
     w = layout.memory.word_bits
     comp6 = BitString()
     comp6.append_cells([c for a, c in enumerate(layout.memory.cells) if a not in ref_cells and a not in det_cells], w)
@@ -399,144 +404,77 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
 def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False) -> BitArray:
     """Rebuild the array from a record plus the structure config.
 
-    Pass the `ensemble` flag the record was encoded with.  The reference
-    footprint is read and replayed before the detached one, whose
-    ensemble code is conditioned on the reference answers.  Raises
-    CorruptEncoding unless the record is exactly the encoding of the
-    array it decodes to."""
+    Pass the `ensemble` flag the record was encoded with.  Parsing reads
+    the published ledger, the detached set and answers, replays the
+    reference footprint and then the detached one (whose ensemble code
+    is conditioned on the reference answers), and reads component 6 for
+    the cells neither replay charged, published ones included.  The
+    array is the raw cells.  Raises CorruptEncoding unless encoding that
+    array again, with the cells the record publishes, gives back every
+    component of the record."""
     n = params["n"]
     w = params["word_bits"]
     cell_count = params["cell_count"]
     step = step_from_params(params)
     blocks = QueryBlocks(n, k)
-    bs = blocks.block_size
     d = record.offset
-    if not 0 < d < bs:
-        raise CorruptEncoding(f"offset {d} outside (0, {bs})")
+    if not 0 < d < blocks.block_size:
+        raise CorruptEncoding(f"offset {d} outside (0, {blocks.block_size})")
+    foot = _footprint_codes(ensemble, params, k, d)
 
-    # component 1: published ledger.  A bootstrap prefix (region contents
-    # in address order plus zero padding slack) is present exactly when
-    # the length admits it with (address, content) pairs after; a fresh
-    # layout has an empty ledger and parses trivially.
-    published = PublishedBits()
-    comp1 = record.published
-    pos = 0
-    region = range(params.get("abs_base", cell_count), cell_count)
-    addr_bits = max(1, (cell_count - 1).bit_length())
-    pad = params["raw_cells"] * w - n
-    boot_bits = len(region) * w + pad
-    if (
-        boot_bits
-        and comp1.length >= boot_bits
-        and (comp1.length - boot_bits) % (addr_bits + w) == 0
-    ):
-        published.cells.update(zip(region, comp1.read_cells(0, len(region), w)))
-        pos = len(region) * w
-        if comp1.read_bits(pos, pad):
-            raise CorruptEncoding("padding slack bits not zero")
-        pos += pad
-        published.bootstrapped = True
-    if (comp1.length - pos) % (addr_bits + w):
-        raise CorruptEncoding("published ledger has a partial entry")
-    # pairs come in increasing address order, outside a bootstrapped region
-    end = region.start if published.bootstrapped else cell_count
-    prev = -1
-    while pos < comp1.length:
-        a = comp1.read_bits(pos, addr_bits)
-        pos += addr_bits
-        if a >= end:
-            raise CorruptEncoding("published address out of range")
-        if a <= prev:
-            raise CorruptEncoding("published addresses not increasing")
-        prev = a
-        published.cells[a] = comp1.read_bits(pos, w)
-        pos += w
-    published.length = comp1.length
-
-    # component 2: detached set identity
-    comp2 = record.detached_id
-    hdr = subset_header_bits(k)
-    if comp2.length < hdr:
-        raise CorruptEncoding("detached-id header truncated")
-    j = comp2.read_bits(0, hdr)
-    if j > k:
-        raise CorruptEncoding("detached set larger than block count")
-    idx_bits = subset_index_bits(k, j)
-    if comp2.length != hdr + idx_bits:
-        raise CorruptEncoding("detached-id length mismatch")
     try:
-        det_blocks = subset_unrank(k, j, comp2.read_bits(hdr, idx_bits))
-    except ValueError as e:
-        raise CorruptEncoding(str(e)) from None
-    det = [b * bs + d for b in det_blocks]
+        # component 1: published ledger, a bootstrap prefix (region
+        # contents, then padding slack) and (address, content) pairs
+        comp1 = record.published
+        prefix = _bootstrap_prefix(params, comp1.length)
+        region = range(params.get("abs_base", cell_count), cell_count) if prefix else range(0)
+        published = PublishedBits(comp1.length, dict(zip(region, comp1.read_cells(0, len(region), w))), bool(prefix))
+        addr_bits = max(1, (cell_count - 1).bit_length())
+        for pos in range(prefix, comp1.length, addr_bits + w):
+            a = comp1.read_bits(pos, addr_bits)
+            if a >= cell_count:
+                raise CorruptEncoding("published address out of range")
+            published.cells[a] = comp1.read_bits(pos + addr_bits, w)
 
-    # component 3: detached answers
-    comp3 = record.detached_answers
-    codes = _increment_codes(n, bs, d, det_blocks)
-    pos = 0
-    det_answers = []
-    prev = 0
-    try:
-        for code in codes:
-            inc, pos = code.decode_symbol(comp3, pos)
+        # component 2: detached set identity
+        hdr = subset_header_bits(k)
+        j = record.detached_id.read_bits(0, hdr)
+        det_blocks = subset_unrank(k, j, record.detached_id.read_bits(hdr, subset_index_bits(k, j)))
+
+        # component 3: detached answers, one increment code per block
+        pos = prev = 0
+        det_answers = []
+        for code in _increment_codes(blocks.block_size, d, det_blocks):
+            inc, pos = code.decode_symbol(record.detached_answers, pos)
             prev += inc
             det_answers.append(prev)
-    except ValueError as e:
+        det_answers = tuple(det_answers)
+
+        # components 4 and 5: footprints, the reference set first
+        f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w)
+        ref_answers, seen_ref = replay_from_footprint(step, blocks.offset_queries(0), f_ref, published)
+        ref_cond = (det_answers, tuple(ref_answers.values()))
+        f_det = _read_footprint(foot, ref_cond, record.foot_detached, w)
+        det = [b * blocks.block_size + d for b in det_blocks]
+        seen_det = replay_from_footprint(step, det, f_det, published)[1]
+
+        # component 6: every cell neither replay charged.  The replays
+        # read published cells free, so those are carried here as well.
+        rest = [a for a in range(cell_count) if a in published.cells or not (a in seen_ref or a in seen_det)]
+        cells = {**seen_ref, **seen_det, **dict(zip(rest, record.remaining.read_cells(0, len(rest), w)))}
+        raw = [cells[a] for a in range(params["raw_cells"])]
+        array = BitArray.from_bits(np.unpackbits(np.frombuffer(cells_to_bytes(raw, w), dtype=np.uint8), count=n, bitorder="little"))
+
+        # the one acceptance rule: the record is the array's encoding
+        rebuilt = layout_from_params(array, params)
+        rebuilt.published = PublishedBits(comp1.length, {a: rebuilt.memory.cells[a] for a in published.cells}, published.bootstrapped)
+        again = encode(rebuilt, k, d, ensemble)
+    except (ValueError, KeyError, CorruptFootprint, RefusalError) as e:
         raise CorruptEncoding(str(e)) from None
-    if pos != comp3.length:
-        raise CorruptEncoding("detached answers overlong")
-    det_answers = tuple(det_answers)
-
-    # components 4 and 5: footprints, the reference set first
-    foot = _footprint_codes(ensemble, params, k, d, det_blocks)
-    ref_q = blocks.offset_queries(0)
-    f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w, "reference")
-    ref_answers, seen_ref = _replay(step, ref_q, f_ref, published)
-    ref_cond = (det_answers, tuple(ref_answers.values()))
-    f_det = _read_footprint(foot, ref_cond, record.foot_detached, w, "detached")
-    det_replay, seen_det = _replay(step, det, f_det, published)
-
-    for q, ans in zip(det, det_answers):
-        if det_replay[q] != ans:
-            raise CorruptEncoding(
-                f"replayed answer {det_replay[q]} != recorded {ans} at query {q}"
-            )
-
-    # component 6: everything probed by neither query set.  The encoder's
-    # probe union counts charged probes only, so published cells that were
-    # read for free are carried here as well; where comp1 already revealed
-    # them the two copies must agree.
-    recovered = {a for a in seen_ref if a not in published.cells}
-    recovered.update(a for a in seen_det if a not in published.cells)
-    cells = dict(published.cells)
-    cells.update(seen_ref)
-    for a, val in seen_det.items():
-        if cells.setdefault(a, val) != val:
-            raise CorruptEncoding(f"cell {a} disagrees between the footprints")
-    comp6 = record.remaining
-    rest = [a for a in range(cell_count) if a not in recovered]
-    if len(rest) * w > comp6.length:
-        raise CorruptEncoding("remaining-cells component truncated")
-    if len(rest) * w < comp6.length:
-        raise CorruptEncoding("remaining-cells component overlong")
-    for a, val in zip(rest, comp6.read_cells(0, len(rest), w)):
-        if cells.get(a, val) != val:
-            raise CorruptEncoding(f"cell {a} disagrees with published copy")
-        cells[a] = val
-
-    memory = [cells[a] for a in range(cell_count)]
-    raw = np.frombuffer(cells_to_bytes(memory[: params["raw_cells"]], w), dtype=np.uint8)
-    array = BitArray.from_bits(np.unpackbits(raw, count=n, bitorder="little"))
-    if layout_from_params(array, params).memory.cells != memory:
-        raise CorruptEncoding("memory is not the layout of its own raw cells")
+    for name, ours, theirs in zip(COMPONENTS, again.components, record.components):
+        if ours != theirs:
+            raise CorruptEncoding(f"{name} is not the encoding of the decoded array")
     return array
-
-
-def _replay(step, queries, footprint: Footprint, published: PublishedBits):
-    try:
-        return replay_from_footprint(step, queries, footprint, published)
-    except CorruptFootprint as e:
-        raise CorruptEncoding(str(e)) from None
 
 
 # -- size accounting ------------------------------------------------------
@@ -556,13 +494,11 @@ class SizeAccounting:
     modal_offset: int
 
 
-def size_accounting(records: list, n: int, k: int, epsilon: float = 0.05, min_records: int = 100) -> SizeAccounting:
+def size_accounting(records: list, n: int, k: int) -> SizeAccounting:
     """Summarize a batch of records.  Refuses small samples: means over a
     handful of records would dress noise up as measurement."""
-    if len(records) < min_records:
-        raise RefusalError(
-            f"need at least {min_records} records, got {len(records)}"
-        )
+    if len(records) < MIN_RECORDS:
+        raise RefusalError(f"need at least {MIN_RECORDS} records, got {len(records)}")
     from .entropy import analytic_deficit
 
     sums = [0] * 6
@@ -573,7 +509,7 @@ def size_accounting(records: list, n: int, k: int, epsilon: float = 0.05, min_re
     mean_sizes = tuple(s / m for s in sums)
     offsets = sorted(r.offset for r in records)
     modal = max(set(offsets), key=offsets.count)
-    j = max(1, math.ceil(epsilon * k))
+    j = max(1, math.ceil(SIZE_EPSILON * k))
     ref_bits = math.log2(math.comb(k, j)) if j <= k else 0.0
     ref_bits += subset_header_bits(k)
     deficit = analytic_deficit(n, k, modal).deficit if n // k > modal > 0 else 0.0

@@ -39,6 +39,7 @@ from .errors import SimulationFault
 from .model import CellMemory, ProbeTrace, PublishedBits, run_query
 
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
+STATS_SAMPLE = 4096  # queries structure_stats and run_elimination sample past that
 
 
 @dataclass
@@ -431,11 +432,11 @@ def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, n, size=sample)
 
 
-def structure_stats(layout: StructureLayout, sample: int = 4096, seed: int = 0) -> StructureStats:
+def structure_stats(layout: StructureLayout, seed: int = 0) -> StructureStats:
     """Measured probe statistics over :func:`sample_queries`."""
     if layout.n < 1:
         raise ValueError("probe statistics need n >= 1")
-    probes = ProbePlan(layout.params, sample_queries(layout.n, sample, seed)).charged(layout.published_mask())
+    probes = ProbePlan(layout.params, sample_queries(layout.n, STATS_SAMPLE, seed)).charged(layout.published_mask())
     return StructureStats(
         redundancy_bits=layout.redundancy_bits,
         worst_probes=int(probes.max()),

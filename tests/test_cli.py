@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,47 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# sha256 of stdout (csv, json) for the README examples at small n
+STDOUT_PINS = {
+    ("build", "--n", "4096", "--structure", "recursive", "--t", "3"): (
+        "327c5e91b23af5b5a4e85ce5e30c33cdf159f3d962c194ef75f3d7fc38627d2c",
+        "5d9ce6bba546ebc58b3d6d0e545928e68cc60fe5f388cfcf98e030b562e04766",
+    ),
+    ("query", "--n", "4096", "--k", "2048", "--structure", "two_level"): (
+        "96cb07be14946465ba462c1a0d81d0fd3087af70190c4500c6e0529be917bf06",
+        "a32c115a8ddb3342edb045b6a35cb23a41285b2c56147aab83889db817677a65",
+    ),
+    ("stats", "--n", "4096", "--structure", "recursive", "--t", "2"): (
+        "48aa2ff2b30a306eb9583bb1e1f6644478412765550b03be16452d3279b6b152",
+        "5bfc05aef337635ff413ec0ff3e916b543eb08bd986d8b5895616882738280ef",
+    ),
+    ("entropy", "--n", "16", "--k", "4", "--delta", "2"): (
+        "9ab564032ff5e03949fe40fd8f358d7e201a35182b4d2896e39cd120024e1a49",
+        "47304bdd2dddab70e35707a3c4cfcf0dae4f7621d23460ed753ffcaa40a75abc",
+    ),
+    ("encode", "--n", "4096", "--k", "4", "--delta", "512"): (
+        "42227ee43221bbd3ade0b7bd29ec7a7313bca5d73548eda95a216109039073f2",
+        "aafc9c53d5fc24f54216f4377e0286eb383a9ed143484cff8ba9e1c265706c93",
+    ),
+    ("eliminate", "--n", "64", "--structure", "naive"): (
+        "a616068caf8841659124fb8032d03caa5af1e47d27b5c8dd88fd8b9f910926a3",
+        "fb3d6ab0df728b557a7faaafdf6720003981d27ba417da51db42758aebb1106b",
+    ),
+    ("tradeoff", "--n", "4096"): (
+        "4dfa0e82dad94920d417204f5636bfc1c69b41987244e67ecd1ba1af4e541a74",
+        "010aef722e1a507cce173f729b041b4f87ff3c67ca18fb2b95624153c9e09a23",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(STDOUT_PINS), ids=lambda argv: argv[0])
+def test_stdout_pinned(capsys, argv, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[argv][fmt == "json"]
 
 
 def test_build_csv(capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankprobe import encoding
 from rankprobe.bits import BitArray, BitString
 from rankprobe.encoding import (
     EncodingRecord,
@@ -17,6 +18,7 @@ from rankprobe.encoding import (
     size_accounting,
 )
 from rankprobe.encoding import _simulate_sets
+from rankprobe.elimination import run_elimination
 from rankprobe.errors import RefusalError
 from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query, simulate_set
 from rankprobe.structures import build_naive, build_recursive, build_two_level, layout_from_params
@@ -339,6 +341,31 @@ def test_rpe1_mutations_rejected_or_canonical(case, kind, at, byte):
     assert_canonical_or_rejected(layout, k, ensemble, blob)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 300]),
+    kind=st.sampled_from(["flip", "truncate", "insert"]),
+    at=st.floats(0, 1, exclude_max=True),
+    byte=st.sampled_from([0x00, 0x01, 0x80, 0xFF]),
+)
+def test_rpl1_mutations_rejected_or_canonical(n, kind, at, byte):
+    # the .rpl1 reader either refuses a mutated file or reads an array
+    # that writes back to exactly the same bytes
+    blob = BitArray.random(n, np.random.default_rng(n)).to_rpl1()
+    if kind == "flip":
+        blob = flip_bit(blob, int(at * 8 * len(blob)))
+    elif kind == "truncate":
+        blob = blob[: int(at * len(blob))]
+    else:
+        cut = int(at * (len(blob) + 1))
+        blob = blob[:cut] + bytes([byte]) + blob[cut:]
+    try:
+        array = BitArray.from_rpl1(blob)
+    except ValueError:
+        return
+    assert array.to_rpl1() == blob
+
+
 def component_bit(rec, index, bit):
     """Position in the .rpe1 bytes, in bits, of bit `bit` of component `index`."""
     start = 4 + sum(8 + (c.length + 7) // 8 for c in rec.components[:index]) + 8
@@ -390,6 +417,42 @@ def test_ensemble_refuses_large_n():
     layout = build_two_level(a)
     with pytest.raises(RefusalError):
         encode(layout, 4, d=2, ensemble=True)
+
+
+def test_encode_refuses_ledger_read_as_bootstrap_prefix():
+    # four pairs of 68 bits are exactly the 272-bit bootstrap prefix of
+    # this geometry (4 counter cells plus 16 bits of padding slack), so
+    # decode could not tell the ledger from a bootstrapped one
+    array = BitArray.random(624, np.random.default_rng(0))
+    layout = build_two_level(array)
+    layout.published.publish_cells(layout.memory, [0, 1, 2])
+    assert decode(encode(layout, 4, 1), layout.params, 4) == array
+    layout.published.publish_cells(layout.memory, [3])
+    assert layout.published.length == 272 == layout.redundancy_bits
+    with pytest.raises(RefusalError):
+        encode(layout, 4, 1)
+
+
+def test_encode_refuses_floor_bit():
+    # a naive layout without padding has nothing to bootstrap, so
+    # elimination starts its ledger from a 1-bit floor tied to no cell
+    layout = build_naive(BitArray.random(64, np.random.default_rng(0)))
+    run_elimination(layout)
+    assert layout.published.length == 1 + 65 * len(layout.published.cells)
+    with pytest.raises(RefusalError):
+        encode(layout, 4, 1)
+
+
+def test_ensemble_refuses_published_layout(monkeypatch):
+    layout = build_two_level(BitArray.from_int(12, 0b101100111010))
+    layout.publish_redundancy()
+
+    def no_tables(*args):
+        raise AssertionError("tables built for a refused layout")
+
+    monkeypatch.setattr(encoding, "_ensemble_tables", no_tables)
+    with pytest.raises(RefusalError):
+        encode(layout, 3, 2, ensemble=True)
 
 
 def test_size_accounting():
