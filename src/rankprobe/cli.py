@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .bits import BitArray
 from .encoding import COMPONENTS, decode, encode
 from .entropy import ENUM_LIMIT, LabConfig, analytic_deficit, brute_force_deficit
-from .elimination import run_elimination
+from .elimination import EliminationRow, run_elimination
 from .errors import CorruptEncoding, LabError
 from .structures import (
     build_naive,
@@ -69,14 +70,40 @@ def _array(args):
     return BitArray.random(args.n, np.random.default_rng(args.seed))
 
 
-def _emit(args, lines_csv, obj_json):
+def _rounded(value, digits):
+    if isinstance(value, float):
+        return round(value, digits)
+    if isinstance(value, dict):
+        return {key: _rounded(v, digits) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v, digits) for v in value]
+    return value
+
+
+def _field(value, digits):
+    if isinstance(value, float):
+        return f"{value:.{digits}f}"
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return str(value)
+
+
+def _emit(args, obj, columns, rows, head=None, digits=6):
+    """Render one report, to `--out` when given and to stdout otherwise.
+
+    JSON is `obj` plus the command and seed, every float rounded to
+    `digits` places.  CSV is a comment line (`head`, or the command and
+    seed), the column line, and `columns` read from each mapping in
+    `rows`: floats to `digits` places, lists space-joined."""
     if args.format == "json":
-        text = json.dumps(obj_json, sort_keys=True, indent=2) + "\n"
+        report = {"command": args.cmd, "seed": args.seed, **obj}
+        text = json.dumps(_rounded(report, digits), sort_keys=True, indent=2) + "\n"
     else:
-        text = "\n".join(lines_csv) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+        lines = [head or f"# rankprobe {args.cmd} seed={args.seed}", ",".join(columns)]
+        lines += [",".join(_field(row[c], digits) for c in columns) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -87,16 +114,7 @@ def _cmd_build(args):
     layout = _build_layout(args, array)
     if args.out:
         array.write_rpl1(args.out)
-    header = f"# rankprobe build seed={args.seed}"
-    rows = [
-        header,
-        "structure,n,word_bits,cells,redundancy_bits,worst_probes",
-        f"{layout.kind},{layout.n},{layout.memory.word_bits},"
-        f"{layout.memory.cell_count},{layout.redundancy_bits},{layout.worst_probes}",
-    ]
     obj = {
-        "command": "build",
-        "seed": args.seed,
         "structure": layout.kind,
         "n": layout.n,
         "word_bits": layout.memory.word_bits,
@@ -106,53 +124,29 @@ def _cmd_build(args):
         "array_file": args.out or None,
     }
     args.out = None  # the array file is the payload; summary to stdout
-    _emit(args, rows, obj)
-    return None
+    _emit(args, obj, ("structure", "n", "word_bits", "cells", "redundancy_bits", "worst_probes"), [obj])
 
 
 def _cmd_query(args):
     if args.k is None:
         raise ValueError("query needs --k (the rank position)")
-    array = _array(args)
-    layout = _build_layout(args, array)
-    tr = rank(layout, args.k)
-    rows = [
-        f"# rankprobe query seed={args.seed}",
-        "position,answer,probes,addresses",
-        f"{args.k},{tr.answer},{len(tr.steps)},{' '.join(str(a) for a in tr.addresses)}",
-    ]
+    tr = rank(_build_layout(args, _array(args)), args.k)
     obj = {
-        "command": "query",
-        "seed": args.seed,
         "position": args.k,
         "answer": tr.answer,
         "probes": len(tr.steps),
         "addresses": list(tr.addresses),
     }
-    _emit(args, rows, obj)
-    return None
+    _emit(args, obj, ("position", "answer", "probes", "addresses"), [obj])
 
 
 def _cmd_stats(args):
-    array = _array(args)
-    layout = _build_layout(args, array)
-    st = structure_stats(layout, seed=args.seed)
-    rows = [
-        f"# rankprobe stats seed={args.seed}",
-        "structure,n,redundancy_bits,worst_probes,avg_probes",
-        f"{layout.kind},{layout.n},{st.redundancy_bits},{st.worst_probes},{st.avg_probes:.6f}",
-    ]
-    obj = {
-        "command": "stats",
-        "seed": args.seed,
-        "structure": layout.kind,
-        "n": layout.n,
-        "redundancy_bits": st.redundancy_bits,
-        "worst_probes": st.worst_probes,
-        "avg_probes": round(st.avg_probes, 6),
-    }
-    _emit(args, rows, obj)
-    return None
+    layout = _build_layout(args, _array(args))
+    obj = {"structure": layout.kind, "n": layout.n, **asdict(structure_stats(layout, seed=args.seed))}
+    _emit(args, obj, ("structure", "n", "redundancy_bits", "worst_probes", "avg_probes"), [obj])
+
+
+ENTROPIES = ("reference_entropy", "offset_entropy", "joint_entropy", "deficit")
 
 
 def _cmd_entropy(args):
@@ -161,41 +155,15 @@ def _cmd_entropy(args):
     n, k = args.n, args.k
     bs = n // k if k else 0
     d = args.delta if args.delta is not None else max(1, bs // 2)
-    rep = analytic_deficit(n, k, d)
-    rows = [
-        f"# rankprobe entropy seed={args.seed}",
-        "route,n,k,delta,reference_entropy,offset_entropy,joint_entropy,deficit",
-        f"analytic,{n},{k},{d},{rep.reference_entropy:.9f},{rep.offset_entropy:.9f},"
-        f"{rep.joint_entropy:.9f},{rep.deficit:.9f}",
-    ]
-    obj = {
-        "command": "entropy",
-        "seed": args.seed,
-        "n": n,
-        "k": k,
-        "delta": d,
-        "analytic": {
-            "reference_entropy": round(rep.reference_entropy, 9),
-            "offset_entropy": round(rep.offset_entropy, 9),
-            "joint_entropy": round(rep.joint_entropy, 9),
-            "deficit": round(rep.deficit, 9),
-            "per_block": [round(x, 9) for x in rep.per_block_deficits],
-        },
-    }
+    reports = {"analytic": analytic_deficit(n, k, d)}
     if n <= ENUM_LIMIT:
-        bf = brute_force_deficit(n, k, d)
-        rows.append(
-            f"brute_force,{n},{k},{d},{bf.reference_entropy:.9f},{bf.offset_entropy:.9f},"
-            f"{bf.joint_entropy:.9f},{bf.deficit:.9f}"
-        )
-        obj["brute_force"] = {
-            "reference_entropy": round(bf.reference_entropy, 9),
-            "offset_entropy": round(bf.offset_entropy, 9),
-            "joint_entropy": round(bf.joint_entropy, 9),
-            "deficit": round(bf.deficit, 9),
-        }
-    _emit(args, rows, obj)
-    return None
+        reports["brute_force"] = brute_force_deficit(n, k, d)
+    obj = {"n": n, "k": k, "delta": d}
+    for route, rep in reports.items():
+        obj[route] = {name: getattr(rep, name) for name in ENTROPIES}
+    obj["analytic"]["per_block"] = list(reports["analytic"].per_block_deficits)
+    rows = [{"route": route, **obj, **obj[route]} for route in reports]
+    _emit(args, obj, ("route", "n", "k", "delta", *ENTROPIES), rows, digits=9)
 
 
 def _cmd_encode(args):
@@ -210,17 +178,7 @@ def _cmd_encode(args):
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(rec.to_rpe1())
-    rows = [
-        f"# rankprobe encode seed={args.seed}",
-        "component,bits",
-        *[f"{name},{size}" for name, size in zip(COMPONENTS, rec.sizes)],
-        f"total,{rec.total_bits}",
-        f"offset,{rec.offset}",
-        "decode_identity,ok",
-    ]
     obj = {
-        "command": "encode",
-        "seed": args.seed,
         "n": layout.n,
         "k": args.k,
         "offset": rec.offset,
@@ -229,39 +187,24 @@ def _cmd_encode(args):
         "decode_identity": "ok",
         "record_file": args.out or None,
     }
-    if args.out:
-        args.out = None  # record already written; summary goes to stdout
-    _emit(args, rows, obj)
-    return None
+    args.out = None  # record already written; summary goes to stdout
+    entries = [*obj["sizes"].items(), ("total", rec.total_bits), ("offset", rec.offset), ("decode_identity", "ok")]
+    _emit(args, obj, ("component", "bits"), [{"component": c, "bits": b} for c, b in entries])
 
 
 def _cmd_eliminate(args):
-    array = _array(args)
-    layout = _build_layout(args, array)
-    config = LabConfig(rng_seed=args.seed)
-    traj = run_elimination(layout, config)
+    layout = _build_layout(args, _array(args))
+    traj = run_elimination(layout, LabConfig(rng_seed=args.seed))
+    rows = [asdict(r) for r in traj.rows]
     obj = {
-        "command": "eliminate",
-        "seed": args.seed,
         "structure": traj.structure,
         "n": traj.n,
         "gamma": traj.gamma,
         "status": traj.status,
-        "rows": [
-            {
-                "round": r.round,
-                "published_bits": r.published_bits,
-                "block_count": r.block_count,
-                "overlap_prob": round(r.overlap_prob, 6),
-                "avg_probes_before": round(r.avg_probes_before, 6),
-                "avg_probes_after": round(r.avg_probes_after, 6),
-                "published_cells": r.published_cells,
-            }
-            for r in traj.rows
-        ],
+        "rows": rows,
     }
-    _emit(args, traj.to_csv().splitlines(), obj)
-    return None
+    head = f"# structure={traj.structure} n={traj.n} gamma={traj.gamma} seed={traj.seed} status={traj.status}"
+    _emit(args, obj, [f.name for f in fields(EliminationRow)], rows, head)
 
 
 def _cmd_tradeoff(args):
@@ -269,26 +212,12 @@ def _cmd_tradeoff(args):
         raise ValueError("stage must be >= 1")
     array = _array(args)
     top = max_stage(args.n) if args.t is None else min(args.t, max_stage(args.n))
-    rows = [
-        f"# rankprobe tradeoff seed={args.seed}",
-        "stage,redundancy_bits,worst_probes,avg_probes",
+    stages = [
+        {"stage": t, **asdict(structure_stats(build_recursive(array, t, args.w), seed=args.seed))}
+        for t in range(1, top + 1)
     ]
-    entries = []
-    for t in range(1, top + 1):
-        layout = build_recursive(array, t, args.w)
-        st = structure_stats(layout, seed=args.seed)
-        rows.append(f"{t},{st.redundancy_bits},{st.worst_probes},{st.avg_probes:.6f}")
-        entries.append(
-            {
-                "stage": t,
-                "redundancy_bits": st.redundancy_bits,
-                "worst_probes": st.worst_probes,
-                "avg_probes": round(st.avg_probes, 6),
-            }
-        )
-    obj = {"command": "tradeoff", "seed": args.seed, "n": args.n, "stages": entries}
-    _emit(args, rows, obj)
-    return None
+    columns = ("stage", "redundancy_bits", "worst_probes", "avg_probes")
+    _emit(args, {"n": args.n, "stages": stages}, columns, stages)
 
 
 def main(argv=None) -> int:

@@ -17,7 +17,6 @@ round cap.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -45,22 +44,10 @@ class EliminationRow:
 class EliminationTrajectory:
     structure: str
     n: int
-    word_bits: int
     gamma: float
     seed: int
     status: str = "running"
     rows: list = field(default_factory=list)
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# structure={self.structure} n={self.n} gamma={self.gamma} seed={self.seed} status={self.status}\n")
-        out.write("round,published_bits,block_count,overlap_prob,avg_probes_before,avg_probes_after,published_cells\n")
-        for r in self.rows:
-            out.write(
-                f"{r.round},{r.published_bits},{r.block_count},{r.overlap_prob:.6f},"
-                f"{r.avg_probes_before:.6f},{r.avg_probes_after:.6f},{r.published_cells}\n"
-            )
-        return out.getvalue()
 
 
 def _mean(values: np.ndarray) -> float:
@@ -108,7 +95,6 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
     traj = EliminationTrajectory(
         structure=layout.kind,
         n=n,
-        word_bits=layout.memory.word_bits,
         gamma=config.gamma,
         seed=config.rng_seed,
     )

@@ -313,8 +313,7 @@ def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
     Returns 0 when it is not."""
     w = params["word_bits"]
     cell_count = params["cell_count"]
-    region = cell_count - params.get("abs_base", cell_count)
-    prefix = region * w + params["raw_cells"] * w - params["n"]
+    prefix = cell_count * w - params["n"]  # the layout's redundancy bits
     pair = max(1, (cell_count - 1).bit_length()) + w
     if prefix and ledger_bits >= prefix and (ledger_bits - prefix) % pair == 0:
         return prefix
@@ -427,7 +426,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         # contents, then padding slack) and (address, content) pairs
         comp1 = record.published
         prefix = _bootstrap_prefix(params, comp1.length)
-        region = range(params.get("abs_base", cell_count), cell_count) if prefix else range(0)
+        region = range(params["raw_cells"], cell_count) if prefix else range(0)
         published = PublishedBits(comp1.length, dict(zip(region, comp1.read_cells(0, len(region), w))), bool(prefix))
         addr_bits = max(1, (cell_count - 1).bit_length())
         for pos in range(prefix, comp1.length, addr_bits + w):

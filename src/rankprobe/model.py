@@ -66,8 +66,11 @@ class PublishedBits:
 
     `length` is the authoritative published-bit count.  `cells` maps the
     addresses whose contents the published bits reveal; probing those is
-    free.  `extra_bits` counts published bits not tied to a whole cell
-    (e.g. padding slack), kept only so the ledger stays exact.
+    free.  Bits tied to no cell (padding slack, the elimination floor)
+    enter `length` only through `publish_raw`, which keeps their count
+    and nothing else.  A bootstrapped ledger implies its padding slack,
+    but nothing implies the 1-bit floor, which is why `encode` refuses a
+    ledger carrying it.
     """
 
     length: int = 0

@@ -54,7 +54,6 @@ class StructureLayout:
 
     memory: CellMemory
     published: PublishedBits
-    redundancy_region: range
     params: dict
     step: callable
 
@@ -73,6 +72,10 @@ class StructureLayout:
     @property
     def worst_probes(self) -> int:
         return self.params["worst_probes"]
+
+    @property
+    def redundancy_region(self) -> range:
+        return range(self.params["raw_cells"], self.params["cell_count"])
 
     def published_mask(self) -> np.ndarray:
         """Boolean mask over the cells: True where a published cell reads free."""
@@ -150,7 +153,6 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     cells += abs_vals.tolist()
     cells += _slot_cells(rel_entries, width, per, w)
 
-    abs_base = raw_cells
     rel_base = raw_cells + n_abs
     total = rel_base + rel_cells
     memory = CellMemory(w, cells)
@@ -168,7 +170,6 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
         "width": width,
         "per_cell": per,
         "raw_cells": raw_cells,
-        "abs_base": abs_base,
         "rel_base": rel_base,
         "rel_entry_count": len(rel_entries),
         "cell_count": total,
@@ -180,7 +181,6 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     return StructureLayout(
         memory=memory,
         published=PublishedBits(),
-        redundancy_region=range(abs_base, total),
         params=params,
         step=step_from_params(params),
     )
@@ -198,7 +198,7 @@ def _counter_geometry(params: dict):
     block = params["block"]
     ratio = params["ratio"]
     per = params["per_cell"]
-    abs_base = params["abs_base"]
+    abs_base = params["raw_cells"]  # the absolute counters follow the raw cells
     rel_base = params["rel_base"]
     w = params["word_bits"]
 
@@ -354,7 +354,6 @@ def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
     return StructureLayout(
         memory=memory,
         published=PublishedBits(),
-        redundancy_region=range(raw_cells, raw_cells),
         params=params,
         step=step_from_params(params),
     )
@@ -365,16 +364,9 @@ def build_two_level(array: BitArray, superblock: int = 512, block: int = 64, wor
     return _counter_layout(array, superblock, block, word_bits, "two_level")
 
 
-def _stage_params(n: int, t: int):
-    if t < 1:
-        raise ValueError("stage must be >= 1")
-    ceiling = 1 << max(6, (max(n, 2) - 1).bit_length())
-    block = min(1 << (2 * t + 4), ceiling)
-    return 8 * block, block
-
-
 def max_stage(n: int) -> int:
-    """Deepest stage whose scan block is not clamped by the array size."""
+    """Deepest stage whose scan block fits in the array size rounded up to
+    a power of two (at least 64 bits)."""
     ceiling = 1 << max(6, (max(n, 2) - 1).bit_length())
     t = 1
     while 1 << (2 * (t + 1) + 4) <= ceiling:
@@ -389,14 +381,13 @@ def build_recursive(array: BitArray, t: int, word_bits: int = 64) -> StructureLa
     2 + BB / word_bits.  Stages past max_stage(n) are rejected rather than
     silently clamped, so redundancy stays strictly decreasing in t.
     """
-    if t > max_stage(array.n):
-        raise ValueError(
-            f"stage {t} too deep for n={array.n} (max {max_stage(array.n)})"
-        )
-    superblock, block = _stage_params(array.n, t)
-    return _counter_layout(
-        array, superblock, block, word_bits, "recursive", {"stage": t}
-    )
+    if t < 1:
+        raise ValueError("stage must be >= 1")
+    top = max_stage(array.n)
+    if t > top:
+        raise ValueError(f"stage {t} too deep for n={array.n} (max {top})")
+    block = 1 << (2 * t + 4)
+    return _counter_layout(array, 8 * block, block, word_bits, "recursive", {"stage": t})
 
 
 def layout_from_params(array: BitArray, params: dict) -> StructureLayout:

@@ -9,7 +9,9 @@ import pytest
 from rankprobe.bits import BitArray
 from rankprobe import cli
 from rankprobe.cli import main
+from rankprobe.elimination import run_elimination
 from rankprobe.encoding import EncodingRecord, decode
+from rankprobe.entropy import LabConfig
 from rankprobe.errors import CorruptEncoding, CorruptFootprint, RefusalError, SimulationFault
 from rankprobe.structures import build_recursive, build_two_level, max_stage
 
@@ -59,6 +61,32 @@ def test_stdout_pinned(capsys, argv, fmt):
     code, out, err = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[argv][fmt == "json"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(STDOUT_PINS), ids=lambda argv: argv[0])
+def test_out_file(tmp_path, capsys, argv, fmt):
+    # a report goes to the file instead of stdout; build and encode write
+    # their payload there and keep the summary on stdout, naming the file
+    path = tmp_path / "out"
+    _, want, _ = run_cli(capsys, *argv, "--format", fmt)
+    code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+    assert code == 0 and err == ""
+    if argv[0] not in ("build", "encode"):
+        assert out == "" and path.read_bytes() == want.encode()
+        return
+    array = BitArray.random(4096, np.random.default_rng(0))
+    if argv[0] == "build":
+        assert BitArray.read_rpl1(str(path)) == array
+    else:
+        rec = EncodingRecord.from_rpe1(path.read_bytes())
+        assert decode(rec, build_two_level(array).params, 4) == array
+    if fmt == "csv":
+        assert out == want
+    else:
+        key = "array_file" if argv[0] == "build" else "record_file"
+        assert json.loads(want)[key] is None
+        assert json.loads(out) == {**json.loads(want), key: str(path)}
 
 
 def test_build_csv(capsys):
@@ -287,6 +315,22 @@ def test_eliminate_json_and_out(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert path.read_text().startswith("# structure=naive")
+
+
+def test_eliminate_csv_shape(capsys, monkeypatch):
+    a = BitArray.random(1 << 12, np.random.default_rng(7))
+    layout = build_two_level(a, superblock=1024, block=128)
+    traj = run_elimination(layout, config=LabConfig(saturation_fraction=1.0, final_full_round=True))
+    monkeypatch.setattr(cli, "run_elimination", lambda *args: traj)
+    code, out, _ = run_cli(capsys, "eliminate", "--n", "4096")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("# structure=two_level n=4096 gamma=4.0 seed=0 status=")
+    assert lines[1] == "round,published_bits,block_count,overlap_prob,avg_probes_before,avg_probes_after,published_cells"
+    assert len(lines) == 2 + len(traj.rows)
+    first = lines[2].split(",")
+    assert first[0] == "0" and first[1] == str(layout.redundancy_bits)
+    assert "." in first[3] and "." in first[4]
 
 
 def test_tradeoff_all_stages(capsys):

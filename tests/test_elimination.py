@@ -97,15 +97,3 @@ def test_sample_queries():
     assert big == sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0).tolist()
     assert big != sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 1).tolist()
 
-
-def test_csv_shape():
-    layout = slim_layout(7)
-    traj = run_elimination(layout, config=LabConfig(saturation_fraction=1.0, final_full_round=True))
-    text = traj.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# structure=two_level n=4096 gamma=4.0 seed=0 status=")
-    assert lines[1] == "round,published_bits,block_count,overlap_prob,avg_probes_before,avg_probes_after,published_cells"
-    assert len(lines) == 2 + len(traj.rows)
-    first = lines[2].split(",")
-    assert first[0] == "0" and first[1] == str(layout.redundancy_bits)
-    assert "." in first[3] and "." in first[4]

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
-    _stage_params,
     build_naive,
     build_recursive,
     build_two_level,
@@ -240,7 +239,8 @@ def test_builders_match_old_construction(n, case, seed):
     if build is build_recursive:
         if kw["t"] > max_stage(n):
             return
-        superblock, block = _stage_params(n, kw["t"])
+        block = 1 << (2 * kw["t"] + 4)
+        superblock = 8 * block
     else:
         superblock, block = kw["superblock"], kw["block"]
     try:

@@ -15,8 +15,10 @@ of pairs the change wins.  A run that passes its time limit is recorded
 as a timeout, and one whose checks fail as incorrect; neither is dropped,
 and neither enters the medians.  Last, the tier-1 suite is timed once
 per tree.  The JSON written holds, per tree, the median and quartiles of
-every metric and perfbench's provenance (host, Python and numpy, git
-commit, source digest) plus a digest of ``perfbench/`` itself.
+every metric, perfbench's provenance (host, Python and numpy, git
+commit, source digest) plus a digest of ``perfbench/`` itself, and
+``src_lines``, the line count of ``src/rankprobe/*.py`` (what
+``wc -l src/rankprobe/*.py`` totals).
 """
 
 from __future__ import annotations
@@ -109,6 +111,10 @@ def perfbench_digest(root: Path) -> str:
     return digest.hexdigest()
 
 
+def src_lines(root: Path) -> int:
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "rankprobe").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_6.json")
@@ -137,6 +143,7 @@ def main(argv=None) -> int:
         prov = {k: v for k, v in first.get("provenance", {}).items() if k not in ("workload", "seed", "trace")}
         report["trees"][tree] = {
             "provenance": {**prov, "perfbench_sha256": perfbench_digest(root)},
+            "src_lines": src_lines(root),
             "workloads": {w: summarize(rs) for w, rs in runs[tree].items()},
             "runs": runs[tree],
         }
