@@ -51,7 +51,6 @@ from .encoding import (
 from .elimination import (
     EliminationRow,
     EliminationTrajectory,
-    eliminate_round,
     run_elimination,
 )
 

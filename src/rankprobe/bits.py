@@ -123,24 +123,6 @@ class BitArray:
 
     # -- access -----------------------------------------------------------
 
-    def get(self, i: int) -> int:
-        """A[i], 1-indexed."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"bit index {i} outside [1, {self.n}]")
-        j = i - 1
-        return int((self.words[j // 64] >> np.uint64(j % 64)) & np.uint64(1))
-
-    def set(self, i: int, bit: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"bit index {i} outside [1, {self.n}]")
-        j = i - 1
-        mask = np.uint64(1) << np.uint64(j % 64)
-        if bit:
-            self.words[j // 64] |= mask
-        else:
-            self.words[j // 64] &= ~mask
-        self._prefix = None
-
     def rank(self, k: int) -> int:
         """Number of ones among A[1..k].  O(1) after a lazy prefix pass."""
         if not 0 <= k <= self.n:
@@ -160,7 +142,7 @@ class BitArray:
         return self._word_ranks()[q] - np.bitwise_count(high)
 
     def _word_ranks(self) -> np.ndarray:
-        """Ones through each 64-bit word; cached until set()."""
+        """Ones through each 64-bit word; computed once, on first use."""
         if self._prefix is None:
             self._prefix = np.add.accumulate(np.bitwise_count(self.words), dtype=np.int64)
         return self._prefix
@@ -181,9 +163,6 @@ class BitArray:
             and self.n == other.n
             and bool(np.array_equal(self.words, other.words))
         )
-
-    def __len__(self) -> int:
-        return self.n
 
     def __repr__(self) -> str:
         return f"BitArray(n={self.n}, ones={self.popcount()})"

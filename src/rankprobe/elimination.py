@@ -9,16 +9,22 @@ cells shrink later traces.
 
 Published bits grow by the exact law |new cells| * (word_bits +
 address_bits) per round; the bootstrap itself costs exactly the
-structure's redundancy.  The trajectory stops when queries are nearly
-free (average below 0.01 probes), when the published total passes the
-saturation fraction of n, when the block count would exceed n, or at the
-round cap.
+structure's redundancy.  A round whose block count k exceeds n ends the
+run as "block_overflow" with no row, unless the config asks for a final
+full round: then the round runs with k capped at n.  After each row the
+stop rules are checked in this order:
+
+1. "drained": queries are nearly free (average below 0.01 probes);
+2. "block_overflow": the round was capped;
+3. "saturated": the published total reaches the saturation fraction of n.
+
+A run that meets none of them within the round cap ends as "max_rounds".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +39,7 @@ MAX_ROUNDS = 16  # the round cap
 class EliminationRow:
     round: int
     published_bits: int      # P_i at round start
-    block_count: int         # k_i = ceil(gamma * P_i)
+    block_count: int         # k_i = min(ceil(gamma * P_i), n)
     overlap_prob: float      # P(uniform query's probes hit published cells)
     avg_probes_before: float
     avg_probes_after: float
@@ -46,79 +52,68 @@ class EliminationTrajectory:
     n: int
     gamma: float
     seed: int
-    status: str = "running"
-    rows: list = field(default_factory=list)
+    status: str
+    rows: list
 
 
 def _mean(values: np.ndarray) -> float:
     return int(values.sum()) / values.size
 
 
-def eliminate_round(layout: StructureLayout, round_no: int, config: LabConfig, plan: ProbePlan, cap_blocks: bool = False):
-    """One publish round, measured on the sampled queries of `plan`.
-    Returns (row, saturated_blocks) where the row is None when k_i > n
-    and capping is off (the saturation signal)."""
-    n = layout.n
-    p_before = layout.published.length
-    k = math.ceil(config.gamma * max(p_before, 1))
-    if k > n:
-        if not cap_blocks:
-            return None, True
-        k = n
-    published = layout.published_mask()
-    before = _mean(plan.charged(published))
-    ov = _mean(plan.touches(published))
-    reference = ProbePlan(layout.params, QueryBlocks(n, k).offset_queries(0))
-    new_cells = np.flatnonzero(reference.cells(published))
-    layout.published.publish_cells(layout.memory, new_cells.tolist())
-    published[new_cells] = True
-    after = _mean(plan.charged(published))
-    row = EliminationRow(
-        round=round_no,
-        published_bits=p_before,
-        block_count=k,
-        overlap_prob=ov,
-        avg_probes_before=before,
-        avg_probes_after=after,
-        published_cells=len(new_cells),
-    )
-    return row, False
-
-
 def run_elimination(layout: StructureLayout, config: LabConfig | None = None) -> EliminationTrajectory:
-    """Drive rounds until queries are nearly free or the process saturates."""
+    """Drive rounds, measured on the sampled queries, until a stop rule
+    of the module docstring ends the run."""
     n = layout.n
     if n < 1:
         raise ValueError("probe elimination needs n >= 1")
     if config is None:
         config = LabConfig()
-    traj = EliminationTrajectory(
-        structure=layout.kind,
-        n=n,
-        gamma=config.gamma,
-        seed=config.rng_seed,
-    )
     plan = ProbePlan(layout.params, sample_queries(n, STATS_SAMPLE, config.rng_seed))
     if not layout.published.bootstrapped:
         layout.publish_redundancy()
         if layout.published.length == 0:
             layout.published.publish_raw(1)  # floor: start from one bit
+    published = layout.published_mask()
+    rows = []
+    status = "max_rounds"
     for i in range(MAX_ROUNDS):
-        row, overflow = eliminate_round(layout, i, config, plan)
-        if overflow:
-            if config.final_full_round:
-                row, _ = eliminate_round(layout, i, config, plan, cap_blocks=True)
-                traj.rows.append(row)
-                traj.status = "drained" if row.avg_probes_after < 0.01 else "block_overflow"
-            else:
-                traj.status = "block_overflow"
-            return traj
-        traj.rows.append(row)
-        if row.avg_probes_after < 0.01:
-            traj.status = "drained"
-            return traj
-        if layout.published.length >= config.saturation_fraction * n:
-            traj.status = "saturated"
-            return traj
-    traj.status = "max_rounds"
-    return traj
+        p = layout.published.length
+        k = math.ceil(config.gamma * max(p, 1))
+        if k > n and not config.final_full_round:
+            status = "block_overflow"
+            break
+        before = _mean(plan.charged(published))
+        overlap = _mean(plan.touches(published))
+        # the reference plan is a temporary: a plan of up to n queries
+        # kept alive into the next round would raise peak memory
+        blocks = QueryBlocks(n, min(k, n))
+        new_cells = np.flatnonzero(ProbePlan(layout.params, blocks.offset_queries(0)).cells(published))
+        layout.published.publish_cells(layout.memory, new_cells.tolist())
+        published[new_cells] = True
+        after = _mean(plan.charged(published))
+        rows.append(EliminationRow(
+            round=i,
+            published_bits=p,
+            block_count=blocks.k,
+            overlap_prob=overlap,
+            avg_probes_before=before,
+            avg_probes_after=after,
+            published_cells=len(new_cells),
+        ))
+        if after < 0.01:
+            status = "drained"
+        elif k > n:
+            status = "block_overflow"
+        elif layout.published.length >= config.saturation_fraction * n:
+            status = "saturated"
+        else:
+            continue
+        break
+    return EliminationTrajectory(
+        structure=layout.kind,
+        n=n,
+        gamma=config.gamma,
+        seed=config.rng_seed,
+        status=status,
+        rows=rows,
+    )

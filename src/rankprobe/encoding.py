@@ -58,6 +58,7 @@ from .model import (
     Footprint,
     PublishedBits,
     QueryBlocks,
+    address_bits,
     replay_from_footprint,
     run_query,
     simulate_set,
@@ -314,7 +315,7 @@ def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
     w = params["word_bits"]
     cell_count = params["cell_count"]
     prefix = cell_count * w - params["n"]  # the layout's redundancy bits
-    pair = max(1, (cell_count - 1).bit_length()) + w
+    pair = address_bits(cell_count) + w
     if prefix and ledger_bits >= prefix and (ledger_bits - prefix) % pair == 0:
         return prefix
     return 0
@@ -428,7 +429,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         prefix = _bootstrap_prefix(params, comp1.length)
         region = range(params["raw_cells"], cell_count) if prefix else range(0)
         published = PublishedBits(comp1.length, dict(zip(region, comp1.read_cells(0, len(region), w))), bool(prefix))
-        addr_bits = max(1, (cell_count - 1).bit_length())
+        addr_bits = address_bits(cell_count)
         for pos in range(prefix, comp1.length, addr_bits + w):
             a = comp1.read_bits(pos, addr_bits)
             if a >= cell_count:

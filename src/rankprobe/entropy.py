@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -156,20 +157,16 @@ def block_deficit_argmin(m: int) -> list:
 class LabConfig:
     """Shared experiment knobs.
 
-    gamma scales published bits into block counts for the elimination
-    driver.
+    gamma, a constant, scales published bits into block counts for the
+    elimination driver.
     """
 
-    gamma: float = 4.0
+    gamma: ClassVar[float] = 4.0
     montecarlo_trials: int = 20000
     rng_seed: int = 0
     bootstrap_rounds: int = 200
     saturation_fraction: float = 0.1
     final_full_round: bool = False
-
-    def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
 
 
 # -- analytic route -------------------------------------------------------

@@ -28,6 +28,11 @@ from dataclasses import dataclass, field
 from .errors import CorruptFootprint, SimulationFault
 
 
+def address_bits(cell_count: int) -> int:
+    """Bits needed to name any of `cell_count` cells (at least one)."""
+    return max(1, (cell_count - 1).bit_length())
+
+
 class CellMemory:
     """Word-addressable memory: `cell_count` cells of `word_bits` bits."""
 
@@ -56,8 +61,7 @@ class CellMemory:
         return len(self.cells) * self.word_bits
 
     def address_bits(self) -> int:
-        # bits needed to name any cell
-        return max(1, (self.cell_count - 1).bit_length())
+        return address_bits(self.cell_count)
 
 
 @dataclass

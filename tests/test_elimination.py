@@ -1,15 +1,59 @@
+import hashlib
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import LabConfig
-from rankprobe.structures import EXHAUSTIVE_LIMIT, build_naive, build_two_level, sample_queries
+from rankprobe.structures import EXHAUSTIVE_LIMIT, build_naive, build_recursive, build_two_level, sample_queries
+
+
+def random_array(n, seed):
+    return BitArray.random(n, np.random.default_rng(seed))
 
 
 def slim_layout(seed=0):
-    a = BitArray.random(1 << 12, np.random.default_rng(seed))
-    return build_two_level(a, superblock=1024, block=128)
+    return build_two_level(random_array(1 << 12, seed), superblock=1024, block=128)
+
+
+def bootstrapped_layout():
+    layout = slim_layout(6)
+    layout.publish_redundancy()
+    layout.published.publish_cells(layout.memory, [0, 7, 40])
+    return layout
+
+
+TRAJECTORY_PINS = [
+    # layout, config keywords, status, sha256 of (rows, status, published length)
+    pytest.param(lambda: build_naive(random_array(64, 1)), {}, "drained",
+                 "05f23b866426da3ab7dd4f9b40900c2169af3b30a7ea27800c91e0e92ce2186b", id="naive_floor"),
+    pytest.param(lambda: build_two_level(random_array(1 << 12, 3)), {}, "block_overflow",
+                 "dd1f2bf89426dece64a1bebf0c5cd276b25f169564933d8307563479b2a6d001", id="two_level_overflow"),
+    pytest.param(lambda: build_two_level(random_array(1 << 12, 4)), dict(final_full_round=True), "drained",
+                 "e05f30c3f90f859d95b3f07fc60cf9e925fe4ad7227ce7c04ef7d9481b6dab57", id="two_level_capped"),
+    pytest.param(lambda: slim_layout(5), dict(saturation_fraction=0.001), "saturated",
+                 "2650af0087be97f1397b50531667639cce43fa51e044f85a6d6387c160508a8d", id="slim_saturated"),
+    pytest.param(lambda: slim_layout(2), dict(saturation_fraction=1.0, final_full_round=True), "drained",
+                 "8d8556572eb97ebd46a0286dec76c0c1c74f574ef163a16a6bf556e50b85a396", id="slim_full"),
+    pytest.param(lambda: build_recursive(random_array(1 << 20, 7), 4), {}, "drained",
+                 "a3249d51e9e984d669fa1d85b4e55006cf1acffba96d631da06543eef198a030", id="recursive_t4"),
+    pytest.param(bootstrapped_layout, {}, "saturated",
+                 "ff0304ced4e029b95492f8f44240675750e01eddfe194d6d852f39d85d51e8d4", id="bootstrapped"),
+]
+
+
+@pytest.mark.parametrize("make, config, status, digest", TRAJECTORY_PINS)
+def test_trajectory_pinned(make, config, status, digest):
+    # one case per stop path: the 1-bit floor, immediate overflow, one
+    # capped round, saturation, a full run, a deep recursive layout and a
+    # layout bootstrapped before the run
+    layout = make()
+    traj = run_elimination(layout, LabConfig(**config))
+    assert traj.status == status
+    key = (tuple(astuple(r) for r in traj.rows), traj.status, layout.published.length)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
 
 
 def test_naive_small_drains_in_one_round():

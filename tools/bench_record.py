@@ -18,7 +18,10 @@ per tree.  The JSON written holds, per tree, the median and quartiles of
 every metric, perfbench's provenance (host, Python and numpy, git
 commit, source digest) plus a digest of ``perfbench/`` itself, and
 ``src_lines``, the line count of ``src/rankprobe/*.py`` (what
-``wc -l src/rankprobe/*.py`` totals).
+``wc -l src/rankprobe/*.py`` totals), and ``src_dirty``: whether
+``git status --porcelain -- src`` lists anything, so a tree measured
+before committing says so (its provenance commit is then the one it
+started from), or null outside a git checkout.
 """
 
 from __future__ import annotations
@@ -115,6 +118,14 @@ def src_lines(root: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "rankprobe").glob("*.py"))
 
 
+def src_dirty(root: Path) -> bool | None:
+    try:
+        done = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=root, capture_output=True, text=True)
+    except OSError:
+        return None
+    return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="JSON file to write, e.g. BENCH_6.json")
@@ -144,6 +155,7 @@ def main(argv=None) -> int:
         report["trees"][tree] = {
             "provenance": {**prov, "perfbench_sha256": perfbench_digest(root)},
             "src_lines": src_lines(root),
+            "src_dirty": src_dirty(root),
             "workloads": {w: summarize(rs) for w, rs in runs[tree].items()},
             "runs": runs[tree],
         }
