@@ -44,7 +44,6 @@ from .encoding import (
     SizeAccounting,
     choose_offset,
     decode,
-    detached_queries,
     encode,
     size_accounting,
 )

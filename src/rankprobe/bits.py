@@ -200,11 +200,6 @@ class BitArray:
         with open(path, "wb") as fh:
             fh.write(self.to_rpl1())
 
-    @classmethod
-    def read_rpl1(cls, path) -> "BitArray":
-        with open(path, "rb") as fh:
-            return cls.from_rpl1(fh.read())
-
 
 class BitString:
     """Growable bit string, LSB-first, with explicit length."""
@@ -229,10 +224,6 @@ class BitString:
         self.value |= int.from_bytes(cells_to_bytes(cells, width), "little") << self.length
         self.length += len(cells) * width
 
-    def append(self, other: "BitString") -> None:
-        self.value |= other.value << self.length
-        self.length += other.length
-
     def read_bits(self, offset: int, width: int) -> int:
         if offset < 0 or width < 0 or offset + width > self.length:
             raise ValueError("bit read outside string")
@@ -255,9 +246,6 @@ class BitString:
         if value >> length:
             raise ValueError("padding bits are not zero")
         return cls(value, length)
-
-    def __len__(self) -> int:
-        return self.length
 
     def __eq__(self, other) -> bool:
         return (

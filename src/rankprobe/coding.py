@@ -25,25 +25,17 @@ class CanonicalCode:
 
     def __init__(self, lengths: dict):
         self.lengths = dict(lengths)
-        order = sorted(self.lengths, key=lambda s: (self.lengths[s], s))
         self.codes = {}
-        code = 0
-        prev_len = 0
-        for sym in order:
-            length = self.lengths[sym]
-            code <<= length - prev_len
-            self.codes[sym] = code
-            prev_len = length
-            code += 1
         # canonical decoding table: per length, first code and symbol row
-        self._by_len = {}
-        for sym in order:
-            self._by_len.setdefault(self.lengths[sym], []).append(sym)
-        self._first = {}
-        for sym in order:
+        self._table = {}
+        code = length = 0
+        for sym in sorted(self.lengths, key=lambda s: (self.lengths[s], s)):
+            code <<= self.lengths[sym] - length
             length = self.lengths[sym]
-            if length not in self._first:
-                self._first[length] = self.codes[sym]
+            self.codes[sym] = code
+            self._table.setdefault(length, (code, []))[1].append(sym)
+            code += 1
+        self._max_len = length
 
     @classmethod
     def from_weights(cls, weights: dict) -> "CanonicalCode":
@@ -69,29 +61,20 @@ class CanonicalCode:
 
     def encode_symbol(self, out: BitString, sym) -> int:
         length = self.lengths[sym]
-        code = self.codes[sym]
-        for i in range(length - 1, -1, -1):
-            out.append_bits((code >> i) & 1, 1)
+        # most-significant bit first: the codeword's bits, reversed
+        out.append_bits(int(f"{self.codes[sym]:0{length}b}"[::-1], 2), length)
         return length
 
     def decode_symbol(self, data: BitString, offset: int):
         """Returns (symbol, new offset)."""
-        if not self.lengths:
-            raise ValueError("empty code")
         if len(self.lengths) == 1:
             return next(iter(self.lengths)), offset
         code = 0
-        length = 0
-        max_len = max(self._by_len)
-        while length < max_len:
-            code = (code << 1) | data.read_bits(offset + length, 1)
-            length += 1
-            row = self._by_len.get(length)
-            if row is None:
-                continue
-            idx = code - self._first[length]
-            if 0 <= idx < len(row):
-                return row[idx], offset + length
+        for length in range(1, self._max_len + 1):
+            code = (code << 1) | data.read_bits(offset + length - 1, 1)
+            first, row = self._table.get(length, (0, ()))
+            if 0 <= code - first < len(row):
+                return row[code - first], offset + length
         raise ValueError("invalid codeword")
 
 

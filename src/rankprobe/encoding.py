@@ -39,7 +39,7 @@ pairs, or ensemble footprints over a layout with published cells.
 
 from __future__ import annotations
 
-import math
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -68,7 +68,6 @@ from .structures import ProbePlan, StructureLayout, layout_from_params, step_fro
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
 COMPONENTS = ("published", "detached_id", "detached_answers", "foot_reference", "foot_detached", "remaining")
-SIZE_EPSILON = 0.05  # detached fraction behind the detached-id yardstick
 MIN_RECORDS = 100  # size accounting refuses smaller batches
 
 
@@ -167,12 +166,6 @@ def _detached_traces(layout: StructureLayout, queries) -> list:
     return kept
 
 
-def detached_queries(layout: StructureLayout, queries) -> list:
-    """Greedy scan in increasing order keeping queries whose charged
-    probes avoid every previously kept query's probes."""
-    return [tr.query for tr in _detached_traces(layout, queries)]
-
-
 def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
     """The detached queries at offset `d`, then (answers in query order,
     charged cells) for the reference set and for the detached set.
@@ -193,20 +186,14 @@ def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
 
 # -- answer coding --------------------------------------------------------
 
-_BINOM_CODE_CACHE: dict = {}
-
-
+@functools.lru_cache
 def _binom_code(m: int) -> CanonicalCode:
-    code = _BINOM_CODE_CACHE.get(m)
-    if code is None:
-        weights = {}
-        c = 1
-        for v in range(m + 1):
-            weights[v] = c  # C(m, v), by the running product
-            c = c * (m - v) // (v + 1)
-        code = CanonicalCode.from_weights(weights)
-        _BINOM_CODE_CACHE[m] = code
-    return code
+    weights = {}
+    c = 1
+    for v in range(m + 1):
+        weights[v] = c  # C(m, v), by the running product
+        c = c * (m - v) // (v + 1)
+    return CanonicalCode.from_weights(weights)
 
 
 def _increment_codes(bs: int, d: int, blocks: tuple) -> list:
@@ -248,26 +235,20 @@ class _CellCode:
         return tuple(data.read_cells(offset, count, self.w)), offset + count * self.w
 
 
-_ENSEMBLE_CACHE: dict = {}
-
-
-def _ensemble_tables(params: dict, k: int, d: int):
+@functools.lru_cache
+def _ensemble_tables(config: tuple, k: int, d: int):
     """Exact conditional footprint codes by full enumeration of the arrays
-    of the length, each built into the layout `params` describes.
+    of the length, each built into the layout `dict(config)` describes.
 
-    Returns the codes by condition.  Keyed by structure config; valid
+    Returns the codes by condition.  Cached by structure config; valid
     because probe addresses are data-independent, so the detached set
     and footprint lengths are the same for every array of the length."""
+    params = dict(config)
     n = params["n"]
     if n > ENSEMBLE_LIMIT:
         raise RefusalError(
             f"ensemble tables need full enumeration; n capped at {ENSEMBLE_LIMIT}"
         )
-    key = (tuple(sorted(params.items())), k, d)
-    hit = _ENSEMBLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     blocks = QueryBlocks(n, k)
     weights: dict = {}
     det_blocks = None
@@ -284,13 +265,11 @@ def _ensemble_tables(params: dict, k: int, d: int):
             foot = tuple(cells.values())
             counts[foot] = counts.get(foot, 0) + 1
 
-    tables = {cond: CanonicalCode.from_weights(w) for cond, w in weights.items()}
-    _ENSEMBLE_CACHE[key] = tables
-    return tables
+    return {cond: CanonicalCode.from_weights(w) for cond, w in weights.items()}
 
 
 def _footprint_codes(ensemble: bool, params: dict, k: int, d: int):
-    return _ensemble_tables(params, k, d) if ensemble else _CellCode(params["word_bits"])
+    return _ensemble_tables(tuple(sorted(params.items())), k, d) if ensemble else _CellCode(params["word_bits"])
 
 
 def _write_footprint(codes, cond, cells: dict) -> BitString:
@@ -481,16 +460,15 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
 
 @dataclass
 class SizeAccounting:
-    """Empirical component sizes against their analytic yardsticks."""
+    """Mean component sizes of a batch of records, with the analytic
+    deficit at their modal offset as the yardstick."""
 
     records: int
     n: int
     k: int
     mean_sizes: tuple
     mean_total: float
-    mean_published: float
-    detached_id_reference: float  # lg C(k, ceil(eps*k)) + header slack
-    deficit_reference: float      # analytic deficit at the modal offset
+    deficit_reference: float  # analytic deficit at the modal offset
     modal_offset: int
 
 
@@ -509,9 +487,6 @@ def size_accounting(records: list, n: int, k: int) -> SizeAccounting:
     mean_sizes = tuple(s / m for s in sums)
     offsets = sorted(r.offset for r in records)
     modal = max(set(offsets), key=offsets.count)
-    j = max(1, math.ceil(SIZE_EPSILON * k))
-    ref_bits = math.log2(math.comb(k, j)) if j <= k else 0.0
-    ref_bits += subset_header_bits(k)
     deficit = analytic_deficit(n, k, modal).deficit if n // k > modal > 0 else 0.0
     return SizeAccounting(
         records=m,
@@ -519,8 +494,6 @@ def size_accounting(records: list, n: int, k: int) -> SizeAccounting:
         k=k,
         mean_sizes=mean_sizes,
         mean_total=sum(mean_sizes),
-        mean_published=mean_sizes[0],
-        detached_id_reference=ref_bits,
         deficit_reference=deficit,
         modal_offset=modal,
     )

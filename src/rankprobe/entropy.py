@@ -27,6 +27,7 @@ Monte-Carlo sampling.  Entropies are in bits throughout.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -71,7 +72,6 @@ def binom_entropy_exact(m: int) -> float:
     return math.fsum(terms)
 
 
-_H_CACHE: dict = {0: 0.0}
 _CENTRAL = [0, 1]  # the last (m, C(m, m // 2)) binom_entropy computed
 
 
@@ -87,6 +87,7 @@ def _central_binomial(m: int) -> int:
     return c
 
 
+@functools.cache
 def binom_entropy(m: int) -> float:
     """H(Binomial(m, 1/2)) in bits, exact to ~1e-12.
 
@@ -97,9 +98,6 @@ def binom_entropy(m: int) -> float:
     """
     if m < 0:
         raise ValueError("negative m")
-    h = _H_CACHE.get(m)
-    if h is not None:
-        return h
     mid = m // 2
     c_mid = _central_binomial(m)
     p_mid = c_mid / (1 << m)
@@ -124,9 +122,7 @@ def binom_entropy(m: int) -> float:
     live = p > 0.0
     # fsum is correctly rounded, so term order cannot change the sum; it
     # is fastest when the largest terms come first
-    h = math.fsum(np.sort(p[live] * (m - lgc[live]))[::-1].tolist())
-    _H_CACHE[m] = h
-    return h
+    return math.fsum(np.sort(p[live] * (m - lgc[live]))[::-1].tolist())
 
 
 def binom_entropy_estimate(m: int) -> float:
@@ -146,9 +142,11 @@ def block_deficit(m: int, d: int) -> float:
 
 def block_deficit_argmin(m: int) -> list:
     """All offsets minimizing block_deficit(m, .), ties included."""
-    vals = [(block_deficit(m, d), d) for d in range(1, m)]
-    best = min(v for v, _ in vals)
-    return [d for v, d in vals if v <= best + 1e-12]
+    if m < 2:
+        raise ValueError(f"a block of {m} positions has no interior offset")
+    h = np.fromiter(map(binom_entropy, range(m + 1)), float, m + 1)
+    vals = 2.0 * h[m] - h[1:m] - h[m - 1 : 0 : -1]  # block_deficit(m, d) for d = 1..m-1
+    return (np.flatnonzero(vals <= vals.min() + 1e-12) + 1).tolist()
 
 
 # -- lab configuration ----------------------------------------------------

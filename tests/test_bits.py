@@ -51,7 +51,7 @@ def test_rpl1_round_trip_random(tmp_path):
         a = BitArray.random(n, rng)
         p = tmp_path / f"a{n}.rpl1"
         a.write_rpl1(p)
-        assert BitArray.read_rpl1(p) == a
+        assert BitArray.from_rpl1(p.read_bytes()) == a
 
 
 def test_rpl1_corrupt():

@@ -77,7 +77,7 @@ def test_out_file(tmp_path, capsys, argv, fmt):
         return
     array = BitArray.random(4096, np.random.default_rng(0))
     if argv[0] == "build":
-        assert BitArray.read_rpl1(str(path)) == array
+        assert BitArray.from_rpl1(path.read_bytes()) == array
     else:
         rec = EncodingRecord.from_rpe1(path.read_bytes())
         assert decode(rec, build_two_level(array).params, 4) == array
@@ -117,7 +117,7 @@ def test_build_writes_array_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "build", "--n", "300", "--seed", "7", "--out", str(path))
     assert code == 0
     assert "structure," in out  # summary still lands on stdout
-    back = BitArray.read_rpl1(str(path))
+    back = BitArray.from_rpl1(path.read_bytes())
     assert back == BitArray.random(300, np.random.default_rng(7))
 
 

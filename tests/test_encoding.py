@@ -12,13 +12,13 @@ from rankprobe.encoding import (
     EncodingRecord,
     CorruptEncoding,
     choose_offset,
-    detached_queries,
     encode,
     decode,
     size_accounting,
 )
-from rankprobe.encoding import _simulate_sets
+from rankprobe.encoding import _detached_traces, _simulate_sets
 from rankprobe.elimination import run_elimination
+from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
 from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query, simulate_set
 from rankprobe.structures import build_naive, build_recursive, build_two_level, layout_from_params
@@ -73,7 +73,7 @@ def test_detached_queries_disjoint():
     a = BitArray.random(1 << 12, np.random.default_rng(2))
     layout = build_two_level(a)
     qs = QueryBlocks(layout.n, 8).offset_queries(2)
-    det = detached_queries(layout, qs)
+    det = [tr.query for tr in _detached_traces(layout, qs)]
     assert det and det[0] == min(qs)
     used = set()
     for q in det:
@@ -189,7 +189,7 @@ def test_decode_rejects_corrupt_counter(bit):
     layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
     rec = encode(layout, 4, d=512)
     blocks = QueryBlocks(4096, 4)
-    det = detached_queries(layout, blocks.offset_queries(512))
+    det = [tr.query for tr in _detached_traces(layout, blocks.offset_queries(512))]
     probed = set()
     for qs in (blocks.offset_queries(0), det):
         probed |= probes_of_set(layout.step, qs, layout.memory, layout.published)[1]
@@ -288,10 +288,49 @@ def test_detached_traces_match_set_pass(case):
     if d is None:
         d = choose_offset(layout, k)
     det, _, (answers, cells) = _simulate_sets(layout, QueryBlocks(layout.n, k), d)
-    assert det == detached_queries(layout, QueryBlocks(layout.n, k).offset_queries(d))
+    assert det == [tr.query for tr in _detached_traces(layout, QueryBlocks(layout.n, k).offset_queries(d))]
     want_answers, want_cells = simulate_set(layout.step, det, layout.memory, layout.published)
     assert answers == tuple(want_answers.values())
     assert list(cells.items()) == list(want_cells.items())
+
+
+# sha256 over _binom_code(m) for m = 1..256, 1000, 2049 and 4097: every
+# symbol's length and codeword, then the bits encode_symbol writes for a
+# sweep of answers from 0 to m
+BINOM_CODES_SHA256 = "41069a4ade496b6aa009b3689bafbd420e3f848a5e6f4c9597c2d27d50f49ebf"
+
+
+def test_binom_codes_pinned():
+    digest = hashlib.sha256()
+    for m in [*range(1, 257), 1000, 2049, 4097]:
+        code = encoding._binom_code(m)
+        digest.update("".join(f"{v}:{code.lengths[v]}:{code.codes[v]:x};" for v in range(m + 1)).encode())
+        sweep = sorted({*range(0, m + 1, max(1, m // 32)), m // 2, m})
+        out = BitString()
+        for v in sweep:
+            code.encode_symbol(out, v)
+        digest.update(out.to_bytes())
+        pos = 0
+        for v in sweep:
+            got, pos = code.decode_symbol(out, pos)
+            assert got == v
+        assert pos == out.length
+    assert digest.hexdigest() == BINOM_CODES_SHA256
+
+
+def test_memo_caches_are_functools_caches():
+    # answer codes and ensemble tables are big, so their caches are
+    # bounded; h(m) is one float per m and keeps every entry
+    assert encoding._binom_code.cache_info().maxsize is not None
+    assert encoding._ensemble_tables.cache_info().maxsize is not None
+    assert binom_entropy.cache_info().maxsize is None
+    caches = (encoding._binom_code, encoding._ensemble_tables)
+    layout = build_two_level(BitArray.from_int(12, 0b101100111010))
+    first = encode(layout, 3, 2, ensemble=True)
+    before = [c.cache_info() for c in caches]
+    assert encode(layout, 3, 2, ensemble=True) == first
+    for b, a in zip(before, (c.cache_info() for c in caches)):
+        assert a.hits > b.hits and (a.misses, a.currsize) == (b.misses, b.currsize)
 
 
 def assert_canonical_or_rejected(layout, k, ensemble, blob):

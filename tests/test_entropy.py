@@ -85,6 +85,17 @@ def test_block_deficit_argmin_is_central():
         assert {m - d for d in mins} == mins
 
 
+def test_block_deficit_argmin_matches_scalar_loop():
+    # the array form does the scalar block_deficit's IEEE operations
+    for m in range(2, 300):
+        vals = [(block_deficit(m, d), d) for d in range(1, m)]
+        best = min(v for v, _ in vals)
+        assert block_deficit_argmin(m) == [d for v, d in vals if v <= best + 1e-12]
+    for m in (1, 0, -1):  # no interior offset: ValueError, as the scalar min() raised
+        with pytest.raises(ValueError):
+            block_deficit_argmin(m)
+
+
 def test_analytic_deficit_frozen():
     rep = analytic_deficit(16, 4, 2)
     assert rep.deficit == pytest.approx(3.7144734356069637, abs=1e-12)

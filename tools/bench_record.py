@@ -14,9 +14,11 @@ order alternating from seed to seed, and each metric also gets the count
 of pairs the change wins.  A run that passes its time limit is recorded
 as a timeout, and one whose checks fail as incorrect; neither is dropped,
 and neither enters the medians.  Last, the tier-1 suite is timed once
-per tree.  The JSON written holds, per tree, the median and quartiles of
-every metric, perfbench's provenance (host, Python and numpy, git
-commit, source digest) plus a digest of ``perfbench/`` itself, and
+per tree, and pytest's ten slowest test durations are kept beside its
+wall time, so a record shows where the suite spends it.  The JSON
+written holds, per tree, the median and quartiles of every metric,
+perfbench's provenance (host, Python and numpy, git commit, source
+digest) plus a digest of ``perfbench/`` itself, and
 ``src_lines``, the line count of ``src/rankprobe/*.py`` (what
 ``wc -l src/rankprobe/*.py`` totals), and ``src_dirty``: whether
 ``git status --porcelain -- src`` lists anything, so a tree measured
@@ -44,7 +46,8 @@ SEEDS = tuple(range(6000, 6010))
 SECONDS = 10  # the run length of the benchmark itself
 RUN_TIMEOUT_S = 400  # perfbench ends a run within 180 s; this catches a hang
 TIER1_TIMEOUT_S = 1800
-TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
+         "--durations=10"]
 
 
 def run_perfbench(root: Path, workload: str, seed: int) -> dict:
@@ -104,7 +107,10 @@ def time_tier1(root: Path) -> dict:
         return {"status": "timeout", "wall_s": time.perf_counter() - start}
     tail = done.stdout.strip().splitlines()[-1] if done.stdout.strip() else ""
     counts = {word: int(num) for num, word in re.findall(r"(\d+) (passed|failed|error|errors)", tail)}
-    return {"status": f"exit {done.returncode}", "wall_s": time.perf_counter() - start, "summary": tail, **counts}
+    slowest = [{"s": float(s), "phase": phase, "test": test}
+               for s, phase, test in re.findall(r"^([\d.]+)s (call|setup|teardown) +(\S.*?)\s*$", done.stdout, re.M)]
+    return {"status": f"exit {done.returncode}", "wall_s": time.perf_counter() - start, "summary": tail,
+            "slowest": slowest, **counts}
 
 
 def perfbench_digest(root: Path) -> str:
