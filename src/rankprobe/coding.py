@@ -9,6 +9,7 @@ LSB-first bit strings used everywhere else.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 
@@ -26,16 +27,16 @@ class CanonicalCode:
     def __init__(self, lengths: dict):
         self.lengths = dict(lengths)
         self.codes = {}
-        # canonical decoding table: per length, first code and symbol row
-        self._table = {}
+        table = {}  # canonical decoding table: length -> (first code, symbols)
         code = length = 0
         for sym in sorted(self.lengths, key=lambda s: (self.lengths[s], s)):
             code <<= self.lengths[sym] - length
             length = self.lengths[sym]
             self.codes[sym] = code
-            self._table.setdefault(length, (code, []))[1].append(sym)
+            table.setdefault(length, (code, []))[1].append(sym)
             code += 1
         self._max_len = length
+        self._table = [(ln, first, row) for ln, (first, row) in table.items()]  # ascending lengths
 
     @classmethod
     def from_weights(cls, weights: dict) -> "CanonicalCode":
@@ -69,13 +70,17 @@ class CanonicalCode:
         """Returns (symbol, new offset)."""
         if len(self.lengths) == 1:
             return next(iter(self.lengths)), offset
-        code = 0
-        for length in range(1, self._max_len + 1):
-            code = (code << 1) | data.read_bits(offset + length - 1, 1)
-            first, row = self._table.get(length, (0, ()))
-            if 0 <= code - first < len(row):
-                return row[code - first], offset + length
-        raise ValueError("invalid codeword")
+        # One window of up to _max_len bits, first bit most significant and
+        # zero-padded.  Left-justified, each length's codes start where the
+        # shorter ones end, so only the last length starting at or below fits.
+        top = self._max_len
+        width = min(top, data.length - offset)
+        window = int(f"{data.read_bits(offset, width):0{width}b}"[::-1], 2) << (top - width)
+        length, first, row = self._table[bisect.bisect_right(self._table, window, key=lambda e: e[1] << (top - e[0])) - 1]
+        index = (window >> (top - length)) - first
+        if length <= width and index < len(row):
+            return row[index], offset + length
+        raise ValueError("bit read outside string" if width < top else "invalid codeword")
 
 
 # -- subsets in lexicographic order ---------------------------------------

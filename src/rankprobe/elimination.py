@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LabConfig
-from .model import QueryBlocks
 from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, sample_queries
 
 MAX_ROUNDS = 16  # the round cap
@@ -84,17 +83,17 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
             break
         before = _mean(plan.charged(published))
         overlap = _mean(plan.touches(published))
-        # the reference plan is a temporary: a plan of up to n queries
-        # kept alive into the next round would raise peak memory
-        blocks = QueryBlocks(n, min(k, n))
-        new_cells = np.flatnonzero(ProbePlan(layout.params, blocks.offset_queries(0)).cells(published))
+        # the offset-0 query of each of min(k, n) blocks, in a temporary plan:
+        # one of up to n queries kept into the next round would raise peak RSS
+        reference = np.arange(min(k, n), dtype=np.int64) * (n // min(k, n))
+        new_cells = np.flatnonzero(ProbePlan(layout.params, reference).cells(published))
         layout.published.publish_cells(layout.memory, new_cells.tolist())
         published[new_cells] = True
         after = _mean(plan.charged(published))
         rows.append(EliminationRow(
             round=i,
             published_bits=p,
-            block_count=blocks.k,
+            block_count=reference.size,
             overlap_prob=overlap,
             avg_probes_before=before,
             avg_probes_after=after,

@@ -142,11 +142,12 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     bs = blocks.block_size
     if bs < 2:
         raise ValueError("blocks too small to hold a nonzero offset")
-    ref_cells = ProbePlan(layout.params, blocks.offset_queries(0)).cells(layout.published_mask())
+    reference = bs * np.arange(k, dtype=np.int64)
+    ref_cells = ProbePlan(layout.params, reference).cells(layout.published_mask())
     # Row d - 1 holds offset d's queries.  The reference cells exclude the
     # published ones, so the reference cells a row reads are exactly the
     # charged cells it shares with the reference.
-    offsets = np.arange(1, bs)[:, None] + bs * np.arange(k)
+    offsets = np.arange(1, bs)[:, None] + reference
     overlap = ProbePlan(layout.params, offsets).row_hits(ref_cells)
     return int(np.argmin(overlap)) + 1
 

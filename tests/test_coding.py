@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitString
 from rankprobe.coding import (
@@ -107,6 +109,88 @@ def test_decode_rejects_unused_codeword():
     data.append_bits(0b11, 2)
     with pytest.raises(ValueError):
         code.decode_symbol(data, 0)
+
+
+def bitwise_decode(code, data, offset):
+    """Reference decoder: reads one bit at a time and tries every length
+    from 1 up to the longest."""
+    if len(code.lengths) == 1:
+        return next(iter(code.lengths)), offset
+    table = {}
+    for sym in sorted(code.lengths, key=lambda s: (code.lengths[s], s)):
+        first, row = table.setdefault(code.lengths[sym], (code.codes[sym], []))
+        row.append(sym)
+    word = 0
+    for length in range(1, max(code.lengths.values()) + 1):
+        word = (word << 1) | data.read_bits(offset + length - 1, 1)
+        first, row = table.get(length, (0, ()))
+        if 0 <= word - first < len(row):
+            return row[word - first], offset + length
+    raise ValueError("invalid codeword")
+
+
+def decode_or_error(decoder, code, data, offset):
+    try:
+        return decoder(code, data, offset)
+    except ValueError as e:
+        return "ValueError", str(e)
+
+
+@st.composite
+def codes(draw):
+    """A Huffman code over 1 to 12 symbols with weights up to 2^70, or,
+    from 3 symbols up, the same lengths with one symbol dropped: an
+    incomplete code whose unassigned words do not decode."""
+    weights = draw(st.dictionaries(st.integers(0, 40), st.integers(1, 1 << 70), min_size=1, max_size=12))
+    code = CanonicalCode.from_weights(weights)
+    if len(weights) >= 3 and draw(st.booleans()):
+        lengths = dict(code.lengths)
+        del lengths[draw(st.sampled_from(sorted(lengths)))]
+        code = CanonicalCode(lengths)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(code=codes(), data=st.data())
+def test_decode_matches_bitwise_decoder(code, data):
+    syms = data.draw(st.lists(st.sampled_from(sorted(code.lengths)), max_size=20))
+    stream = BitString()
+    for sym in syms:
+        code.encode_symbol(stream, sym)
+    # symbol sequences decode the same, offset by offset
+    pos = 0
+    for sym in syms:
+        got = code.decode_symbol(stream, pos)
+        assert got == bitwise_decode(code, stream, pos) == (sym, pos + code.lengths[sym])
+        pos = got[1]
+    # a stream cut short, and random bits that may hit an unassigned word
+    cut = BitString(stream.value & ((1 << (stream.length - 1)) - 1), stream.length - 1) if stream.length else stream
+    noise = data.draw(st.integers(0, 60))
+    junk = BitString(data.draw(st.integers(0, (1 << noise) - 1)), noise)
+    for s in (cut, junk):
+        for offset in range(s.length + 2):
+            assert decode_or_error(CanonicalCode.decode_symbol, code, s, offset) == decode_or_error(
+                bitwise_decode, code, s, offset
+            )
+
+
+def test_decode_long_codes_in_one_window():
+    # a skewed code whose longest words run past 100 bits, as the
+    # binomial tails of an all-zero array do
+    code = CanonicalCode.from_weights({i: 1 << (3 * i) for i in range(120)})
+    assert max(code.lengths.values()) == 119
+    stream = BitString()
+    syms = [0, 1, 119, 0, 60]
+    for sym in syms:
+        code.encode_symbol(stream, sym)
+    pos = 0
+    for sym in syms:
+        sym_back, pos = code.decode_symbol(stream, pos)
+        assert sym_back == sym
+    assert pos == stream.length
+    short = BitString(stream.value & ((1 << 100) - 1), 100)  # symbol 0 needs 119
+    with pytest.raises(ValueError, match="outside"):
+        code.decode_symbol(short, 0)
 
 
 def test_empty_alphabet_rejected():

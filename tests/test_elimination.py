@@ -1,13 +1,24 @@
 import hashlib
+import math
 from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import LabConfig
-from rankprobe.structures import EXHAUSTIVE_LIMIT, build_naive, build_recursive, build_two_level, sample_queries
+from rankprobe.model import QueryBlocks, probes_of_set
+from rankprobe.structures import (
+    EXHAUSTIVE_LIMIT,
+    build_naive,
+    build_recursive,
+    build_two_level,
+    max_stage,
+    sample_queries,
+)
 
 
 def random_array(n, seed):
@@ -141,3 +152,50 @@ def test_sample_queries():
     assert big == sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 0).tolist()
     assert big != sample_queries(EXHAUSTIVE_LIMIT + 1, 64, 1).tolist()
 
+
+
+@st.composite
+def odd_size_builds(draw):
+    """(n, array -> layout) at a size that is not a power of two, so a
+    block count below n can leave a tail of n % k queries in no block."""
+    n = draw(st.integers(65, 5000).filter(lambda v: v & (v - 1)))
+    kind = draw(st.sampled_from(["naive", "two_level", "slim", "recursive"]))
+    if kind == "naive":
+        w = draw(st.sampled_from([8, 64]))
+        return n, lambda a: build_naive(a, w)
+    if kind == "two_level":
+        return n, build_two_level
+    if kind == "slim":
+        return n, lambda a: build_two_level(a, superblock=1024, block=128)
+    t = draw(st.integers(1, max_stage(n)))
+    return n, lambda a: build_recursive(a, t)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=odd_size_builds(), seed=st.integers(0, 2**32 - 1))
+def test_reference_set_matches_driver_replay(case, seed):
+    # Each round's reference set is the offset-0 query of every block of
+    # n // k, the tail past k * (n // k) left out, exactly as
+    # QueryBlocks(n, k).offset_queries(0) lists it.  Replaying the rounds
+    # through the query driver, publishing the union of charged probes
+    # of that list, must publish as many new cells as each row reports.
+    n, build = case
+    a = BitArray.random(n, np.random.default_rng(seed))
+    config = LabConfig(saturation_fraction=1.0, final_full_round=True)
+    layout = build(a)
+    traj = run_elimination(layout, config)
+    replay = build(a)
+    replay.publish_redundancy()
+    if replay.published.length == 0:
+        replay.published.publish_raw(1)
+    for row in traj.rows:
+        p = replay.published.length
+        assert row.published_bits == p
+        k = min(math.ceil(config.gamma * max(p, 1)), n)
+        assert row.block_count == k
+        queries = QueryBlocks(n, k).offset_queries(0)
+        assert (np.arange(k) * (n // k)).tolist() == queries
+        _, union = probes_of_set(replay.step, queries, replay.memory, replay.published)
+        assert row.published_cells == len(union)
+        replay.published.publish_cells(replay.memory, sorted(union))
+    assert replay.published.length == layout.published.length

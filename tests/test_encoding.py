@@ -95,6 +95,18 @@ def test_rpe1_roundtrip():
     assert decode(rec2, layout.params, 3).to_int() == a.to_int()
 
 
+def test_all_zero_rpe1_roundtrip():
+    # every detached answer is 0, the rarest value of its increment code,
+    # so component 3 is a run of the longest codewords
+    n = 1 << 16
+    a = BitArray.from_bits(np.zeros(n, dtype=np.uint8))
+    layout = build_two_level(a)
+    rec = EncodingRecord.from_rpe1(encode(layout, 16).to_rpe1())
+    assert rec.detached_answers.length > n // 2
+    back = decode(rec, layout.params, 16)
+    assert back.n == n and not back.to_bits().any()
+
+
 def test_rpe1_rejects_corruption():
     a = BitArray.from_int(12, 77)
     layout = build_two_level(a)

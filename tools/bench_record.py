@@ -13,7 +13,15 @@ checkout of the parent commit) every seed is run on both trees, the
 order alternating from seed to seed, and each metric also gets the count
 of pairs the change wins.  A run that passes its time limit is recorded
 as a timeout, and one whose checks fail as incorrect; neither is dropped,
-and neither enters the medians.  Last, the tier-1 suite is timed once
+and neither enters the medians.  Then every CLI example of the README
+(each line of it that starts with ``rankprobe``) and every perfbench CLI
+twin (``TWIN_ARGS`` in ``perfbench/run.py``, at seed 0) runs
+``CLI_REPEATS`` times per tree as ``python3 -m rankprobe.cli ...`` in a
+scratch directory, the trees alternating.  Each run keeps its wall time,
+the peak RSS of that child alone (from its own ``wait4`` rusage, not the
+maximum over all children so far), its exit status and a digest of its
+stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and recorded as a
+timeout.  Last, the tier-1 suite is timed once
 per tree, and pytest's ten slowest test durations are kept beside its
 wall time, so a record shows where the suite spends it.  The JSON
 written holds, per tree, the median and quartiles of every metric,
@@ -29,13 +37,18 @@ started from), or null outside a git checkout.
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import os
 import re
+import shlex
+import signal
 import statistics
 import subprocess
 import sys
+import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -46,6 +59,8 @@ SEEDS = tuple(range(6000, 6010))
 SECONDS = 10  # the run length of the benchmark itself
 RUN_TIMEOUT_S = 400  # perfbench ends a run within 180 s; this catches a hang
 TIER1_TIMEOUT_S = 1800
+CLI_REPEATS = 5
+CLI_TIMEOUT_S = 120
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]
 
@@ -96,6 +111,55 @@ def change_wins(change: list, base: list) -> dict:
         won = sum(sign * (c["metrics"][name] - b["metrics"][name]) < 0 for c, b in pairs)
         wins[name] = f"{won}/{len(pairs)}"
     return wins
+
+
+def cli_commands(root: Path) -> dict:
+    """Label -> CLI arguments: the README's examples, then perfbench's twins
+    (read from perfbench/run.py without importing it)."""
+    readme = (root / "README.md").read_text()
+    commands = {line: shlex.split(line)[1:] for line in re.findall(r"^rankprobe .*$", readme, re.M)}
+    for node in ast.parse((root / "perfbench" / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TWIN_ARGS" for t in node.targets):
+            for workload, args in ast.literal_eval(node.value).items():
+                commands[f"twin {workload}"] = [*args, "--seed", "0"]
+    return commands
+
+
+def time_cli(root: Path, args: list, cwd: Path) -> dict:
+    """One CLI run: wall time, the child's own peak RSS, exit status and
+    stdout digest, or a timeout."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    fired = threading.Event()
+    with tempfile.TemporaryFile() as out:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-m", "rankprobe.cli", *args], stdout=out,
+                                stderr=subprocess.DEVNULL, cwd=cwd, env=env)
+        killer = threading.Timer(CLI_TIMEOUT_S, lambda: (fired.set(), os.kill(proc.pid, signal.SIGKILL)))
+        killer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+            killer.join()
+        wall = time.perf_counter() - start
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if fired.is_set():
+            return {"status": "timeout", "wall_s": wall}
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()
+    return {"status": "ok" if code == 0 else f"exit {code}", "wall_s": wall,
+            "peak_rss_mib": usage.ru_maxrss / 1024.0, "stdout_sha256": digest}
+
+
+def summarize_cli(runs: list) -> dict:
+    good = [r for r in runs if r["status"] == "ok"]
+    out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs),
+           "stdout_sha256": sorted({r["stdout_sha256"] for r in runs if "stdout_sha256" in r})}
+    for name in ("wall_s", "peak_rss_mib"):
+        values = [r[name] for r in good]
+        if values:
+            out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
+    return out
 
 
 def time_tier1(root: Path) -> dict:
@@ -170,7 +234,17 @@ def main(argv=None) -> int:
                 r.pop("provenance", None)
     if args.baseline:
         report["change_wins"] = {w: change_wins(runs["change"][w], runs["baseline"][w]) for w in WORKLOADS}
+    commands = cli_commands(trees["change"])
+    cli_runs = {tree: {label: [] for label in commands} for tree in trees}
+    with tempfile.TemporaryDirectory() as scratch:
+        for i in range(CLI_REPEATS):
+            for label, cli_args in commands.items():
+                for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                    run = time_cli(trees[tree], cli_args, Path(scratch))
+                    cli_runs[tree][label].append(run)
+                    print(f"{tree} cli {label!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
     for tree, root in trees.items():
+        report["trees"][tree]["cli"] = {label: summarize_cli(rs) for label, rs in cli_runs[tree].items()}
         report["trees"][tree]["tier1"] = time_tier1(root)
         print(f"{tree} tier-1 {report['trees'][tree]['tier1']}", flush=True)
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
