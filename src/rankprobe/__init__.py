@@ -10,7 +10,6 @@ from .model import (
     Footprint,
     ProbeTrace,
     PublishedBits,
-    QueryBlocks,
     build_footprint,
     probes_of_set,
     replay_from_footprint,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LabConfig
-from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, sample_queries
+from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, block_queries, sample_queries
 
 MAX_ROUNDS = 16  # the round cap
 
@@ -85,7 +85,7 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
         overlap = _mean(plan.touches(published))
         # the offset-0 query of each of min(k, n) blocks, in a temporary plan:
         # one of up to n queries kept into the next round would raise peak RSS
-        reference = np.arange(min(k, n), dtype=np.int64) * (n // min(k, n))
+        reference = block_queries(n, min(k, n))
         new_cells = np.flatnonzero(ProbePlan(layout.params, reference).cells(published))
         layout.published.publish_cells(layout.memory, new_cells.tolist())
         published[new_cells] = True

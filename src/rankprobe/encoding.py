@@ -53,17 +53,17 @@ from .coding import (
     subset_rank,
     subset_unrank,
 )
+from .entropy import analytic_deficit
 from .errors import CorruptEncoding, CorruptFootprint, RefusalError
 from .model import (
     Footprint,
     PublishedBits,
-    QueryBlocks,
     address_bits,
     replay_from_footprint,
     run_query,
     simulate_set,
 )
-from .structures import ProbePlan, StructureLayout, layout_from_params, step_from_params
+from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, step_from_params
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
@@ -138,11 +138,10 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     """Offset whose queries share the fewest probed cells with the
     offset-0 reference queries; ties go to the smallest offset.  Offset 0
     itself is excluded (it IS the reference)."""
-    blocks = QueryBlocks(layout.n, k)
-    bs = blocks.block_size
+    reference = block_queries(layout.n, k)
+    bs = layout.n // k
     if bs < 2:
         raise ValueError("blocks too small to hold a nonzero offset")
-    reference = bs * np.arange(k, dtype=np.int64)
     ref_cells = ProbePlan(layout.params, reference).cells(layout.published_mask())
     # Row d - 1 holds offset d's queries.  The reference cells exclude the
     # published ones, so the reference cells a row reads are exactly the
@@ -167,7 +166,7 @@ def _detached_traces(layout: StructureLayout, queries) -> list:
     return kept
 
 
-def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
+def _simulate_sets(layout: StructureLayout, k: int, d: int):
     """The detached queries at offset `d`, then (answers in query order,
     charged cells) for the reference set and for the detached set.
 
@@ -175,8 +174,8 @@ def _simulate_sets(layout: StructureLayout, blocks: QueryBlocks, d: int):
     The detached set comes from the greedy scan's own traces: their
     charged cells are pairwise disjoint, so a set pass would charge each
     query exactly the cells it charged alone, in the same order."""
-    kept = _detached_traces(layout, blocks.offset_queries(d))
-    answers, cells = simulate_set(layout.step, blocks.offset_queries(0), layout.memory, layout.published)
+    kept = _detached_traces(layout, block_queries(layout.n, k, d).tolist())
+    answers, cells = simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published)
     det_cells = {a: c for tr in kept for a, c in tr.steps}
     return (
         [tr.query for tr in kept],
@@ -197,7 +196,7 @@ def _binom_code(m: int) -> CanonicalCode:
     return CanonicalCode.from_weights(weights)
 
 
-def _increment_codes(bs: int, d: int, blocks: tuple) -> list:
+def _increment_codes(queries: list) -> list:
     """Exact canonical codes for the detached answers, one per increment.
 
     The i-th detached answer minus the previous one is Binomial over the
@@ -205,10 +204,9 @@ def _increment_codes(bs: int, d: int, blocks: tuple) -> list:
     and are cached by length."""
     codes = []
     prev = 0
-    for b in blocks:
-        pos = b * bs + d + 1  # rank position answered by query b*bs + d
-        codes.append(_binom_code(pos - prev))
-        prev = pos
+    for q in queries:
+        codes.append(_binom_code(q + 1 - prev))  # query q answers Rank(q + 1)
+        prev = q + 1
     return codes
 
 
@@ -250,16 +248,14 @@ def _ensemble_tables(config: tuple, k: int, d: int):
         raise RefusalError(
             f"ensemble tables need full enumeration; n capped at {ENSEMBLE_LIMIT}"
         )
-    blocks = QueryBlocks(n, k)
     weights: dict = {}
-    det_blocks = None
+    det_queries = None
     for v in range(1 << n):
         layout = layout_from_params(BitArray.from_int(n, v), params)
-        det, (ref_ans, ref_cells), (det_ans, det_cells) = _simulate_sets(layout, blocks, d)
-        db = tuple(q // blocks.block_size for q in det)
-        if det_blocks is None:
-            det_blocks = db
-        elif det_blocks != db:
+        det, (ref_ans, ref_cells), (det_ans, det_cells) = _simulate_sets(layout, k, d)
+        if det_queries is None:
+            det_queries = det
+        elif det_queries != det:
             raise CorruptEncoding("detached set varies with data")
         for cond, cells in (((det_ans,), ref_cells), ((det_ans, ref_ans), det_cells)):
             counts = weights.setdefault(cond, {})
@@ -281,7 +277,7 @@ def _write_footprint(codes, cond, cells: dict) -> BitString:
 
 def _read_footprint(codes, cond, comp: BitString, w: int) -> Footprint:
     cells = codes[cond].decode_symbol(comp, 0)[0]
-    return Footprint(cells, len(cells), w)
+    return Footprint(cells, w)
 
 
 # -- encode ---------------------------------------------------------------
@@ -338,18 +334,15 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     enumerating every array of the length; those tables know only
     layouts with nothing published, so a layout with published cells is
     refused.  So is a published ledger the record cannot carry."""
-    n = layout.n
-    blocks = QueryBlocks(n, k)
-    bs = blocks.block_size
     if d is None:
         d = choose_offset(layout, k)
-    if not 0 < d < bs:
-        raise ValueError(f"offset {d} outside (0, {bs})")
+    if not d:
+        raise ValueError("offset 0 holds the reference queries, not a detached set")
     if ensemble and layout.published.cells:
         raise RefusalError("ensemble tables enumerate layouts with no published cells")
 
-    det, (ref_answers, ref_cells), (det_answers, det_cells) = _simulate_sets(layout, blocks, d)
-    det_blocks = tuple(q // bs for q in det)
+    det, (ref_answers, ref_cells), (det_answers, det_cells) = _simulate_sets(layout, k, d)
+    det_blocks = tuple(q // (layout.n // k) for q in det)
 
     comp2 = BitString()
     comp2.append_bits(len(det_blocks), subset_header_bits(k))
@@ -357,9 +350,8 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     comp2.append_bits(idx, subset_index_bits(k, len(det_blocks)))
 
     comp3 = BitString()
-    codes = _increment_codes(bs, d, det_blocks)
     prev = 0
-    for code, ans in zip(codes, det_answers):
+    for code, ans in zip(_increment_codes(det), det_answers):
         code.encode_symbol(comp3, ans - prev)
         prev = ans
 
@@ -396,10 +388,10 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
     w = params["word_bits"]
     cell_count = params["cell_count"]
     step = step_from_params(params)
-    blocks = QueryBlocks(n, k)
+    reference = block_queries(n, k).tolist()
     d = record.offset
-    if not 0 < d < blocks.block_size:
-        raise CorruptEncoding(f"offset {d} outside (0, {blocks.block_size})")
+    if not 0 < d < n // k:
+        raise CorruptEncoding(f"offset {d} outside (0, {n // k})")
     foot = _footprint_codes(ensemble, params, k, d)
 
     try:
@@ -420,11 +412,13 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         hdr = subset_header_bits(k)
         j = record.detached_id.read_bits(0, hdr)
         det_blocks = subset_unrank(k, j, record.detached_id.read_bits(hdr, subset_index_bits(k, j)))
+        detached = block_queries(n, k, d).tolist()
+        det = [detached[b] for b in det_blocks]
 
         # component 3: detached answers, one increment code per block
         pos = prev = 0
         det_answers = []
-        for code in _increment_codes(blocks.block_size, d, det_blocks):
+        for code in _increment_codes(det):
             inc, pos = code.decode_symbol(record.detached_answers, pos)
             prev += inc
             det_answers.append(prev)
@@ -432,15 +426,14 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
 
         # components 4 and 5: footprints, the reference set first
         f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w)
-        ref_answers, seen_ref = replay_from_footprint(step, blocks.offset_queries(0), f_ref, published)
+        ref_answers, seen_ref = replay_from_footprint(step, reference, f_ref, published)
         ref_cond = (det_answers, tuple(ref_answers.values()))
         f_det = _read_footprint(foot, ref_cond, record.foot_detached, w)
-        det = [b * blocks.block_size + d for b in det_blocks]
         seen_det = replay_from_footprint(step, det, f_det, published)[1]
 
-        # component 6: every cell neither replay charged.  The replays
-        # read published cells free, so those are carried here as well.
-        rest = [a for a in range(cell_count) if a in published.cells or not (a in seen_ref or a in seen_det)]
+        # component 6: every cell neither replay charged, published ones
+        # included, by the filter encode writes it with
+        rest = [a for a in range(cell_count) if a not in seen_ref and a not in seen_det]
         cells = {**seen_ref, **seen_det, **dict(zip(rest, record.remaining.read_cells(0, len(rest), w)))}
         raw = [cells[a] for a in range(params["raw_cells"])]
         array = BitArray.from_bits(np.unpackbits(np.frombuffer(cells_to_bytes(raw, w), dtype=np.uint8), count=n, bitorder="little"))
@@ -478,8 +471,6 @@ def size_accounting(records: list, n: int, k: int) -> SizeAccounting:
     handful of records would dress noise up as measurement."""
     if len(records) < MIN_RECORDS:
         raise RefusalError(f"need at least {MIN_RECORDS} records, got {len(records)}")
-    from .entropy import analytic_deficit
-
     sums = [0] * 6
     for r in records:
         for i, s in enumerate(r.sizes):

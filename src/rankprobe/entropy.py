@@ -347,24 +347,9 @@ def deficit_from_counts(sig_counts: dict) -> tuple:
     return h_r, h_o, h_j, h_r + h_o - h_j
 
 
-def brute_force_deficit(n: int, k: int, d: int, blocks=None, weights: dict | None = None) -> EntropyReport:
-    """Deficit by exact enumeration of all 2^n arrays (n <= 20).
-
-    `weights` optionally restricts to a conditioning event: a map from
-    answer signature to how many arrays of that class the event keeps
-    (arrays sharing a signature are exchangeable for these entropies).
-    """
+def brute_force_deficit(n: int, k: int, d: int, blocks=None) -> EntropyReport:
+    """Deficit by exact enumeration of all 2^n arrays (n <= 20)."""
     blocks, counts = signature_counts(n, k, d, blocks)
-    if weights is not None:
-        trimmed = {}
-        for sig, keep in weights.items():
-            if keep < 0 or keep > counts.get(sig, 0):
-                raise ValueError("event keeps more arrays than exist")
-            if keep:
-                trimmed[sig] = keep
-        counts = trimmed
-        if not counts:
-            raise ValueError("empty conditioning event")
     h_r, h_o, h_j, deficit = deficit_from_counts(counts)
     return EntropyReport(
         n=n,

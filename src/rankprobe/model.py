@@ -125,43 +125,15 @@ class Footprint:
     """
 
     bits: tuple  # cell contents, first-seen order
-    probed_cell_count: int
     word_bits: int
 
     @property
+    def probed_cell_count(self) -> int:
+        return len(self.bits)
+
+    @property
     def length(self) -> int:
-        return self.probed_cell_count * self.word_bits
-
-    def __post_init__(self):
-        if len(self.bits) != self.probed_cell_count:
-            raise ValueError("footprint content count mismatch")
-
-
-class QueryBlocks:
-    """Partition of query indices [0, n) into k stride blocks.
-
-    block_size = floor(n / k); the remainder tail of queries past
-    k * block_size is dropped.  Offset d selects one query per block.
-    """
-
-    __slots__ = ("n", "k", "block_size")
-
-    def __init__(self, n: int, k: int):
-        if k < 1 or n < 1:
-            raise ValueError("need n >= 1 and k >= 1")
-        if k > n:
-            raise ValueError("more blocks than queries")
-        self.n = n
-        self.k = k
-        self.block_size = n // k
-
-    def offset_queries(self, d: int) -> list:
-        """Queries {b * block_size + d : b in [0, k)} for d in [0, block_size)."""
-        if not 0 <= d < self.block_size:
-            raise ValueError(
-                f"offset {d} outside [0, {self.block_size})"
-            )
-        return [b * self.block_size + d for b in range(self.k)]
+        return len(self.bits) * self.word_bits
 
 
 MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
@@ -212,42 +184,43 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
 
 def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
     """Drive `queries` in increasing order.  A cell fetched for one query
-    reads free for the later ones.  Returns (answers, known cells)."""
+    reads free for the later ones.  Returns (answers dict, fetched cells):
+    every address the set fetched, mapped to its contents in first-seen
+    order."""
     known = dict(published.cells) if published is not None else {}
+    skip = len(known)
 
     def charge(address):
         known[address] = content = fetch(address)
         return content
 
-    return {q: _drive(step_fn, q, known, charge)[0] for q in sorted(queries)}, known
+    answers = {q: _drive(step_fn, q, known, charge)[0] for q in sorted(queries)}
+    # known keeps insertion order: the published cells, then each fetch
+    return answers, dict(islice(known.items(), skip, None))
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
     """Drive `queries` once against live memory, in increasing order.
 
-    Returns (answers dict, charged cells): every address the set fetched,
-    mapped to its contents in first-seen order.  The contents are the
-    set's footprint; the addresses are the union of charged probes that
-    :func:`probes_of_set` collects query by query."""
-    answers, known = _drive_set(step_fn, queries, published, memory.read)
-    # known keeps insertion order: the published cells, then each fetch
-    skip = len(published.cells) if published is not None else 0
-    return answers, dict(islice(known.items(), skip, None))
+    Returns (answers dict, charged cells) as :func:`_drive_set` does.  The
+    contents are the set's footprint; the addresses are the union of
+    charged probes that :func:`probes_of_set` collects query by query."""
+    return _drive_set(step_fn, queries, published, memory.read)
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
     """First-seen probed cell contents over `queries` in increasing order."""
-    contents = tuple(simulate_set(step_fn, queries, memory, published)[1].values())
-    return Footprint(contents, len(contents), memory.word_bits)
+    return Footprint(tuple(simulate_set(step_fn, queries, memory, published)[1].values()), memory.word_bits)
 
 
 def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):
     """Re-run `queries` (increasing order) feeding charged probes from the
     footprint instead of memory.
 
-    Returns (answers dict, address -> content map of every cell seen,
-    published ones included).  Raises CorruptFootprint when the recording
-    is too short or has cells left over.
+    Returns (answers dict, charged cells), the same shape as
+    :func:`simulate_set` returns for the recorded set.  Raises
+    CorruptFootprint when the recording is too short or has cells left
+    over.
     """
     cells = iter(footprint.bits)
 
@@ -257,7 +230,7 @@ def replay_from_footprint(step_fn, queries, footprint: Footprint, published: Pub
             raise CorruptFootprint(f"footprint exhausted at address {address}")
         return content
 
-    answers, known = _drive_set(step_fn, queries, published, fetch)
+    answers, charged = _drive_set(step_fn, queries, published, fetch)
     if next(cells, None) is not None:
         raise CorruptFootprint("footprint has cells left over")
-    return answers, known
+    return answers, charged

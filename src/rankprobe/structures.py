@@ -171,7 +171,6 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
         "per_cell": per,
         "raw_cells": raw_cells,
         "rel_base": rel_base,
-        "rel_entry_count": len(rel_entries),
         "cell_count": total,
         "worst_probes": worst,
     }
@@ -413,6 +412,17 @@ def rank(layout: StructureLayout, k: int) -> ProbeTrace:
             f"rank({k}) charged {len(trace.steps)} probes, over the budget of {layout.worst_probes}"
         )
     return trace
+
+
+def block_queries(n: int, k: int, d: int = 0) -> np.ndarray:
+    """The offset-`d` query of each of k stride blocks over [0, n), as an
+    int64 array: block b holds queries b * (n // k) .. (b + 1) * (n // k)
+    - 1, and the tail past k * (n // k) lies in no block."""
+    if not 1 <= k <= n:
+        raise ValueError(f"block count {k} outside [1, {n}]")
+    if not 0 <= d < n // k:
+        raise ValueError(f"offset {d} outside [0, {n // k})")
+    return np.arange(k, dtype=np.int64) * (n // k) + d
 
 
 def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from rankprobe.entropy import (
     deficit_from_counts,
     signature_counts,
 )
-from rankprobe.model import QueryBlocks, build_footprint, replay_from_footprint, run_query
+from rankprobe.model import build_footprint, replay_from_footprint, run_query
 from rankprobe.structures import (
     build_recursive,
     build_two_level,

@@ -222,6 +222,22 @@ def test_empty_run_exits_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--k", "0"), "error: block count 0 outside [1, 4096]"),
+        (("--k", "5000"), "error: block count 5000 outside [1, 4096]"),
+        (("--k", "4", "--delta", "0"), "error: offset 0 holds the reference queries, not a detached set"),
+        (("--k", "4", "--delta", "1024"), "error: offset 1024 outside [0, 1024)"),
+    ],
+    ids=["k0", "k5000", "delta0", "delta1024"],
+)
+def test_encode_bad_blocks_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "encode", "--n", "4096", *argv)
+    assert code == 2 and out == ""
+    assert err == message + "\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("build", "--n", "64"),

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from rankprobe.bits import BitArray
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import LabConfig
-from rankprobe.model import QueryBlocks, probes_of_set
+from rankprobe.model import probes_of_set
 from rankprobe.structures import (
     EXHAUSTIVE_LIMIT,
+    block_queries,
     build_naive,
     build_recursive,
     build_two_level,
@@ -175,8 +176,7 @@ def odd_size_builds(draw):
 @given(case=odd_size_builds(), seed=st.integers(0, 2**32 - 1))
 def test_reference_set_matches_driver_replay(case, seed):
     # Each round's reference set is the offset-0 query of every block of
-    # n // k, the tail past k * (n // k) left out, exactly as
-    # QueryBlocks(n, k).offset_queries(0) lists it.  Replaying the rounds
+    # n // k, the tail past k * (n // k) left out.  Replaying the rounds
     # through the query driver, publishing the union of charged probes
     # of that list, must publish as many new cells as each row reports.
     n, build = case
@@ -193,8 +193,8 @@ def test_reference_set_matches_driver_replay(case, seed):
         assert row.published_bits == p
         k = min(math.ceil(config.gamma * max(p, 1)), n)
         assert row.block_count == k
-        queries = QueryBlocks(n, k).offset_queries(0)
-        assert (np.arange(k) * (n // k)).tolist() == queries
+        queries = [b * (n // k) for b in range(k)]
+        assert block_queries(n, k).tolist() == queries
         _, union = probes_of_set(replay.step, queries, replay.memory, replay.published)
         assert row.published_cells == len(union)
         replay.published.publish_cells(replay.memory, sorted(union))

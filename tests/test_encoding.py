@@ -20,7 +20,7 @@ from rankprobe.encoding import _detached_traces, _simulate_sets
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
-from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query, simulate_set
+from rankprobe.model import PublishedBits, probes_of_set, run_query, simulate_set
 from rankprobe.structures import build_naive, build_recursive, build_two_level, layout_from_params
 
 
@@ -72,7 +72,7 @@ def test_roundtrip_chosen_offset():
 def test_detached_queries_disjoint():
     a = BitArray.random(1 << 12, np.random.default_rng(2))
     layout = build_two_level(a)
-    qs = QueryBlocks(layout.n, 8).offset_queries(2)
+    qs = [b * (layout.n // 8) + 2 for b in range(8)]
     det = [tr.query for tr in _detached_traces(layout, qs)]
     assert det and det[0] == min(qs)
     used = set()
@@ -200,10 +200,9 @@ def test_decode_rejects_corrupt_counter(bit):
     # remaining-cells component.
     layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
     rec = encode(layout, 4, d=512)
-    blocks = QueryBlocks(4096, 4)
-    det = [tr.query for tr in _detached_traces(layout, blocks.offset_queries(512))]
+    det = [tr.query for tr in _detached_traces(layout, [b * 1024 + 512 for b in range(4)])]
     probed = set()
-    for qs in (blocks.offset_queries(0), det):
+    for qs in ([b * 1024 for b in range(4)], det):
         probed |= probes_of_set(layout.step, qs, layout.memory, layout.published)[1]
     carried = [a for a in range(layout.memory.cell_count) if a not in probed]
     counter = layout.params["rel_base"] - 1
@@ -299,8 +298,8 @@ def test_detached_traces_match_set_pass(case):
     layout = make()
     if d is None:
         d = choose_offset(layout, k)
-    det, _, (answers, cells) = _simulate_sets(layout, QueryBlocks(layout.n, k), d)
-    assert det == [tr.query for tr in _detached_traces(layout, QueryBlocks(layout.n, k).offset_queries(d))]
+    det, _, (answers, cells) = _simulate_sets(layout, k, d)
+    assert det == [tr.query for tr in _detached_traces(layout, [b * (layout.n // k) + d for b in range(k)])]
     want_answers, want_cells = simulate_set(layout.step, det, layout.memory, layout.published)
     assert answers == tuple(want_answers.values())
     assert list(cells.items()) == list(want_cells.items())

@@ -1,17 +1,20 @@
+import numpy as np
 import pytest
 
+from rankprobe.bits import BitArray
 from rankprobe.model import (
     CellMemory,
     CorruptFootprint,
     Footprint,
     PublishedBits,
-    QueryBlocks,
     SimulationFault,
     build_footprint,
     probes_of_set,
     replay_from_footprint,
     run_query,
+    simulate_set,
 )
+from rankprobe.structures import build_two_level
 
 
 def sum_step(query):
@@ -91,23 +94,6 @@ def test_bad_step_faults():
         run_query(runaway, 0, mem)
 
 
-def test_query_blocks():
-    qb = QueryBlocks(16, 4)
-    assert qb.block_size == 4
-    assert qb.offset_queries(0) == [0, 4, 8, 12]
-    assert qb.offset_queries(3) == [3, 7, 11, 15]
-    with pytest.raises(ValueError):
-        qb.offset_queries(4)
-    with pytest.raises(ValueError):
-        qb.offset_queries(-1)
-    # remainder queries are dropped
-    qb = QueryBlocks(17, 4)
-    assert qb.block_size == 4
-    assert max(qb.offset_queries(3)) == 15
-    with pytest.raises(ValueError):
-        QueryBlocks(4, 5)
-
-
 def test_footprint_first_seen_and_length():
     mem = CellMemory(8, [5, 7, 11, 13])
     fp = build_footprint(sum_step, [1, 2], mem)
@@ -117,8 +103,6 @@ def test_footprint_first_seen_and_length():
     assert fp.length == 3 * 8
     _, union = probes_of_set(sum_step, [1, 2], mem)
     assert fp.length == len(union) * mem.word_bits
-    with pytest.raises(ValueError):
-        Footprint((1, 2), 3, 8)
 
 
 def test_replay_matches_direct():
@@ -141,10 +125,26 @@ def test_replay_with_published_and_known():
     assert answers[2] == 23
 
 
+def test_live_and_replayed_set_pass_agree():
+    # both passes return the cells the set fetched, in first-seen order,
+    # and leave out the published ones it read free
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(5)))
+    layout.publish_redundancy()
+    layout.published.publish_cells(layout.memory, [0, 7, 40])
+    queries = list(range(3, 4096, 37))
+    answers, charged = simulate_set(layout.step, queries, layout.memory, layout.published)
+    foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+    replayed = replay_from_footprint(layout.step, queries, foot, layout.published)
+    assert replayed[0] == answers
+    assert list(replayed[1].items()) == list(charged.items())
+    assert not charged.keys() & layout.published.cells.keys()
+    assert tuple(charged.values()) == foot.bits
+
+
 def test_replay_truncated_footprint():
     mem = CellMemory(8, [5, 7, 11, 13])
     fp = build_footprint(sum_step, [3], mem)
-    short = Footprint(fp.bits[:-1], fp.probed_cell_count - 1, 8)
+    short = Footprint(fp.bits[:-1], 8)
     with pytest.raises(CorruptFootprint):
         replay_from_footprint(sum_step, [3], short)
 
@@ -152,7 +152,7 @@ def test_replay_truncated_footprint():
 def test_replay_overlong_footprint():
     mem = CellMemory(8, [5, 7, 11, 13])
     fp = build_footprint(sum_step, [1], mem)
-    long = Footprint(fp.bits + (11,), fp.probed_cell_count + 1, 8)
+    long = Footprint(fp.bits + (11,), 8)
     with pytest.raises(CorruptFootprint):
         replay_from_footprint(sum_step, [1], long)
 

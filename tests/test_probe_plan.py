@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.encoding import choose_offset
-from rankprobe.model import PublishedBits, QueryBlocks, probes_of_set, run_query
+from rankprobe.model import PublishedBits, probes_of_set, run_query
 from rankprobe.structures import (
     ProbePlan,
     build_naive,
@@ -78,14 +78,14 @@ def test_plan_matches_driver(case, share, seed):
 
 def brute_force_overlaps(layout, k):
     """|charged cells of offset d ∩ charged cells of offset 0| for every
-    d in [1, block_size), from probes_of_set unions."""
-    blocks = QueryBlocks(layout.n, k)
+    d in [1, n // k), from probes_of_set unions."""
+    bs = layout.n // k
 
     def charged_cells(d):
-        return probes_of_set(layout.step, blocks.offset_queries(d), layout.memory, layout.published)[1]
+        return probes_of_set(layout.step, [b * bs + d for b in range(k)], layout.memory, layout.published)[1]
 
     ref = charged_cells(0)
-    return [len(charged_cells(d) & ref) for d in range(1, blocks.block_size)]
+    return [len(charged_cells(d) & ref) for d in range(1, bs)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -98,9 +98,9 @@ def test_choose_offset_matches_brute_force(case, k, share, seed):
     layout = build(BitArray.random(n, rng))
     published = publish_at_random(layout, rng, share)
     overlaps = brute_force_overlaps(layout, k)
-    blocks = QueryBlocks(n, k)
-    ref = ProbePlan(layout.params, blocks.offset_queries(0)).cells(published)
-    grid = [blocks.offset_queries(d) for d in range(1, blocks.block_size)]
+    bs = n // k
+    ref = ProbePlan(layout.params, [b * bs for b in range(k)]).cells(published)
+    grid = [[b * bs + d for b in range(k)] for d in range(1, bs)]
     assert ProbePlan(layout.params, grid).row_hits(ref).tolist() == overlaps
     assert choose_offset(layout, k) == 1 + overlaps.index(min(overlaps))
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
+    block_queries,
     build_naive,
     build_recursive,
     build_two_level,
@@ -23,6 +24,21 @@ def all_layouts(array):
     for t in range(1, max_stage(array.n) + 1):
         out.append(build_recursive(array, t))
     return out
+
+
+def test_block_queries():
+    assert block_queries(16, 4).tolist() == [0, 4, 8, 12]
+    assert block_queries(16, 4, 3).tolist() == [3, 7, 11, 15]
+    assert block_queries(16, 4).dtype == np.int64
+    with pytest.raises(ValueError):
+        block_queries(16, 4, 4)
+    with pytest.raises(ValueError):
+        block_queries(16, 4, -1)
+    # remainder queries are dropped
+    assert max(block_queries(17, 4, 3).tolist()) == 15
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            block_queries(4, k)
 
 
 def test_exhaustive_small():
