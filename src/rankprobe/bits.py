@@ -32,21 +32,26 @@ def cells_from_bytes(data: np.ndarray, nbits: int, width: int) -> list:
     `data` is a uint8 array of packed bits, LSB first (a ``BitArray``'s
     words viewed as bytes), at least ceil(nbits / 8) long and zero past
     `nbits`."""
+    return cell_array(data, nbits, width).tolist()
+
+
+def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
+    """The cells of :func:`cells_from_bytes` in a uint64 array, or past width 64 an object one."""
     if width < 1:
         raise ValueError("cell width must be positive")
     count = -(-nbits // width)
     if width == 64 and data.size >= count * 8:
-        return data[: count * 8].view("<u8").tolist()
+        return data[: count * 8].view("<u8")
     bits = np.zeros(count * width, dtype=np.uint8)
     bits[:nbits] = np.unpackbits(data, count=nbits, bitorder="little")
     rows = np.packbits(bits.reshape(count, width), axis=1, bitorder="little")
     nb = rows.shape[1]  # bytes per cell
     if nb > 8:
         raw = rows.tobytes()
-        return [int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)]
+        return np.array([int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)], dtype=object)
     wide = np.zeros((count, 8), dtype=np.uint8)
     wide[:, :nb] = rows
-    return wide.view("<u8").ravel().tolist()
+    return wide.view("<u8").ravel()
 
 
 def cells_to_bytes(cells, width: int) -> bytes:

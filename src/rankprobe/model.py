@@ -3,13 +3,13 @@
 A data structure lives in a :class:`CellMemory` of fixed-width cells.  A
 query is a generator: ``step(query)`` yields cell addresses, receives each
 cell's contents, and returns the answer.  One driver runs every query.  It
-serves each address from the query's own earlier reads, then from known
-cells (published ones, and those an earlier query of the same set
-recovered), and only then charges a probe by fetching the cell: from
-memory for live runs and set passes (:func:`simulate_set`), from the
+serves each address from known cells (published ones, and those an
+earlier query of the same set recovered), then from the query's charged
+map, and only then charges a probe by fetching the cell into that map:
+from memory for live runs and set passes (:func:`simulate_set`), from the
 next cell of a recorded :class:`Footprint` (first-seen contents in probe
 order) for :func:`replay_from_footprint`, which the encoding argument
-relies on.
+relies on.  The charged map, fetched cells in probe order, is the trace.
 Free reads never appear in a trace, and a query costs time linear in the
 addresses it yields.
 
@@ -22,8 +22,9 @@ cells for many queries at once come from the batch plans in
 from __future__ import annotations
 
 import operator
-from itertools import islice
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CorruptFootprint, SimulationFault
 
@@ -34,7 +35,9 @@ def address_bits(cell_count: int) -> int:
 
 
 class CellMemory:
-    """Word-addressable memory: `cell_count` cells of `word_bits` bits."""
+    """Word-addressable memory: `cell_count` cells of `word_bits` bits, from
+    an iterable of ints or an integer ndarray (a builder's uint64 image,
+    range-checked by numpy before one ``tolist``)."""
 
     __slots__ = ("word_bits", "cells")
 
@@ -42,8 +45,13 @@ class CellMemory:
         if word_bits < 1:
             raise ValueError("word width must be positive")
         self.word_bits = word_bits
-        self.cells = list(cells)
-        if self.cells and (min(self.cells) < 0 or max(self.cells) >> word_bits):
+        if isinstance(cells, np.ndarray):  # the OR of the cells is negative if one is
+            wide = int(np.bitwise_or.reduce(cells)) >> word_bits
+            self.cells = cells.tolist()
+        else:
+            self.cells = list(cells)
+            wide = self.cells and (min(self.cells) < 0 or max(self.cells) >> word_bits)
+        if wide:
             raise ValueError("cell content wider than word")
 
     @property
@@ -140,63 +148,54 @@ MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
 
 
 def _drive(step_fn, query: int, known: dict, fetch):
-    """Run one query generator; returns (answer, charged (address, content) steps).
+    """Run one query generator; returns (answer, charged map).
 
-    `known` cells read free; `fetch(address)` charges a probe."""
+    `known` cells read free; any other address is looked up in the charged
+    map, and a miss charges a probe: `fetch(address)` gives the contents,
+    which the map keeps, each charged cell once and in probe order."""
     gen = step_fn(operator.index(query))
-    reads = {}
-    steps = []
+    charged = {}
     try:
         addr = next(gen)
         for _ in range(MAX_STEPS):
             if addr.__class__ is not int:
                 raise SimulationFault(f"query {query} yielded {addr!r}, not a cell address")
-            content = reads.get(addr)
+            content = known.get(addr)
             if content is None:
-                content = known.get(addr)
+                content = charged.get(addr)
                 if content is None:
-                    content = fetch(addr)
-                    steps.append((addr, content))
-                reads[addr] = content
+                    charged[addr] = content = fetch(addr)
             addr = gen.send(content)
     except StopIteration as stop:
-        return stop.value, steps
+        return stop.value, charged
     raise SimulationFault(f"query {query} exceeded step budget")
 
 
 def run_query(step_fn, query: int, memory: CellMemory, published: PublishedBits | None = None) -> ProbeTrace:
     """Drive one query against live memory.  Published cells read free."""
     known = published.cells if published is not None else {}
-    answer, steps = _drive(step_fn, query, known, memory.read)
-    return ProbeTrace(query, tuple(steps), answer)
+    answer, charged = _drive(step_fn, query, known, memory.read)
+    return ProbeTrace(query, tuple(charged.items()), answer)
 
 
 def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
     """Traces for a query set plus the union of charged addresses."""
-    traces = []
-    union = set()
-    for q in queries:
-        tr = run_query(step_fn, q, memory, published)
-        traces.append(tr)
-        union.update(tr.addresses)
-    return traces, union
+    traces = [run_query(step_fn, q, memory, published) for q in queries]
+    return traces, {a for tr in traces for a in tr.addresses}
 
 
 def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
-    """Drive `queries` in increasing order.  A cell fetched for one query
-    reads free for the later ones.  Returns (answers dict, fetched cells):
-    every address the set fetched, mapped to its contents in first-seen
-    order."""
+    """Drive `queries` in increasing order, merging each query's charged
+    map into the known cells, so a cell fetched for one query reads free
+    for the later ones.  Returns (answers dict, fetched cells): the charged
+    maps joined in query order, every fetched address with its contents."""
     known = dict(published.cells) if published is not None else {}
-    skip = len(known)
-
-    def charge(address):
-        known[address] = content = fetch(address)
-        return content
-
-    answers = {q: _drive(step_fn, q, known, charge)[0] for q in sorted(queries)}
-    # known keeps insertion order: the published cells, then each fetch
-    return answers, dict(islice(known.items(), skip, None))
+    answers, fetched = {}, {}
+    for q in sorted(queries):
+        answers[q], charged = _drive(step_fn, q, known, fetch)
+        known.update(charged)
+        fetched.update(charged)
+    return answers, fetched
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):

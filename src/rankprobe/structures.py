@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import BitArray, cells_from_bytes
+from .bits import BitArray, cell_array
 from .errors import SimulationFault
 from .model import CellMemory, ProbeTrace, PublishedBits, run_query
 
@@ -106,18 +106,18 @@ class StructureStats:
     avg_probes: float
 
 
-def _slot_cells(values: np.ndarray, width: int, per: int, w: int) -> list:
+def _slot_cells(values: np.ndarray, width: int, per: int, w: int) -> np.ndarray:
     """Pack counters of `width` bits, `per` to a cell from the low end, into
     w-bit cells: a bit matrix of one row per cell, zero-padded to w."""
     if not len(values):  # below one block: spare tiny builds the numpy calls
-        return []
+        return np.zeros(0, dtype=np.uint64)
     rows = -(-len(values) // per)
     slots = np.zeros(rows * per, dtype="<u8")
     slots[: len(values)] = values
     bits = np.unpackbits(slots.view(np.uint8).reshape(-1, 8), axis=1, count=width, bitorder="little")
     matrix = np.zeros((rows, w), dtype=np.uint8)
     matrix[:, : per * width] = bits.reshape(rows, per * width)
-    return cells_from_bytes(np.packbits(matrix, bitorder="little"), rows * w, w)
+    return cell_array(np.packbits(matrix, bitorder="little"), rows * w, w)
 
 
 def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int, kind: str, extra: dict | None = None) -> StructureLayout:
@@ -148,10 +148,9 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     rel_entries = (starts[:, 1:] - starts[:, :1]).ravel()[: n // block + 1 - n_abs]
     rel_cells = (len(rel_entries) + per - 1) // per
 
-    # memory image: [raw][absolute][relative]
-    cells = cells_from_bytes(array.words.view(np.uint8), n, w)
-    cells += abs_vals.tolist()
-    cells += _slot_cells(rel_entries, width, per, w)
+    # memory image: [raw][absolute][relative], uint64 up to w = 64
+    raw = cell_array(array.words.view(np.uint8), n, w)
+    cells = np.concatenate((raw, abs_vals.astype(raw.dtype), _slot_cells(rel_entries, width, per, w)))
 
     rel_base = raw_cells + n_abs
     total = rel_base + rel_cells
@@ -211,10 +210,14 @@ def _counter_geometry(params: dict):
 
 def _scan(lo: int, pos: int, w: int):
     """Query generator counting the ones among raw bits lo * w .. pos - 1,
-    probing cells lo .. (pos - 1) // w in increasing order."""
+    probing cells lo .. (pos - 1) // w in increasing order.  Only the last
+    cell is masked: every earlier one is a raw cell wholly below pos."""
+    last = (pos - 1) // w
     total = 0
-    for c in range(lo, (pos - 1) // w + 1):
-        total += ((yield c) & ((1 << min(pos - c * w, w)) - 1)).bit_count()
+    for c in range(lo, last):
+        total += (yield c).bit_count()
+    if lo <= last:
+        total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
     return total
 
 
@@ -341,7 +344,7 @@ def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
     if w < 1:
         raise ValueError("cell width must be positive")
     raw_cells = (n + w - 1) // w
-    memory = CellMemory(w, cells_from_bytes(array.words.view(np.uint8), n, w))
+    memory = CellMemory(w, cell_array(array.words.view(np.uint8), n, w))
     params = {
         "kind": "naive",
         "n": n,

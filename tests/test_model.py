@@ -14,7 +14,7 @@ from rankprobe.model import (
     run_query,
     simulate_set,
 )
-from rankprobe.structures import build_two_level
+from rankprobe.structures import build_recursive, build_two_level
 
 
 def sum_step(query):
@@ -37,13 +37,31 @@ def test_cell_memory_contract():
         mem.read(-1)
     with pytest.raises(ValueError):
         CellMemory(8, [256])
+    assert CellMemory(8, np.zeros(0, dtype=np.uint64)).cells == []
 
 
 @pytest.mark.parametrize("w,cells", [(8, [0, 256, 1]), (8, [3, -1]), (64, [1 << 64]), (96, [5, 1 << 96, 0])])
 def test_cell_memory_rejects_out_of_range_cells(w, cells):
+    clamped = [max(0, min(c, (1 << w) - 1)) for c in cells]
     with pytest.raises(ValueError, match="wider than word"):
         CellMemory(w, cells)
-    CellMemory(w, [max(0, min(c, (1 << w) - 1)) for c in cells])
+    CellMemory(w, clamped)
+    # an int64 or uint64 array is checked as its list is, and stored as the same Python ints
+    for dtype in (np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        if all(info.min <= c <= info.max for c in cells):
+            with pytest.raises(ValueError, match="wider than word"):
+                CellMemory(w, np.array(cells, dtype=dtype))
+        if all(info.min <= c <= info.max for c in clamped):
+            mem = CellMemory(w, np.array(clamped, dtype=dtype))
+            assert mem.cells == clamped
+            assert all(type(c) is int for c in mem.cells)
+
+
+def test_builder_image_still_range_checked():
+    # the absolute counters of a 600-bit array overflow 8-bit cells
+    with pytest.raises(ValueError, match="wider than word"):
+        build_two_level(BitArray.random(600, np.random.default_rng(0)), 64, 8, 8)
 
 
 def test_run_query_trace_and_determinism():
@@ -166,3 +184,29 @@ def test_repeated_reads_charged_once():
     tr = run_query(twice, 0, CellMemory(8, [3, 4]))
     assert tr.answer == 8
     assert tr.steps == ((1, 4),)
+
+    def mixed(query):  # cell 0 is published below, cell 1 is not
+        return (yield 0) + (yield 1) + (yield 0) + (yield 1)
+
+    mem = CellMemory(8, [3, 4])
+    pub = PublishedBits()
+    pub.publish_cells(mem, [0])
+    tr = run_query(mixed, 0, mem, pub)
+    assert tr.answer == 14
+    assert tr.steps == ((1, 4),)
+
+
+def test_set_pass_fetches_each_query_steps_once():
+    # the set pass's fetched map is the per-query traces joined in query
+    # order, with every cell an earlier query already fetched dropped
+    layout = build_recursive(BitArray.random(5000, np.random.default_rng(8)), 2)
+    raw = layout.params["raw_cells"]
+    layout.published.publish_cells(layout.memory, [1, 5, raw, raw + 3, layout.params["rel_base"]])
+    queries = [4999, 300, 17, 310, 2047, 2048, 1000, 260, 3333, 3334, 0]
+    _, fetched = simulate_set(layout.step, queries, layout.memory, layout.published)
+    want = {}
+    for q in sorted(queries):
+        for a, c in run_query(layout.step, q, layout.memory, layout.published).steps:
+            want.setdefault(a, c)
+    assert list(fetched.items()) == list(want.items())
+    assert not fetched.keys() & layout.published.cells.keys()

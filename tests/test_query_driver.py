@@ -36,12 +36,15 @@ def oracle_addresses(kind, n, w, superblock, block, q):
 def _cases():
     small = BitArray.random(200, np.random.default_rng(11))
     big = BitArray.random(3000, np.random.default_rng(12))
+    yield "naive-w7", small, lambda a: build_naive(a, 7), None
     yield "naive-w8", small, lambda a: build_naive(a, 8), None
     yield "naive-w64", big, lambda a: build_naive(a, 64), None
+    yield "naive-w65", big, lambda a: build_naive(a, 65), None
     yield "two_level-w8", small, lambda a: build_two_level(a, word_bits=8), (512, 64)
     yield "two_level-64/8-w8", small, lambda a: build_two_level(a, 64, 8, 8), (64, 8)
     yield "two_level-w64", big, lambda a: build_two_level(a), (512, 64)
     yield "two_level-384/96-w96", big, lambda a: build_two_level(a, 384, 96, 96), (384, 96)
+    yield "two_level-390/130-w65", big, lambda a: build_two_level(a, 390, 130, 65), (390, 130)
     for array, w in ((small, 8), (big, 64)):
         for t in range(1, max_stage(array.n) + 1):
             block = min(1 << (2 * t + 4), 1 << max(6, (array.n - 1).bit_length()))
