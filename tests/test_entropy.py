@@ -20,7 +20,7 @@ from rankprobe.entropy import (
     montecarlo_deficit,
     signature_counts,
 )
-from rankprobe.entropy import _row_ids
+from rankprobe.entropy import _row_ids, _segments
 
 # frozen oracle values (independent bigint computation)
 H_SMALL = {
@@ -164,19 +164,104 @@ def test_signature_counts_match_enumeration(case):
     assert list(got.items()) == list(_enumerate_signatures(n, k, d, blocks).items())
 
 
+# Two geometries where one segment holds bits n // 2 - 1 and n // 2, so its
+# popcount is split over the low and high half-tables; one odd n, one even.
+STRADDLING = [(13, 3, 1, (0, 2)), (16, 3, 2, (0, 1, 2))]
+
+
+@pytest.mark.parametrize("case", STRADDLING)
+def test_signature_counts_match_enumeration_across_halves(case):
+    n, k, d, blocks = case
+    _, lengths, _, _ = _segments(n, k, d, blocks)
+    starts = np.cumsum(lengths) - lengths
+    assert any(s < n // 2 < s + length for s, length in zip(starts, lengths))
+    got_blocks, got = signature_counts(n, k, d, blocks)
+    assert got_blocks == blocks
+    assert list(got.items()) == list(_enumerate_signatures(n, k, d, blocks).items())
+
+
+# shapes whose mixed-radix bound is at most 16 times the row count, so their
+# ids come from the table of keys seen; the rest sort their keys
+TABLE_ROUTE = {(500, 1), (2000, 6), (100, 2), (20000, 4), (4000, 3)}
+
+
 @pytest.mark.parametrize(
     "shape, radix",
-    [((500, 1), 3), ((2000, 6), 4), ((3000, 8), 21), ((1500, 40), 61), ((800, 80), 201)],
+    [((500, 1), 3), ((2000, 6), 4), ((3000, 8), 21), ((1500, 40), 61), ((800, 80), 201),
+     ((100, 2), 40), ((99, 2), 40), ((20000, 4), 18), ((4000, 3), 30), ((50, 3), 40)],
 )
-def test_row_ids_follow_unique_rows(shape, radix):
-    # the last two shapes need more than 62 bits of mixed-radix key
+def test_row_ids_follow_unique_rows(shape, radix, monkeypatch):
+    # (1500, 40) and (800, 80) need more than 62 bits of mixed-radix key;
+    # (100, 2) sits on the table route's bound and (99, 2) one row past it
     rng = np.random.default_rng(shape[1])
     rows = rng.integers(0, radix, size=shape)
     rows[1::3] = rows[::3][: len(rows[1::3])]  # repeated rows
     _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda key: sorts.append(len(key)) or unique(key))
     ids = _row_ids(rows, radix)
+    monkeypatch.undo()
+    assert bool(sorts) == (shape not in TABLE_ROUTE)
     assert ids.dtype == np.int64
     assert np.array_equal(ids, inverse.ravel())
+
+
+# sha256 over the float64 (reference, offset, joint, deficit) of
+# brute_force_deficit(n, k, d, blocks) for every k and d, each with blocks
+# None and then every other block, taken from the row-id enumeration that
+# keyed all 2^n arrays' rank columns
+BRUTE_FORCE_SHA256 = {
+    2: "d1c4f1bb64634f9a90588b4653fed435d8bd6b368c5f102017fae9f933150f3e",
+    3: "2290b08f4ba8c8aaeac6b8c0323cdf0b90cd8b216b6d5a165ad865ce87aed45c",
+    4: "5e5e866e874278f457d843ffa55c606fac075cc73c4481aab32ac42d493e910d",
+    5: "884c602ff1f7cda020a471e1b0dddfb96295bea1a3d600219665ce213abda071",
+    6: "d2cf89bf7fc6b287a233eec1e86b3ab3d3035c459291fd1eb969559d42e9744e",
+    7: "5f108f0cc17c718d85e5f344d525d7dcd8e75497ae2af7d2180c0db584cd177d",
+    8: "5b68b5ed60d0b7bb479a4b66f627aa0bdec01bad83f1fb7d5f1067e575a7d450",
+    9: "c27427faf8a02b444bae861bdaecf3b12d18302f9813988badcf6bed84eb14a7",
+    10: "62f2f26c3fc7dd172564752b4bf9e6e54a6878ae773d5ed0f44ad272273c4d0a",
+    11: "82a7c01b25d553563145d82553b72ab882291e77101e7b709b7fc3a8bcad056f",
+    12: "9b030b0dc13d34ba1c956d92af716bab96be7cb823b848e77961686e47deded1",
+    13: "8b2487803821ece04d17fbb283509e5f2b8ccb8708c44eed464246ece50bf88d",
+    14: "507d962a20d72fafff3fa73c8a3f027957bfb610c5c78503cda875cfbb8992b5",
+}
+BRUTE_FORCE_PINS = {
+    (17, 4, 2): (8.122556248918265, 7.591917186688699, 12.0, 3.7144734356069637),
+    (18, 3, 3): (7.0000861043129685, 6.47800219400111, 10.867668746754799, 2.6104195515592803),
+    (20, 4, 2): (8.792769644172392, 8.094577233129293, 13.245112497836532, 3.642234379465153),
+}
+# sha256 of repr(list(signature_counts(*geometry)[1].items()))
+SIGNATURE_ITEMS_SHA256 = {
+    (16, 4, 2): "8b9710959b3eb76a758f69bdfa9e1eec6f37604ce495d2c0a33db36adbe1e0b2",
+    (20, 4, 2): "56b549ac536a1bdb8cfdcf0223a66884180f804d8e85bfdf08b74cd67544140e",
+}
+
+
+def _report_floats(rep):
+    return (rep.reference_entropy, rep.offset_entropy, rep.joint_entropy, rep.deficit)
+
+
+@pytest.mark.parametrize("n", list(BRUTE_FORCE_SHA256))
+def test_brute_force_reports_pinned(n):
+    digest = hashlib.sha256()
+    for k in range(1, n + 1):
+        for d in range(1, n // k):
+            for blocks in (None, tuple(range(0, k, 2))):
+                floats = _report_floats(brute_force_deficit(n, k, d, blocks))
+                digest.update(np.array(floats, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == BRUTE_FORCE_SHA256[n]
+
+
+@pytest.mark.parametrize("geometry", list(BRUTE_FORCE_PINS))
+def test_brute_force_large_reports_pinned(geometry):
+    assert _report_floats(brute_force_deficit(*geometry)) == BRUTE_FORCE_PINS[geometry]
+
+
+@pytest.mark.parametrize("geometry", list(SIGNATURE_ITEMS_SHA256))
+def test_signature_items_pinned(geometry):
+    items = list(signature_counts(*geometry)[1].items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == SIGNATURE_ITEMS_SHA256[geometry]
 
 
 def test_deficit_from_counts_uniform():
@@ -264,6 +349,12 @@ MC_PINS = {
         (60, 20, 1),
         dict(config=LabConfig(montecarlo_trials=3000, rng_seed=2, bootstrap_rounds=20)),
         (3000, 12.271853856654241, 12.224797157483765, 12.318910555824717),
+    ),
+    # the entropy_triangulate benchmark's configuration at seed 0
+    "n17_benchmark": (
+        (17, 4, 2),
+        dict(config=LabConfig(montecarlo_trials=20000, rng_seed=0, bootstrap_rounds=4)),
+        (20000, 3.7820377178952302, 3.76723273241065, 3.7968427033798107),
     ),
 }
 

@@ -21,9 +21,13 @@ scratch directory, the trees alternating.  Each run keeps its wall time,
 the peak RSS of that child alone (from its own ``wait4`` rusage, not the
 maximum over all children so far), its exit status and a digest of its
 stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and recorded as a
-timeout.  Last, the tier-1 suite is timed once
-per tree, and pytest's ten slowest test durations are kept beside its
-wall time, so a record shows where the suite spends it.  The JSON
+timeout.  Last, the tier-1 suite runs four times in the order change,
+baseline, baseline, change (twice on the one tree without ``--baseline``),
+so host drift over the runs falls on both trees alike.  Every run is kept
+with its wall time and pytest's ten slowest test durations; per tree the
+record holds the median wall time and, for each test among any run's ten
+slowest, its median over the runs that list it, so a record shows where
+the suite spends its time.  The JSON
 written holds, per tree, the median and quartiles of every metric,
 perfbench's provenance (host, Python and numpy, git commit, source
 digest) plus a digest of ``perfbench/`` itself, and
@@ -59,6 +63,7 @@ SEEDS = tuple(range(6000, 6010))
 SECONDS = 10  # the run length of the benchmark itself
 RUN_TIMEOUT_S = 400  # perfbench ends a run within 180 s; this catches a hang
 TIER1_TIMEOUT_S = 1800
+TIER1_ORDER = ("change", "baseline", "baseline", "change")
 CLI_REPEATS = 5
 CLI_TIMEOUT_S = 120
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
@@ -163,6 +168,7 @@ def summarize_cli(runs: list) -> dict:
 
 
 def time_tier1(root: Path) -> dict:
+    """One tier-1 run: its wall time, pass counts and slowest tests."""
     start = time.perf_counter()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     try:
@@ -175,6 +181,21 @@ def time_tier1(root: Path) -> dict:
                for s, phase, test in re.findall(r"^([\d.]+)s (call|setup|teardown) +(\S.*?)\s*$", done.stdout, re.M)]
     return {"status": f"exit {done.returncode}", "wall_s": time.perf_counter() - start, "summary": tail,
             "slowest": slowest, **counts}
+
+
+def summarize_tier1(runs: list) -> dict:
+    """Median wall time of the runs that finished, and each slowest test's
+    median duration over the runs that list it, slowest first."""
+    done = [r for r in runs if r["status"] != "timeout"]
+    durations = {}
+    for r in done:
+        for t in r["slowest"]:
+            durations.setdefault((t["test"], t["phase"]), []).append(t["s"])
+    slowest = [{"test": test, "phase": phase, "median_s": statistics.median(s), "listed": len(s)}
+               for (test, phase), s in durations.items()]
+    return {"runs": runs, "timeouts": len(runs) - len(done),
+            "wall_s": statistics.median(r["wall_s"] for r in done) if done else None,
+            "slowest": sorted(slowest, key=lambda t: -t["median_s"])}
 
 
 def perfbench_digest(root: Path) -> str:
@@ -243,10 +264,14 @@ def main(argv=None) -> int:
                     run = time_cli(trees[tree], cli_args, Path(scratch))
                     cli_runs[tree][label].append(run)
                     print(f"{tree} cli {label!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
-    for tree, root in trees.items():
+    tier1_runs = {tree: [] for tree in trees}
+    for tree in [t for t in TIER1_ORDER if t in trees]:
+        run = time_tier1(trees[tree])
+        tier1_runs[tree].append(run)
+        print(f"{tree} tier-1 {run['status']} wall={run['wall_s']:.1f} {run.get('summary', '')}", flush=True)
+    for tree in trees:
         report["trees"][tree]["cli"] = {label: summarize_cli(rs) for label, rs in cli_runs[tree].items()}
-        report["trees"][tree]["tier1"] = time_tier1(root)
-        print(f"{tree} tier-1 {report['trees'][tree]['tier1']}", flush=True)
+        report["trees"][tree]["tier1"] = summarize_tier1(tier1_runs[tree])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
