@@ -266,6 +266,9 @@ def main(argv=None) -> int:
     except (ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:  # a size past what this host can hold is refused too
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 3
     except OSError as e:  # the CLI reads no files: this is an output write
         print(f"error: cannot write {e.filename or 'output'}: {e.strerror or e}", file=sys.stderr)
         return 7

@@ -87,38 +87,42 @@ class CanonicalCode:
 
 def subset_rank(k: int, subset) -> int:
     """Index of a sorted subset of [0, k) among same-size subsets in
-    lexicographic order of the increasing sequence."""
+    lexicographic order of the increasing sequence.  A running binomial
+    c = C(a, b) counts the subsets of the last a blocks with b members
+    left, so each block costs one product, not a fresh binomial."""
     s = sorted(subset)
-    j = len(s)
     if s and (s[0] < 0 or s[-1] >= k):
         raise ValueError("subset element out of range")
-    rank = 0
-    prev = -1
-    for i, x in enumerate(s):
-        for v in range(prev + 1, x):
-            rank += math.comb(k - 1 - v, j - 1 - i)
-        prev = x
+    members = set(s)
+    a, b = k, len(s)
+    c, rank = math.comb(a, b), 0
+    for v in range(max(s, default=-1) + 1):
+        block = c * b // a  # C(a - 1, b - 1): the subsets whose next member is v
+        if v in members:
+            c, b = block, b - 1
+        else:
+            rank, c = rank + block, c - block  # the rest: C(a - 1, b)
+        a -= 1
     return rank
 
 def subset_unrank(k: int, j: int, rank: int) -> tuple:
-    """Inverse of subset_rank for size-j subsets of [0, k)."""
+    """Inverse of subset_rank for size-j subsets of [0, k), walking the
+    same running binomial."""
     if not 0 <= j <= k:
         raise ValueError("bad subset size")
-    out = []
-    prev = -1
-    remaining = rank
-    for i in range(j):
-        for v in range(prev + 1, k):
-            block = math.comb(k - 1 - v, j - 1 - i)
-            if remaining < block:
-                out.append(v)
-                prev = v
-                break
-            remaining -= block
-        else:
-            raise ValueError("subset rank out of range")
-    if remaining and j == 0:
+    a, b = k, j
+    c = math.comb(a, b)
+    if not 0 <= rank < c:
         raise ValueError("subset rank out of range")
+    out = []
+    while b:
+        block = c * b // a
+        if rank < block:
+            out.append(k - a)
+            c, b = block, b - 1
+        else:
+            rank, c = rank - block, c - block
+        a -= 1
     return tuple(out)
 
 

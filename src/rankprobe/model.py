@@ -3,15 +3,15 @@
 A data structure lives in a :class:`CellMemory` of fixed-width cells.  A
 query is a generator: ``step(query)`` yields cell addresses, receives each
 cell's contents, and returns the answer.  One driver runs every query.  It
-serves each address from known cells (published ones, and those an
-earlier query of the same set recovered), then from the query's charged
-map, and only then charges a probe by fetching the cell into that map:
-from memory for live runs and set passes (:func:`simulate_set`), from the
-next cell of a recorded :class:`Footprint` (first-seen contents in probe
-order) for :func:`replay_from_footprint`, which the encoding argument
-relies on.  The charged map, fetched cells in probe order, is the trace.
-Free reads never appear in a trace, and a query costs time linear in the
-addresses it yields.
+serves each address from the published cells, read in place, then from a
+charged map, and only then charges a probe by fetching the cell into that
+map: from memory for live runs and set passes (:func:`simulate_set`),
+from the next cell of a recorded :class:`Footprint` (first-seen contents
+in probe order) for :func:`replay_from_footprint`, which the encoding
+argument relies on.  A live run's fresh map is its trace.  A set pass
+hands all its queries one map, so a cell one query fetched reads free for
+the later ones, and the map is the set's footprint.  Free reads are never
+charged, and a query costs time linear in the addresses it yields.
 
 The driver serves single queries and whatever depends on content order
 (footprints, replay).  Probe counts, published overlaps and charged
@@ -147,14 +147,14 @@ class Footprint:
 MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
 
 
-def _drive(step_fn, query: int, known: dict, fetch):
-    """Run one query generator; returns (answer, charged map).
+def _drive(step_fn, query: int, known: dict, charged: dict, fetch):
+    """Run one query generator; returns its answer.
 
-    `known` cells read free; any other address is looked up in the charged
-    map, and a miss charges a probe: `fetch(address)` gives the contents,
-    which the map keeps, each charged cell once and in probe order."""
+    `known` cells read free; any other address is looked up in the
+    `charged` map, and a miss charges a probe: `fetch(address)` gives the
+    contents, which the map keeps, each charged cell once and in probe
+    order."""
     gen = step_fn(operator.index(query))
-    charged = {}
     try:
         addr = next(gen)
         for _ in range(MAX_STEPS):
@@ -167,14 +167,15 @@ def _drive(step_fn, query: int, known: dict, fetch):
                     charged[addr] = content = fetch(addr)
             addr = gen.send(content)
     except StopIteration as stop:
-        return stop.value, charged
+        return stop.value
     raise SimulationFault(f"query {query} exceeded step budget")
 
 
 def run_query(step_fn, query: int, memory: CellMemory, published: PublishedBits | None = None) -> ProbeTrace:
     """Drive one query against live memory.  Published cells read free."""
     known = published.cells if published is not None else {}
-    answer, charged = _drive(step_fn, query, known, memory.read)
+    charged = {}
+    answer = _drive(step_fn, query, known, charged, memory.read)
     return ProbeTrace(query, tuple(charged.items()), answer)
 
 
@@ -185,16 +186,15 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
 
 
 def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
-    """Drive `queries` in increasing order, merging each query's charged
-    map into the known cells, so a cell fetched for one query reads free
-    for the later ones.  Returns (answers dict, fetched cells): the charged
-    maps joined in query order, every fetched address with its contents."""
-    known = dict(published.cells) if published is not None else {}
+    """Drive `queries` in increasing order through one charged map, so a
+    cell fetched for one query reads free for the later ones.  Published
+    cells are read in place, never copied or changed.  Returns (answers
+    dict, fetched cells): every fetched address with its contents, in
+    first-seen order."""
+    known = published.cells if published is not None else {}
     answers, fetched = {}, {}
     for q in sorted(queries):
-        answers[q], charged = _drive(step_fn, q, known, fetch)
-        known.update(charged)
-        fetched.update(charged)
+        answers[q] = _drive(step_fn, q, known, fetched, fetch)
     return answers, fetched
 
 

@@ -208,19 +208,6 @@ def _counter_geometry(params: dict):
     return where
 
 
-def _scan(lo: int, pos: int, w: int):
-    """Query generator counting the ones among raw bits lo * w .. pos - 1,
-    probing cells lo .. (pos - 1) // w in increasing order.  Only the last
-    cell is masked: every earlier one is a raw cell wholly below pos."""
-    last = (pos - 1) // w
-    total = 0
-    for c in range(lo, last):
-        total += (yield c).bit_count()
-    if lo <= last:
-        total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
-    return total
-
-
 def step_from_params(params: dict):
     """Rebuild a layout's query generator from its params alone.
 
@@ -228,31 +215,33 @@ def step_from_params(params: dict):
     a decoder holding just the params can replay queries from recorded
     cell contents.  Counter layouts probe the absolute counter, then the
     relative counter (absent for a superblock's first block), then the raw
-    cells from the block start up to the query position.
+    cells from the block start up to the query position; a naive query is
+    the same query with no counters, scanning from cell 0.  Only the last
+    raw cell is masked: every earlier one lies wholly below the position.
     """
     w = params["word_bits"]
-    if params["kind"] == "naive":
+    where = None
+    if params["kind"] != "naive":
+        where = _counter_geometry(params)
+        width, per = params["width"], params["per_cell"]
+        slot_mask = (1 << width) - 1
 
-        def naive_query(query):
-            return _scan(0, query + 1, w)
-
-        return naive_query
-
-    where = _counter_geometry(params)
-    width = params["width"]
-    per = params["per_cell"]
-    slot_mask = (1 << width) - 1
-
-    def counter_query(query):
+    def query_step(query):
         pos = query + 1
-        a_abs, has_rel, a_rel, entry, lo = where(pos)
-        total = yield a_abs
-        if has_rel:
-            total += ((yield a_rel) >> (entry % per * width)) & slot_mask
-        total += yield from _scan(lo, pos, w)
+        total = lo = 0
+        if where is not None:
+            a_abs, has_rel, a_rel, entry, lo = where(pos)
+            total = yield a_abs
+            if has_rel:
+                total += ((yield a_rel) >> (entry % per * width)) & slot_mask
+        last = (pos - 1) // w
+        for c in range(lo, last):
+            total += (yield c).bit_count()
+        if lo <= last:
+            total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
         return total
 
-    return counter_query
+    return query_step
 
 
 def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:

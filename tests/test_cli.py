@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 
@@ -384,3 +385,21 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "build"
+
+
+def test_out_of_memory_exits_3():
+    # a 2^36-bit array is an 8 GiB draw; under a 2 GiB address-space
+    # limit, set in the child alone, numpy raises MemoryError
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankprobe.cli", "build", "--n", "68719476736"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

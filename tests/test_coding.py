@@ -219,6 +219,34 @@ def test_subset_roundtrip_large():
         assert subset_unrank(k, j, subset_rank(k, subset)) == subset
 
 
+def comb_sum_rank(k, subset):
+    """The lexicographic index as a sum of binomials: for each non-member
+    v below the i-th member, the subsets that take v there instead."""
+    s = sorted(subset)
+    return sum(
+        math.comb(k - 1 - v, len(s) - 1 - i)
+        for i, x in enumerate(s)
+        for v in range((s[i - 1] + 1) if i else 0, x)
+    )
+
+
+@st.composite
+def subsets(draw):
+    k = draw(st.integers(0, 120))
+    member = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return k, tuple(v for v in range(k) if member[v])
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=subsets())
+def test_subset_rank_matches_comb_sums(case):
+    k, subset = case
+    rank = comb_sum_rank(k, subset)
+    assert subset_rank(k, subset) == rank
+    assert subset_unrank(k, len(subset), rank) == subset
+    assert rank < math.comb(k, len(subset))
+
+
 def test_subset_errors():
     with pytest.raises(ValueError):
         subset_rank(4, (4,))
@@ -226,6 +254,8 @@ def test_subset_errors():
         subset_rank(4, (-1,))
     with pytest.raises(ValueError):
         subset_unrank(4, 2, math.comb(4, 2))
+    with pytest.raises(ValueError):
+        subset_unrank(4, 2, -1)
     with pytest.raises(ValueError):
         subset_unrank(4, 5, 0)
 

@@ -14,7 +14,7 @@ from rankprobe.model import (
     run_query,
     simulate_set,
 )
-from rankprobe.structures import build_recursive, build_two_level
+from rankprobe.structures import ProbePlan, build_recursive, build_two_level
 
 
 def sum_step(query):
@@ -157,6 +157,26 @@ def test_live_and_replayed_set_pass_agree():
     assert list(replayed[1].items()) == list(charged.items())
     assert not charged.keys() & layout.published.cells.keys()
     assert tuple(charged.values()) == foot.bits
+
+
+def test_set_passes_read_published_cells_in_place():
+    # live, footprint and replayed passes read the published dict itself
+    # and change nothing in it; their one shared charged map takes no
+    # published address
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(6)))
+    layout.publish_redundancy()
+    layout.published.publish_cells(layout.memory, [0, 9, 63])
+    cells = layout.published.cells
+    before = list(cells.items())
+    queries = list(range(5, 4096, 29))
+    assert ProbePlan(layout.params, queries).touches(layout.published_mask()).all()
+    _, live = simulate_set(layout.step, queries, layout.memory, layout.published)
+    foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+    _, replayed = replay_from_footprint(layout.step, queries, foot, layout.published)
+    assert layout.published.cells is cells
+    assert list(cells.items()) == before
+    for charged in (live, replayed):
+        assert charged and not charged.keys() & cells.keys()
 
 
 def test_replay_truncated_footprint():

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
-from rankprobe.structures import build_naive, build_recursive, build_two_level, max_stage, rank
+from rankprobe.model import run_query
+from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage, rank
 
 
 def oracle_addresses(kind, n, w, superblock, block, q):
@@ -80,3 +81,64 @@ def test_driver_matches_address_oracle(case, published):
         assert tr.steps == tuple((a, layout.memory.cells[a]) for a in want)
         assert tr.answer == array.rank(k)
         assert len(tr.steps) <= layout.worst_probes
+
+
+def _distinct_cases():
+    # no n is a multiple of its width but for w = 1.  Counter layouts
+    # need every counter to fit a cell: no two-level layout does at w = 1,
+    # one at w = 7 only for n < 128, and recursive ones only at w = 64
+    # here (their blocks are powers of two of at least 64 bits)
+    array = BitArray.random(1003, np.random.default_rng(13))
+    short = BitArray.random(123, np.random.default_rng(14))
+    for w in (1, 7, 64, 65):
+        yield f"naive-w{w}", array, lambda a, w=w: build_naive(a, w)
+    yield "two_level-14/7-w7", short, lambda a: build_two_level(a, 14, 7, 7)
+    yield "two_level-w64", array, lambda a: build_two_level(a)
+    yield "two_level-390/130-w65", array, lambda a: build_two_level(a, 390, 130, 65)
+    for t in range(1, max_stage(array.n) + 1):
+        yield f"recursive-t{t}-w64", array, lambda a, t=t: build_recursive(a, t, 64)
+
+
+DISTINCT_CASES = list(_distinct_cases())
+
+
+def recording(step, yielded):
+    """`step` with the addresses each query yields appended to `yielded`,
+    one list per query."""
+
+    def query(q):
+        gen = step(q)
+        seen = []
+        yielded.append(seen)
+        try:
+            addr = next(gen)
+            while True:
+                seen.append(addr)
+                addr = gen.send((yield addr))
+        except StopIteration as stop:
+            return stop.value
+
+    return query
+
+
+@pytest.mark.parametrize("published", [False, True], ids=["bare", "published"])
+@pytest.mark.parametrize("case", DISTINCT_CASES, ids=[c[0] for c in DISTINCT_CASES])
+def test_no_query_reads_a_cell_twice(case, published):
+    # so every free read is a published cell, and the charged probes are
+    # the batch plan's count
+    _, array, build = case
+    layout = build(array)
+    if published:
+        layout.publish_redundancy()
+        layout.published.publish_cells(layout.memory, range(0, layout.params["raw_cells"], 3))
+    free = layout.published.cells
+    charged = ProbePlan(layout.params, np.arange(array.n)).charged(layout.published_mask())
+    yielded = []
+    step = recording(layout.step, yielded)
+    for q in range(array.n):
+        trace = run_query(step, q, layout.memory, layout.published)
+        seen = yielded[-1]
+        assert len(set(seen)) == len(seen), q
+        assert len(seen) - len(trace.steps) == sum(a in free for a in seen)
+        assert trace.answer == array.rank(q + 1)
+        assert len(trace.steps) == charged[q]

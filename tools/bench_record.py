@@ -11,7 +11,11 @@ Run from the root of a checkout.  For every workload and every seed from
 and keeps each run's six end-to-end metrics.  With ``--baseline DIR`` (a
 checkout of the parent commit) every seed is run on both trees, the
 order alternating from seed to seed, and each metric also gets the count
-of pairs the change wins.  A run that passes its time limit is recorded
+of pairs the change wins (``change_wins``) and, in ``pair_ratios``, the
+change/baseline ratio of every seed pair with the median and quartiles
+of those ratios.  Host drift moves both runs of a pair alike, so the
+ratios, unlike medians taken from two records, can be chained from one
+record to the next.  A run that passes its time limit is recorded
 as a timeout, and one whose checks fail as incorrect; neither is dropped,
 and neither enters the medians.  Then every CLI example of the README
 (each line of it that starts with ``rankprobe``) and every perfbench CLI
@@ -94,28 +98,47 @@ def run_perfbench(root: Path, workload: str, seed: int) -> dict:
     }
 
 
+def quartiles(values: list) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
 def summarize(runs: list) -> dict:
     good = [r for r in runs if r["status"] == "ok"]
     out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs)}
     for name in METRICS:
         values = [r["metrics"][name] for r in good]
-        if len(values) >= 2:
-            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-            out[name] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
-        elif values:
-            out[name] = {"median": values[0], "q1": values[0], "q3": values[0], "iqr": 0.0}
+        if values:
+            out[name] = quartiles(values)
     return out
 
 
-def change_wins(change: list, base: list) -> dict:
-    """Per metric, the pairs (same seed) where the change reads better."""
-    pairs = [(c, b) for c, b in zip(change, base) if c["status"] == b["status"] == "ok"]
+def ok_pairs(change: list, base: list) -> list:
+    """The (change, baseline) run pairs of one seed where both runs passed."""
+    return [(c, b) for c, b in zip(change, base) if c["status"] == b["status"] == "ok"]
+
+
+def change_wins(pairs: list) -> dict:
+    """Per metric, the pairs where the change reads better."""
     wins = {}
     for name in METRICS:
         sign = -1 if name in HIGHER_IS_BETTER else 1
         won = sum(sign * (c["metrics"][name] - b["metrics"][name]) < 0 for c, b in pairs)
         wins[name] = f"{won}/{len(pairs)}"
     return wins
+
+
+def pair_ratios(pairs: list) -> dict:
+    """Per metric, the change/baseline ratio of every pair by seed, with
+    the ratios' median and quartiles (a zero baseline gives no ratio)."""
+    out = {}
+    for name in METRICS:
+        ratios = {c["seed"]: c["metrics"][name] / b["metrics"][name] for c, b in pairs if b["metrics"][name]}
+        if ratios:
+            out[name] = {"by_seed": ratios, **quartiles(list(ratios.values()))}
+    return out
 
 
 def cli_commands(root: Path) -> dict:
@@ -254,7 +277,9 @@ def main(argv=None) -> int:
             for r in rs:
                 r.pop("provenance", None)
     if args.baseline:
-        report["change_wins"] = {w: change_wins(runs["change"][w], runs["baseline"][w]) for w in WORKLOADS}
+        pairs = {w: ok_pairs(runs["change"][w], runs["baseline"][w]) for w in WORKLOADS}
+        report["change_wins"] = {w: change_wins(pairs[w]) for w in WORKLOADS}
+        report["pair_ratios"] = {w: pair_ratios(pairs[w]) for w in WORKLOADS}
     commands = cli_commands(trees["change"])
     cli_runs = {tree: {label: [] for label in commands} for tree in trees}
     with tempfile.TemporaryDirectory() as scratch:
