@@ -4,7 +4,10 @@ The compression-versus-correlation experiment, run for real: encode a
 bit array through the eyes of its own rank structure, decode it back,
 and account for every bit.  A record has six components:
 
-1. published bits (the free-bits ledger, verbatim),
+1. published bits (the free-bits ledger): if bootstrapped, the
+   redundancy region's cells in address order, then zero padding slack;
+   then one run of (address_bits + w)-bit pairs in increasing address
+   order, each an address in the low bits under its cell's content,
 2. the identity of the detached query set (size header + lexicographic
    subset index over blocks),
 3. the detached answers (canonical per-increment binomial codes),
@@ -12,8 +15,9 @@ and account for every bit.  A record has six components:
 5. the footprint of the detached queries,
 6. every cell probed by neither, verbatim in address order.
 
-Each query set is simulated once: its pass yields the answers, the
-footprint and the charged cells that component 6 leaves out.  One
+Each query set is simulated once into (answers dict, charged cells):
+the reference set by a set pass, the detached set by a greedy pass.
+The cells are its footprint and what component 6 leaves out.  One
 footprint codec writes and reads components 4 and 5.  By default it
 stores the raw first-seen cell contents (exactly probed_cells *
 word_bits bits), which works at any size.  With ``ensemble=True`` it is
@@ -58,9 +62,9 @@ from .errors import CorruptEncoding, CorruptFootprint, RefusalError
 from .model import (
     Footprint,
     PublishedBits,
+    _drive,
     address_bits,
     replay_from_footprint,
-    run_query,
     simulate_set,
 )
 from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, step_from_params
@@ -151,36 +155,28 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     return int(np.argmin(overlap)) + 1
 
 
-def _detached_traces(layout: StructureLayout, queries) -> list:
-    """Greedy scan in increasing order keeping the traces of queries whose
-    charged probes avoid every previously kept query's probes."""
-    kept = []
-    used: set = set()
-    for q in sorted(queries):
-        tr = run_query(layout.step, q, layout.memory, layout.published)
-        addrs = set(tr.addresses)
-        if addrs & used:
-            continue
-        kept.append(tr)
-        used |= addrs
-    return kept
+def _detached_pass(layout: StructureLayout, queries: list):
+    """Greedy detached pass over sorted `queries`: each runs once through
+    its own charged map, and its answer and cells are kept when those
+    cells miss every kept query's.  Returns (answers dict, charged cells)
+    as :func:`model.simulate_set` over the kept queries does: their cells
+    are pairwise disjoint, so a set pass charges each the same cells."""
+    answers, kept = {}, {}
+    for q in queries:
+        charged = {}
+        answer = _drive(layout.step, q, layout.published.cells, charged, layout.memory.read)
+        if kept.keys().isdisjoint(charged):
+            answers[q] = answer
+            kept.update(charged)
+    return answers, kept
 
 
 def _simulate_sets(layout: StructureLayout, k: int, d: int):
-    """The detached queries at offset `d`, then (answers in query order,
-    charged cells) for the reference set and for the detached set.
-
-    The reference set is simulated once by :func:`model.simulate_set`.
-    The detached set comes from the greedy scan's own traces: their
-    charged cells are pairwise disjoint, so a set pass would charge each
-    query exactly the cells it charged alone, in the same order."""
-    kept = _detached_traces(layout, block_queries(layout.n, k, d).tolist())
-    answers, cells = simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published)
-    det_cells = {a: c for tr in kept for a, c in tr.steps}
+    """(answers dict, charged cells) for the reference set, by one set
+    pass, then for the detached set at offset `d`, by the greedy pass."""
     return (
-        [tr.query for tr in kept],
-        (tuple(answers.values()), cells),
-        (tuple(tr.answer for tr in kept), det_cells),
+        simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published),
+        _detached_pass(layout, block_queries(layout.n, k, d).tolist()),
     )
 
 
@@ -252,12 +248,12 @@ def _ensemble_tables(config: tuple, k: int, d: int):
     det_queries = None
     for v in range(1 << n):
         layout = layout_from_params(BitArray.from_int(n, v), params)
-        det, (ref_ans, ref_cells), (det_ans, det_cells) = _simulate_sets(layout, k, d)
-        if det_queries is None:
-            det_queries = det
-        elif det_queries != det:
+        (ref, ref_cells), (det, det_cells) = _simulate_sets(layout, k, d)
+        det_queries = det_queries or list(det)
+        if det_queries != list(det):
             raise CorruptEncoding("detached set varies with data")
-        for cond, cells in (((det_ans,), ref_cells), ((det_ans, ref_ans), det_cells)):
+        det_ans = tuple(det.values())
+        for cond, cells in (((det_ans,), ref_cells), ((det_ans, tuple(ref.values())), det_cells)):
             counts = weights.setdefault(cond, {})
             foot = tuple(cells.values())
             counts[foot] = counts.get(foot, 0) + 1
@@ -298,26 +294,21 @@ def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
 
 
 def _published_bits(layout: StructureLayout) -> BitString:
-    """Canonical serialization of the published ledger.
+    """Canonical serialization of the published ledger (component 1).
 
-    Bootstrap publishing (the redundancy region plus padding slack) is
-    laid out as region contents in address order then zero padding;
-    anything published later by address arrives as (address, content)
-    pairs.  Raises RefusalError unless the bit length equals the ledger
-    exactly and decoding would read the prefix back as it was written."""
+    Raises RefusalError unless the bit length equals the ledger exactly
+    and decoding would read the prefix back as it was written."""
     out = BitString()
     pub = layout.published
     w = layout.memory.word_bits
     if pub.bootstrapped:
         out.append_cells([pub.cells[a] for a in layout.redundancy_region], w)
         out.append_bits(0, layout.params["raw_cells"] * w - layout.n)
-        extra = sorted(a for a in pub.cells if a not in layout.redundancy_region)
+        extra = sorted(pub.cells.keys() - layout.redundancy_region)
     else:
         extra = sorted(pub.cells)
-    addr_bits = layout.memory.address_bits()
-    for a in extra:
-        out.append_bits(a, addr_bits)
-        out.append_bits(pub.cells[a], w)
+    shift = layout.memory.address_bits()
+    out.append_cells([pub.cells[a] << shift | a for a in extra], shift + w)
     if out.length != pub.length:
         raise RefusalError(f"published ledger {pub.length} bits, serialized {out.length}: a record cannot carry it")
     if not pub.bootstrapped and _bootstrap_prefix(layout.params, pub.length):
@@ -341,7 +332,8 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     if ensemble and layout.published.cells:
         raise RefusalError("ensemble tables enumerate layouts with no published cells")
 
-    det, (ref_answers, ref_cells), (det_answers, det_cells) = _simulate_sets(layout, k, d)
+    (ref, ref_cells), (det, det_cells) = _simulate_sets(layout, k, d)
+    det_answers = tuple(det.values())
     det_blocks = tuple(q // (layout.n // k) for q in det)
 
     comp2 = BitString()
@@ -365,7 +357,7 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
         detached_id=comp2,
         detached_answers=comp3,
         foot_reference=_write_footprint(foot, (det_answers,), ref_cells),
-        foot_detached=_write_footprint(foot, (det_answers, ref_answers), det_cells),
+        foot_detached=_write_footprint(foot, (det_answers, tuple(ref.values())), det_cells),
         remaining=comp6,
         offset=d,
     )
@@ -396,17 +388,18 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
 
     try:
         # component 1: published ledger, a bootstrap prefix (region
-        # contents, then padding slack) and (address, content) pairs
+        # contents, then padding slack) and a run of (address, content)
+        # pairs, the address in the low bits of each
         comp1 = record.published
         prefix = _bootstrap_prefix(params, comp1.length)
         region = range(params["raw_cells"], cell_count) if prefix else range(0)
         published = PublishedBits(comp1.length, dict(zip(region, comp1.read_cells(0, len(region), w))), bool(prefix))
-        addr_bits = address_bits(cell_count)
-        for pos in range(prefix, comp1.length, addr_bits + w):
-            a = comp1.read_bits(pos, addr_bits)
+        shift = address_bits(cell_count)
+        for pair in comp1.read_cells(prefix, (comp1.length - prefix) // (shift + w), shift + w):
+            a = pair & ((1 << shift) - 1)
             if a >= cell_count:
                 raise CorruptEncoding("published address out of range")
-            published.cells[a] = comp1.read_bits(pos + addr_bits, w)
+            published.cells[a] = pair >> shift
 
         # component 2: detached set identity
         hdr = subset_header_bits(k)

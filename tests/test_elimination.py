@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.elimination import run_elimination
+from rankprobe.encoding import EncodingRecord, decode, encode
 from rankprobe.entropy import LabConfig
+from rankprobe.errors import RefusalError
 from rankprobe.model import probes_of_set
 from rankprobe.structures import (
     EXHAUSTIVE_LIMIT,
@@ -17,6 +19,7 @@ from rankprobe.structures import (
     build_naive,
     build_recursive,
     build_two_level,
+    layout_from_params,
     max_stage,
     sample_queries,
 )
@@ -66,6 +69,17 @@ def test_trajectory_pinned(make, config, status, digest):
     assert traj.status == status
     key = (tuple(astuple(r) for r in traj.rows), traj.status, layout.published.length)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+    # the final state round-trips through .rpe1, at a k that keeps the
+    # answer codes at m <= 4,096; a layout with no redundancy starts from
+    # the 1-bit floor, which a record cannot carry
+    k = max(4, layout.n // 4096)
+    if not layout.redundancy_bits:
+        with pytest.raises(RefusalError):
+            encode(layout, k)
+        return
+    record = EncodingRecord.from_rpe1(encode(layout, k).to_rpe1())
+    array = decode(record, layout.params, k)
+    assert layout_from_params(array, layout.params).memory.cells == layout.memory.cells
 
 
 def test_naive_small_drains_in_one_round():

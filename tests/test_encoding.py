@@ -16,12 +16,12 @@ from rankprobe.encoding import (
     decode,
     size_accounting,
 )
-from rankprobe.encoding import _detached_traces, _simulate_sets
+from rankprobe.encoding import _detached_pass, _simulate_sets
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
 from rankprobe.model import PublishedBits, probes_of_set, run_query, simulate_set
-from rankprobe.structures import build_naive, build_recursive, build_two_level, layout_from_params
+from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, layout_from_params
 
 
 def roundtrip(layout, k, **kw):
@@ -73,7 +73,7 @@ def test_detached_queries_disjoint():
     a = BitArray.random(1 << 12, np.random.default_rng(2))
     layout = build_two_level(a)
     qs = [b * (layout.n // 8) + 2 for b in range(8)]
-    det = [tr.query for tr in _detached_traces(layout, qs)]
+    det = list(_detached_pass(layout, qs)[0])
     assert det and det[0] == min(qs)
     used = set()
     for q in det:
@@ -200,7 +200,7 @@ def test_decode_rejects_corrupt_counter(bit):
     # remaining-cells component.
     layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
     rec = encode(layout, 4, d=512)
-    det = [tr.query for tr in _detached_traces(layout, [b * 1024 + 512 for b in range(4)])]
+    det = list(_detached_pass(layout, [b * 1024 + 512 for b in range(4)])[0])
     probed = set()
     for qs in ([b * 1024 for b in range(4)], det):
         probed |= probes_of_set(layout.step, qs, layout.memory, layout.published)[1]
@@ -230,14 +230,25 @@ def test_decode_rejects_noncanonical_published_pairs():
     def ledger(*pairs):
         out = BitString()
         out.append_bits(rec.published.read_bits(0, prefix), prefix)
-        for a in pairs:
+        for a in pairs:  # a pair past the last cell holds zero
             out.append_bits(a, addr_bits)
-            out.append_bits(layout.memory.cells[a], w)
+            out.append_bits(layout.memory.cells[a] if a < layout.memory.cell_count else 0, w)
         return out
 
     assert ledger(7, 40) == rec.published
+    assert (layout.memory.cell_count, addr_bits) == (81, 7)
     region_cell = layout.redundancy_region.start
-    for bad in (ledger(40, 7), ledger(7, 7, 40), ledger(7, 40, region_cell)):
+    length = rec.published.length
+    bad_ledgers = (
+        ledger(40, 7),
+        ledger(7, 7, 40),
+        ledger(7, 40, region_cell),
+        BitString(rec.published.value & ((1 << (length - 1)) - 1), length - 1),  # pair run a bit short
+        BitString(rec.published.value, length + 1),  # a zero bit past the run
+        ledger(7, 40, 81),  # 7 address bits name cells past the 81 there are
+        ledger(7, 40, 127),
+    )
+    for bad in bad_ledgers:
         rec.published = bad
         with pytest.raises(CorruptEncoding):
             decode(rec, layout.params, 4)
@@ -247,8 +258,9 @@ def _random_layout(build, n, seed, **kw):
     return build(BitArray.random(n, np.random.default_rng(seed)), **kw)
 
 
-def _bootstrapped(layout):
+def _bootstrapped(layout, cells=()):
     layout.publish_redundancy()
+    layout.published.publish_cells(layout.memory, cells)
     return layout
 
 
@@ -276,6 +288,15 @@ RPE1_PINS = {
         lambda: _random_layout(build_recursive, 4096, 4, t=2), 4, 700, False,
         "b12321eedcac2fbb79946aa19d87a87ab4fedc7b5a296800986962c512e13ead",
     ),
+    "bootstrapped-pairs": (
+        lambda: _bootstrapped(_random_layout(build_two_level, 4096, 1), [40, 7, 46]), 4, 512, False,
+        "ae3e00a0dbf0629df850b82ee5311de6c8216b0ed68cdb0773284a5eaa425a86",
+    ),
+    "w96-bootstrapped-pairs": (  # 102-bit pairs, past the codec's 64-bit cells
+        lambda: _bootstrapped(_random_layout(build_two_level, 4096, 2, superblock=384, block=96, word_bits=96), [0, 5, 17]),
+        4, None, False,
+        "d8a573a2e2908fa13965719ca125f2641dd2f1e7e4b545aeb4a7ce4bf956c042",
+    ),
     "ensemble-n12": (
         lambda: build_two_level(BitArray.from_int(12, 0b101100111010)), 3, 2, True,
         "9cfabbcc97a082bcd37c7ca1a2cd680610334aa1826996fd81202b8214272e89",
@@ -292,16 +313,22 @@ def test_rpe1_bytes_pinned(case):
 
 @pytest.mark.parametrize("case", list(RPE1_PINS))
 def test_detached_traces_match_set_pass(case):
-    # the detached answers and cells come from the greedy scan's traces;
-    # a set pass over the kept queries must give the same, in order
+    # the greedy pass keeps the queries a scan over single-query traces
+    # keeps, and gives what a set pass over them gives, in the same order
     make, k, d, _, _ = RPE1_PINS[case]
     layout = make()
     if d is None:
         d = choose_offset(layout, k)
-    det, _, (answers, cells) = _simulate_sets(layout, k, d)
-    assert det == [tr.query for tr in _detached_traces(layout, [b * (layout.n // k) + d for b in range(k)])]
-    want_answers, want_cells = simulate_set(layout.step, det, layout.memory, layout.published)
-    assert answers == tuple(want_answers.values())
+    _, (answers, cells) = _simulate_sets(layout, k, d)
+    kept, used = [], set()
+    for q in block_queries(layout.n, k, d).tolist():
+        addrs = set(run_query(layout.step, q, layout.memory, layout.published).addresses)
+        if not addrs & used:
+            kept.append(q)
+            used |= addrs
+    assert list(answers) == kept
+    want_answers, want_cells = simulate_set(layout.step, kept, layout.memory, layout.published)
+    assert list(answers.items()) == list(want_answers.items())
     assert list(cells.items()) == list(want_cells.items())
 
 
