@@ -2,27 +2,34 @@
 
 A data structure lives in a :class:`CellMemory` of fixed-width cells.  A
 query is a generator: ``step(query)`` yields cell addresses, receives each
-cell's contents, and returns the answer.  One driver runs every query.  It
-serves each address from the published cells, read in place, then from a
-charged map, and only then charges a probe by fetching the cell into that
-map: from memory for live runs and set passes (:func:`simulate_set`),
-from the next cell of a recorded :class:`Footprint` (first-seen contents
-in probe order) for :func:`replay_from_footprint`, which the encoding
-argument relies on.  A live run's fresh map is its trace.  A set pass
-hands all its queries one map, so a cell one query fetched reads free for
-the later ones, and the map is the set's footprint.  Free reads are never
-charged, and a query costs time linear in the addresses it yields.
+cell's contents, and returns the answer.  The driver runs one query at a
+time.  It serves each address from the published cells, read in place,
+then from a charged map, and only then charges a probe by fetching the
+cell into that map: from memory for live runs and set passes
+(:func:`simulate_set`), from the next cell of a recorded
+:class:`Footprint` (first-seen contents in probe order) for
+:func:`replay_from_footprint`, which the encoding argument relies on.  A
+live run's fresh map is its trace.  A set pass hands all its queries one
+map, so a cell one query fetched reads free for the later ones, and the
+map is the set's footprint.  Free reads are never charged, and a query
+costs time linear in the addresses it yields.
 
-The driver serves single queries and whatever depends on content order
-(footprints, replay).  Probe counts, published overlaps and charged
-cells for many queries at once come from the batch plans in
-:mod:`structures`, which are tested against this driver as their oracle.
+The driver serves single queries (``rank``), sets of fewer than
+PLAN_MIN_QUERIES queries, cells wider than 64 bits and steps that carry
+no layout params.  A larger set over a layout's step, whether live, a
+footprint or a replay, goes to :meth:`structures.ProbePlan.set_pass`,
+which charges the same cells in the same first-seen order, fetches them
+in one call and computes every answer from the served contents in
+numpy.  Probe counts, published overlaps and charged cells for many
+queries at once come from the same batch plans.  The tests hold every
+plan to this driver as its oracle.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -64,6 +71,14 @@ class CellMemory:
                 f"probe address {address} outside memory of {len(self.cells)} cells"
             )
         return self.cells[address]
+
+    def gather(self, addresses: list) -> list:
+        """The contents of a list of addresses, checked as :meth:`read`
+        checks one."""
+        cells = self.cells
+        if addresses and (min(addresses) < 0 or max(addresses) >= len(cells)):
+            self.read(next(a for a in addresses if not 0 <= a < len(cells)))
+        return [cells[a] for a in addresses]
 
     def total_bits(self) -> int:
         return len(self.cells) * self.word_bits
@@ -185,15 +200,35 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
     return traces, {a for tr in traces for a in tr.addresses}
 
 
-def _drive_set(step_fn, queries, published: PublishedBits | None, fetch):
+PLAN_MIN_QUERIES = 48  # set size from which ProbePlan.set_pass beats the driver
+
+
+def _drive_set(step_fn, queries, published: PublishedBits | None, fetch, gather):
     """Drive `queries` in increasing order through one charged map, so a
     cell fetched for one query reads free for the later ones.  Published
     cells are read in place, never copied or changed.  Returns (answers
     dict, fetched cells): every fetched address with its contents, in
-    first-seen order."""
+    first-seen order.
+
+    A step that carries its layout's params (as
+    :func:`structures.step_from_params` attaches them) refuses queries
+    outside [0, n) with IndexError.  From PLAN_MIN_QUERIES queries on, at
+    w <= 64, such a step's set is passed by :meth:`ProbePlan.set_pass`,
+    which takes the same cells in one `gather(addresses)`; otherwise each
+    query runs through the driver, which charges `fetch(address)`."""
     known = published.cells if published is not None else {}
+    queries = sorted(queries)
+    params = getattr(step_fn, "params", None)
+    if params is not None:
+        if queries and not (0 <= queries[0] and queries[-1] < params["n"]):
+            raise IndexError(f"query outside [0, {params['n']})")
+        if len(queries) >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
+            from .structures import ProbePlan  # structures imports this module
+
+            distinct = np.fromiter(map(operator.index, dict.fromkeys(queries)), dtype=np.int64)
+            return ProbePlan(params, distinct).set_pass(known, gather)
     answers, fetched = {}, {}
-    for q in sorted(queries):
+    for q in queries:
         answers[q] = _drive(step_fn, q, known, fetched, fetch)
     return answers, fetched
 
@@ -204,7 +239,7 @@ def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits 
     Returns (answers dict, charged cells) as :func:`_drive_set` does.  The
     contents are the set's footprint; the addresses are the union of
     charged probes that :func:`probes_of_set` collects query by query."""
-    return _drive_set(step_fn, queries, published, memory.read)
+    return _drive_set(step_fn, queries, published, memory.read, memory.gather)
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
@@ -229,7 +264,13 @@ def replay_from_footprint(step_fn, queries, footprint: Footprint, published: Pub
             raise CorruptFootprint(f"footprint exhausted at address {address}")
         return content
 
-    answers, charged = _drive_set(step_fn, queries, published, fetch)
+    def gather(addresses):
+        contents = list(islice(cells, len(addresses)))
+        if len(contents) < len(addresses):
+            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
+        return contents
+
+    answers, charged = _drive_set(step_fn, queries, published, fetch, gather)
     if next(cells, None) is not None:
         raise CorruptFootprint("footprint has cells left over")
     return answers, charged

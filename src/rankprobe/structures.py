@@ -20,9 +20,10 @@ block of each superblock is always zero and is not stored.
 
 Queries run two ways over one geometry expression.  The generator
 queries of :func:`step_from_params`, driven by :mod:`model`, answer
-single queries (``rank``), record and replay footprints, and are the
-oracle.  A :class:`ProbePlan` is the batch path: probe counts, published
-overlaps and charged-cell sets for a whole query array, computed with
+single queries (``rank``) and small sets, and are the oracle.  A
+:class:`ProbePlan` is the batch path: probe counts, published overlaps,
+charged-cell sets and whole set passes (answers and first-seen cells,
+as footprints record and replay them) for a query array, computed with
 numpy.  Both need only a layout's params, because probe addresses depend
 on the query index and never on the data.  :func:`layout_from_params`
 rebuilds a whole layout from those params and an array.
@@ -192,7 +193,6 @@ def _counter_geometry(params: dict):
     whether the block stores a relative counter, that counter's cell
     address and entry index (meaningless where it stores none), and the
     first raw cell of the scan."""
-    superblock = params["superblock"]
     block = params["block"]
     ratio = params["ratio"]
     per = params["per_cell"]
@@ -202,8 +202,11 @@ def _counter_geometry(params: dict):
 
     def where(pos):
         j = pos // block
-        entry = j - j // ratio - 1  # blocks before j minus skipped first blocks
-        return abs_base + pos // superblock, j % ratio != 0, rel_base + entry // per, entry, j * block // w
+        sb = j // ratio  # pos // superblock, as superblock = ratio * block
+        entry = j - sb - 1  # blocks before j minus skipped first blocks
+        has_rel = j != sb * ratio
+        sb += abs_base  # the absolute counter's address, in place: one array fewer at peak
+        return sb, has_rel, rel_base + entry // per, entry, j * block // w
 
     return where
 
@@ -241,7 +244,17 @@ def step_from_params(params: dict):
             total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
         return total
 
+    query_step.params = params  # lets a large set pass take the plan route
     return query_step
+
+
+def _before(a: np.ndarray) -> np.ndarray:
+    """Running max over the earlier queries along the last axis, -1 for
+    the first."""
+    out = np.empty_like(a)
+    out[..., :1] = -1
+    np.maximum.accumulate(a[..., :-1], axis=-1, out=out[..., 1:])
+    return out
 
 
 def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -268,12 +281,13 @@ class ProbePlan:
         if q.size and (q.min() < 0 or q.max() >= params["n"]):
             raise IndexError(f"query outside [0, {params['n']})")
         self.params = params
+        self.queries = q
         self.hi = q // params["word_bits"]
         if params["kind"] == "naive":
             self.abs_addr = self.rel_addr = np.full(q.shape, -1, dtype=np.int64)
             self.lo = np.zeros(q.shape, dtype=np.int64)
         else:
-            a_abs, has_rel, a_rel, _, self.lo = _counter_geometry(params)(q + 1)
+            a_abs, has_rel, a_rel, self.entry, self.lo = _counter_geometry(params)(q + 1)
             self.abs_addr = a_abs
             self.rel_addr = np.where(has_rel, a_rel, -1)
 
@@ -313,17 +327,67 @@ class ProbePlan:
         never decrease, so a counter cell is new exactly when it lies past
         every earlier query's, and the new part of a scan is the part past
         the previous query's last raw cell."""
-
-        def before(a: np.ndarray) -> np.ndarray:  # running max over earlier queries
-            seen = np.maximum.accumulate(a, axis=-1)
-            return np.concatenate((np.full(a.shape[:-1] + (1,), -1), seen[..., :-1]), axis=-1)
-
         pre = self._raw_prefix(mask)
-        start = np.maximum(self.lo, before(self.hi) + 1)
+        start = np.maximum(self.lo, _before(self.hi) + 1)
         hits = pre[self.hi + 1] - pre[start]
         for addresses in (self.abs_addr, self.rel_addr):
-            hits += _flagged(addresses, mask) & (addresses > before(addresses))
+            hits += _flagged(addresses, mask) & (addresses > _before(addresses))
         return hits.sum(axis=-1)
+
+    def set_pass(self, known: dict, gather):
+        """The set pass of :func:`model.simulate_set` over this plan's
+        queries, which must be sorted and distinct, for w <= 64.
+
+        The cells the set reads are listed in first-seen probe order by
+        :meth:`row_hits`'s rule: per query the absolute counter, the
+        relative counter, then the new part of the scan, each where it is
+        new.  Cells in `known` (the published cells, read in place) are
+        served from it; `gather(addresses)` gives the contents of the
+        others, in that order, as a list.  Each answer is computed from
+        the served contents.  Returns (answers dict, fetched cells) as
+        the driver does."""
+        w = self.params["word_bits"]
+        new_abs = self.abs_addr > _before(self.abs_addr)  # an absent (-1) counter is never new
+        new_rel = self.rel_addr > _before(self.rel_addr)
+        start = np.maximum(self.lo, _before(self.hi) + 1)
+        scan = np.maximum(self.hi + 1 - start, 0)
+        ends = np.add.accumulate(scan + new_abs + new_rel)
+        rel_at = ends - scan - new_rel  # where a query's relative counter goes
+        scan_ends = np.add.accumulate(scan)  # the raw cells read so far, in address order
+        read = np.empty(ends[-1], dtype=np.int64)
+        read[(rel_at - 1)[new_abs]] = self.abs_addr[new_abs]
+        read[rel_at[new_rel]] = self.rel_addr[new_rel]
+        ramp = np.arange(scan_ends[-1])
+        raw_at = ramp + np.repeat(ends - scan_ends, scan)
+        read[raw_at] = ramp + np.repeat(start - scan_ends + scan, scan)
+
+        read = read.tolist()
+        charged = [a for a in read if a not in known] if known else read
+        got = gather(charged)
+        if known:  # the published contents go back in probe order
+            fetched = iter(got)
+            served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)
+        else:
+            served = np.array(got, dtype=np.uint64)
+
+        answers = np.zeros(self.queries.shape, dtype=np.uint64)
+        if self.params["kind"] != "naive":  # the latest new counter is each query's
+            answers += served[np.maximum.accumulate(np.where(new_abs, rel_at - 1, 0))]
+            width, per = self.params["width"], self.params["per_cell"]
+            has_rel = self.rel_addr >= 0
+            word = served[np.maximum.accumulate(np.where(new_rel, rel_at, 0))[has_rel]]
+            shift = (self.entry[has_rel] % per * width).astype(np.uint64)
+            answers[has_rel] += (word >> shift) & np.uint64((1 << width) - 1)
+        has_scan = self.hi >= self.lo
+        last = (scan_ends - 1)[has_scan]  # where each scan's last cell sits among the raw cells
+        first = last - (self.hi - self.lo)[has_scan]
+        raw = served[raw_at]
+        ones = np.zeros(raw.size + 1, dtype=np.uint64)  # ones in the raw cells before each
+        np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64, out=ones[1:])
+        bits = (self.queries + 1 - self.hi * w)[has_scan]  # of the last cell below the position
+        tail = np.bitwise_count(raw[last] << (64 - bits).astype(np.uint64))
+        answers[has_scan] += ones[last] - ones[first] + tail
+        return dict(zip(self.queries.tolist(), answers.tolist())), dict(zip(charged, got))
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:

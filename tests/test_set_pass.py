@@ -1,0 +1,155 @@
+"""The two routes of a set pass against the driver.
+
+A set pass over a layout's step takes :meth:`ProbePlan.set_pass` from
+``model.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the driver below
+that.  The driver, query by query, is the oracle: the plan route must
+give the same answers, and the same fetched cells in the same order.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rankprobe import model
+from rankprobe.bits import BitArray
+from rankprobe.errors import CorruptFootprint
+from rankprobe.model import Footprint, build_footprint, replay_from_footprint, run_query, simulate_set
+from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage
+
+C = model.PLAN_MIN_QUERIES
+
+
+@st.composite
+def layouts(draw):
+    """A layout of any kind and width, published as drawn."""
+    n = draw(st.integers(1, 2000))
+    array = BitArray.random(n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kind = draw(st.sampled_from(["naive", "two_level", "recursive"]))
+    if kind == "naive":
+        layout = build_naive(array, draw(st.integers(1, 128)))
+    elif kind == "two_level":
+        w = draw(st.integers(1, 128))
+        block = w * draw(st.integers(1, 4))
+        try:
+            layout = build_two_level(array, block * draw(st.integers(2, 8)), block, w)
+        except ValueError:  # a counter wider than the cell
+            assume(False)
+    else:
+        t = draw(st.integers(1, max_stage(n)))
+        block = 1 << (2 * t + 4)
+        width = min(7 * block, n).bit_length()
+        layout = build_recursive(array, t, draw(st.sampled_from([w for w in (16, 32, 64, 128) if block % w == 0 and width <= w])))
+    if draw(st.booleans()):
+        layout.publish_redundancy()
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.integers(0, layout.memory.cell_count - 1), max_size=20))
+        layout.published.publish_cells(layout.memory, cells)
+    return array, layout
+
+
+def driver_pass(layout, queries):
+    """What the driver gives for a set: each query's trace in increasing
+    order, with every cell an earlier query fetched dropped."""
+    answers, fetched = {}, {}
+    for q in sorted(queries):
+        trace = run_query(layout.step, q, layout.memory, layout.published)
+        answers[q] = trace.answer
+        for a, c in trace.steps:
+            fetched.setdefault(a, c)
+    return answers, fetched
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=layouts(), data=st.data())
+def test_plan_route_matches_driver(case, data):
+    array, layout = case
+    n = layout.n
+    queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * C + 8))
+    want_answers, want = driver_pass(layout, queries)
+    assert want_answers == {q: array.rank(q + 1) for q in queries}
+    published = layout.published.cells
+    before = list(published.items())
+
+    routes = [simulate_set(layout.step, queries, layout.memory, layout.published)]
+    foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+    assert foot.bits == tuple(want.values())
+    routes.append(replay_from_footprint(layout.step, queries, foot, layout.published))
+    if layout.memory.word_bits <= 64:  # the plan itself, at any set size
+        routes.append(ProbePlan(layout.params, np.unique(queries)).set_pass(published, layout.memory.gather))
+    for answers, fetched in routes:
+        assert list(answers.items()) == list(want_answers.items())
+        assert list(fetched.items()) == list(want.items())
+        assert all(type(v) is int for v in (*answers.values(), *fetched.values()))
+
+    if want:  # a footprint one cell short or one cell long
+        for bits in (foot.bits[:-1], foot.bits + (0,)):
+            with pytest.raises(CorruptFootprint):
+                replay_from_footprint(layout.step, queries, Footprint(bits, foot.word_bits), layout.published)
+    assert layout.published.cells is published
+    assert list(published.items()) == before
+
+
+def _spied(monkeypatch):
+    sizes = []
+    plan_pass = ProbePlan.set_pass
+
+    def spy(self, *args):
+        sizes.append(self.queries.size)
+        return plan_pass(self, *args)
+
+    monkeypatch.setattr(ProbePlan, "set_pass", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("w", [64, 65, 96])
+def test_route_by_params_size_and_width(monkeypatch, w):
+    sizes = _spied(monkeypatch)
+    array = BitArray.random(4096, np.random.default_rng(3))
+    layout = build_naive(array, w) if w == 65 else build_two_level(array, 8 * w, w, w)
+    big = list(range(7, 4096, 4096 // (C + 3)))[: C + 1] + [7]  # C + 1 distinct queries
+    small = big[: C - 1]
+    for queries in (small, big):
+        foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+        answers, fetched = replay_from_footprint(layout.step, queries, foot, layout.published)
+        assert answers == {q: array.rank(q + 1) for q in queries}
+        assert list(fetched.items()) == list(driver_pass(layout, queries)[1].items())
+    # widths past 64 stay on the driver; below that the big set takes the
+    # plan twice, to record and to replay
+    assert sizes == ([C + 1, C + 1] if w <= 64 else [])
+
+
+def test_steps_without_params_stay_on_the_driver(monkeypatch):
+    sizes = _spied(monkeypatch)
+    layout = build_two_level(BitArray.random(4096, np.random.default_rng(4)))
+
+    def bare(q):  # the layout's query without the params it carries
+        return (yield from layout.step(q))
+
+    queries = list(range(0, 4096, 17))
+    assert simulate_set(bare, queries, layout.memory) == simulate_set(layout.step, queries, layout.memory)
+    assert sizes == [len(queries)]
+
+
+def _kinds(n):
+    array = BitArray.random(n, np.random.default_rng(9))
+    yield "naive", build_naive(array)
+    yield "two_level", build_two_level(array)
+    yield "recursive", build_recursive(array, 2)
+    yield "two_level-w96", build_two_level(array, 384, 96, 96)
+
+
+@pytest.mark.parametrize("size", [3, C + 5], ids=["driver", "plan"])
+@pytest.mark.parametrize("offset", [-1, 0, 4])
+def test_set_passes_refuse_queries_outside_the_array(size, offset):
+    n = 4096
+    bad = -1 if offset == -1 else n + offset
+    for _, layout in _kinds(n):
+        queries = list(range(0, n, n // size))[: size - 1] + [bad]
+        for run in (
+            lambda: simulate_set(layout.step, queries, layout.memory, layout.published),
+            lambda: build_footprint(layout.step, queries, layout.memory, layout.published),
+            lambda: replay_from_footprint(layout.step, queries, Footprint((), layout.memory.word_bits)),
+        ):
+            with pytest.raises(IndexError, match=rf"query outside \[0, {n}\)"):
+                run()

@@ -15,31 +15,37 @@ of pairs the change wins (``change_wins``) and, in ``pair_ratios``, the
 change/baseline ratio of every seed pair with the median and quartiles
 of those ratios.  Host drift moves both runs of a pair alike, so the
 ratios, unlike medians taken from two records, can be chained from one
-record to the next.  A run that passes its time limit is recorded
-as a timeout, and one whose checks fail as incorrect; neither is dropped,
-and neither enters the medians.  Then every CLI example of the README
-(each line of it that starts with ``rankprobe``) and every perfbench CLI
-twin (``TWIN_ARGS`` in ``perfbench/run.py``, at seed 0) runs
-``CLI_REPEATS`` times per tree as ``python3 -m rankprobe.cli ...`` in a
-scratch directory, the trees alternating.  Each run keeps its wall time,
-the peak RSS of that child alone (from its own ``wait4`` rusage, not the
-maximum over all children so far), its exit status and a digest of its
-stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and recorded as a
-timeout.  Last, the tier-1 suite runs four times in the order change,
-baseline, baseline, change (twice on the one tree without ``--baseline``),
-so host drift over the runs falls on both trees alike.  Every run is kept
-with its wall time and pytest's ten slowest test durations; per tree the
-record holds the median wall time and, for each test among any run's ten
-slowest, its median over the runs that list it, so a record shows where
-the suite spends its time.  The JSON
-written holds, per tree, the median and quartiles of every metric,
-perfbench's provenance (host, Python and numpy, git commit, source
-digest) plus a digest of ``perfbench/`` itself, and
-``src_lines``, the line count of ``src/rankprobe/*.py`` (what
-``wc -l src/rankprobe/*.py`` totals), and ``src_dirty``: whether
-``git status --porcelain -- src`` lists anything, so a tree measured
-before committing says so (its provenance commit is then the one it
-started from), or null outside a git checkout.
+record to the next.  Each workload also runs with ``--trace 1`` on the
+seeds of ``TRACED_SEEDS``, the trees alternating, and the record keeps
+those runs' per-layer metrics with their medians.  A run that passes its
+time limit is recorded as a timeout, and one whose checks fail as
+incorrect; neither is dropped, and neither enters the medians.  Then
+every CLI example of the README (each line of it that starts with
+``rankprobe``) and every perfbench CLI twin (``TWIN_ARGS`` in
+``perfbench/run.py``, at seed 0) runs ``CLI_REPEATS`` times per tree as
+``python3 -m rankprobe.cli ...`` in a scratch directory, the trees
+alternating.  Each run keeps its wall time, the peak RSS of that child
+alone (from its own ``wait4`` rusage, not the maximum over all children
+so far), its exit status and a digest of its stdout; a run that passes
+``CLI_TIMEOUT_S`` is killed and recorded as a timeout.  Then each
+command of ``SCALE_ARGS`` (the 2^20 runs past the README's sizes) runs
+once per tree the same way, the trees alternating from command to
+command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
+that a blow-up ends in ``MemoryError`` (exit 3) rather than in the OOM
+killer.  Last, the tier-1 suite runs four times in the order change,
+baseline, baseline, change (twice on the one tree without
+``--baseline``), so host drift over the runs falls on both trees alike.
+Every run is kept with its wall time and pytest's ten slowest test
+durations; per tree the record holds the median wall time and, for each
+test among any run's ten slowest, its median over the runs that list it,
+so a record shows where the suite spends its time.  The JSON written
+holds, per tree, the median and quartiles of every metric, perfbench's
+provenance (host, Python and numpy, git commit, source digest) plus a
+digest of ``perfbench/`` itself, and ``src_lines``, the line count of
+``src/rankprobe/*.py`` (what ``wc -l src/rankprobe/*.py`` totals), and
+``src_dirty``: whether ``git status --porcelain -- src`` lists anything,
+so a tree measured before committing says so (its provenance commit is
+then the one it started from), or null outside a git checkout.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import shlex
 import signal
 import statistics
@@ -64,20 +71,25 @@ WORKLOADS = ("stage_ladder", "publish_drain", "encode_roundtrip", "entropy_trian
 METRICS = ("setup_s", "cold_experiment_s", "experiment_p50_s", "experiment_tail_s", "peak_rss_mib", "ok_ratio")
 HIGHER_IS_BETTER = {"ok_ratio"}
 SEEDS = tuple(range(6000, 6010))
+TRACED_SEEDS = SEEDS[:3]  # the per-layer (--trace 1) runs
 SECONDS = 10  # the run length of the benchmark itself
 RUN_TIMEOUT_S = 400  # perfbench ends a run within 180 s; this catches a hang
 TIER1_TIMEOUT_S = 1800
 TIER1_ORDER = ("change", "baseline", "baseline", "change")
 CLI_REPEATS = 5
 CLI_TIMEOUT_S = 120
+# runs past the README sizes, once per tree, each child under one address-space limit
+SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode --n 1048576 --k 65536",
+              "entropy --n 1048576 --k 1")
+SCALE_LIMIT_AS = 2 << 30  # a blow-up ends in MemoryError (exit 3), not the OOM killer
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]
 
 
-def run_perfbench(root: Path, workload: str, seed: int) -> dict:
+def run_perfbench(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     """One perfbench run: its metrics, or why there are none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(SECONDS), "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     start = time.perf_counter()
     try:
         done = subprocess.run(argv, cwd=root, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -88,7 +100,7 @@ def run_perfbench(root: Path, workload: str, seed: int) -> dict:
     if done.returncode or not lines:
         return {**run, "status": f"exit {done.returncode}", "stderr": done.stderr[-2000:]}
     result = json.loads(lines[-1])
-    record = json.loads((root / ".perfbench" / f"{workload}-seed{seed}-trace0.json").read_text())
+    record = json.loads((root / ".perfbench" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {
         **run,
         "status": "ok" if result["correct"] else "incorrect",
@@ -113,6 +125,13 @@ def summarize(runs: list) -> dict:
         if values:
             out[name] = quartiles(values)
     return out
+
+
+def summarize_layers(runs: list) -> dict:
+    """The median of every per-layer metric over the traced runs that passed."""
+    good = [r for r in runs if r["status"] == "ok"]
+    names = good[0]["metrics"] if good else {}
+    return {"runs": runs, "median": {name: statistics.median(r["metrics"][name] for r in good) for name in names}}
 
 
 def ok_pairs(change: list, base: list) -> list:
@@ -153,15 +172,21 @@ def cli_commands(root: Path) -> dict:
     return commands
 
 
-def time_cli(root: Path, args: list, cwd: Path) -> dict:
+def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> dict:
     """One CLI run: wall time, the child's own peak RSS, exit status and
-    stdout digest, or a timeout."""
+    stdout digest, or a timeout.  `limit_as` caps the child's address
+    space (``RLIMIT_AS``, set in the child alone)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     fired = threading.Event()
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
+
     with tempfile.TemporaryFile() as out:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "rankprobe.cli", *args], stdout=out,
-                                stderr=subprocess.DEVNULL, cwd=cwd, env=env)
+                                stderr=subprocess.DEVNULL, cwd=cwd, env=env,
+                                preexec_fn=limit if limit_as else None)
         killer = threading.Timer(CLI_TIMEOUT_S, lambda: (fired.set(), os.kill(proc.pid, signal.SIGKILL)))
         killer.start()
         try:
@@ -263,6 +288,14 @@ def main(argv=None) -> int:
                 runs[tree][w].append(run)
                 p50 = run.get("metrics", {}).get("experiment_p50_s")
                 print(f"{tree} {w} seed={seed} {run['status']} p50={p50}", flush=True)
+    traced = {tree: {w: [] for w in WORKLOADS} for tree in trees}
+    for w in WORKLOADS:
+        for i, seed in enumerate(TRACED_SEEDS):
+            for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                run = run_perfbench(trees[tree], w, seed, trace=1)
+                run.pop("provenance", None)
+                traced[tree][w].append(run)
+                print(f"{tree} {w} seed={seed} trace=1 {run['status']}", flush=True)
     for tree, root in trees.items():
         first = next((r for rs in runs[tree].values() for r in rs if "provenance" in r), {})
         prov = {k: v for k, v in first.get("provenance", {}).items() if k not in ("workload", "seed", "trace")}
@@ -271,6 +304,7 @@ def main(argv=None) -> int:
             "src_lines": src_lines(root),
             "src_dirty": src_dirty(root),
             "workloads": {w: summarize(rs) for w, rs in runs[tree].items()},
+            "layers": {w: summarize_layers(rs) for w, rs in traced[tree].items()},
             "runs": runs[tree],
         }
         for rs in runs[tree].values():
@@ -289,6 +323,12 @@ def main(argv=None) -> int:
                     run = time_cli(trees[tree], cli_args, Path(scratch))
                     cli_runs[tree][label].append(run)
                     print(f"{tree} cli {label!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
+        scale_runs = {tree: {} for tree in trees}
+        for i, line in enumerate(SCALE_ARGS):
+            for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                run = time_cli(trees[tree], line.split(), Path(scratch), SCALE_LIMIT_AS)
+                scale_runs[tree][line] = run
+                print(f"{tree} scale {line!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
     tier1_runs = {tree: [] for tree in trees}
     for tree in [t for t in TIER1_ORDER if t in trees]:
         run = time_tier1(trees[tree])
@@ -296,6 +336,7 @@ def main(argv=None) -> int:
         print(f"{tree} tier-1 {run['status']} wall={run['wall_s']:.1f} {run.get('summary', '')}", flush=True)
     for tree in trees:
         report["trees"][tree]["cli"] = {label: summarize_cli(rs) for label, rs in cli_runs[tree].items()}
+        report["trees"][tree]["scale"] = {"limit_as_bytes": SCALE_LIMIT_AS, "runs": scale_runs[tree]}
         report["trees"][tree]["tier1"] = summarize_tier1(tier1_runs[tree])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
