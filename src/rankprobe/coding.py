@@ -5,15 +5,70 @@ symbol order, and codeword assignment is canonical (sorted by length,
 then symbol), so encoder and decoder rebuild identical tables from the
 same weights.  Codewords are written most-significant bit first into the
 LSB-first bit strings used everywhere else.
+
+Huffman lengths come from a two-queue merge (van Leeuwen, 1976): given
+the leaves in ascending (weight, symbol index) order, the merged nodes
+are made in ascending weight too, so the two lightest nodes are always
+at the fronts of the two queues, with no heap and no sort past the
+leaves'.  A caller that knows its leaf order, as the binomial answer
+codes do, streams the leaves and keeps only the live queue.
+
+A code keeps lengths, not codewords: each symbol's place in canonical
+order and, per length L, S_L = 2^L - (first code of length L).  A
+Huffman code has S_L at most its alphabet size, so the table stays small
+however long the codewords grow.  A codeword is 2^L - S_L plus the
+symbol's index among those of length L, made when it is needed.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import math
+from collections import Counter, deque
 
 from .bits import BitString
+
+
+def _huffman_depths(leaves, count: int) -> list:
+    """Huffman code lengths of leaves 0..count-1, from an iterable of
+    (weight, leaf) pairs in ascending (weight, leaf) order.
+
+    The result is that of a heap keyed by (weight, node id) with merged
+    nodes numbered from count up: on equal weight the leaf goes first.
+    """
+    if count == 1:
+        return [0]
+    parent = [0] * (2 * count - 1)
+    leaves = iter(leaves)
+    merged = deque()  # (weight, node) in ascending order, as they are made
+    left = count
+    weight, leaf = next(leaves)
+    for node in range(count, 2 * count - 1):
+        # the lighter front twice, unrolled: this loop is the whole merge
+        if left and (not merged or weight <= merged[0][0]):
+            total = weight
+            parent[leaf] = node
+            left -= 1
+            if left:
+                weight, leaf = next(leaves)
+        else:
+            total, child = merged.popleft()
+            parent[child] = node
+        if left and (not merged or weight <= merged[0][0]):
+            total += weight
+            parent[leaf] = node
+            left -= 1
+            if left:
+                weight, leaf = next(leaves)
+        else:
+            w, child = merged.popleft()
+            total += w
+            parent[child] = node
+        merged.append((total, node))
+    depth = [0] * (2 * count - 1)
+    for node in range(2 * count - 3, count - 1, -1):  # a parent always outnumbers its children
+        depth[node] = depth[parent[node]] + 1
+    return [depth[p] + 1 for p in parent[:count]]
 
 
 class CanonicalCode:
@@ -26,44 +81,45 @@ class CanonicalCode:
 
     def __init__(self, lengths: dict):
         self.lengths = dict(lengths)
-        self.codes = {}
-        table = {}  # canonical decoding table: length -> (first code, symbols)
-        code = length = 0
-        for sym in sorted(self.lengths, key=lambda s: (self.lengths[s], s)):
-            code <<= self.lengths[sym] - length
-            length = self.lengths[sym]
-            self.codes[sym] = code
-            table.setdefault(length, (code, []))[1].append(sym)
-            code += 1
+        # canonical order: by length, then symbol
+        self._order = sorted(sorted(self.lengths), key=self.lengths.__getitem__)
+        self._place = dict(zip(self._order, range(len(self._order))))
+        self._table = []  # (L, S_L, place of the first symbol of length L, their count)
+        self._offsets = {}  # L -> S_L + place of the first symbol of length L
+        length = min(self.lengths.values(), default=0)
+        span, start = 1 << length, 0  # the first code is 0
+        for ln, count in sorted(Counter(self.lengths.values()).items()):
+            span <<= ln - length  # S_L: the words not taken by shorter codes
+            self._table.append((ln, span, start, count))
+            self._offsets[ln] = span + start
+            span -= count
+            start += count
+            length = ln
         self._max_len = length
-        self._table = [(ln, first, row) for ln, (first, row) in table.items()]  # ascending lengths
+        self._table.reverse()  # descending L, so that S_L << (max L - L) ascends
 
     @classmethod
     def from_weights(cls, weights: dict) -> "CanonicalCode":
         syms = sorted(weights)
         if not syms:
             raise ValueError("empty alphabet")
-        if len(syms) == 1:
-            return cls({syms[0]: 0})
-        heap = [(weights[s], i, i) for i, s in enumerate(syms)]
-        heapq.heapify(heap)
-        parent = {}
-        nxt = len(syms)
-        while len(heap) > 1:
-            wa, _, ia = heapq.heappop(heap)
-            wb, _, ib = heapq.heappop(heap)
-            parent[ia] = parent[ib] = nxt
-            heapq.heappush(heap, (wa + wb, nxt, nxt))
-            nxt += 1
-        depth = {heap[0][2]: 0}
-        for node in range(nxt - 2, -1, -1):
-            depth[node] = depth[parent[node]] + 1
-        return cls({s: depth[i] for i, s in enumerate(syms)})
+        return cls.from_leaves(syms, sorted((weights[s], i) for i, s in enumerate(syms)))
+
+    @classmethod
+    def from_leaves(cls, syms, leaves) -> "CanonicalCode":
+        """The Huffman code of sorted symbols syms, given (weight, index into
+        syms) pairs in ascending order, as :func:`_huffman_depths` takes them."""
+        return cls(dict(zip(syms, _huffman_depths(leaves, len(syms)))))
+
+    def codeword(self, sym) -> int:
+        """sym's codeword as an int, first bit most significant."""
+        length = self.lengths[sym]
+        return (1 << length) - self._offsets[length] + self._place[sym]
 
     def encode_symbol(self, out: BitString, sym) -> int:
         length = self.lengths[sym]
         # most-significant bit first: the codeword's bits, reversed
-        out.append_bits(int(f"{self.codes[sym]:0{length}b}"[::-1], 2), length)
+        out.append_bits(int(f"{self.codeword(sym):0{length}b}"[::-1], 2), length)
         return length
 
     def decode_symbol(self, data: BitString, offset: int):
@@ -71,15 +127,18 @@ class CanonicalCode:
         if len(self.lengths) == 1:
             return next(iter(self.lengths)), offset
         # One window of up to _max_len bits, first bit most significant and
-        # zero-padded.  Left-justified, each length's codes start where the
-        # shorter ones end, so only the last length starting at or below fits.
+        # zero-padded.  Left-justified, the codes of length L and longer fill
+        # the last S_L << (top - L) words below 2^top, so the window's length
+        # is the longest whose span reaches down to the window.
         top = self._max_len
         width = min(top, data.length - offset)
         window = int(f"{data.read_bits(offset, width):0{width}b}"[::-1], 2) << (top - width)
-        length, first, row = self._table[bisect.bisect_right(self._table, window, key=lambda e: e[1] << (top - e[0])) - 1]
-        index = (window >> (top - length)) - first
-        if length <= width and index < len(row):
-            return row[index], offset + length
+        rest = (1 << top) - window
+        i = bisect.bisect_left(self._table, rest, key=lambda e: e[1] << (top - e[0]))
+        length, span, start, count = self._table[i]
+        index = (window >> (top - length)) + span - (1 << length)
+        if length <= width and index < count:
+            return self._order[start + index], offset + length
         raise ValueError("bit read outside string" if width < top else "invalid codeword")
 
 

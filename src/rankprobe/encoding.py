@@ -184,12 +184,19 @@ def _simulate_sets(layout: StructureLayout, k: int, d: int):
 
 @functools.lru_cache
 def _binom_code(m: int) -> CanonicalCode:
-    weights = {}
+    return CanonicalCode.from_leaves(range(m + 1), _binom_leaves(m))
+
+
+def _binom_leaves(m: int):
+    """(C(m, v), v) in ascending order, by the running product: v = 0, m,
+    1, m - 1 and so on, the centre last.  C(m, v) grows up to the centre,
+    and of two equal weights the lower v comes first."""
     c = 1
-    for v in range(m + 1):
-        weights[v] = c  # C(m, v), by the running product
+    for v in range(m // 2 + 1):
+        yield c, v
+        if m - v != v:
+            yield c, m - v
         c = c * (m - v) // (v + 1)
-    return CanonicalCode.from_weights(weights)
 
 
 def _increment_codes(queries: list) -> list:

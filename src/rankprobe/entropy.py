@@ -90,42 +90,57 @@ def _central_binomial(m: int) -> int:
     return c
 
 
+EXACT_CENTRE_MAX = 4096  # past it, the centre comes from Stirling's series
+
+
 @functools.cache
 def binom_entropy(m: int) -> float:
     """H(Binomial(m, 1/2)) in bits, exact to ~1e-12.
 
-    Fast route: one exact central binomial seeds outward float recurrences
-    for the pmf and for log2 C(m, i); terms below 2^-1080 are dropped
-    (their total contribution is < 1e-300).  Agrees with the big-int
-    oracle to well under the lab's 1e-9 tolerances.
+    Fast route: the central term seeds outward float recurrences for the
+    pmf and for its log2.  Up to EXACT_CENTRE_MAX the seed is the exact
+    central binomial; past it, ln(C(2h, h)/4^h) from Stirling's series
+    (for odd m, C(m, m // 2)/2^m = C(m + 1, h)/2^(m + 1)), so the cost is
+    the terms summed, not a big-int binomial.  Only terms within 20 sqrt(m)
+    of the centre are formed: past that, p < 2^-1154 by Hoeffding's
+    bound, which underflows to 0 anyway.  Agrees with the big-int oracle
+    to well under the lab's 1e-9 tolerances.
     """
     if m < 0:
         raise ValueError("negative m")
     mid = m // 2
-    c_mid = _central_binomial(m)
-    p_mid = c_mid / (1 << m)
-    lg_mid = _lg_int(c_mid)
+    # the centre's p and lg, with the pmf p = 2^(lg - scale)
+    if m <= EXACT_CENTRE_MAX:
+        c_mid = _central_binomial(m)
+        p_mid, lg_mid, scale = c_mid / (1 << m), _lg_int(c_mid), m
+    else:
+        h = (m + 1) // 2
+        ln_p = -0.5 * math.log(math.pi * h) - 1 / (8 * h) + 1 / (192 * h**3) - 1 / (640 * h**5)
+        p_mid, lg_mid, scale = math.exp(ln_p), ln_p / math.log(2), 0
+    half = math.ceil(20 * math.sqrt(m))
+    lo, hi = max(0, mid - half), min(m, mid + half)
 
-    i_up = np.arange(mid, m, dtype=np.float64)       # step i -> i+1
+    i_up = np.arange(mid, hi, dtype=np.float64)      # step i -> i+1
     ratio_up = (m - i_up) / (i_up + 1.0)
-    i_dn = np.arange(mid, 0, -1, dtype=np.float64)   # step i -> i-1
+    i_dn = np.arange(mid, lo, -1, dtype=np.float64)  # step i -> i-1
     ratio_dn = i_dn / (m - i_dn + 1.0)
 
-    p = np.empty(m + 1)
-    lgc = np.empty(m + 1)
-    p[mid] = p_mid
-    lgc[mid] = lg_mid
-    if mid < m:
-        p[mid + 1 :] = p_mid * np.cumprod(ratio_up)
-        lgc[mid + 1 :] = lg_mid + np.cumsum(np.log2(ratio_up))
-    if mid > 0:
-        p[mid - 1 :: -1] = p_mid * np.cumprod(ratio_dn)
-        lgc[mid - 1 :: -1] = lg_mid + np.cumsum(np.log2(ratio_dn))
+    at = mid - lo  # the centre's slot
+    p = np.empty(hi - lo + 1)
+    lg = np.empty(hi - lo + 1)
+    p[at] = p_mid
+    lg[at] = lg_mid
+    if mid < hi:
+        p[at + 1 :] = p_mid * np.cumprod(ratio_up)
+        lg[at + 1 :] = lg_mid + np.cumsum(np.log2(ratio_up))
+    if mid > lo:
+        p[at - 1 :: -1] = p_mid * np.cumprod(ratio_dn)
+        lg[at - 1 :: -1] = lg_mid + np.cumsum(np.log2(ratio_dn))
 
     live = p > 0.0
     # fsum is correctly rounded, so term order cannot change the sum; it
     # is fastest when the largest terms come first
-    return math.fsum(np.sort(p[live] * (m - lgc[live]))[::-1].tolist())
+    return math.fsum(np.sort(p[live] * (scale - lg[live]))[::-1].tolist())
 
 
 def binom_entropy_estimate(m: int) -> float:

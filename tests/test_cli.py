@@ -12,7 +12,7 @@ from rankprobe import cli
 from rankprobe.cli import main
 from rankprobe.elimination import run_elimination
 from rankprobe.encoding import EncodingRecord, decode
-from rankprobe.entropy import LabConfig
+from rankprobe.entropy import LabConfig, binom_entropy_estimate
 from rankprobe.errors import CorruptEncoding, CorruptFootprint, RefusalError, SimulationFault
 from rankprobe.structures import build_recursive, build_two_level, max_stage
 
@@ -286,6 +286,24 @@ def test_entropy_analytic_only_large(capsys):
     assert obj["analytic"]["deficit"] > 0
 
 
+@pytest.mark.parametrize("n, k", [(1 << 20, 1), (1 << 30, 2)])
+def test_entropy_closed_form_at_scale(capsys, n, k):
+    # past the exact seed's range the closed form costs the terms it sums;
+    # the binomial entropies agree with 0.5 lg(pi e m / 2) to O(1/m^2)
+    code, out, _ = run_cli(capsys, "entropy", "--n", str(n), "--k", str(k), "--format", "json")
+    assert code == 0
+    got = json.loads(out)["analytic"]
+    bs = n // k
+    d = bs // 2
+    want = {
+        "reference_entropy": k * binom_entropy_estimate(bs),
+        "offset_entropy": binom_entropy_estimate(d) + (k - 1) * binom_entropy_estimate(bs),
+        "joint_entropy": k * (binom_entropy_estimate(d) + binom_entropy_estimate(bs - d)),
+    }
+    for name, value in want.items():
+        assert got[name] == pytest.approx(value, abs=1e-9)
+
+
 def test_entropy_requires_k(capsys):
     code, _, err = run_cli(capsys, "entropy", "--n", "16")
     assert code == 2 and err.startswith("error:")
@@ -403,3 +421,23 @@ def test_out_of_memory_exits_3():
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr.startswith("error: out of memory:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_tradeoff_out_of_memory_exits_3():
+    # tradeoff at 2^32 bits first asks for a 512 MiB array.  Importing
+    # rankprobe took 144 MiB of address space (136 MiB failed; Linux,
+    # Python 3.11, numpy 2.4), so a 256 MiB limit, set in the child alone,
+    # fails that first allocation within a quarter second instead of after
+    # a 1 GiB climb.
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "rankprobe.cli", "tradeoff", "--n", "4294967296"],
+        capture_output=True,
+        text=True,
+        preexec_fn=limit,
+        timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: out of memory:") and proc.stderr.count("\n") == 1

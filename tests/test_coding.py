@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankprobe import encoding
 from rankprobe.bits import BitString
 from rankprobe.coding import (
     CanonicalCode,
@@ -59,8 +60,8 @@ def test_prefix_free_and_deterministic():
     weights = {i: (i % 3) + 1 for i in range(9)}
     a = CanonicalCode.from_weights(weights)
     b = CanonicalCode.from_weights(dict(reversed(list(weights.items()))))
-    assert a.lengths == b.lengths and a.codes == b.codes
-    words = [(a.codes[s], a.lengths[s]) for s in weights]
+    assert a.lengths == b.lengths and all(a.codeword(s) == b.codeword(s) for s in weights)
+    words = [(a.codeword(s), a.lengths[s]) for s in weights]
     for (c1, l1), (c2, l2) in combinations(words, 2):
         lo = min(l1, l2)
         assert (c1 >> (l1 - lo)) != (c2 >> (l2 - lo))
@@ -70,7 +71,7 @@ def test_canonical_order():
     code = CanonicalCode.from_weights({"x": 10, "y": 1, "z": 1, "w": 4})
     # shorter codes come numerically first; ties ordered by symbol
     order = sorted(code.lengths, key=lambda s: (code.lengths[s], s))
-    vals = [code.codes[s] << (max(code.lengths.values()) - code.lengths[s]) for s in order]
+    vals = [code.codeword(s) << (max(code.lengths.values()) - code.lengths[s]) for s in order]
     assert vals == sorted(vals)
 
 
@@ -118,7 +119,7 @@ def bitwise_decode(code, data, offset):
         return next(iter(code.lengths)), offset
     table = {}
     for sym in sorted(code.lengths, key=lambda s: (code.lengths[s], s)):
-        first, row = table.setdefault(code.lengths[sym], (code.codes[sym], []))
+        first, row = table.setdefault(code.lengths[sym], (code.codeword(sym), []))
         row.append(sym)
     word = 0
     for length in range(1, max(code.lengths.values()) + 1):
@@ -191,6 +192,71 @@ def test_decode_long_codes_in_one_window():
     short = BitString(stream.value & ((1 << 100) - 1), 100)  # symbol 0 needs 119
     with pytest.raises(ValueError, match="outside"):
         code.decode_symbol(short, 0)
+
+
+def heap_code(weights):
+    """Reference Huffman code, built the way the coding layer once did:
+    a heap keyed by (weight, node id) with leaves numbered in symbol
+    order, then canonical codewords assigned in (length, symbol) order.
+    Returns {symbol: (length, codeword)}."""
+    syms = sorted(weights)
+    if len(syms) == 1:
+        return {syms[0]: (0, 0)}
+    heap = [(weights[s], i, i) for i, s in enumerate(syms)]
+    heapq.heapify(heap)
+    parent = {}
+    nxt = len(syms)
+    while len(heap) > 1:
+        wa, _, ia = heapq.heappop(heap)
+        wb, _, ib = heapq.heappop(heap)
+        parent[ia] = parent[ib] = nxt
+        heapq.heappush(heap, (wa + wb, nxt, nxt))
+        nxt += 1
+    depth = {nxt - 1: 0}
+    for node in range(nxt - 2, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    lengths = {s: depth[i] for i, s in enumerate(syms)}
+    out, code, length = {}, 0, 0
+    for sym in sorted(syms, key=lambda s: (lengths[s], s)):
+        code <<= lengths[sym] - length
+        length = lengths[sym]
+        out[sym] = (length, code)
+        code += 1
+    return out
+
+
+def code_words(code):
+    return {s: (code.lengths[s], code.codeword(s)) for s in code.lengths}
+
+
+@st.composite
+def weight_dicts(draw):
+    """Int or tuple symbols; weights all ints or all floats (a float sum
+    of a big int rounds, so mixed weights need not merge in order)."""
+    kind = draw(st.sampled_from([
+        st.integers(1, 4),  # many ties
+        st.integers(1 << 64, (1 << 64) + 3),  # past 2^64, tied too
+        st.integers(0, 1 << 80),
+        st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        st.floats(0.0, 1e6, allow_nan=False),
+    ]))
+    keys = draw(st.sampled_from([st.integers(-40, 40), st.tuples(st.integers(0, 4), st.integers(0, 4))]))
+    return draw(st.dictionaries(keys, kind, min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(weights=weight_dicts())
+def test_merge_matches_heap_huffman(weights):
+    assert code_words(CanonicalCode.from_weights(weights)) == heap_code(weights)
+
+
+def test_binom_leaves_match_comb_weights():
+    # the lazily streamed leaves give the code of the explicit weights,
+    # math.comb over the lower half and mirrored: C(m, v) = C(m, m - v)
+    for m in [*range(1, 301), 4096, 4097]:
+        half = [math.comb(m, v) for v in range(m // 2 + 1)]
+        want = CanonicalCode.from_weights({v: half[min(v, m - v)] for v in range(m + 1)})
+        assert code_words(encoding._binom_code(m)) == code_words(want), m
 
 
 def test_empty_alphabet_rejected():

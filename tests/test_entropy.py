@@ -44,6 +44,13 @@ def test_fast_matches_exact():
         )
 
 
+def test_stirling_centre_matches_exact():
+    # past EXACT_CENTRE_MAX the centre is seeded from Stirling's series
+    # (measured error at 2^14: 1.4e-13)
+    for m in (4097, 4098, 1 << 14):
+        assert binom_entropy(m) == pytest.approx(binom_entropy_exact(m), abs=1e-12)
+
+
 def test_entropy_monotone_and_bounded():
     prev = 0.0
     for m in range(1, 300):

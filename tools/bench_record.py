@@ -28,7 +28,7 @@ alternating.  Each run keeps its wall time, the peak RSS of that child
 alone (from its own ``wait4`` rusage, not the maximum over all children
 so far), its exit status and a digest of its stdout; a run that passes
 ``CLI_TIMEOUT_S`` is killed and recorded as a timeout.  Then each
-command of ``SCALE_ARGS`` (the 2^20 runs past the README's sizes) runs
+command of ``SCALE_ARGS`` (runs past the README's sizes) runs
 once per tree the same way, the trees alternating from command to
 command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
 that a blow-up ends in ``MemoryError`` (exit 3) rather than in the OOM
@@ -80,7 +80,7 @@ CLI_REPEATS = 5
 CLI_TIMEOUT_S = 120
 # runs past the README sizes, once per tree, each child under one address-space limit
 SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode --n 1048576 --k 65536",
-              "entropy --n 1048576 --k 1")
+              "entropy --n 1048576 --k 1", "entropy --n 1073741824 --k 2")
 SCALE_LIMIT_AS = 2 << 30  # a blow-up ends in MemoryError (exit 3), not the OOM killer
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]
