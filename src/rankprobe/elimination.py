@@ -5,7 +5,10 @@ fresh block partition whose block count is gamma times the published-bit
 total, publish every cell the partition's reference queries probe, and
 watch the average charged probe count fall.  Publishing is probe-cost
 discounting: a published cell reads free, so each round's published
-cells shrink later traces.
+cells shrink later traces.  A round's cells come from one plan over the
+reference set's cover (:func:`~rankprobe.structures.stride_cover`, the
+last query of each scan block), which reads every cell the whole set
+reads; the set's k queries are never built.
 
 Published bits grow by the exact law |new cells| * (word_bits +
 address_bits) per round; the bootstrap itself costs exactly the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import LabConfig
-from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, block_queries, sample_queries
+from .structures import STATS_SAMPLE, ProbePlan, StructureLayout, sample_queries, stride_cover
 
 MAX_ROUNDS = 16  # the round cap
 
@@ -83,17 +86,15 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
             break
         before = _mean(plan.charged(published))
         overlap = _mean(plan.touches(published))
-        # the offset-0 query of each of min(k, n) blocks, in a temporary plan:
-        # one of up to n queries kept into the next round would raise peak RSS
-        reference = block_queries(n, min(k, n))
-        new_cells = np.flatnonzero(ProbePlan(layout.params, reference).cells(published))
+        # the cells of the offset-0 queries of min(k, n) blocks, from their cover
+        new_cells = np.flatnonzero(ProbePlan(layout.params, stride_cover(layout.params, min(k, n))).cells(published))
         layout.published.publish_cells(layout.memory, new_cells.tolist())
         published[new_cells] = True
         after = _mean(plan.charged(published))
         rows.append(EliminationRow(
             round=i,
             published_bits=p,
-            block_count=reference.size,
+            block_count=min(k, n),
             overlap_prob=overlap,
             avg_probes_before=before,
             avg_probes_after=after,

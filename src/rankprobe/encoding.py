@@ -67,7 +67,7 @@ from .model import (
     replay_from_footprint,
     simulate_set,
 )
-from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, step_from_params
+from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, step_from_params, stride_cover
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
@@ -146,12 +146,18 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     bs = layout.n // k
     if bs < 2:
         raise ValueError("blocks too small to hold a nonzero offset")
-    ref_cells = ProbePlan(layout.params, reference).cells(layout.published_mask())
+    ref_cells = ProbePlan(layout.params, stride_cover(layout.params, k)).cells(layout.published_mask())
     # Row d - 1 holds offset d's queries.  The reference cells exclude the
     # published ones, so the reference cells a row reads are exactly the
-    # charged cells it shares with the reference.
-    offsets = np.arange(1, bs)[:, None] + reference
-    overlap = ProbePlan(layout.params, offsets).row_hits(ref_cells)
+    # charged cells it shares with the reference.  The rows go in chunks
+    # of about 2^13 queries, so each int64 temporary of a chunk's plan stays
+    # under glibc's 128 KiB mmap threshold and reuses freed heap instead of
+    # faulting in fresh pages, and the peak stays flat in n.
+    rows = max(1, (1 << 13) // k)
+    overlap = np.concatenate([
+        ProbePlan(layout.params, np.arange(d, min(d + rows, bs))[:, None] + reference).row_hits(ref_cells)
+        for d in range(1, bs, rows)
+    ])
     return int(np.argmin(overlap)) + 1
 
 

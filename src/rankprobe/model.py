@@ -106,14 +106,12 @@ class PublishedBits:
 
     def publish_cells(self, memory: CellMemory, addresses) -> int:
         """Publish whole cells: content plus address, charged exactly
-        (word_bits + address_bits) per *new* cell.  Returns bits added."""
-        addr_bits = memory.address_bits()
-        added = 0
-        for a in addresses:
-            if a in self.cells:
-                continue
-            self.cells[a] = memory.read(a)
-            added += memory.word_bits + addr_bits
+        (word_bits + address_bits) per *new* cell.  Returns bits added.
+        The new cells are fetched in one checked gather before anything
+        changes, so a bad address leaves the ledger as it was."""
+        new = [a for a in dict.fromkeys(addresses) if a not in self.cells]
+        self.cells.update(zip(new, memory.gather(new)))
+        added = len(new) * (memory.word_bits + memory.address_bits())
         self.length += added
         return added
 

@@ -88,13 +88,10 @@ class StructureLayout:
         """Free the counter region: contents plus padding slack, exactly
         redundancy_bits published.  Addresses are fixed by the layout and
         cost nothing.  Returns bits added to the ledger."""
-        added = 0
-        for a in self.redundancy_region:
-            if a not in self.published.cells:
-                self.published.cells[a] = self.memory.read(a)
-                added += self.memory.word_bits
+        new = [a for a in self.redundancy_region if a not in self.published.cells]
+        self.published.cells.update(zip(new, self.memory.gather(new)))
         pad = self.params["raw_cells"] * self.memory.word_bits - self.n
-        added += pad
+        added = len(new) * self.memory.word_bits + pad
         self.published.publish_raw(added)
         self.published.bootstrapped = True
         return added
@@ -474,11 +471,37 @@ def block_queries(n: int, k: int, d: int = 0) -> np.ndarray:
     """The offset-`d` query of each of k stride blocks over [0, n), as an
     int64 array: block b holds queries b * (n // k) .. (b + 1) * (n // k)
     - 1, and the tail past k * (n // k) lies in no block."""
+    return np.arange(k, dtype=np.int64) * _stride(n, k, d) + d
+
+
+def _stride(n: int, k: int, d: int) -> int:
+    """The block size n // k of a stride set, once k and d are checked."""
     if not 1 <= k <= n:
         raise ValueError(f"block count {k} outside [1, {n}]")
     if not 0 <= d < n // k:
         raise ValueError(f"offset {d} outside [0, {n // k})")
-    return np.arange(k, dtype=np.int64) * (n // k) + d
+    return n // k
+
+
+def stride_cover(params: dict, k: int) -> np.ndarray:
+    """The queries of :func:`block_queries` (n, k) that read every cell
+    the whole set reads: the last query of each scan block.
+
+    Queries of one scan block read the same counters, and their scans
+    start at the same raw cell, so the block's last query reads what the
+    others read; a naive layout has one scan, from cell 0.  Costs
+    O(n / block) arithmetic, never the k-entry set."""
+    n = params["n"]
+    stride = _stride(n, k, 0)
+    last = (k - 1) * stride
+    if params["kind"] == "naive":
+        return np.array([last], dtype=np.int64)
+    block = params["block"]
+    # query b sits in scan block (b * stride + 1) // block, so the last
+    # one in block j - 1 is b = (j * block - 2) // stride
+    j = np.arange(1, (last + 1) // block + 2, dtype=np.int64)
+    b = np.minimum((j * block - 2) // stride, k - 1)  # nondecreasing, ends at k - 1
+    return b[np.diff(b, append=k) > 0] * stride  # np.unique would import numpy.ma
 
 
 def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:

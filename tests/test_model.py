@@ -92,6 +92,16 @@ def test_publish_cells_exact_growth():
     # re-publishing the same cell costs nothing
     assert pub.publish_cells(mem, [3]) == 0
     assert pub.publish_cells(mem, [3, 7]) == 8 + mem.address_bits()
+    # a repeated address is one new cell
+    assert pub.publish_cells(mem, [9, 9]) == 8 + mem.address_bits()
+    assert pub.length == 4 * (8 + mem.address_bits())
+
+
+def test_publish_cells_bad_address_leaves_ledger_untouched():
+    pub = PublishedBits()
+    with pytest.raises(SimulationFault):
+        pub.publish_cells(CellMemory(8, [1, 2, 3]), [0, 1, 7])
+    assert pub.cells == {} and pub.length == 0
 
 
 def test_bad_step_faults():

@@ -4,9 +4,12 @@ The driver runs one generator query at a time and is the oracle.  For
 every query of a layout with a random set of published cells, the plan's
 charged count and published-overlap flag must equal what the driver
 reports; its charged-cell mask must equal the union that
-``probes_of_set`` collects; and ``choose_offset`` must pick the offset a
-search over ``probes_of_set`` unions picks.
+``probes_of_set`` collects, also when only the stride set's cover
+(``stride_cover``) is planned; and ``choose_offset`` must pick the offset
+a search over ``probes_of_set`` unions picks.
 """
+
+import tracemalloc
 
 import numpy as np
 from hypothesis import given, settings
@@ -17,10 +20,12 @@ from rankprobe.encoding import choose_offset
 from rankprobe.model import PublishedBits, probes_of_set, run_query
 from rankprobe.structures import (
     ProbePlan,
+    block_queries,
     build_naive,
     build_recursive,
     build_two_level,
     max_stage,
+    stride_cover,
 )
 
 
@@ -76,6 +81,22 @@ def test_plan_matches_driver(case, share, seed):
     assert np.flatnonzero(ProbePlan(layout.params, subset).cells(published)).tolist() == sorted(union)
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=layouts(), data=st.data(), share=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_stride_cover_reads_what_the_set_reads(case, data, share, seed):
+    n, build = case
+    k = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    layout = build(BitArray.random(n, rng))
+    published = publish_at_random(layout, rng, share)
+    queries = block_queries(n, k)
+    cover = stride_cover(layout.params, k)
+    assert set(cover.tolist()) <= set(queries.tolist())
+    assert cover.size <= n // layout.params.get("block", n) + 1  # a naive scan is one block
+    _, union = probes_of_set(layout.step, queries.tolist(), layout.memory, layout.published)
+    assert np.flatnonzero(ProbePlan(layout.params, cover).cells(published)).tolist() == sorted(union)
+
+
 def brute_force_overlaps(layout, k):
     """|charged cells of offset d ∩ charged cells of offset 0| for every
     d in [1, n // k), from probes_of_set unions."""
@@ -108,3 +129,18 @@ def test_choose_offset_matches_brute_force(case, k, share, seed):
 def test_choose_offset_benchmark_geometry():
     a = BitArray.random(1 << 16, np.random.default_rng(0))
     assert choose_offset(build_two_level(a), 16) == 511
+
+
+def test_choose_offset_memory_bounded():
+    # The offset grid is scanned in chunks of about 2^13 queries and the
+    # reference cells come from the stride cover.  Traced peak at 2^18
+    # bits, k = 16: 0.8 MiB; one plan over the whole grid peaked at 18.5 MiB.
+    layout = build_two_level(BitArray.random(1 << 18, np.random.default_rng(0)))
+    tracemalloc.start()
+    try:
+        d = choose_offset(layout, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == 511
+    assert peak < 4 << 20

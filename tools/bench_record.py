@@ -25,9 +25,10 @@ every CLI example of the README (each line of it that starts with
 ``perfbench/run.py``, at seed 0) runs ``CLI_REPEATS`` times per tree as
 ``python3 -m rankprobe.cli ...`` in a scratch directory, the trees
 alternating.  Each run keeps its wall time, the peak RSS of that child
-alone (from its own ``wait4`` rusage, not the maximum over all children
-so far), its exit status and a digest of its stdout; a run that passes
-``CLI_TIMEOUT_S`` is killed and recorded as a timeout.  Then each
+alone and its minor page faults (both from its own ``wait4`` rusage, not
+the maximum over all children so far), its exit status and a digest of
+its stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and recorded
+as a timeout.  Then each
 command of ``SCALE_ARGS`` (runs past the README's sizes) runs
 once per tree the same way, the trees alternating from command to
 command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
@@ -173,9 +174,9 @@ def cli_commands(root: Path) -> dict:
 
 
 def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> dict:
-    """One CLI run: wall time, the child's own peak RSS, exit status and
-    stdout digest, or a timeout.  `limit_as` caps the child's address
-    space (``RLIMIT_AS``, set in the child alone)."""
+    """One CLI run: wall time, the child's own peak RSS and minor page
+    faults, exit status and stdout digest, or a timeout.  `limit_as` caps
+    the child's address space (``RLIMIT_AS``, set in the child alone)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     fired = threading.Event()
 
@@ -201,14 +202,14 @@ def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> 
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
     return {"status": "ok" if code == 0 else f"exit {code}", "wall_s": wall,
-            "peak_rss_mib": usage.ru_maxrss / 1024.0, "stdout_sha256": digest}
+            "peak_rss_mib": usage.ru_maxrss / 1024.0, "minor_faults": usage.ru_minflt, "stdout_sha256": digest}
 
 
 def summarize_cli(runs: list) -> dict:
     good = [r for r in runs if r["status"] == "ok"]
     out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs),
            "stdout_sha256": sorted({r["stdout_sha256"] for r in runs if "stdout_sha256" in r})}
-    for name in ("wall_s", "peak_rss_mib"):
+    for name in ("wall_s", "peak_rss_mib", "minor_faults"):
         values = [r[name] for r in good]
         if values:
             out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
