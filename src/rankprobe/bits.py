@@ -45,13 +45,13 @@ def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
     bits = np.zeros(count * width, dtype=np.uint8)
     bits[:nbits] = np.unpackbits(data, count=nbits, bitorder="little")
     rows = np.packbits(bits.reshape(count, width), axis=1, bitorder="little")
-    nb = rows.shape[1]  # bytes per cell
-    if nb > 8:
-        raw = rows.tobytes()
-        return np.array([int.from_bytes(raw[i : i + nb], "little") for i in range(0, len(raw), nb)], dtype=object)
-    wide = np.zeros((count, 8), dtype=np.uint8)
-    wide[:, :nb] = rows
-    return wide.view("<u8").ravel()
+    limbs = np.zeros((count, -(-width // 64) * 8), dtype=np.uint8)  # each cell as 64-bit limbs, low first
+    limbs[:, : rows.shape[1]] = rows
+    limbs = limbs.view("<u8")
+    cells = limbs[:, -1]
+    for i in range(limbs.shape[1] - 2, -1, -1):  # past width 64, Python ints: the top limb up
+        cells = cells.astype(object) << 64 | limbs[:, i].astype(object)
+    return cells
 
 
 def cells_to_bytes(cells, width: int) -> bytes:
@@ -61,20 +61,20 @@ def cells_to_bytes(cells, width: int) -> bytes:
     if width < 1:
         raise ValueError("cell width must be positive")
     count = len(cells)
-    nb = -(-width // 8)
+    nl = -(-width // 64)  # 64-bit limbs per cell
+    top = width - 64 * (nl - 1)  # bits in the top limb
     try:
-        if nb <= 8:
-            values = np.array(cells, dtype=np.uint64)
-            if width < 64 and (values >> np.uint64(width)).any():
-                raise OverflowError
-            rows = values.astype("<u8").view(np.uint8).reshape(count, 8)[:, :nb]
-        else:
-            rows = np.frombuffer(b"".join(c.to_bytes(nb, "little") for c in cells), dtype=np.uint8).reshape(count, nb)
-            if (rows[:, -1] >> (width - 8 * nb + 8)).any():
-                raise OverflowError
+        values = np.array(cells, dtype=object if nl > 1 else np.uint64)
+        limbs = np.empty((count, nl), dtype="<u8")  # low limb first
+        for i in range(nl - 1):  # past width 64, Python ints: the low limb off
+            limbs[:, i] = values & 0xFFFF_FFFF_FFFF_FFFF
+            values = values >> 64
+        limbs[:, -1] = values  # OverflowError where a value is negative or too wide for uint64
+        if (limbs[:, -1] >> np.uint64(top)).any():  # numpy shifts a uint64 by 64 to 0
+            raise OverflowError
     except OverflowError:
         raise ValueError(f"a cell does not fit in {width} bits") from None
-    bits = np.unpackbits(rows, axis=1, count=width, bitorder="little")
+    bits = np.unpackbits(limbs.view(np.uint8), axis=1, count=width, bitorder="little")
     return np.packbits(bits, bitorder="little").tobytes()
 
 

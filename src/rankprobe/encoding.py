@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -181,7 +182,7 @@ def _simulate_sets(layout: StructureLayout, k: int, d: int):
     """(answers dict, charged cells) for the reference set, by one set
     pass, then for the detached set at offset `d`, by the greedy pass."""
     return (
-        simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published),
+        simulate_set(layout.step, block_queries(layout.n, k), layout.memory, layout.published),
         _detached_pass(layout, block_queries(layout.n, k, d).tolist()),
     )
 
@@ -291,6 +292,15 @@ def _read_footprint(codes, cond, comp: BitString, w: int) -> Footprint:
 
 # -- encode ---------------------------------------------------------------
 
+def _remaining(cell_count: int, *charged: dict) -> np.ndarray:
+    """Component 6's cells as a mask over the cell range: True where no
+    set's charged cells hold the cell."""
+    rest = np.ones(cell_count, dtype=bool)
+    for cells in charged:
+        rest[list(cells)] = False
+    return rest
+
+
 def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
     """Bits of the bootstrap prefix (the redundancy region's contents in
     address order, then the zero padding slack) that a published ledger
@@ -361,9 +371,9 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
         prev = ans
 
     foot = _footprint_codes(ensemble, layout.params, k, d)
-    w = layout.memory.word_bits
     comp6 = BitString()
-    comp6.append_cells([c for a, c in enumerate(layout.memory.cells) if a not in ref_cells and a not in det_cells], w)
+    rest = _remaining(layout.memory.cell_count, ref_cells, det_cells).tolist()
+    comp6.append_cells(list(compress(layout.memory.cells, rest)), layout.memory.word_bits)
 
     return EncodingRecord(
         published=_published_bits(layout),
@@ -393,7 +403,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
     w = params["word_bits"]
     cell_count = params["cell_count"]
     step = step_from_params(params)
-    reference = block_queries(n, k).tolist()
+    reference = block_queries(n, k)
     d = record.offset
     if not 0 < d < n // k:
         raise CorruptEncoding(f"offset {d} outside (0, {n // k})")
@@ -438,11 +448,14 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         seen_det = replay_from_footprint(step, det, f_det, published)[1]
 
         # component 6: every cell neither replay charged, published ones
-        # included, by the filter encode writes it with
-        rest = [a for a in range(cell_count) if a not in seen_ref and a not in seen_det]
-        cells = {**seen_ref, **seen_det, **dict(zip(rest, record.remaining.read_cells(0, len(rest), w)))}
-        raw = [cells[a] for a in range(params["raw_cells"])]
-        array = BitArray.from_bits(np.unpackbits(np.frombuffer(cells_to_bytes(raw, w), dtype=np.uint8), count=n, bitorder="little"))
+        # included, by the mask encode writes it with
+        rest = _remaining(cell_count, seen_ref, seen_det)
+        cells = np.empty(cell_count, dtype=object)
+        cells[rest] = record.remaining.read_cells(0, int(rest.sum()), w)
+        for seen in (seen_ref, seen_det):
+            cells[list(seen)] = list(seen.values())
+        raw = cells_to_bytes(cells[: params["raw_cells"]], w)
+        array = BitArray.from_bits(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little"))
 
         # the one acceptance rule: the record is the array's encoding
         rebuilt = layout_from_params(array, params)

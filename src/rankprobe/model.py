@@ -15,14 +15,17 @@ map is the set's footprint.  Free reads are never charged, and a query
 costs time linear in the addresses it yields.
 
 The driver serves single queries (``rank``), sets of fewer than
-PLAN_MIN_QUERIES queries, cells wider than 64 bits and steps that carry
-no layout params.  A larger set over a layout's step, whether live, a
-footprint or a replay, goes to :meth:`structures.ProbePlan.set_pass`,
-which charges the same cells in the same first-seen order, fetches them
-in one call and computes every answer from the served contents in
-numpy.  Probe counts, published overlaps and charged cells for many
-queries at once come from the same batch plans.  The tests hold every
-plan to this driver as its oracle.
+PLAN_MIN_QUERIES distinct queries, cells wider than 64 bits and steps
+that carry no layout params.  A larger set over a layout's step goes to
+a :class:`structures.ProbePlan`, whose read step lists the same cells in
+the same first-seen order and fetches them in one call.  A footprint is
+those contents alone; a live set pass or a replay
+(:meth:`~structures.ProbePlan.set_pass`) also computes every answer from
+them in numpy.  A set comes in any iterable of integers, checked and
+sorted once; a list already strictly increasing goes to numpy as it is.
+Probe counts, published overlaps and charged cells for many queries at
+once come from the same batch plans.  The tests hold every plan to this
+driver as its oracle.
 """
 
 from __future__ import annotations
@@ -198,7 +201,52 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
     return traces, {a for tr in traces for a in tr.addresses}
 
 
-PLAN_MIN_QUERIES = 48  # set size from which ProbePlan.set_pass beats the driver
+PLAN_MIN_QUERIES = 40  # set size from which the plan beats the driver
+
+
+def _set_queries(queries, n: int) -> np.ndarray:
+    """A set's distinct queries in increasing order, as an int64 array.
+
+    A list, tuple or array of integers that is already strictly
+    increasing is taken as it is; anything else is sorted and deduplicated
+    in Python.  Raises TypeError for a query that is not an integer and
+    IndexError for one outside [0, n)."""
+    q = np.array(queries) if isinstance(queries, (list, tuple, np.ndarray)) else None
+    if q is None or q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
+        # floats, an empty list (float64), ints past 64 bits (object) or any other order
+        q = sorted(set(map(operator.index, queries)))
+    if len(q) and not (0 <= q[0] and q[-1] < n):
+        raise IndexError(f"query outside [0, {n})")
+    return np.array(q, dtype=np.int64)
+
+
+def _set_route(step_fn, queries):
+    """How a set is passed: (plan, None) for a :class:`structures.ProbePlan`
+    over its distinct queries, or (None, the queries in increasing order)
+    for the driver.
+
+    A step that carries its layout's params (as
+    :func:`structures.step_from_params` attaches them) refuses queries
+    outside [0, n) with IndexError, before anything is read.  From
+    PLAN_MIN_QUERIES distinct queries on, at w <= 64, such a step's set
+    goes to the plan; otherwise the driver runs each query."""
+    params = getattr(step_fn, "params", None)
+    if params is None:
+        return None, sorted(queries)
+    q = _set_queries(queries, params["n"])
+    if q.size >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
+        from .structures import ProbePlan  # structures imports this module
+
+        return ProbePlan(params, q), None
+    return None, q.tolist()
+
+
+def _drive_each(step_fn, queries, known: dict, fetch):
+    """The driver's set pass: each query in turn through one charged map."""
+    answers, fetched = {}, {}
+    for q in queries:
+        answers[q] = _drive(step_fn, q, known, fetched, fetch)
+    return answers, fetched
 
 
 def _drive_set(step_fn, queries, published: PublishedBits | None, fetch, gather):
@@ -208,27 +256,14 @@ def _drive_set(step_fn, queries, published: PublishedBits | None, fetch, gather)
     dict, fetched cells): every fetched address with its contents, in
     first-seen order.
 
-    A step that carries its layout's params (as
-    :func:`structures.step_from_params` attaches them) refuses queries
-    outside [0, n) with IndexError.  From PLAN_MIN_QUERIES queries on, at
-    w <= 64, such a step's set is passed by :meth:`ProbePlan.set_pass`,
-    which takes the same cells in one `gather(addresses)`; otherwise each
-    query runs through the driver, which charges `fetch(address)`."""
+    The set goes the way :func:`_set_route` sends it.  The plan's
+    :meth:`~structures.ProbePlan.set_pass` takes the same cells in one
+    `gather(addresses)`; the driver charges each by `fetch(address)`."""
     known = published.cells if published is not None else {}
-    queries = sorted(queries)
-    params = getattr(step_fn, "params", None)
-    if params is not None:
-        if queries and not (0 <= queries[0] and queries[-1] < params["n"]):
-            raise IndexError(f"query outside [0, {params['n']})")
-        if len(queries) >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
-            from .structures import ProbePlan  # structures imports this module
-
-            distinct = np.fromiter(map(operator.index, dict.fromkeys(queries)), dtype=np.int64)
-            return ProbePlan(params, distinct).set_pass(known, gather)
-    answers, fetched = {}, {}
-    for q in queries:
-        answers[q] = _drive(step_fn, q, known, fetched, fetch)
-    return answers, fetched
+    plan, queries = _set_route(step_fn, queries)
+    if plan is not None:
+        return plan.set_pass(known, gather)
+    return _drive_each(step_fn, queries, known, fetch)
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
@@ -241,8 +276,17 @@ def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits 
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
-    """First-seen probed cell contents over `queries` in increasing order."""
-    return Footprint(tuple(simulate_set(step_fn, queries, memory, published)[1].values()), memory.word_bits)
+    """First-seen probed cell contents over `queries` in increasing order.
+
+    On the plan route they come from the plan's read step alone, with no
+    answer computed."""
+    known = published.cells if published is not None else {}
+    plan, queries = _set_route(step_fn, queries)
+    if plan is not None:
+        bits = plan.read_order(known, memory.gather)[1]
+    else:
+        bits = _drive_each(step_fn, queries, known, memory.read)[1].values()
+    return Footprint(tuple(bits), memory.word_bits)
 
 
 def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):

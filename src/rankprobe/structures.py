@@ -22,9 +22,9 @@ Queries run two ways over one geometry expression.  The generator
 queries of :func:`step_from_params`, driven by :mod:`model`, answer
 single queries (``rank``) and small sets, and are the oracle.  A
 :class:`ProbePlan` is the batch path: probe counts, published overlaps,
-charged-cell sets and whole set passes (answers and first-seen cells,
-as footprints record and replay them) for a query array, computed with
-numpy.  Both need only a layout's params, because probe addresses depend
+charged-cell sets, a set's first-seen cells (all a footprint records)
+and whole set passes (those cells and every answer, as live runs and
+replays give them) for a query array, computed with numpy.  Both need only a layout's params, because probe addresses depend
 on the query index and never on the data.  :func:`layout_from_params`
 rebuilds a whole layout from those params and an array.
 """
@@ -245,12 +245,16 @@ def step_from_params(params: dict):
     return query_step
 
 
-def _before(a: np.ndarray) -> np.ndarray:
+def _before(a: np.ndarray, increasing: bool = False) -> np.ndarray:
     """Running max over the earlier queries along the last axis, -1 for
-    the first."""
+    the first.  For an `increasing` (never decreasing) array that is the
+    previous entry, shifted in without a scan."""
     out = np.empty_like(a)
     out[..., :1] = -1
-    np.maximum.accumulate(a[..., :-1], axis=-1, out=out[..., 1:])
+    if increasing:
+        out[..., 1:] = a[..., :-1]
+    else:
+        np.maximum.accumulate(a[..., :-1], axis=-1, out=out[..., 1:])
     return out
 
 
@@ -264,7 +268,8 @@ class ProbePlan:
 
     The batch counterpart of driving each query through :mod:`model`,
     which stays its oracle.  For every query (an int64 array of any
-    shape) the plan holds the absolute-counter address (-1 for naive
+    shape, each in [0, n): :mod:`model` checks a set's queries before it
+    plans them) the plan holds the absolute-counter address (-1 for naive
     layouts), the relative-counter address (-1 where the block stores
     none) and the raw cells ``lo .. hi`` its scan reads (``hi = lo - 1``
     when the scan is empty).  A query reads no cell twice, so its charged
@@ -275,8 +280,6 @@ class ProbePlan:
 
     def __init__(self, params: dict, queries):
         q = np.asarray(queries, dtype=np.int64)
-        if q.size and (q.min() < 0 or q.max() >= params["n"]):
-            raise IndexError(f"query outside [0, {params['n']})")
         self.params = params
         self.queries = q
         self.hi = q // params["word_bits"]
@@ -316,37 +319,44 @@ class ProbePlan:
         read[:raw] |= np.cumsum(edges)[:raw] > 0
         return read & ~published
 
-    def row_hits(self, mask: np.ndarray) -> np.ndarray:
-        """Per row (the last axis) of a query array sorted by position
-        along each row, how many distinct cells `mask` flags the row reads.
+    def _new_reads(self):
+        """Per query of an array sorted along the last axis: whether its
+        absolute and its relative counter are new, and where the new part
+        of its scan starts.
 
-        In a sorted row the counter addresses and both ends of the scan
+        In sorted order the counter addresses and both ends of the scan
         never decrease, so a counter cell is new exactly when it lies past
         every earlier query's, and the new part of a scan is the part past
-        the previous query's last raw cell."""
+        the previous query's last raw cell.  The absolute counters and the
+        scan ends are compared with the previous query alone; the relative
+        counters, absent (-1) in some blocks, need the running max."""
+        new_abs = self.abs_addr > _before(self.abs_addr, increasing=True)  # an absent (-1) counter is never new
+        new_rel = self.rel_addr > _before(self.rel_addr)
+        return new_abs, new_rel, np.maximum(self.lo, _before(self.hi, increasing=True) + 1)
+
+    def row_hits(self, mask: np.ndarray) -> np.ndarray:
+        """Per row (the last axis) of a query array sorted by position
+        along each row, how many distinct cells `mask` flags the row reads."""
+        new_abs, new_rel, start = self._new_reads()
         pre = self._raw_prefix(mask)
-        start = np.maximum(self.lo, _before(self.hi) + 1)
         hits = pre[self.hi + 1] - pre[start]
-        for addresses in (self.abs_addr, self.rel_addr):
-            hits += _flagged(addresses, mask) & (addresses > _before(addresses))
+        hits += _flagged(self.abs_addr, mask) & new_abs
+        hits += _flagged(self.rel_addr, mask) & new_rel
         return hits.sum(axis=-1)
 
-    def set_pass(self, known: dict, gather):
-        """The set pass of :func:`model.simulate_set` over this plan's
-        queries, which must be sorted and distinct, for w <= 64.
+    def read_order(self, known: dict, gather):
+        """The read step of a set pass over this plan's queries, which must
+        be sorted and distinct.
 
-        The cells the set reads are listed in first-seen probe order by
-        :meth:`row_hits`'s rule: per query the absolute counter, the
+        Lists the cells the set reads in first-seen probe order by
+        :meth:`_new_reads`'s rule: per query the absolute counter, the
         relative counter, then the new part of the scan, each where it is
         new.  Cells in `known` (the published cells, read in place) are
         served from it; `gather(addresses)` gives the contents of the
-        others, in that order, as a list.  Each answer is computed from
-        the served contents.  Returns (answers dict, fetched cells) as
-        the driver does."""
-        w = self.params["word_bits"]
-        new_abs = self.abs_addr > _before(self.abs_addr)  # an absent (-1) counter is never new
-        new_rel = self.rel_addr > _before(self.rel_addr)
-        start = np.maximum(self.lo, _before(self.hi) + 1)
+        others, in that order, as a list.  Returns (charged addresses,
+        their contents, the read order), the last for :meth:`set_pass`.  A
+        footprint is the contents alone."""
+        new_abs, new_rel, start = self._new_reads()
         scan = np.maximum(self.hi + 1 - start, 0)
         ends = np.add.accumulate(scan + new_abs + new_rel)
         rel_at = ends - scan - new_rel  # where a query's relative counter goes
@@ -357,33 +367,39 @@ class ProbePlan:
         ramp = np.arange(scan_ends[-1])
         raw_at = ramp + np.repeat(ends - scan_ends, scan)
         read[raw_at] = ramp + np.repeat(start - scan_ends + scan, scan)
-
         read = read.tolist()
         charged = [a for a in read if a not in known] if known else read
-        got = gather(charged)
+        return charged, gather(charged), (read, new_abs, new_rel, rel_at, scan_ends, raw_at)
+
+    def set_pass(self, known: dict, gather):
+        """The set pass of :func:`model.simulate_set` over this plan's
+        queries, which must be sorted and distinct, for w <= 64: the read
+        step :meth:`read_order`, then every answer computed from the
+        served contents.  Returns (answers dict, fetched cells) as the
+        driver does."""
+        charged, got, (read, new_abs, new_rel, rel_at, scan_ends, raw_at) = self.read_order(known, gather)
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)
         else:
             served = np.array(got, dtype=np.uint64)
 
-        answers = np.zeros(self.queries.shape, dtype=np.uint64)
+        # The raw cells read, in address order, after one zero cell: a
+        # query's scan lo .. hi is the last hi + 1 - lo of them through its
+        # own.  Its last cell's bits at or past the position come off (an
+        # empty scan shifts its cell by w, and numpy shifts a uint64 by 64
+        # to 0, so it takes off nothing).
+        raw = np.zeros(raw_at.size + 1, dtype=np.uint64)
+        raw[1:] = served[raw_at]
+        ones = np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64)
+        answers = ones[scan_ends] - ones[scan_ends - (self.hi + 1 - self.lo)]
+        answers -= np.bitwise_count(raw[scan_ends] >> (self.queries + 1 - self.hi * self.params["word_bits"]).astype(np.uint64))
         if self.params["kind"] != "naive":  # the latest new counter is each query's
-            answers += served[np.maximum.accumulate(np.where(new_abs, rel_at - 1, 0))]
             width, per = self.params["width"], self.params["per_cell"]
-            has_rel = self.rel_addr >= 0
-            word = served[np.maximum.accumulate(np.where(new_rel, rel_at, 0))[has_rel]]
-            shift = (self.entry[has_rel] % per * width).astype(np.uint64)
-            answers[has_rel] += (word >> shift) & np.uint64((1 << width) - 1)
-        has_scan = self.hi >= self.lo
-        last = (scan_ends - 1)[has_scan]  # where each scan's last cell sits among the raw cells
-        first = last - (self.hi - self.lo)[has_scan]
-        raw = served[raw_at]
-        ones = np.zeros(raw.size + 1, dtype=np.uint64)  # ones in the raw cells before each
-        np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64, out=ones[1:])
-        bits = (self.queries + 1 - self.hi * w)[has_scan]  # of the last cell below the position
-        tail = np.bitwise_count(raw[last] << (64 - bits).astype(np.uint64))
-        answers[has_scan] += ones[last] - ones[first] + tail
+            answers += served[np.maximum.accumulate(np.where(new_abs, rel_at - 1, 0))]
+            word = served[np.maximum.accumulate(np.where(new_rel, rel_at, 0))]
+            slot = (word >> (self.entry % per * width).astype(np.uint64)) & np.uint64((1 << width) - 1)
+            answers += slot * (self.rel_addr >= 0)  # a query with no relative counter adds none
         return dict(zip(self.queries.tolist(), answers.tolist())), dict(zip(charged, got))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankprobe.bits import BitArray, BitString, cells_from_bytes, cells_to_bytes
+from rankprobe.bits import BitArray, BitString, cell_array, cells_from_bytes, cells_to_bytes
 
 
 def ref_rank(value: int, k: int) -> int:
@@ -129,6 +129,32 @@ def test_cell_codec_matches_big_int_slicing(n, w, seed):
     assert s.length == 2 + len(cells) * w
     assert s.value == 0b10 | a.to_int() << 2
     assert s.read_cells(2, len(cells), w) == cells
+
+
+def packed_cells(cells: list, w: int) -> bytes:
+    """The per-cell big-int reference: cell i at bits i * w .. (i + 1) * w - 1."""
+    value = 0
+    for i, c in enumerate(cells):
+        value |= c << (i * w)
+    return value.to_bytes(-(-len(cells) * w // 8), "little")
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 200), data=st.data())
+def test_cell_array_round_trip_at_any_width(w, data):
+    cells = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=40))
+    packed = cells_to_bytes(cells, w)
+    assert packed == packed_cells(cells, w)
+    array = cell_array(np.frombuffer(packed, dtype=np.uint8), len(cells) * w, w)
+    assert array.dtype == (np.uint64 if w <= 64 else object)
+    assert array.tolist() == cells
+    assert all(type(c) is int for c in array.tolist())
+    assert cells_to_bytes(array, w) == packed
+    if cells:  # one cell negative or a bit too wide
+        at = data.draw(st.integers(0, len(cells) - 1))
+        for bad in (-1 - cells[at], cells[at] | 1 << w):
+            with pytest.raises(ValueError, match=f"does not fit in {w} bits"):
+                cells_to_bytes([*cells[:at], bad, *cells[at + 1 :]], w)
 
 
 @pytest.mark.parametrize("w", [1, 8, 13, 63, 64, 96, 130])

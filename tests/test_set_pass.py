@@ -6,6 +6,9 @@ that.  The driver, query by query, is the oracle: the plan route must
 give the same answers, and the same fetched cells in the same order.
 """
 
+import inspect
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -92,13 +95,13 @@ def test_plan_route_matches_driver(case, data):
 
 def _spied(monkeypatch):
     sizes = []
-    plan_pass = ProbePlan.set_pass
+    plan_read = ProbePlan.read_order
 
     def spy(self, *args):
         sizes.append(self.queries.size)
-        return plan_pass(self, *args)
+        return plan_read(self, *args)
 
-    monkeypatch.setattr(ProbePlan, "set_pass", spy)
+    monkeypatch.setattr(ProbePlan, "read_order", spy)
     return sizes
 
 
@@ -153,3 +156,66 @@ def test_set_passes_refuse_queries_outside_the_array(size, offset):
         ):
             with pytest.raises(IndexError, match=rf"query outside \[0, {n}\)"):
                 run()
+
+
+@st.composite
+def query_shapes(draw, n):
+    """A query set in one of the shapes a caller may pass (list, tuple,
+    range, int64 ndarray or generator; sorted or not, with repeats or
+    not, with int, np.int64 or bool elements), as a function that makes
+    a fresh copy, plus its distinct queries in increasing order."""
+    shape = draw(st.sampled_from(["list", "tuple", "range", "ndarray", "generator"]))
+    if shape == "range":
+        step = draw(st.integers(1, max(1, n // 8)))
+        span = range(draw(st.integers(0, n - 1)), n, step)
+        span = span[::-1] if draw(st.booleans()) else span
+        return lambda: span, sorted(span)
+    values = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * C + 8))
+    if draw(st.booleans()):
+        values = sorted(set(values))
+    if shape == "ndarray":
+        return lambda: np.array(values, dtype=np.int64), sorted(set(values))
+    kinds = draw(st.lists(st.sampled_from([int, np.int64, bool]), min_size=len(values), max_size=len(values)))
+    items = [kind(v) if kind is not bool or v < 2 else v for kind, v in zip(kinds, values)]
+    make = {"list": lambda: list(items), "tuple": lambda: tuple(items), "generator": lambda: (q for q in items)}[shape]
+    return make, sorted(set(values))
+
+
+def _routes():
+    """PLAN_MIN_QUERIES values that send every set to the plan (at w <= 64) or to the driver."""
+    return [mock.patch.object(model, "PLAN_MIN_QUERIES", m) for m in (1, 10**9)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=layouts(), data=st.data())
+def test_set_shapes_match_on_both_routes(case, data):
+    array, layout = case
+    n = layout.n
+    make, distinct = data.draw(query_shapes(n))
+    want_answers, want = driver_pass(layout, distinct)
+    for route in _routes():
+        with route:
+            answers, fetched = simulate_set(layout.step, make(), layout.memory, layout.published)
+            foot = build_footprint(layout.step, make(), layout.memory, layout.published)
+            replayed = replay_from_footprint(layout.step, make(), foot, layout.published)
+        assert foot.bits == tuple(want.values())
+        for got_answers, got in ((answers, fetched), replayed):
+            assert list(got_answers.items()) == list(want_answers.items())
+            assert list(got.items()) == list(want.items())
+            assert all(type(v) is int for v in (*got_answers, *got_answers.values(), *got.values()))
+
+    bad = data.draw(st.sampled_from([0.0, 1.5, float(distinct[0]), -1, -(2**70), n, n + 7, 2**70]))
+    queries = [*distinct[:-1], bad, distinct[-1]]
+    error = TypeError if isinstance(bad, float) else IndexError
+    for route in _routes():
+        with route:
+            for run in (
+                lambda: simulate_set(layout.step, iter(queries), layout.memory, layout.published),
+                lambda: build_footprint(layout.step, list(queries), layout.memory, layout.published),
+            ):
+                with pytest.raises(error):
+                    run()
+            bits = (c for c in want.values())
+            with pytest.raises(error):
+                replay_from_footprint(layout.step, tuple(queries), Footprint(bits, layout.memory.word_bits), layout.published)
+            assert inspect.getgeneratorstate(bits) == inspect.GEN_CREATED  # no cell was read
