@@ -61,6 +61,8 @@ def cells_to_bytes(cells, width: int) -> bytes:
     if width < 1:
         raise ValueError("cell width must be positive")
     count = len(cells)
+    if not count:  # a published ledger without pairs, say
+        return b""
     nl = -(-width // 64)  # 64-bit limbs per cell
     top = width - 64 * (nl - 1)  # bits in the top limb
     try:
@@ -70,7 +72,7 @@ def cells_to_bytes(cells, width: int) -> bytes:
             limbs[:, i] = values & 0xFFFF_FFFF_FFFF_FFFF
             values = values >> 64
         limbs[:, -1] = values  # OverflowError where a value is negative or too wide for uint64
-        if (limbs[:, -1] >> np.uint64(top)).any():  # numpy shifts a uint64 by 64 to 0
+        if top < 64 and (limbs[:, -1] >> np.uint64(top)).any():
             raise OverflowError
     except OverflowError:
         raise ValueError(f"a cell does not fit in {width} bits") from None

@@ -182,7 +182,7 @@ def _simulate_sets(layout: StructureLayout, k: int, d: int):
     """(answers dict, charged cells) for the reference set, by one set
     pass, then for the detached set at offset `d`, by the greedy pass."""
     return (
-        simulate_set(layout.step, block_queries(layout.n, k), layout.memory, layout.published),
+        simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published),
         _detached_pass(layout, block_queries(layout.n, k, d).tolist()),
     )
 
@@ -292,12 +292,13 @@ def _read_footprint(codes, cond, comp: BitString, w: int) -> Footprint:
 
 # -- encode ---------------------------------------------------------------
 
-def _remaining(cell_count: int, *charged: dict) -> np.ndarray:
+def _remaining(cell_count: int, *charged: dict) -> list:
     """Component 6's cells as a mask over the cell range: True where no
     set's charged cells hold the cell."""
-    rest = np.ones(cell_count, dtype=bool)
+    rest = [True] * cell_count
     for cells in charged:
-        rest[list(cells)] = False
+        for a in cells:
+            rest[a] = False
     return rest
 
 
@@ -372,7 +373,7 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
 
     foot = _footprint_codes(ensemble, layout.params, k, d)
     comp6 = BitString()
-    rest = _remaining(layout.memory.cell_count, ref_cells, det_cells).tolist()
+    rest = _remaining(layout.memory.cell_count, ref_cells, det_cells)
     comp6.append_cells(list(compress(layout.memory.cells, rest)), layout.memory.word_bits)
 
     return EncodingRecord(
@@ -403,7 +404,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
     w = params["word_bits"]
     cell_count = params["cell_count"]
     step = step_from_params(params)
-    reference = block_queries(n, k)
+    reference = block_queries(n, k).tolist()
     d = record.offset
     if not 0 < d < n // k:
         raise CorruptEncoding(f"offset {d} outside (0, {n // k})")
@@ -451,7 +452,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         # included, by the mask encode writes it with
         rest = _remaining(cell_count, seen_ref, seen_det)
         cells = np.empty(cell_count, dtype=object)
-        cells[rest] = record.remaining.read_cells(0, int(rest.sum()), w)
+        cells[np.array(rest)] = record.remaining.read_cells(0, rest.count(True), w)
         for seen in (seen_ref, seen_det):
             cells[list(seen)] = list(seen.values())
         raw = cells_to_bytes(cells[: params["raw_cells"]], w)

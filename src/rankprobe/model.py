@@ -204,20 +204,25 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
 PLAN_MIN_QUERIES = 40  # set size from which the plan beats the driver
 
 
-def _set_queries(queries, n: int) -> np.ndarray:
-    """A set's distinct queries in increasing order, as an int64 array.
+def _set_queries(queries, n: int):
+    """A set's distinct queries in increasing order, checked to lie in
+    [0, n).
 
-    A list, tuple or array of integers that is already strictly
-    increasing is taken as it is; anything else is sorted and deduplicated
-    in Python.  Raises TypeError for a query that is not an integer and
-    IndexError for one outside [0, n)."""
-    q = np.array(queries) if isinstance(queries, (list, tuple, np.ndarray)) else None
-    if q is None or q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
-        # floats, an empty list (float64), ints past 64 bits (object) or any other order
+    A list, tuple or array of at least PLAN_MIN_QUERIES integers that is
+    already strictly increasing comes back as it is, in a numpy array;
+    anything else is sorted and deduplicated into a list in Python.
+    Raises TypeError for a query that is not an integer and IndexError
+    for one outside [0, n)."""
+    q = None
+    if isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
+        q = np.array(queries)
+        if q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
+            q = None  # floats, ints past 64 bits (object) or any other order
+    if q is None:
         q = sorted(set(map(operator.index, queries)))
     if len(q) and not (0 <= q[0] and q[-1] < n):
         raise IndexError(f"query outside [0, {n})")
-    return np.array(q, dtype=np.int64)
+    return q
 
 
 def _set_route(step_fn, queries):
@@ -234,11 +239,11 @@ def _set_route(step_fn, queries):
     if params is None:
         return None, sorted(queries)
     q = _set_queries(queries, params["n"])
-    if q.size >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
+    if len(q) >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
         from .structures import ProbePlan  # structures imports this module
 
         return ProbePlan(params, q), None
-    return None, q.tolist()
+    return None, q.tolist() if isinstance(q, np.ndarray) else q
 
 
 def _drive_each(step_fn, queries, known: dict, fetch):
