@@ -22,10 +22,10 @@ the same first-seen order and fetches them in one call.  A footprint is
 those contents alone; a live set pass or a replay
 (:meth:`~structures.ProbePlan.set_pass`) also computes every answer from
 them in numpy.  A set comes in any iterable of integers, checked and
-sorted once; a list already strictly increasing goes to numpy as it is.
-Probe counts, published overlaps and charged cells for many queries at
-once come from the same batch plans.  The tests hold every plan to this
-driver as its oracle.
+sorted once; a long list already strictly increasing goes to numpy as
+it is.  Probe counts, published overlaps and charged cells for many
+queries at once come from the same batch plans.  The tests hold every
+plan to this driver as its oracle.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ single queries (``rank``) and small sets, and are the oracle.  A
 :class:`ProbePlan` is the batch path: probe counts, published overlaps,
 charged-cell sets, a set's first-seen cells (all a footprint records)
 and whole set passes (those cells and every answer, as live runs and
-replays give them) for a query array, computed with numpy.  Both need only a layout's params, because probe addresses depend
-on the query index and never on the data.  :func:`layout_from_params`
+replays give them) for a query array, computed with numpy.  Both need
+only a layout's params, because probe addresses depend on the query
+index and never on the data.  :func:`layout_from_params`
 rebuilds a whole layout from those params and an array.
 """
 
@@ -378,6 +379,7 @@ class ProbePlan:
         served contents.  Returns (answers dict, fetched cells) as the
         driver does."""
         charged, got, (read, new_abs, new_rel, rel_at, scan_ends, raw_at) = self.read_order(known, gather)
+        w = self.params["word_bits"]
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)
@@ -393,7 +395,7 @@ class ProbePlan:
         raw[1:] = served[raw_at]
         ones = np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64)
         answers = ones[scan_ends] - ones[scan_ends - (self.hi + 1 - self.lo)]
-        answers -= np.bitwise_count(raw[scan_ends] >> (self.queries + 1 - self.hi * self.params["word_bits"]).astype(np.uint64))
+        answers -= np.bitwise_count(raw[scan_ends] >> (self.queries + 1 - self.hi * w).astype(np.uint64))
         if self.params["kind"] != "naive":  # the latest new counter is each query's
             width, per = self.params["width"], self.params["per_cell"]
             answers += served[np.maximum.accumulate(np.where(new_abs, rel_at - 1, 0))]
