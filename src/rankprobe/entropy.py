@@ -25,7 +25,10 @@ analytic closed forms, exact enumeration (n <= 20), and conditioned
 Monte-Carlo sampling.  Enumeration keys each array by its popcounts between
 consecutive answer positions, so one bincount of at most 2^n bins counts
 every signature; the keys of all 2^n arrays are sums of two half-tables of
-2^(n/2) entries.  Entropies are in bits throughout.
+2^(n/2) entries.  Monte Carlo maps each sample's joint answer row to a
+dense id once; the point estimate and each bootstrap round are one
+bincount of (resampled) joint ids, and the reference and offset counts are
+sums of the joint counts.  Entropies are in bits throughout.
 """
 
 from __future__ import annotations
@@ -291,21 +294,24 @@ def _dense(key: np.ndarray, bound: int) -> np.ndarray:
     return rank[key]
 
 
-def _row_ids(rows, radix: int) -> np.ndarray:
-    """Dense int64 ids for the rows of a 2-D array of ints in [0, radix).
+def _row_ids(rows, radix) -> np.ndarray:
+    """Dense int64 ids for the rows of a 2-D array of ints in [0, radix),
+    where radix is one int or one per column.
 
     Equal rows get equal ids, and id order is lexicographic row order, so
     the ids are the inverse ``np.unique(rows, axis=0)`` gives.  The key is
     mixed radix, ``key * radix + column``; before it could pass 2^62 it is
     re-densified, so any number of columns works."""
+    rows = np.asarray(rows)
     key = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # key < bound
-    for col in np.asarray(rows).T:
-        if bound * radix > _KEY_LIMIT:
+    for col, r in zip(rows.T, np.broadcast_to(radix, rows.shape[1:]).tolist()):
+        if bound * r > _KEY_LIMIT:
             key = _dense(key, bound)
             bound = int(key.max()) + 1
-        key = key * radix + col
-        bound *= radix
+        key *= r
+        key += col
+        bound *= r
     return _dense(key, bound)
 
 
@@ -407,8 +413,11 @@ def deficit_from_counts(sig_counts: dict) -> tuple:
 def brute_force_deficit(n: int, k: int, d: int, blocks=None) -> EntropyReport:
     """Deficit by exact enumeration of all 2^n arrays (n <= 20)."""
     blocks, ref, off, counts = _signatures(n, k, d, blocks)
+    _, lengths, ref_cols, off_cols = _segments(n, k, d, blocks)
+    radix = np.cumsum(lengths) + 1  # a rank at position p is at most p
     # float64 sums of counts up to 2^20 are exact
-    ref_c, off_c = (np.bincount(_row_ids(rows, n + 1), weights=counts).astype(np.int64) for rows in (ref, off))
+    ref_c, off_c = (np.bincount(_row_ids(rows, radix[c]), weights=counts).astype(np.int64)
+                    for rows, c in ((ref, ref_cols), (off, off_cols)))
     h_r, h_o, h_j, deficit = _deficit(ref_c.tolist(), off_c.tolist(), counts.tolist())
     return EntropyReport(n=n, k=k, offset=d, blocks=blocks, reference_entropy=h_r, offset_entropy=h_o,
                          joint_entropy=h_j, deficit=max(deficit, 0.0))
@@ -439,11 +448,12 @@ def _plugin_entropy(counts) -> float:
     return plug + (len(counts) - 1) / (2.0 * tot * math.log(2.0))
 
 
-def _plugin_deficit(ids, idx=slice(None)) -> float:
-    """Plug-in deficit of the sample rows `idx` from (reference, offset,
-    joint) row ids."""
-    h_r, h_o, h_j = (_plugin_entropy(np.bincount(i[idx])) for i in ids)
-    return h_r + h_o - h_j
+def _plugin_deficit(joint_counts, marginals) -> float:
+    """Plug-in deficit from the counts of the joint row ids.  `marginals`
+    holds each joint id's reference id and offset id; the marginal counts
+    sum the joint counts over them, exact integers in float64, in id order."""
+    h_r, h_o = (_plugin_entropy(np.bincount(ids[: len(joint_counts)], weights=joint_counts)) for ids in marginals)
+    return h_r + h_o - _plugin_entropy(joint_counts)
 
 
 def montecarlo_deficit(
@@ -459,42 +469,51 @@ def montecarlo_deficit(
 
     The sampler draws the per-segment Binomial increments directly (their
     joint law is exactly that of a uniform array), so `event` must be a
-    function of the answers: event(ref_matrix, off_matrix) -> bool mask.
-    Rejection sampling keeps rows where the mask is true; if fewer than
-    100 samples survive, the event is too rare for an honest estimate and
-    the run refuses.
+    function of the answers: event(ref_matrix, off_matrix) -> bool mask,
+    on int64 matrices of one row per trial.  Rejection sampling keeps rows
+    where the mask is true; if fewer than 100 samples survive, the event
+    is too rare for an honest estimate and the run refuses.
 
-    The reference, offset and joint answer rows are mapped to row ids
-    once; the point estimate and every bootstrap round are then bincounts
-    of (resampled) ids, whose nonzero bins come in np.unique's sorted row
-    order.
+    The ranks are accumulated column-major in the narrowest dtype that
+    holds n.  Answer rows get row ids once, each column in radix its answer
+    position + 1, and joint rows in (reference id, offset id) order, which
+    is np.unique's sorted row order.  The point estimate and each bootstrap
+    round are one bincount of (resampled) joint ids.
     """
     if config is None:
         config = LabConfig()
     blocks, lengths, ref_cols, off_cols = _segments(n, k, d, blocks)
     rng = np.random.default_rng(config.rng_seed)
     trials = config.montecarlo_trials
-    ranks = np.cumsum(rng.binomial(lengths, 0.5, size=(trials, len(lengths))), axis=1)
-    ref, off = ranks[:, ref_cols], ranks[:, off_cols]
+    # equal lengths as one scalar: numpy draws the same values faster
+    m = lengths[0] if (lengths == lengths[0]).all() else lengths
+    ranks = rng.binomial(m, 0.5, size=(trials, len(lengths))).T.astype(np.min_scalar_type(n), order="C")
+    for c in range(1, len(ranks)):  # row by row: an axis-0 cumsum loops per column
+        ranks[c] += ranks[c - 1]
+    ref, off = ranks[ref_cols], ranks[off_cols]
 
     if event is not None:
-        mask = np.asarray(event(ref, off), dtype=bool)
-        ref, off = ref[mask], off[mask]
-    accepted = len(ref)
+        mask = np.asarray(event(*(a.T.astype(np.int64, order="C") for a in (ref, off))), dtype=bool)
+        ref, off = ref[:, mask], off[:, mask]
+    accepted = ref.shape[1]
     if accepted < 100:
         raise RefusalError(
             f"conditioning event too rare: {accepted}/{trials} samples survive"
         )
 
-    ids = [_row_ids(rows, n + 1) for rows in (ref, off)]
-    # lexicographic order of the joint rows is (reference id, offset id) order
-    n_off = int(ids[1].max()) + 1
-    ids.append(_dense(ids[0] * n_off + ids[1], (int(ids[0].max()) + 1) * n_off))
-    point = _plugin_deficit(ids)
+    radix = np.cumsum(lengths) + 1  # a rank at position p is at most p
+    ref_ids, off_ids = (_row_ids(a.T, radix[cols]) for a, cols in ((ref, ref_cols), (off, off_cols)))
+    n_off = int(off_ids.max()) + 1
+    key = ref_ids * n_off + off_ids
+    joint = _dense(key, (int(ref_ids.max()) + 1) * n_off)
+    joint_key = np.empty(int(joint.max()) + 1, dtype=np.int64)
+    joint_key[joint] = key
+    marginals = np.divmod(joint_key, n_off)  # each joint id's reference and offset id
+    point = _plugin_deficit(np.bincount(joint), marginals)
     boots = []
     for _ in range(config.bootstrap_rounds):
         idx = rng.integers(0, accepted, size=accepted)
-        boots.append(_plugin_deficit(ids, idx))
+        boots.append(_plugin_deficit(np.bincount(joint[idx]), marginals))
     # normal-approximation bootstrap: percentile intervals sit off-center
     # for plug-in entropies (resampling shrinks the support)
     spread = 1.96 * float(np.std(boots))

@@ -214,6 +214,25 @@ def test_row_ids_follow_unique_rows(shape, radix, monkeypatch):
     assert np.array_equal(ids, inverse.ravel())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_row_ids_follow_unique_rows_per_column_radix(data):
+    # up to 12 columns of radix up to 300 pass 2^62, so the key is
+    # re-densified on the way
+    radix = data.draw(st.lists(st.integers(1, 300), min_size=1, max_size=12))
+    n_rows = data.draw(st.integers(1, 400))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, radix, size=(n_rows, len(radix)))
+    rows[1::3] = rows[::3][: len(rows[1::3])]  # repeated rows
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    for r in (radix, np.array(radix)):
+        ids = _row_ids(rows, r)
+        assert ids.dtype == np.int64
+        assert np.array_equal(ids, inverse.ravel())
+    narrow = rows.astype(np.min_scalar_type(max(radix)))  # as the Monte Carlo route keys them
+    assert np.array_equal(_row_ids(narrow, radix), inverse.ravel())
+
+
 # sha256 over the float64 (reference, offset, joint, deficit) of
 # brute_force_deficit(n, k, d, blocks) for every k and d, each with blocks
 # None and then every other block, taken from the row-id enumeration that
