@@ -14,12 +14,12 @@ Published bits grow by the exact law |new cells| * (word_bits +
 address_bits) per round; the bootstrap itself costs exactly the
 structure's redundancy.  A round whose block count k exceeds n ends the
 run as "block_overflow" with no row, unless the config asks for a final
-full round: then the round runs with k capped at n.  After each row the
-stop rules are checked in this order:
+full round: then the round runs with k capped at n.  A round at k = n
+publishes every cell any query reads, so its average after is 0.0.
+After each row the stop rules are checked in this order:
 
 1. "drained": queries are nearly free (average below 0.01 probes);
-2. "block_overflow": the round was capped;
-3. "saturated": the published total reaches the saturation fraction of n.
+2. "saturated": the published total reaches the saturation fraction of n.
 
 A run that meets none of them within the round cap ends as "max_rounds".
 """
@@ -76,6 +76,11 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
         if layout.published.length == 0:
             layout.published.publish_raw(1)  # floor: start from one bit
     published = layout.published_mask()
+    # one charged count per published state: a round's before is the last
+    # round's after, and a query overlaps the published cells exactly when
+    # it reads more cells than it is charged for
+    reads = plan.charged(np.zeros_like(published))
+    charged = plan.charged(published)
     rows = []
     status = "max_rounds"
     for i in range(MAX_ROUNDS):
@@ -84,26 +89,24 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
         if k > n and not config.final_full_round:
             status = "block_overflow"
             break
-        before = _mean(plan.charged(published))
-        overlap = _mean(plan.touches(published))
-        # the cells of the offset-0 queries of min(k, n) blocks, from their cover
-        new_cells = np.flatnonzero(ProbePlan(layout.params, stride_cover(layout.params, min(k, n))).cells(published))
+        k = min(k, n)
+        # the cells of the offset-0 queries of k blocks, from their cover
+        new_cells = np.flatnonzero(ProbePlan(layout.params, stride_cover(layout.params, k)).cells(published))
         layout.published.publish_cells(layout.memory, new_cells.tolist())
         published[new_cells] = True
-        after = _mean(plan.charged(published))
+        after = plan.charged(published)
         rows.append(EliminationRow(
             round=i,
             published_bits=p,
-            block_count=min(k, n),
-            overlap_prob=overlap,
-            avg_probes_before=before,
-            avg_probes_after=after,
+            block_count=k,
+            overlap_prob=_mean(reads > charged),
+            avg_probes_before=_mean(charged),
+            avg_probes_after=_mean(after),
             published_cells=len(new_cells),
         ))
-        if after < 0.01:
+        charged = after
+        if rows[-1].avg_probes_after < 0.01:
             status = "drained"
-        elif k > n:
-            status = "block_overflow"
         elif layout.published.length >= config.saturation_fraction * n:
             status = "saturated"
         else:

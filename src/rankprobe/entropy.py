@@ -329,8 +329,9 @@ def _segments(n: int, k: int, d: int, blocks) -> tuple:
 
 
 def _signatures(n: int, k: int, d: int, blocks) -> tuple:
-    """(blocks, reference rows, offset rows, counts) of every joint answer
-    signature of the 2^n arrays, ordered by each signature's smallest array.
+    """(segments, reference rows, offset rows, counts) of every joint
+    answer signature of the 2^n arrays, ordered by each signature's
+    smallest array; the segments are what :func:`_segments` gives.
 
     A signature is the vector of segment popcounts.  Its key is mixed
     radix, the first segment least significant, with radix length + 1, so
@@ -342,7 +343,7 @@ def _signatures(n: int, k: int, d: int, blocks) -> tuple:
     order."""
     if n > ENUM_LIMIT:
         raise RefusalError(f"exact enumeration capped at n = {ENUM_LIMIT}")
-    blocks, lengths, ref_cols, off_cols = _segments(n, k, d, blocks)
+    segments = blocks, lengths, ref_cols, off_cols = _segments(n, k, d, blocks)
     weight = np.cumprod([1, *lengths[:-1] + 1])
     bit_weight = np.zeros(n, dtype=np.int64)
     bit_weight[: lengths.sum()] = np.repeat(weight, lengths)
@@ -354,7 +355,7 @@ def _signatures(n: int, k: int, d: int, blocks) -> tuple:
     ranks = np.indices(tuple(lengths[::-1] + 1), dtype=np.uint8).reshape(len(lengths), -1)[::-1]
     for c in range(1, len(ranks)):  # row by row: an axis-0 cumsum loops per column
         ranks[c] += ranks[c - 1]
-    return blocks, ranks[ref_cols].T, ranks[off_cols].T, counts
+    return segments, ranks[ref_cols].T, ranks[off_cols].T, counts
 
 
 def signature_counts(n: int, k: int, d: int, blocks=None):
@@ -365,7 +366,7 @@ def signature_counts(n: int, k: int, d: int, blocks=None):
     The counts are one bincount, of at most 2^n bins, over sums of two
     half-tables.  Refuses n > 20: past that the enumeration is no longer
     honest desk-scale work."""
-    blocks, ref, off, counts = _signatures(n, k, d, blocks)
+    (blocks, *_), ref, off, counts = _signatures(n, k, d, blocks)
     return blocks, {
         (tuple(r), tuple(o)): c for r, o, c in zip(ref.tolist(), off.tolist(), counts.tolist())
     }
@@ -412,8 +413,7 @@ def deficit_from_counts(sig_counts: dict) -> tuple:
 
 def brute_force_deficit(n: int, k: int, d: int, blocks=None) -> EntropyReport:
     """Deficit by exact enumeration of all 2^n arrays (n <= 20)."""
-    blocks, ref, off, counts = _signatures(n, k, d, blocks)
-    _, lengths, ref_cols, off_cols = _segments(n, k, d, blocks)
+    (blocks, lengths, ref_cols, off_cols), ref, off, counts = _signatures(n, k, d, blocks)
     radix = np.cumsum(lengths) + 1  # a rank at position p is at most p
     # float64 sums of counts up to 2^20 are exact
     ref_c, off_c = (np.bincount(_row_ids(rows, radix[c]), weights=counts).astype(np.int64)

@@ -296,18 +296,11 @@ class ProbePlan:
         """How many raw cells below each index `mask` flags."""
         return np.concatenate(([0], np.cumsum(mask[: self.params["raw_cells"]], dtype=np.int64)))
 
-    def _hits(self, mask: np.ndarray) -> np.ndarray:
-        """Per query, how many of the cells it reads `mask` flags."""
-        pre = self._raw_prefix(mask)
-        return pre[self.hi + 1] - pre[self.lo] + _flagged(self.abs_addr, mask) + _flagged(self.rel_addr, mask)
-
     def charged(self, published: np.ndarray) -> np.ndarray:
-        """Charged probes per query when published cells read free."""
-        return self._hits(~published)
-
-    def touches(self, published: np.ndarray) -> np.ndarray:
-        """Whether each query's full probe set meets a published cell."""
-        return self._hits(published) > 0
+        """Charged probes per query: the cells it reads that are not published."""
+        free = ~published
+        pre = self._raw_prefix(free)
+        return pre[self.hi + 1] - pre[self.lo] + _flagged(self.abs_addr, free) + _flagged(self.rel_addr, free)
 
     def cells(self, published: np.ndarray) -> np.ndarray:
         """Mask of the cells some query charges: the union of charged

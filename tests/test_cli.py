@@ -137,12 +137,6 @@ def test_query_matches_oracle(capsys):
     assert int(fields[2]) >= 1
 
 
-def test_query_requires_position(capsys):
-    code, out, err = run_cli(capsys, "query", "--n", "64")
-    assert code == 2
-    assert err.startswith("error:") and out == ""
-
-
 def test_query_out_of_range(capsys):
     code, _, err = run_cli(capsys, "query", "--n", "64", "--k", "65")
     assert code == 2 and err.startswith("error:")
@@ -213,8 +207,11 @@ def test_stats_bad_size_exits_2(capsys, argv, message):
     [
         (("tradeoff", "--n", "4096", "--t", "0"), "error: stage must be >= 1"),
         (("eliminate", "--n", "0"), "error: probe elimination needs n >= 1"),
+        (("query", "--n", "64"), "error: query needs --k (the rank position)"),
+        (("entropy", "--n", "16"), "error: entropy needs --k (the block count)"),
+        (("encode", "--n", "4096"), "error: encode needs --k (the block count)"),
     ],
-    ids=["tradeoff-t0", "eliminate-n0"],
+    ids=["tradeoff-t0", "eliminate-n0", "query-no-k", "entropy-no-k", "encode-no-k"],
 )
 def test_empty_run_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -302,11 +299,6 @@ def test_entropy_closed_form_at_scale(capsys, n, k):
     }
     for name, value in want.items():
         assert got[name] == pytest.approx(value, abs=1e-9)
-
-
-def test_entropy_requires_k(capsys):
-    code, _, err = run_cli(capsys, "entropy", "--n", "16")
-    assert code == 2 and err.startswith("error:")
 
 
 def test_encode_summary_and_record(tmp_path, capsys):

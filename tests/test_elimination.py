@@ -15,6 +15,7 @@ from rankprobe.errors import RefusalError
 from rankprobe.model import probes_of_set
 from rankprobe.structures import (
     EXHAUSTIVE_LIMIT,
+    ProbePlan,
     block_queries,
     build_naive,
     build_recursive,
@@ -60,13 +61,17 @@ TRAJECTORY_PINS = [
 
 
 @pytest.mark.parametrize("make, config, status, digest", TRAJECTORY_PINS)
-def test_trajectory_pinned(make, config, status, digest):
+def test_trajectory_pinned(make, config, status, digest, monkeypatch):
     # one case per stop path: the 1-bit floor, immediate overflow, one
     # capped round, saturation, a full run, a deep recursive layout and a
     # layout bootstrapped before the run
     layout = make()
+    counts, charged = [], ProbePlan.charged
+    monkeypatch.setattr(ProbePlan, "charged", lambda plan, published: counts.append(1) or charged(plan, published))
     traj = run_elimination(layout, LabConfig(**config))
     assert traj.status == status
+    # one count per published state, plus one of the undiscounted reads
+    assert len(counts) == len(traj.rows) + 2
     key = (tuple(astuple(r) for r in traj.rows), traj.status, layout.published.length)
     assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
     # the final state round-trips through .rpe1, at a k that keeps the
@@ -213,3 +218,10 @@ def test_reference_set_matches_driver_replay(case, seed):
         assert row.published_cells == len(union)
         replay.published.publish_cells(replay.memory, sorted(union))
     assert replay.published.length == layout.published.length
+    # a round at k = n publishes every cell a query reads, so it drains
+    # and is the last row
+    for row in traj.rows:
+        if row.block_count == n:
+            assert row is traj.rows[-1]
+            assert row.avg_probes_after == 0.0
+            assert traj.status == "drained"

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rankprobe import encoding
@@ -23,6 +23,7 @@ from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
 from rankprobe.model import PublishedBits, probes_of_set, run_query, simulate_set
 from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, layout_from_params
+from test_set_pass import layouts as set_pass_layouts
 
 
 def roundtrip(layout, k, **kw):
@@ -312,14 +313,10 @@ def test_rpe1_bytes_pinned(case):
     assert hashlib.sha256(rec.to_rpe1()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("case", list(RPE1_PINS))
-def test_detached_traces_match_set_pass(case):
-    # the greedy pass keeps the queries a scan over single-query traces
-    # keeps, and gives what a set pass over them gives, in the same order
-    make, k, d, _, _ = RPE1_PINS[case]
-    layout = make()
-    if d is None:
-        d = choose_offset(layout, k)
+def assert_detached_pass_is_greedy(layout, k, d):
+    """The greedy pass keeps the queries a scan over single-query traces
+    keeps, and gives what a set pass over them gives, in the same order.
+    Returns the kept queries."""
     _, (answers, cells) = _simulate_sets(layout, k, d)
     kept, used = [], set()
     for q in block_queries(layout.n, k, d).tolist():
@@ -331,6 +328,40 @@ def test_detached_traces_match_set_pass(case):
     want_answers, want_cells = simulate_set(layout.step, kept, layout.memory, layout.published)
     assert list(answers.items()) == list(want_answers.items())
     assert list(cells.items()) == list(want_cells.items())
+    return kept
+
+
+@pytest.mark.parametrize("case", list(RPE1_PINS))
+def test_detached_traces_match_set_pass(case):
+    make, k, d, _, _ = RPE1_PINS[case]
+    layout = make()
+    if d is None:
+        d = choose_offset(layout, k)
+    assert_detached_pass_is_greedy(layout, k, d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=set_pass_layouts(), data=st.data())
+def test_detached_pass_on_published_states(case, data):
+    _, layout = case
+    n = layout.n
+    assume(n >= 2)
+    k = data.draw(st.integers(1, n // 2))
+    assert_detached_pass_is_greedy(layout, k, data.draw(st.integers(1, n // k - 1)))
+
+
+def test_detached_pass_relative_cell_across_superblocks():
+    # Recursive stage 1 at w = 32 packs 3 relative counters a cell but
+    # has 7 a superblock, so one relative cell serves two superblocks.
+    # With the absolute counters published, query 576 (block 1 of the
+    # second superblock) shares a relative cell with the kept query 450
+    # (block 7 of the first) but no cell with 520, the last query kept
+    # before it, which has no relative counter: the greedy drops it.
+    layout = _random_layout(build_recursive, 1151, 0, t=1, word_bits=32)
+    params = layout.params
+    assert (params["per_cell"], params["ratio"]) == (3, 8)
+    layout.published.publish_cells(layout.memory, range(params["raw_cells"], params["rel_base"]))
+    assert assert_detached_pass_is_greedy(layout, 79, 2) == [2, 72, 268, 450, 520, 716, 898, 1024]
 
 
 # sha256 over _binom_code(m) for m = 1..256, 1000, 2049 and 4097: every

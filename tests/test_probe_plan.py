@@ -2,11 +2,13 @@
 
 The driver runs one generator query at a time and is the oracle.  For
 every query of a layout with a random set of published cells, the plan's
-charged count and published-overlap flag must equal what the driver
-reports; its charged-cell mask must equal the union that
-``probes_of_set`` collects, also when only the stride set's cover
-(``stride_cover``) is planned; and ``choose_offset`` must pick the offset
-a search over ``probes_of_set`` unions picks.
+charged count, with the published cells read free and without, must
+equal what the driver reports, so a query meets a published cell
+exactly when its undiscounted count is the larger; its charged-cell
+mask must equal the union that ``probes_of_set`` collects, also when
+only the stride set's cover (``stride_cover``) is planned; and
+``choose_offset`` must pick the offset a search over ``probes_of_set``
+unions picks.
 """
 
 import tracemalloc
@@ -69,12 +71,13 @@ def test_plan_matches_driver(case, share, seed):
     published = publish_at_random(layout, rng, share)
     plan = ProbePlan(layout.params, np.arange(n))
     charged = plan.charged(published)
-    touches = plan.touches(published)
+    reads = plan.charged(np.zeros_like(published))  # undiscounted
     for q in range(n):
         live = run_query(layout.step, q, layout.memory, layout.published)
-        bare = run_query(layout.step, q, layout.memory)  # undiscounted
+        bare = run_query(layout.step, q, layout.memory)
         assert charged[q] == len(live.steps), q
-        assert touches[q] == any(published[x] for x in bare.addresses), q
+        assert reads[q] == len(bare.steps), q
+        assert (reads[q] > charged[q]) == any(published[x] for x in bare.addresses), q
         assert live.answer == a.rank(q + 1), q
     subset = sorted(rng.choice(n, size=1 + n // 8, replace=False).tolist())
     _, union = probes_of_set(layout.step, subset, layout.memory, layout.published)
