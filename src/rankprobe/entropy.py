@@ -187,6 +187,10 @@ class LabConfig:
     saturation_fraction: float = 0.1
     final_full_round: bool = False
 
+    def __post_init__(self):
+        if self.montecarlo_trials < 1 or self.bootstrap_rounds < 1:
+            raise ValueError("Monte Carlo needs at least one trial and one bootstrap round")
+
 
 # -- analytic route -------------------------------------------------------
 

@@ -14,10 +14,12 @@ map, so a cell one query fetched reads free for the later ones, and the
 map is the set's footprint.  Free reads are never charged, and a query
 costs time linear in the addresses it yields.
 
-The driver serves single queries (``rank``), sets of fewer than
-PLAN_MIN_QUERIES distinct queries, cells wider than 64 bits and steps
-that carry no layout params.  A larger set over a layout's step goes to
-a :class:`structures.ProbePlan`, whose read step lists the same cells in
+The driver serves sets of fewer than PLAN_MIN_QUERIES distinct queries,
+cells wider than 64 bits and steps that carry no layout params.  A
+single ``rank`` over a layout's step reads by the step's own
+single-query reader, which charges the same cells in the same order.
+A larger set over a layout's step goes to a
+:class:`structures.ProbePlan`, whose read step lists the same cells in
 the same first-seen order and fetches them in one call.  A footprint is
 those contents alone; a live set pass or a replay
 (:meth:`~structures.ProbePlan.set_pass`) also computes every answer from
@@ -169,11 +171,14 @@ def _drive(step_fn, query: int, known: dict, charged: dict, fetch):
     `known` cells read free; any other address is looked up in the
     `charged` map, and a miss charges a probe: `fetch(address)` gives the
     contents, which the map keeps, each charged cell once and in probe
-    order."""
+    order.  A step that carries its layout's params may yield up to its
+    worst-case probe count, if that is past MAX_STEPS."""
+    params = getattr(step_fn, "params", None)
+    budget = params["worst_probes"] if params and params["worst_probes"] > MAX_STEPS else MAX_STEPS
     gen = step_fn(operator.index(query))
     try:
         addr = next(gen)
-        for _ in range(MAX_STEPS):
+        for _ in range(budget):
             if addr.__class__ is not int:
                 raise SimulationFault(f"query {query} yielded {addr!r}, not a cell address")
             content = known.get(addr)

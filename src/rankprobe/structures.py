@@ -18,20 +18,22 @@ Raw bits are stored contiguously, never compressed; padding in the last
 raw cell counts toward redundancy.  The relative counter for the first
 block of each superblock is always zero and is not stored.
 
-Queries run two ways over one geometry expression.  The generator
+Queries run three ways over one geometry expression.  The generator
 queries of :func:`step_from_params`, driven by :mod:`model`, answer
-single queries (``rank``) and small sets, and are the oracle.  A
+small sets and are the oracle.  The step's single-query reader answers
+``rank``: the counters, then the scan as one slice of the memory.  A
 :class:`ProbePlan` is the batch path: probe counts, published overlaps,
 charged-cell sets, a set's first-seen cells (all a footprint records)
 and whole set passes (those cells and every answer, as live runs and
-replays give them) for a query array, computed with numpy.  Both need
-only a layout's params, because probe addresses depend on the query
+replays give them) for a query array, computed with numpy.  All three
+need only a layout's params, because probe addresses depend on the query
 index and never on the data.  :func:`layout_from_params`
 rebuilds a whole layout from those params and an array.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,7 +244,36 @@ def step_from_params(params: dict):
             total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
         return total
 
+    def read(query, memory, known):
+        """One query without the driver: its charged (address, content)
+        steps and answer.  Cells in `known` read free; the scan is one
+        slice of memory, and one past its end raises SimulationFault."""
+        pos = operator.index(query) + 1
+        steps = []
+        total = lo = 0
+        if where is not None:
+            a_abs, has_rel, a_rel, entry, lo = where(pos)
+            for a in (a_abs, a_rel) if has_rel else (a_abs,):
+                content = known.get(a)
+                if content is None:
+                    content = memory.read(a)
+                    steps.append((a, content))
+                total += content if a == a_abs else (content >> (entry % per * width)) & slot_mask
+        last = (pos - 1) // w
+        scan = memory.cells[lo : last + 1]
+        if len(scan) <= last - lo:
+            memory.read(lo + len(scan))
+        if known:
+            steps += [(a, c) for a, c in zip(range(lo, last + 1), scan) if a not in known]
+            scan = [known.get(a, c) for a, c in zip(range(lo, last + 1), scan)]
+        else:
+            steps += zip(range(lo, last + 1), scan)
+        if scan:
+            scan[-1] &= (1 << (pos - last * w)) - 1
+        return steps, total + sum(map(int.bit_count, scan))
+
     query_step.params = params  # lets a large set pass take the plan route
+    query_step.read = read  # lets a single rank skip the driver
     return query_step
 
 
@@ -465,12 +496,18 @@ def layout_from_params(array: BitArray, params: dict) -> StructureLayout:
 
 
 def rank(layout: StructureLayout, k: int) -> ProbeTrace:
-    """Rank(k) via the probe simulator.  k = 0 needs no probes."""
+    """Rank(k) by the step's single-query reader, or through the driver
+    for a step without one.  k = 0 needs no probes."""
     if not 0 <= k <= layout.n:
         raise IndexError(f"rank position {k} outside [0, {layout.n}]")
     if k == 0:
         return ProbeTrace(query=-1, steps=(), answer=0)
-    trace = run_query(layout.step, k - 1, layout.memory, layout.published)
+    read = getattr(layout.step, "read", None)
+    if read is None:
+        trace = run_query(layout.step, k - 1, layout.memory, layout.published)
+    else:
+        steps, answer = read(k - 1, layout.memory, layout.published.cells)
+        trace = ProbeTrace(k - 1, tuple(steps), answer)
     if len(trace.steps) > layout.worst_probes:
         raise SimulationFault(
             f"rank({k}) charged {len(trace.steps)} probes, over the budget of {layout.worst_probes}"

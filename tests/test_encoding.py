@@ -332,7 +332,7 @@ def assert_detached_pass_is_greedy(layout, k, d):
 
 
 @pytest.mark.parametrize("case", list(RPE1_PINS))
-def test_detached_traces_match_set_pass(case):
+def test_detached_pass_on_pinned_records(case):
     make, k, d, _, _ = RPE1_PINS[case]
     layout = make()
     if d is None:

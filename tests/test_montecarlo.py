@@ -100,8 +100,7 @@ def _montecarlo_reference(
 
 def _outcome(route, *args, **kwargs):
     """The repr of the report's (accepted, deficit, ci_low, ci_high), or
-    the refusal.  Equal reprs are equal floats of equal types, and with no
-    bootstrap round the interval is nan on both routes."""
+    the refusal.  Equal reprs are equal floats of equal types."""
     try:
         rep = route(*args, **kwargs)
     except RefusalError as err:
@@ -138,7 +137,7 @@ def geometries(draw):
 @given(
     geometries(),
     st.integers(200, 3000),
-    st.integers(0, 20),
+    st.integers(1, 20),
     st.integers(0, 2**32 - 1),
     st.sampled_from(list(EVENTS)),
 )
@@ -162,6 +161,13 @@ def test_montecarlo_matches_reference_past_one_byte(n, k, d, blocks):
     cfg = LabConfig(montecarlo_trials=600, rng_seed=n, bootstrap_rounds=5)
     got = _outcome(montecarlo_deficit, n, k, d, blocks, config=cfg)
     assert got == _outcome(_montecarlo_reference, n, k, d, blocks, config=cfg)
+
+
+@pytest.mark.parametrize("field", ["montecarlo_trials", "bootstrap_rounds"])
+def test_config_refuses_empty_sampling(field):
+    # no bootstrap round would leave the interval nan
+    with pytest.raises(ValueError, match="at least one"):
+        LabConfig(**{field: 0})
 
 
 def test_event_sees_int64_answers():

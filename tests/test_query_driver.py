@@ -1,18 +1,24 @@
-"""Differential test of the query driver against an address oracle.
+"""Differential tests of single queries against an address oracle and
+the driver.
 
 The oracle derives every charged address from the geometry alone: the
 absolute counter of the query's superblock, the relative counter of its
 block (not stored for a superblock's first block), then the raw cells
 from the block start to the cell holding the queried bit.  Naive layouts
-scan raw cells from the front.
+scan raw cells from the front.  ``rank`` reads a query by the step's
+single-query reader; the generator driven by ``run_query`` is its oracle.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
-from rankprobe.model import run_query
+from rankprobe.errors import SimulationFault
+from rankprobe.model import CellMemory, ProbeTrace, run_query, simulate_set
 from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage, rank
+from test_set_pass import layouts as set_pass_layouts
 
 
 def oracle_addresses(kind, n, w, superblock, block, q):
@@ -142,3 +148,49 @@ def test_no_query_reads_a_cell_twice(case, published):
         assert len(seen) - len(trace.steps) == sum(a in free for a in seen)
         assert trace.answer == array.rank(q + 1)
         assert len(trace.steps) == charged[q]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=set_pass_layouts(), data=st.data())
+def test_reader_matches_driver(case, data):
+    array, layout = case
+    n = layout.n
+    k = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    got = rank(layout, k)
+    if k == 0:
+        assert got == ProbeTrace(-1, (), 0)
+        return
+    assert got == run_query(layout.step, k - 1, layout.memory, layout.published)
+    assert got.answer == array.rank(k)
+
+
+@pytest.mark.parametrize(
+    "build,cut",
+    [(lambda a: build_naive(a, 8), 3), (lambda a: build_two_level(a, 64, 8, 8), 1)],
+    ids=["naive-scan", "two_level-counter"],
+)
+def test_reader_refuses_memory_shorter_than_params(build, cut):
+    # the scan of the last query, or its counter, runs past the cells
+    # left; a slice would silently come back short
+    array = BitArray.random(200, np.random.default_rng(15))
+    layout = build(array)
+    layout.memory = CellMemory(8, layout.memory.cells[:-cut])
+    with pytest.raises(SimulationFault) as want:
+        run_query(layout.step, array.n - 1, layout.memory, layout.published)
+    with pytest.raises(SimulationFault) as got:
+        rank(layout, array.n)
+    assert str(got.value) == str(want.value)
+
+
+def test_naive_w1_answers_past_the_step_guard():
+    # one cell a bit: the last query scans 2^20 + 1 cells, past the
+    # driver's MAX_STEPS, and the builder's worst_probes says it may
+    n = (1 << 20) + 1
+    array = BitArray.random(n, np.random.default_rng(16))
+    layout = build_naive(array, 1)
+    assert layout.worst_probes == n
+    trace = rank(layout, n)
+    assert trace.answer == array.rank(n)
+    assert trace.addresses == tuple(range(n))
+    answers, cells = simulate_set(layout.step, [n - 1], layout.memory)
+    assert answers == {n - 1: trace.answer} and list(cells.items()) == list(trace.steps)
