@@ -63,8 +63,8 @@ from .errors import CorruptEncoding, CorruptFootprint, RefusalError
 from .model import (
     Footprint,
     PublishedBits,
-    _drive,
     address_bits,
+    detached_pass,
     replay_from_footprint,
     simulate_set,
 )
@@ -162,28 +162,13 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
     return int(np.argmin(overlap)) + 1
 
 
-def _detached_pass(layout: StructureLayout, queries: list):
-    """Greedy detached pass over sorted `queries`: each runs once through
-    its own charged map, and its answer and cells are kept when those
-    cells miss every kept query's.  Returns (answers dict, charged cells)
-    as :func:`model.simulate_set` over the kept queries does: their cells
-    are pairwise disjoint, so a set pass charges each the same cells."""
-    answers, kept = {}, {}
-    for q in queries:
-        charged = {}
-        answer = _drive(layout.step, q, layout.published.cells, charged, layout.memory.read)
-        if kept.keys().isdisjoint(charged):
-            answers[q] = answer
-            kept.update(charged)
-    return answers, kept
-
-
 def _simulate_sets(layout: StructureLayout, k: int, d: int):
     """(answers dict, charged cells) for the reference set, by one set
-    pass, then for the detached set at offset `d`, by the greedy pass."""
+    pass, then for the detached set at offset `d`, by the greedy
+    :func:`~rankprobe.model.detached_pass`."""
     return (
         simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published),
-        _detached_pass(layout, block_queries(layout.n, k, d).tolist()),
+        detached_pass(layout.step, block_queries(layout.n, k, d).tolist(), layout.memory, layout.published),
     )
 
 

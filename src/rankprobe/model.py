@@ -14,20 +14,20 @@ map, so a cell one query fetched reads free for the later ones, and the
 map is the set's footprint.  Free reads are never charged, and a query
 costs time linear in the addresses it yields.
 
-The driver serves sets of fewer than PLAN_MIN_QUERIES distinct queries,
-cells wider than 64 bits and steps that carry no layout params.  A
-single ``rank`` over a layout's step reads by the step's own
-single-query reader, which charges the same cells in the same order.
-A larger set over a layout's step goes to a
-:class:`structures.ProbePlan`, whose read step lists the same cells in
-the same first-seen order and fetches them in one call.  A footprint is
-those contents alone; a live set pass or a replay
-(:meth:`~structures.ProbePlan.set_pass`) also computes every answer from
-them in numpy.  A set comes in any iterable of integers, checked and
-sorted once; a long list already strictly increasing goes to numpy as
-it is.  Probe counts, published overlaps and charged cells for many
-queries at once come from the same batch plans.  The tests hold every
-plan to this driver as its oracle.
+One function, :func:`_set_route`, picks a set's route, and one set pass
+on it serves live runs, footprints and replays.  The driver serves sets
+of fewer than PLAN_MIN_QUERIES distinct queries, cells wider than 64
+bits and steps that carry no layout params.  A larger set over a
+layout's step goes to a :class:`structures.ProbePlan`, whose read step
+lists the same cells in the same first-seen order and fetches them in
+one call.  A footprint is those contents alone; a live set pass or a
+replay (:meth:`~structures.ProbePlan.set_pass`) also computes every
+answer from them in numpy.  Encoding's greedy :func:`detached_pass`
+drives each query through a map of its own.  A single ``rank`` reads by
+the step's own single-query reader instead, which charges the same
+cells in the same order.  Probe counts, published overlaps and charged
+cells for many queries at once come from the same batch plans.  The
+tests hold every plan and the reader to this driver as their oracle.
 """
 
 from __future__ import annotations
@@ -112,8 +112,12 @@ class PublishedBits:
     def publish_cells(self, memory: CellMemory, addresses) -> int:
         """Publish whole cells: content plus address, charged exactly
         (word_bits + address_bits) per *new* cell.  Returns bits added.
-        The new cells are fetched in one checked gather before anything
-        changes, so a bad address leaves the ledger as it was."""
+        An integer ndarray of addresses is read as Python ints, which the
+        ledger keys by.  The new cells are fetched in one checked gather
+        before anything changes, so a bad address leaves the ledger as it
+        was."""
+        if isinstance(addresses, np.ndarray):
+            addresses = addresses.tolist()
         new = [a for a in dict.fromkeys(addresses) if a not in self.cells]
         self.cells.update(zip(new, memory.gather(new)))
         added = len(new) * (memory.word_bits + memory.address_bits())
@@ -209,93 +213,76 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
 PLAN_MIN_QUERIES = 40  # set size from which the plan beats the driver
 
 
-def _set_queries(queries, n: int):
-    """A set's distinct queries in increasing order, checked to lie in
-    [0, n).
+def _set_route(step_fn, queries):
+    """How a set is passed: (plan, None) for a :class:`structures.ProbePlan`
+    over its distinct queries, or (None, its queries in increasing order)
+    for the driver.
 
-    A list, tuple or array of at least PLAN_MIN_QUERIES integers that is
-    already strictly increasing comes back as it is, in a numpy array;
-    anything else is sorted and deduplicated into a list in Python.
-    Raises TypeError for a query that is not an integer and IndexError
-    for one outside [0, n)."""
+    A step that carries its layout's params (as
+    :func:`structures.step_from_params` attaches them) has its set's
+    distinct queries checked before anything is read: TypeError for a
+    query that is not an integer, IndexError for one outside [0, n).  A
+    list, tuple or array of at least PLAN_MIN_QUERIES integers that is
+    already strictly increasing goes to numpy as it is; anything else is
+    sorted and deduplicated in Python.  From PLAN_MIN_QUERIES distinct
+    queries on, at w <= 64, the set goes to the plan.  Every other set,
+    and any set over a step without params, goes to the driver."""
+    params = getattr(step_fn, "params", None)
+    if params is None:
+        return None, sorted(queries)
+    plannable = params["word_bits"] <= 64
     q = None
-    if isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
+    if plannable and isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
         q = np.array(queries)
         if q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
             q = None  # floats, ints past 64 bits (object) or any other order
     if q is None:
         q = sorted(set(map(operator.index, queries)))
-    if len(q) and not (0 <= q[0] and q[-1] < n):
-        raise IndexError(f"query outside [0, {n})")
-    return q
-
-
-def _set_route(step_fn, queries):
-    """How a set is passed: (plan, None) for a :class:`structures.ProbePlan`
-    over its distinct queries, or (None, the queries in increasing order)
-    for the driver.
-
-    A step that carries its layout's params (as
-    :func:`structures.step_from_params` attaches them) refuses queries
-    outside [0, n) with IndexError, before anything is read.  From
-    PLAN_MIN_QUERIES distinct queries on, at w <= 64, such a step's set
-    goes to the plan; otherwise the driver runs each query."""
-    params = getattr(step_fn, "params", None)
-    if params is None:
-        return None, sorted(queries)
-    q = _set_queries(queries, params["n"])
-    if len(q) >= PLAN_MIN_QUERIES and params["word_bits"] <= 64:
+    if len(q) and not (0 <= q[0] and q[-1] < params["n"]):
+        raise IndexError(f"query outside [0, {params['n']})")
+    if plannable and len(q) >= PLAN_MIN_QUERIES:
         from .structures import ProbePlan  # structures imports this module
 
         return ProbePlan(params, q), None
-    return None, q.tolist() if isinstance(q, np.ndarray) else q
+    return None, q
 
 
-def _drive_each(step_fn, queries, known: dict, fetch):
-    """The driver's set pass: each query in turn through one charged map."""
-    answers, fetched = {}, {}
-    for q in queries:
-        answers[q] = _drive(step_fn, q, known, fetched, fetch)
-    return answers, fetched
+def _set_pass(step_fn, queries, published: PublishedBits | None, fetch, gather, answered: bool = True):
+    """Pass `queries` in increasing order, on the route :func:`_set_route`
+    picks, through one charged map: a cell fetched for one query reads
+    free for the later ones.  Published cells are read in place, never
+    copied or changed.  Returns (answers dict, fetched cells): every
+    fetched address with its contents, in first-seen order.  Unless
+    `answered`, it returns those contents alone; on the plan route they
+    are then the plan's read step, with no answer computed and no dict.
 
-
-def _drive_set(step_fn, queries, published: PublishedBits | None, fetch, gather):
-    """Drive `queries` in increasing order through one charged map, so a
-    cell fetched for one query reads free for the later ones.  Published
-    cells are read in place, never copied or changed.  Returns (answers
-    dict, fetched cells): every fetched address with its contents, in
-    first-seen order.
-
-    The set goes the way :func:`_set_route` sends it.  The plan's
-    :meth:`~structures.ProbePlan.set_pass` takes the same cells in one
+    The plan's :meth:`~structures.ProbePlan.set_pass` (or
+    :meth:`~structures.ProbePlan.read_order` alone) takes the cells in one
     `gather(addresses)`; the driver charges each by `fetch(address)`."""
     known = published.cells if published is not None else {}
     plan, queries = _set_route(step_fn, queries)
     if plan is not None:
-        return plan.set_pass(known, gather)
-    return _drive_each(step_fn, queries, known, fetch)
+        return plan.set_pass(known, gather) if answered else plan.read_order(known, gather)[1]
+    answers, fetched = {}, {}
+    for q in queries:
+        answers[q] = _drive(step_fn, q, known, fetched, fetch)
+    return (answers, fetched) if answered else fetched.values()
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
     """Drive `queries` once against live memory, in increasing order.
 
-    Returns (answers dict, charged cells) as :func:`_drive_set` does.  The
+    Returns (answers dict, charged cells) as :func:`_set_pass` does.  The
     contents are the set's footprint; the addresses are the union of
     charged probes that :func:`probes_of_set` collects query by query."""
-    return _drive_set(step_fn, queries, published, memory.read, memory.gather)
+    return _set_pass(step_fn, queries, published, memory.read, memory.gather)
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
-    """First-seen probed cell contents over `queries` in increasing order.
-
-    On the plan route they come from the plan's read step alone, with no
-    answer computed."""
-    known = published.cells if published is not None else {}
-    plan, queries = _set_route(step_fn, queries)
-    if plan is not None:
-        bits = plan.read_order(known, memory.gather)[1]
-    else:
-        bits = _drive_each(step_fn, queries, known, memory.read)[1].values()
+    """First-seen probed cell contents over `queries` in increasing order:
+    the set pass's fetched contents, with no answer computed on the plan
+    route."""
+    bits = _set_pass(step_fn, queries, published, memory.read, memory.gather, answered=False)
     return Footprint(tuple(bits), memory.word_bits)
 
 
@@ -322,7 +309,23 @@ def replay_from_footprint(step_fn, queries, footprint: Footprint, published: Pub
             raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
         return contents
 
-    answers, charged = _drive_set(step_fn, queries, published, fetch, gather)
+    answers, charged = _set_pass(step_fn, queries, published, fetch, gather)
     if next(cells, None) is not None:
         raise CorruptFootprint("footprint has cells left over")
     return answers, charged
+
+
+def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits):
+    """Greedy detached pass over sorted `queries`: each runs once through
+    its own charged map, and its answer and cells are kept when those
+    cells miss every kept query's.  Returns (answers dict, charged cells)
+    as :func:`simulate_set` over the kept queries does: their cells are
+    pairwise disjoint, so a set pass charges each the same cells."""
+    answers, kept = {}, {}
+    for q in queries:
+        charged = {}
+        answer = _drive(step_fn, q, published.cells, charged, memory.read)
+        if kept.keys().isdisjoint(charged):
+            answers[q] = answer
+            kept.update(charged)
+    return answers, kept

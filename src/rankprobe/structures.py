@@ -20,12 +20,14 @@ block of each superblock is always zero and is not stored.
 
 Queries run three ways over one geometry expression.  The generator
 queries of :func:`step_from_params`, driven by :mod:`model`, answer
-small sets and are the oracle.  The step's single-query reader answers
-``rank``: the counters, then the scan as one slice of the memory.  A
-:class:`ProbePlan` is the batch path: probe counts, published overlaps,
-charged-cell sets, a set's first-seen cells (all a footprint records)
-and whole set passes (those cells and every answer, as live runs and
-replays give them) for a query array, computed with numpy.  All three
+small sets and the greedy detached pass, and are the oracle.  The
+step's single-query reader is ``rank``'s one route: the counters, then
+the scan as one slice of the memory.  A :class:`ProbePlan` is the batch
+path: probe counts, published overlaps, charged-cell sets, a set's
+first-seen cells (all a footprint records) and whole set passes (those
+cells and every answer, as live runs and replays give them) for a query
+array, computed with numpy.  Which way a set goes, generators or plan,
+is decided in :mod:`model` alone.  All three
 need only a layout's params, because probe addresses depend on the query
 index and never on the data.  :func:`layout_from_params`
 rebuilds a whole layout from those params and an array.
@@ -40,7 +42,7 @@ import numpy as np
 
 from .bits import BitArray, cell_array
 from .errors import SimulationFault
-from .model import CellMemory, ProbeTrace, PublishedBits, run_query
+from .model import CellMemory, ProbeTrace, PublishedBits
 
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
 STATS_SAMPLE = 4096  # queries structure_stats and run_elimination sample past that
@@ -496,23 +498,17 @@ def layout_from_params(array: BitArray, params: dict) -> StructureLayout:
 
 
 def rank(layout: StructureLayout, k: int) -> ProbeTrace:
-    """Rank(k) by the step's single-query reader, or through the driver
-    for a step without one.  k = 0 needs no probes."""
+    """Rank(k) by the step's single-query reader.  k = 0 needs no probes."""
     if not 0 <= k <= layout.n:
         raise IndexError(f"rank position {k} outside [0, {layout.n}]")
     if k == 0:
         return ProbeTrace(query=-1, steps=(), answer=0)
-    read = getattr(layout.step, "read", None)
-    if read is None:
-        trace = run_query(layout.step, k - 1, layout.memory, layout.published)
-    else:
-        steps, answer = read(k - 1, layout.memory, layout.published.cells)
-        trace = ProbeTrace(k - 1, tuple(steps), answer)
-    if len(trace.steps) > layout.worst_probes:
+    steps, answer = layout.step.read(k - 1, layout.memory, layout.published.cells)
+    if len(steps) > layout.worst_probes:
         raise SimulationFault(
-            f"rank({k}) charged {len(trace.steps)} probes, over the budget of {layout.worst_probes}"
+            f"rank({k}) charged {len(steps)} probes, over the budget of {layout.worst_probes}"
         )
-    return trace
+    return ProbeTrace(k - 1, tuple(steps), answer)
 
 
 def block_queries(n: int, k: int, d: int = 0) -> np.ndarray:

@@ -148,13 +148,10 @@ def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
     def overrunning(args, array):
         layout = build(args, array)
 
-        def query(q):
-            total = 0
-            for a in range(layout.worst_probes + 1):
-                total += yield a
-            return total
+        def read(query, memory, known):
+            return [(a, memory.read(a)) for a in range(layout.worst_probes + 1)], 0
 
-        layout.step = query
+        layout.step.read = read
         return layout
 
     monkeypatch.setattr(cli, "_build_layout", overrunning)

@@ -17,11 +17,11 @@ from rankprobe.encoding import (
     decode,
     size_accounting,
 )
-from rankprobe.encoding import _detached_pass, _simulate_sets
+from rankprobe.encoding import _simulate_sets
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
-from rankprobe.model import PublishedBits, probes_of_set, run_query, simulate_set
+from rankprobe.model import PublishedBits, detached_pass, probes_of_set, run_query, simulate_set
 from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, layout_from_params
 from test_set_pass import layouts as set_pass_layouts
 
@@ -75,7 +75,7 @@ def test_detached_queries_disjoint():
     a = BitArray.random(1 << 12, np.random.default_rng(2))
     layout = build_two_level(a)
     qs = [b * (layout.n // 8) + 2 for b in range(8)]
-    det = list(_detached_pass(layout, qs)[0])
+    det = list(detached_pass(layout.step, qs, layout.memory, layout.published)[0])
     assert det and det[0] == min(qs)
     used = set()
     for q in det:
@@ -202,7 +202,7 @@ def test_decode_rejects_corrupt_counter(bit):
     # remaining-cells component.
     layout = build_two_level(BitArray.random(4096, np.random.default_rng(0)))
     rec = encode(layout, 4, d=512)
-    det = list(_detached_pass(layout, [b * 1024 + 512 for b in range(4)])[0])
+    det = list(detached_pass(layout.step, [b * 1024 + 512 for b in range(4)], layout.memory, layout.published)[0])
     probed = set()
     for qs in ([b * 1024 for b in range(4)], det):
         probed |= probes_of_set(layout.step, qs, layout.memory, layout.published)[1]
@@ -254,6 +254,23 @@ def test_decode_rejects_noncanonical_published_pairs():
         rec.published = bad
         with pytest.raises(CorruptEncoding):
             decode(rec, layout.params, 4)
+
+
+def test_published_array_addresses_encode_as_a_list():
+    # np.flatnonzero over a plan's cell mask gives numpy ints; the ledger
+    # keeps Python ints, so each (address, content) pair shifts past 64
+    # bits as it does for a list
+    array = BitArray.random(4096, np.random.default_rng(0))
+    layouts = [build_two_level(array) for _ in range(2)]
+    layouts[0].published.publish_cells(layouts[0].memory, np.array([3, 70]))
+    layouts[1].published.publish_cells(layouts[1].memory, [3, 70])
+    ledgers = [layout.published for layout in layouts]
+    assert ledgers[0] == ledgers[1] and all(type(a) is int for a in ledgers[0].cells)
+    records = [encode(layout, 4) for layout in layouts]
+    assert records[0] == records[1]
+    assert records[0].sizes == (142, 3, 27, 448, 256, 4480)
+    for rec, layout in zip(records, layouts):
+        assert decode(rec, layout.params, 4) == array
 
 
 def _random_layout(build, n, seed, **kw):

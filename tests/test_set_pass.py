@@ -113,13 +113,15 @@ def test_route_by_params_size_and_width(monkeypatch, w):
     big = list(range(7, 4096, 4096 // (C + 3)))[: C + 1] + [7]  # C + 1 distinct queries
     small = big[: C - 1]
     for queries in (small, big):
+        want = list(driver_pass(layout, queries)[1].items())
+        live = simulate_set(layout.step, queries, layout.memory, layout.published)
         foot = build_footprint(layout.step, queries, layout.memory, layout.published)
-        answers, fetched = replay_from_footprint(layout.step, queries, foot, layout.published)
-        assert answers == {q: array.rank(q + 1) for q in queries}
-        assert list(fetched.items()) == list(driver_pass(layout, queries)[1].items())
+        for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
+            assert answers == {q: array.rank(q + 1) for q in queries}
+            assert list(fetched.items()) == want
     # widths past 64 stay on the driver; below that the big set takes the
-    # plan twice, to record and to replay
-    assert sizes == ([C + 1, C + 1] if w <= 64 else [])
+    # plan three times, to simulate, to record and to replay
+    assert sizes == ([C + 1] * 3 if w <= 64 else [])
 
 
 def test_steps_without_params_stay_on_the_driver(monkeypatch):
@@ -131,7 +133,10 @@ def test_steps_without_params_stay_on_the_driver(monkeypatch):
 
     queries = list(range(0, 4096, 17))
     assert simulate_set(bare, queries, layout.memory) == simulate_set(layout.step, queries, layout.memory)
-    assert sizes == [len(queries)]
+    foot = build_footprint(bare, queries, layout.memory)
+    assert foot == build_footprint(layout.step, queries, layout.memory)
+    assert replay_from_footprint(bare, queries, foot) == replay_from_footprint(layout.step, queries, foot)
+    assert sizes == [len(queries)] * 3
 
 
 def _kinds(n):
