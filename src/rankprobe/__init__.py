@@ -11,9 +11,7 @@ from .model import (
     ProbeTrace,
     PublishedBits,
     build_footprint,
-    probes_of_set,
     replay_from_footprint,
-    run_query,
 )
 from .structures import (
     StructureLayout,
@@ -32,7 +30,6 @@ from .entropy import (
     analytic_deficit,
     binom_entropy,
     binom_entropy_estimate,
-    binom_entropy_exact,
     block_deficit,
     block_deficit_argmin,
     brute_force_deficit,

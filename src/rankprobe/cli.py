@@ -4,9 +4,10 @@ One binary, seven subcommands: build, query, stats, entropy, encode,
 eliminate, tradeoff.  Everything is seeded and deterministic: the same
 invocation produces byte-identical output, and the seed is recorded in
 the output header.  Exit codes: 0 success, 2 usage error, 3 refusal
-(the computation was out of honest range), 4 simulation fault (a query
-misbehaved or overran its probe budget), 5 corrupt footprint, 6 corrupt
-encoding record, 7 an output file could not be written.
+(the computation was out of honest range), 4 simulation fault (a probe
+outside memory, or a rank query over its probe budget), 5 corrupt
+footprint, 6 corrupt encoding record, 7 an output file could not be
+written.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ the ensemble: exact conditional canonical codes built by enumerating
 every array of the given length, honest only at enumerable sizes.
 
 Decoding parses the record back into cells: it replays the recorded
-footprints through the structure's own query generators, fills the
+footprints through the structure's own query reader, fills the
 untouched cells from component 6 and reads the array from the raw cells.
 One rule then decides acceptance: the record is valid exactly when
 encoding that array again (the layout rebuilt by

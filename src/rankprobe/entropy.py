@@ -56,28 +56,6 @@ def _lg_int(x: int) -> float:
     return (d - 53) + math.log2(x >> (d - 53))
 
 
-def binom_entropy_exact(m: int) -> float:
-    """Oracle route: H(Binomial(m, 1/2)) by exact big-int terms.
-
-    Each probability C(m, i) / 2^m is formed by correctly-rounded integer
-    division; terms are accumulated with fsum.  O(m) big-int operations,
-    use for modest m and for checking the fast route.
-    """
-    if m < 0:
-        raise ValueError("negative m")
-    if m == 0:
-        return 0.0
-    pow2 = 1 << m
-    terms = []
-    c = 1
-    for i in range(m + 1):
-        p = c / pow2
-        if p > 0.0:
-            terms.append(p * (m - _lg_int(c)))
-        c = c * (m - i) // (i + 1)
-    return math.fsum(terms)
-
-
 _CENTRAL = [0, 1]  # the last (m, C(m, m // 2)) binom_entropy computed
 
 

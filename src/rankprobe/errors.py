@@ -25,7 +25,8 @@ class RefusalError(LabError):
 
 
 class SimulationFault(LabError):
-    """A query misbehaved (bad address, step budget, probe budget)."""
+    """A probe fell outside memory, or ``rank`` charged more probes than
+    its layout's worst case."""
 
     exit_code = 4
 

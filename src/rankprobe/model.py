@@ -1,33 +1,32 @@
 """Instrumented cell-probe simulator.
 
 A data structure lives in a :class:`CellMemory` of fixed-width cells.  A
-query is a generator: ``step(query)`` yields cell addresses, receives each
-cell's contents, and returns the answer.  The driver runs one query at a
-time.  It serves each address from the published cells, read in place,
-then from a charged map, and only then charges a probe by fetching the
-cell into that map: from memory for live runs and set passes
-(:func:`simulate_set`), from the next cell of a recorded
+layout reads a query by its reader, ``step(query, known, fetched,
+source)`` (:func:`structures.step_from_params`).  The reader serves each
+cell from the published cells (`known`, read in place), then from the
+cells charged earlier in the same set (`fetched`), and only then charges
+a probe, taking the contents from `source`: memory for live runs and set
+passes (:func:`simulate_set`), or the next cells of a recorded
 :class:`Footprint` (first-seen contents in probe order) for
-:func:`replay_from_footprint`, which the encoding argument relies on.  A
-live run's fresh map is its trace.  A set pass hands all its queries one
-map, so a cell one query fetched reads free for the later ones, and the
-map is the set's footprint.  Free reads are never charged, and a query
-costs time linear in the addresses it yields.
+:func:`replay_from_footprint`, which the encoding argument relies on.
+It returns the charged (address, content) steps and the answer.  A set
+pass hands all its queries one fetched map, so a cell one query fetched
+reads free for the later ones, and the map is the set's footprint.  Free
+reads are never charged.
 
 One function, :func:`_set_route`, picks a set's route, and one set pass
-on it serves live runs, footprints and replays.  The driver serves sets
-of fewer than PLAN_MIN_QUERIES distinct queries, cells wider than 64
-bits and steps that carry no layout params.  A larger set over a
-layout's step goes to a :class:`structures.ProbePlan`, whose read step
-lists the same cells in the same first-seen order and fetches them in
-one call.  A footprint is those contents alone; a live set pass or a
-replay (:meth:`~structures.ProbePlan.set_pass`) also computes every
-answer from them in numpy.  Encoding's greedy :func:`detached_pass`
-drives each query through a map of its own.  A single ``rank`` reads by
-the step's own single-query reader instead, which charges the same
-cells in the same order.  Probe counts, published overlaps and charged
+on it serves live runs, footprints and replays.  The reader serves sets
+of fewer than PLAN_MIN_QUERIES distinct queries and cells wider than 64
+bits.  A larger set goes to a :class:`structures.ProbePlan`, whose read
+step lists the same cells in the same first-seen order and fetches them
+in one ``gather``.  A footprint is those contents alone; a live set
+pass or a replay (:meth:`~structures.ProbePlan.set_pass`) also computes
+every answer from them in numpy.  Encoding's greedy
+:func:`detached_pass` reads each query on its own, and a single
+``rank`` is one read.  Probe counts, published overlaps and charged
 cells for many queries at once come from the same batch plans.  The
-tests hold every plan and the reader to this driver as their oracle.
+tests hold the reader and every plan to a query-generator driver kept
+with them as their oracle.
 """
 
 from __future__ import annotations
@@ -77,10 +76,14 @@ class CellMemory:
             )
         return self.cells[address]
 
-    def gather(self, addresses: list) -> list:
+    def gather(self, addresses) -> list:
         """The contents of a list of addresses, checked as :meth:`read`
-        checks one."""
+        checks one; a range of them in memory is one slice."""
         cells = self.cells
+        if addresses.__class__ is range and addresses.start >= 0 and addresses.step == 1:
+            got = cells[addresses.start : addresses.stop]
+            if len(got) == len(addresses):
+                return got
         if addresses and (min(addresses) < 0 or max(addresses) >= len(cells)):
             self.read(next(a for a in addresses if not 0 <= a < len(cells)))
         return [cells[a] for a in addresses]
@@ -166,70 +169,23 @@ class Footprint:
         return len(self.bits) * self.word_bits
 
 
-MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
-
-
-def _drive(step_fn, query: int, known: dict, charged: dict, fetch):
-    """Run one query generator; returns its answer.
-
-    `known` cells read free; any other address is looked up in the
-    `charged` map, and a miss charges a probe: `fetch(address)` gives the
-    contents, which the map keeps, each charged cell once and in probe
-    order.  A step that carries its layout's params may yield up to its
-    worst-case probe count, if that is past MAX_STEPS."""
-    params = getattr(step_fn, "params", None)
-    budget = params["worst_probes"] if params and params["worst_probes"] > MAX_STEPS else MAX_STEPS
-    gen = step_fn(operator.index(query))
-    try:
-        addr = next(gen)
-        for _ in range(budget):
-            if addr.__class__ is not int:
-                raise SimulationFault(f"query {query} yielded {addr!r}, not a cell address")
-            content = known.get(addr)
-            if content is None:
-                content = charged.get(addr)
-                if content is None:
-                    charged[addr] = content = fetch(addr)
-            addr = gen.send(content)
-    except StopIteration as stop:
-        return stop.value
-    raise SimulationFault(f"query {query} exceeded step budget")
-
-
-def run_query(step_fn, query: int, memory: CellMemory, published: PublishedBits | None = None) -> ProbeTrace:
-    """Drive one query against live memory.  Published cells read free."""
-    known = published.cells if published is not None else {}
-    charged = {}
-    answer = _drive(step_fn, query, known, charged, memory.read)
-    return ProbeTrace(query, tuple(charged.items()), answer)
-
-
-def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
-    """Traces for a query set plus the union of charged addresses."""
-    traces = [run_query(step_fn, q, memory, published) for q in queries]
-    return traces, {a for tr in traces for a in tr.addresses}
-
-
-PLAN_MIN_QUERIES = 40  # set size from which the plan beats the driver
+PLAN_MIN_QUERIES = 40  # set size from which the plan beats the reader
 
 
 def _set_route(step_fn, queries):
     """How a set is passed: (plan, None) for a :class:`structures.ProbePlan`
     over its distinct queries, or (None, its queries in increasing order)
-    for the driver.
+    for the reader.
 
-    A step that carries its layout's params (as
-    :func:`structures.step_from_params` attaches them) has its set's
-    distinct queries checked before anything is read: TypeError for a
-    query that is not an integer, IndexError for one outside [0, n).  A
-    list, tuple or array of at least PLAN_MIN_QUERIES integers that is
-    already strictly increasing goes to numpy as it is; anything else is
-    sorted and deduplicated in Python.  From PLAN_MIN_QUERIES distinct
-    queries on, at w <= 64, the set goes to the plan.  Every other set,
-    and any set over a step without params, goes to the driver."""
-    params = getattr(step_fn, "params", None)
-    if params is None:
-        return None, sorted(queries)
+    The set's distinct queries are checked against the step's params
+    before anything is read: TypeError for a query that is not an
+    integer, IndexError for one outside [0, n).  A list, tuple or array
+    of at least PLAN_MIN_QUERIES integers that is already strictly
+    increasing goes to numpy as it is; anything else is sorted and
+    deduplicated in Python.  From PLAN_MIN_QUERIES distinct queries on,
+    at w <= 64, the set goes to the plan, and every other set to the
+    reader."""
+    params = step_fn.params
     plannable = params["word_bits"] <= 64
     q = None
     if plannable and isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
@@ -247,7 +203,7 @@ def _set_route(step_fn, queries):
     return None, q
 
 
-def _set_pass(step_fn, queries, published: PublishedBits | None, fetch, gather, answered: bool = True):
+def _set_pass(step_fn, queries, published: PublishedBits | None, source, answered: bool = True):
     """Pass `queries` in increasing order, on the route :func:`_set_route`
     picks, through one charged map: a cell fetched for one query reads
     free for the later ones.  Published cells are read in place, never
@@ -256,34 +212,58 @@ def _set_pass(step_fn, queries, published: PublishedBits | None, fetch, gather, 
     `answered`, it returns those contents alone; on the plan route they
     are then the plan's read step, with no answer computed and no dict.
 
-    The plan's :meth:`~structures.ProbePlan.set_pass` (or
-    :meth:`~structures.ProbePlan.read_order` alone) takes the cells in one
-    `gather(addresses)`; the driver charges each by `fetch(address)`."""
+    Charged cells come from `source`, memory or a footprint's
+    :class:`_Tape`: the plan's :meth:`~structures.ProbePlan.set_pass` (or
+    :meth:`~structures.ProbePlan.read_order` alone) takes them in one
+    ``source.gather``, and the reader query by query."""
     known = published.cells if published is not None else {}
     plan, queries = _set_route(step_fn, queries)
     if plan is not None:
-        return plan.set_pass(known, gather) if answered else plan.read_order(known, gather)[1]
+        return plan.set_pass(known, source.gather) if answered else plan.read_order(known, source.gather)[1]
     answers, fetched = {}, {}
     for q in queries:
-        answers[q] = _drive(step_fn, q, known, fetched, fetch)
+        steps, answers[q] = step_fn(q, known, fetched, source)
+        fetched.update(steps)
     return (answers, fetched) if answered else fetched.values()
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
-    """Drive `queries` once against live memory, in increasing order.
+    """Pass `queries` once against live memory, in increasing order.
 
     Returns (answers dict, charged cells) as :func:`_set_pass` does.  The
-    contents are the set's footprint; the addresses are the union of
-    charged probes that :func:`probes_of_set` collects query by query."""
-    return _set_pass(step_fn, queries, published, memory.read, memory.gather)
+    contents are the set's footprint; the addresses are the union of the
+    charged probes of its queries."""
+    return _set_pass(step_fn, queries, published, memory)
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
     """First-seen probed cell contents over `queries` in increasing order:
     the set pass's fetched contents, with no answer computed on the plan
     route."""
-    bits = _set_pass(step_fn, queries, published, memory.read, memory.gather, answered=False)
+    bits = _set_pass(step_fn, queries, published, memory, answered=False)
     return Footprint(tuple(bits), memory.word_bits)
+
+
+class _Tape:
+    """A footprint read as memory: each charged cell is the next recorded
+    one, whatever its address."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, bits):
+        self.cells = iter(bits)
+
+    def read(self, address: int) -> int:
+        content = next(self.cells, None)
+        if content is None:
+            raise CorruptFootprint(f"footprint exhausted at address {address}")
+        return content
+
+    def gather(self, addresses) -> list:
+        contents = list(islice(self.cells, len(addresses)))
+        if len(contents) < len(addresses):
+            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
+        return contents
 
 
 def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):
@@ -295,36 +275,23 @@ def replay_from_footprint(step_fn, queries, footprint: Footprint, published: Pub
     CorruptFootprint when the recording is too short or has cells left
     over.
     """
-    cells = iter(footprint.bits)
-
-    def fetch(address):
-        content = next(cells, None)
-        if content is None:
-            raise CorruptFootprint(f"footprint exhausted at address {address}")
-        return content
-
-    def gather(addresses):
-        contents = list(islice(cells, len(addresses)))
-        if len(contents) < len(addresses):
-            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
-        return contents
-
-    answers, charged = _set_pass(step_fn, queries, published, fetch, gather)
-    if next(cells, None) is not None:
+    tape = _Tape(footprint.bits)
+    answers, charged = _set_pass(step_fn, queries, published, tape)
+    if next(tape.cells, None) is not None:
         raise CorruptFootprint("footprint has cells left over")
     return answers, charged
 
 
 def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits):
-    """Greedy detached pass over sorted `queries`: each runs once through
-    its own charged map, and its answer and cells are kept when those
-    cells miss every kept query's.  Returns (answers dict, charged cells)
-    as :func:`simulate_set` over the kept queries does: their cells are
+    """Greedy detached pass over sorted `queries`: each is read once on its
+    own, and its answer and cells are kept when those cells miss every
+    kept query's.  Returns (answers dict, charged cells) as
+    :func:`simulate_set` over the kept queries does: their cells are
     pairwise disjoint, so a set pass charges each the same cells."""
     answers, kept = {}, {}
     for q in queries:
-        charged = {}
-        answer = _drive(step_fn, q, published.cells, charged, memory.read)
+        steps, answer = step_fn(q, published.cells, {}, memory)
+        charged = dict(steps)
         if kept.keys().isdisjoint(charged):
             answers[q] = answer
             kept.update(charged)

@@ -18,19 +18,18 @@ Raw bits are stored contiguously, never compressed; padding in the last
 raw cell counts toward redundancy.  The relative counter for the first
 block of each superblock is always zero and is not stored.
 
-Queries run three ways over one geometry expression.  The generator
-queries of :func:`step_from_params`, driven by :mod:`model`, answer
-small sets and the greedy detached pass, and are the oracle.  The
-step's single-query reader is ``rank``'s one route: the counters, then
-the scan as one slice of the memory.  A :class:`ProbePlan` is the batch
-path: probe counts, published overlaps, charged-cell sets, a set's
-first-seen cells (all a footprint records) and whole set passes (those
-cells and every answer, as live runs and replays give them) for a query
-array, computed with numpy.  Which way a set goes, generators or plan,
-is decided in :mod:`model` alone.  All three
-need only a layout's params, because probe addresses depend on the query
-index and never on the data.  :func:`layout_from_params`
-rebuilds a whole layout from those params and an array.
+Queries run two ways over one geometry expression.  The reader of
+:func:`step_from_params` reads one query at a time: the counters, then
+the scan as one slice of memory or of a footprint.  It serves ``rank``,
+small sets and the greedy detached pass.  A :class:`ProbePlan` is the
+batch path: probe counts, published overlaps, charged-cell sets, a
+set's first-seen cells (all a footprint records) and whole set passes
+(those cells and every answer, as live runs and replays give them) for
+a query array, computed with numpy.  Which way a set goes, reader or
+plan, is decided in :mod:`model` alone.  Both need only a layout's
+params, because probe addresses depend on the query index and never on
+the data.  :func:`layout_from_params` rebuilds a whole layout from those
+params and an array.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ def _counter_geometry(params: dict):
 
 
 def step_from_params(params: dict):
-    """Rebuild a layout's query generator from its params alone.
+    """Rebuild a layout's query reader from its params alone.
 
     Probe addresses depend only on the query index, never on the data, so
     a decoder holding just the params can replay queries from recorded
@@ -223,6 +222,15 @@ def step_from_params(params: dict):
     cells from the block start up to the query position; a naive query is
     the same query with no counters, scanning from cell 0.  Only the last
     raw cell is masked: every earlier one lies wholly below the position.
+
+    The reader ``step(query, known, fetched, source)`` returns the query's
+    charged (address, content) steps, in probe order, and its answer.
+    Cells in `known` (the published cells, read in place) and in `fetched`
+    (cells charged earlier in the same set) read free; every other cell is
+    charged from `source`, which answers ``read(address)`` and
+    ``gather(addresses)`` as a :class:`~model.CellMemory` does.  A scan that
+    meets no free cell is one ``gather`` of its address range.  The reader
+    keeps `params`, by which :mod:`model` routes a set.
     """
     w = params["word_bits"]
     where = None
@@ -231,52 +239,43 @@ def step_from_params(params: dict):
         width, per = params["width"], params["per_cell"]
         slot_mask = (1 << width) - 1
 
-    def query_step(query):
-        pos = query + 1
-        total = lo = 0
-        if where is not None:
-            a_abs, has_rel, a_rel, entry, lo = where(pos)
-            total = yield a_abs
-            if has_rel:
-                total += ((yield a_rel) >> (entry % per * width)) & slot_mask
-        last = (pos - 1) // w
-        for c in range(lo, last):
-            total += (yield c).bit_count()
-        if lo <= last:
-            total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
-        return total
-
-    def read(query, memory, known):
-        """One query without the driver: its charged (address, content)
-        steps and answer.  Cells in `known` read free; the scan is one
-        slice of memory, and one past its end raises SimulationFault."""
+    def step(query, known, fetched, source):
         pos = operator.index(query) + 1
         steps = []
         total = lo = 0
         if where is not None:
             a_abs, has_rel, a_rel, entry, lo = where(pos)
-            for a in (a_abs, a_rel) if has_rel else (a_abs,):
-                content = known.get(a)
-                if content is None:
-                    content = memory.read(a)
-                    steps.append((a, content))
-                total += content if a == a_abs else (content >> (entry % per * width)) & slot_mask
+            total = known.get(a_abs)
+            if total is None:
+                total = fetched.get(a_abs)
+                if total is None:
+                    total = source.read(a_abs)
+                    steps.append((a_abs, total))
+            if has_rel:
+                word = known.get(a_rel)
+                if word is None:
+                    word = fetched.get(a_rel)
+                    if word is None:
+                        word = source.read(a_rel)
+                        steps.append((a_rel, word))
+                total += (word >> (entry % per * width)) & slot_mask
         last = (pos - 1) // w
-        scan = memory.cells[lo : last + 1]
-        if len(scan) <= last - lo:
-            memory.read(lo + len(scan))
-        if known:
-            steps += [(a, c) for a, c in zip(range(lo, last + 1), scan) if a not in known]
-            scan = [known.get(a, c) for a, c in zip(range(lo, last + 1), scan)]
+        span = range(lo, last + 1)
+        if (not known or known.keys().isdisjoint(span)) and (not fetched or fetched.keys().isdisjoint(span)):
+            scan = source.gather(span)
+            steps += zip(span, scan)
         else:
-            steps += zip(range(lo, last + 1), scan)
+            charged = [a for a in span if a not in known and a not in fetched]
+            got = source.gather(charged)
+            steps += zip(charged, got)
+            got = iter(got)
+            scan = [known[a] if a in known else fetched[a] if a in fetched else next(got) for a in span]
         if scan:
             scan[-1] &= (1 << (pos - last * w)) - 1
         return steps, total + sum(map(int.bit_count, scan))
 
-    query_step.params = params  # lets a large set pass take the plan route
-    query_step.read = read  # lets a single rank skip the driver
-    return query_step
+    step.params = params  # model checks and routes a set by these
+    return step
 
 
 def _before(a: np.ndarray, increasing: bool = False) -> np.ndarray:
@@ -300,8 +299,7 @@ def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class ProbePlan:
     """A query array's probes, built from a layout's params alone.
 
-    The batch counterpart of driving each query through :mod:`model`,
-    which stays its oracle.  For every query (an int64 array of any
+    The batch counterpart of the layout's reader.  For every query (an int64 array of any
     shape, each in [0, n): :mod:`model` checks a set's queries before it
     plans them) the plan holds the absolute-counter address (-1 for naive
     layouts), the relative-counter address (-1 where the block stores
@@ -336,8 +334,8 @@ class ProbePlan:
         return pre[self.hi + 1] - pre[self.lo] + _flagged(self.abs_addr, free) + _flagged(self.rel_addr, free)
 
     def cells(self, published: np.ndarray) -> np.ndarray:
-        """Mask of the cells some query charges: the union of charged
-        addresses that :func:`model.probes_of_set` returns."""
+        """Mask of the cells some query charges: the union of the charged
+        addresses of its queries."""
         raw = self.params["raw_cells"]
         read = np.zeros(published.shape, dtype=bool)
         for addresses in (self.abs_addr, self.rel_addr):
@@ -403,7 +401,7 @@ class ProbePlan:
         queries, which must be sorted and distinct, for w <= 64: the read
         step :meth:`read_order`, then every answer computed from the
         served contents.  Returns (answers dict, fetched cells) as the
-        driver does."""
+        reader's set pass does."""
         charged, got, (read, new_abs, new_rel, rel_at, scan_ends, raw_at) = self.read_order(known, gather)
         w = self.params["word_bits"]
         if known:  # the published contents go back in probe order
@@ -498,15 +496,16 @@ def layout_from_params(array: BitArray, params: dict) -> StructureLayout:
 
 
 def rank(layout: StructureLayout, k: int) -> ProbeTrace:
-    """Rank(k) by the step's single-query reader.  k = 0 needs no probes."""
-    if not 0 <= k <= layout.n:
-        raise IndexError(f"rank position {k} outside [0, {layout.n}]")
+    """Rank(k) by the layout's reader.  k = 0 needs no probes."""
+    params = layout.params
+    if not 0 <= k <= params["n"]:
+        raise IndexError(f"rank position {k} outside [0, {params['n']}]")
     if k == 0:
         return ProbeTrace(query=-1, steps=(), answer=0)
-    steps, answer = layout.step.read(k - 1, layout.memory, layout.published.cells)
-    if len(steps) > layout.worst_probes:
+    steps, answer = layout.step(k - 1, layout.published.cells, {}, layout.memory)
+    if len(steps) > params["worst_probes"]:
         raise SimulationFault(
-            f"rank({k}) charged {len(steps)} probes, over the budget of {layout.worst_probes}"
+            f"rank({k}) charged {len(steps)} probes, over the budget of {params['worst_probes']}"
         )
     return ProbeTrace(k - 1, tuple(steps), answer)
 

@@ -1,0 +1,139 @@
+"""Reference implementations the tests and ``tools/fuzz.py`` hold the
+program to.
+
+* ``query_generator(params)``: a layout's query as a generator.  It
+  yields cell addresses, receives each cell's contents and returns the
+  answer, one address at a time.  The layout's reader
+  (:func:`rankprobe.structures.step_from_params`) and every
+  :class:`~rankprobe.structures.ProbePlan` must charge the cells it
+  charges, in the same order, and give its answers.
+* ``_drive``, ``run_query`` and ``probes_of_set``: the driver that runs
+  one generator query at a time.  It serves each address from the
+  published cells, then from a charged map, and only then charges a
+  probe by fetching the cell into that map.  ``run_query`` and
+  ``probes_of_set`` take a layout's reader (and drive the generator of
+  its params) or a hand-written generator.
+* ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
+  the oracle of :func:`rankprobe.entropy.binom_entropy`.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+import operator
+
+from rankprobe.entropy import _lg_int
+from rankprobe.errors import SimulationFault
+from rankprobe.model import CellMemory, ProbeTrace, PublishedBits
+from rankprobe.structures import _counter_geometry
+
+
+def query_generator(params: dict):
+    """A layout's query generator, from its params alone.
+
+    Counter layouts probe the absolute counter, then the relative counter
+    (absent for a superblock's first block), then the raw cells from the
+    block start up to the query position; a naive query is the same query
+    with no counters, scanning from cell 0.  Only the last raw cell is
+    masked: every earlier one lies wholly below the position.
+    """
+    w = params["word_bits"]
+    where = None
+    if params["kind"] != "naive":
+        where = _counter_geometry(params)
+        width, per = params["width"], params["per_cell"]
+        slot_mask = (1 << width) - 1
+
+    def query_step(query):
+        pos = query + 1
+        total = lo = 0
+        if where is not None:
+            a_abs, has_rel, a_rel, entry, lo = where(pos)
+            total = yield a_abs
+            if has_rel:
+                total += ((yield a_rel) >> (entry % per * width)) & slot_mask
+        last = (pos - 1) // w
+        for c in range(lo, last):
+            total += (yield c).bit_count()
+        if lo <= last:
+            total += ((yield last) & ((1 << (pos - last * w)) - 1)).bit_count()
+        return total
+
+    query_step.params = params  # sets the driver's budget past MAX_STEPS
+    return query_step
+
+
+@functools.lru_cache(maxsize=64)  # run_query is called query by query
+def generator_of(step_fn):
+    """The generator a step stands for: a layout reader's, rebuilt from
+    its params, or `step_fn` itself when it is a generator function."""
+    if hasattr(step_fn, "params"):
+        return query_generator(step_fn.params)
+    return step_fn
+
+
+MAX_STEPS = 1 << 20  # runaway query guard: addresses one query may yield
+
+
+def _drive(step_fn, query: int, known: dict, charged: dict, fetch):
+    """Run one query generator; returns its answer.
+
+    `known` cells read free; any other address is looked up in the
+    `charged` map, and a miss charges a probe: `fetch(address)` gives the
+    contents, which the map keeps, each charged cell once and in probe
+    order.  A step that carries its layout's params may yield up to its
+    worst-case probe count, if that is past MAX_STEPS."""
+    params = getattr(step_fn, "params", None)
+    budget = params["worst_probes"] if params and params["worst_probes"] > MAX_STEPS else MAX_STEPS
+    gen = step_fn(operator.index(query))
+    try:
+        addr = next(gen)
+        for _ in range(budget):
+            if addr.__class__ is not int:
+                raise SimulationFault(f"query {query} yielded {addr!r}, not a cell address")
+            content = known.get(addr)
+            if content is None:
+                content = charged.get(addr)
+                if content is None:
+                    charged[addr] = content = fetch(addr)
+            addr = gen.send(content)
+    except StopIteration as stop:
+        return stop.value
+    raise SimulationFault(f"query {query} exceeded step budget")
+
+
+def run_query(step_fn, query: int, memory: CellMemory, published: PublishedBits | None = None) -> ProbeTrace:
+    """Drive one query against live memory.  Published cells read free."""
+    known = published.cells if published is not None else {}
+    charged = {}
+    answer = _drive(generator_of(step_fn), query, known, charged, memory.read)
+    return ProbeTrace(query, tuple(charged.items()), answer)
+
+
+def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
+    """Traces for a query set plus the union of charged addresses."""
+    traces = [run_query(step_fn, q, memory, published) for q in queries]
+    return traces, {a for tr in traces for a in tr.addresses}
+
+
+def binom_entropy_exact(m: int) -> float:
+    """Oracle route: H(Binomial(m, 1/2)) by exact big-int terms.
+
+    Each probability C(m, i) / 2^m is formed by correctly-rounded integer
+    division; terms are accumulated with fsum.  O(m) big-int operations,
+    use for modest m and for checking the fast route.
+    """
+    if m < 0:
+        raise ValueError("negative m")
+    if m == 0:
+        return 0.0
+    pow2 = 1 << m
+    terms = []
+    c = 1
+    for i in range(m + 1):
+        p = c / pow2
+        if p > 0.0:
+            terms.append(p * (m - _lg_int(c)))
+        c = c * (m - i) // (i + 1)
+    return math.fsum(terms)

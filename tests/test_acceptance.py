@@ -19,19 +19,19 @@ from rankprobe.entropy import (
     analytic_deficit,
     binom_entropy,
     binom_entropy_estimate,
-    binom_entropy_exact,
     block_deficit,
     block_deficit_argmin,
     brute_force_deficit,
     deficit_from_counts,
     signature_counts,
 )
-from rankprobe.model import build_footprint, replay_from_footprint, run_query
+from rankprobe.model import build_footprint, replay_from_footprint
 from rankprobe.structures import (
     build_recursive,
     build_two_level,
     rank,
 )
+from oracles import binom_entropy_exact, run_query
 
 FULL_DEFICIT_16_4_2 = 3.7144734356069637  # exact big-int oracle, frozen
 LADDER_2_20 = [262208, 78720, 22592, 5696]

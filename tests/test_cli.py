@@ -148,10 +148,11 @@ def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
     def overrunning(args, array):
         layout = build(args, array)
 
-        def read(query, memory, known):
-            return [(a, memory.read(a)) for a in range(layout.worst_probes + 1)], 0
+        def step(query, known, fetched, source):
+            return [(a, source.read(a)) for a in range(layout.worst_probes + 1)], 0
 
-        layout.step.read = read
+        step.params = layout.params
+        layout.step = step
         return layout
 
     monkeypatch.setattr(cli, "_build_layout", overrunning)

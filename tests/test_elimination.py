@@ -12,7 +12,6 @@ from rankprobe.elimination import run_elimination
 from rankprobe.encoding import EncodingRecord, decode, encode
 from rankprobe.entropy import LabConfig
 from rankprobe.errors import RefusalError
-from rankprobe.model import probes_of_set
 from rankprobe.structures import (
     EXHAUSTIVE_LIMIT,
     ProbePlan,
@@ -24,6 +23,7 @@ from rankprobe.structures import (
     max_stage,
     sample_queries,
 )
+from oracles import probes_of_set
 
 
 def random_array(n, seed):

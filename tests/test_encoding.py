@@ -21,8 +21,9 @@ from rankprobe.encoding import _simulate_sets
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
-from rankprobe.model import PublishedBits, detached_pass, probes_of_set, run_query, simulate_set
+from rankprobe.model import PublishedBits, detached_pass, simulate_set
 from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, layout_from_params
+from oracles import probes_of_set, run_query
 from test_set_pass import layouts as set_pass_layouts
 
 

@@ -12,7 +12,6 @@ from rankprobe.entropy import (
     analytic_deficit,
     binom_entropy,
     binom_entropy_estimate,
-    binom_entropy_exact,
     block_deficit,
     block_deficit_argmin,
     brute_force_deficit,
@@ -21,6 +20,7 @@ from rankprobe.entropy import (
     signature_counts,
 )
 from rankprobe.entropy import _row_ids, _segments
+from oracles import binom_entropy_exact
 
 # frozen oracle values (independent bigint computation)
 H_SMALL = {

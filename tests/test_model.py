@@ -9,12 +9,11 @@ from rankprobe.model import (
     PublishedBits,
     SimulationFault,
     build_footprint,
-    probes_of_set,
     replay_from_footprint,
-    run_query,
     simulate_set,
 )
-from rankprobe.structures import ProbePlan, build_recursive, build_two_level
+from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level
+from oracles import probes_of_set, run_query
 
 
 def sum_step(query):
@@ -23,6 +22,12 @@ def sum_step(query):
     for a in range(query + 1):
         total += yield a
     return total & 0xFF
+
+
+def toy_layout():
+    """Four 8-bit cells 5, 7, 11, 13 as a naive layout: query q scans
+    cells 0 .. q // 8."""
+    return build_naive(BitArray.from_int(32, 5 | 7 << 8 | 11 << 16 | 13 << 24), 8)
 
 
 def test_cell_memory_contract():
@@ -123,34 +128,37 @@ def test_bad_step_faults():
 
 
 def test_footprint_first_seen_and_length():
-    mem = CellMemory(8, [5, 7, 11, 13])
-    fp = build_footprint(sum_step, [1, 2], mem)
-    # query 1 probes 0,1; query 2 adds only 2
+    layout = toy_layout()
+    mem = layout.memory
+    fp = build_footprint(layout.step, [9, 17], mem)
+    # query 9 probes 0,1; query 17 adds only 2
     assert fp.bits == (5, 7, 11)
     assert fp.probed_cell_count == 3
     assert fp.length == 3 * 8
-    _, union = probes_of_set(sum_step, [1, 2], mem)
+    _, union = probes_of_set(layout.step, [9, 17], mem)
     assert fp.length == len(union) * mem.word_bits
 
 
 def test_replay_matches_direct():
-    mem = CellMemory(8, [5, 7, 11, 13])
-    queries = [0, 2, 3]
-    fp = build_footprint(sum_step, queries, mem)
-    answers, seen = replay_from_footprint(sum_step, queries, fp)
+    layout = toy_layout()
+    mem = layout.memory
+    queries = [7, 23, 31]
+    fp = build_footprint(layout.step, queries, mem)
+    answers, seen = replay_from_footprint(layout.step, queries, fp)
     for q in queries:
-        assert answers[q] == run_query(sum_step, q, mem).answer
+        assert answers[q] == run_query(layout.step, q, mem).answer
     assert seen == {0: 5, 1: 7, 2: 11, 3: 13}
 
 
 def test_replay_with_published_and_known():
-    mem = CellMemory(8, [5, 7, 11, 13])
+    layout = toy_layout()
+    mem = layout.memory
     pub = PublishedBits()
     pub.publish_cells(mem, [0])
-    fp = build_footprint(sum_step, [2], mem, pub)
+    fp = build_footprint(layout.step, [23], mem, pub)
     assert fp.bits == (7, 11)  # cell 0 free, never recorded
-    answers, _ = replay_from_footprint(sum_step, [2], fp, pub)
-    assert answers[2] == 23
+    answers, _ = replay_from_footprint(layout.step, [23], fp, pub)
+    assert answers[23] == 8  # the ones of 5, 7 and 11
 
 
 def test_live_and_replayed_set_pass_agree():
@@ -191,19 +199,19 @@ def test_set_passes_read_published_cells_in_place():
 
 
 def test_replay_truncated_footprint():
-    mem = CellMemory(8, [5, 7, 11, 13])
-    fp = build_footprint(sum_step, [3], mem)
+    layout = toy_layout()
+    fp = build_footprint(layout.step, [31], layout.memory)
     short = Footprint(fp.bits[:-1], 8)
     with pytest.raises(CorruptFootprint):
-        replay_from_footprint(sum_step, [3], short)
+        replay_from_footprint(layout.step, [31], short)
 
 
 def test_replay_overlong_footprint():
-    mem = CellMemory(8, [5, 7, 11, 13])
-    fp = build_footprint(sum_step, [1], mem)
+    layout = toy_layout()
+    fp = build_footprint(layout.step, [15], layout.memory)
     long = Footprint(fp.bits + (11,), 8)
     with pytest.raises(CorruptFootprint):
-        replay_from_footprint(sum_step, [1], long)
+        replay_from_footprint(layout.step, [15], long)
 
 
 def test_repeated_reads_charged_once():

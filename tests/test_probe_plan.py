@@ -1,14 +1,14 @@
 """Differential tests of the batch probe plan against the query driver.
 
-The driver runs one generator query at a time and is the oracle.  For
-every query of a layout with a random set of published cells, the plan's
-charged count, with the published cells read free and without, must
-equal what the driver reports, so a query meets a published cell
-exactly when its undiscounted count is the larger; its charged-cell
-mask must equal the union that ``probes_of_set`` collects, also when
-only the stride set's cover (``stride_cover``) is planned; and
-``choose_offset`` must pick the offset a search over ``probes_of_set``
-unions picks.
+The driver of ``tests/oracles.py`` runs one generator query at a time
+and is the oracle.  For every query of a layout with a random set of
+published cells, the plan's charged count, with the published cells
+read free and without, must equal what the driver reports, so a query
+meets a published cell exactly when its undiscounted count is the
+larger; its charged-cell mask must equal the union that
+``probes_of_set`` collects, also when only the stride set's cover
+(``stride_cover``) is planned; and ``choose_offset`` must pick the
+offset a search over ``probes_of_set`` unions picks.
 """
 
 import tracemalloc
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.encoding import choose_offset
-from rankprobe.model import PublishedBits, probes_of_set, run_query
+from rankprobe.model import PublishedBits
 from rankprobe.structures import (
     ProbePlan,
     block_queries,
@@ -29,6 +29,7 @@ from rankprobe.structures import (
     max_stage,
     stride_cover,
 )
+from oracles import probes_of_set, run_query
 
 
 @st.composite

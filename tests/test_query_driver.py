@@ -5,8 +5,9 @@ The oracle derives every charged address from the geometry alone: the
 absolute counter of the query's superblock, the relative counter of its
 block (not stored for a superblock's first block), then the raw cells
 from the block start to the cell holding the queried bit.  Naive layouts
-scan raw cells from the front.  ``rank`` reads a query by the step's
-single-query reader; the generator driven by ``run_query`` is its oracle.
+scan raw cells from the front.  ``rank`` reads a query by the layout's
+reader; the generator that ``run_query`` drives in ``tests/oracles.py``
+is its oracle.
 """
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
-from rankprobe.errors import SimulationFault
-from rankprobe.model import CellMemory, ProbeTrace, run_query, simulate_set
+from rankprobe.errors import CorruptFootprint, SimulationFault
+from rankprobe.model import CellMemory, Footprint, ProbeTrace, build_footprint, detached_pass, replay_from_footprint, simulate_set
 from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage, rank
+from oracles import query_generator, run_query
 from test_set_pass import layouts as set_pass_layouts
 
 
@@ -140,7 +142,7 @@ def test_no_query_reads_a_cell_twice(case, published):
     free = layout.published.cells
     charged = ProbePlan(layout.params, np.arange(array.n)).charged(layout.published_mask())
     yielded = []
-    step = recording(layout.step, yielded)
+    step = recording(query_generator(layout.params), yielded)
     for q in range(array.n):
         trace = run_query(step, q, layout.memory, layout.published)
         seen = yielded[-1]
@@ -171,7 +173,9 @@ def test_reader_matches_driver(case, data):
 )
 def test_reader_refuses_memory_shorter_than_params(build, cut):
     # the scan of the last query, or its counter, runs past the cells
-    # left; a slice would silently come back short
+    # left; a slice would silently come back short.  Every route that
+    # reads the query by the reader says so as the oracle does, also a
+    # set pass whose earlier query fetched some of its cells
     array = BitArray.random(200, np.random.default_rng(15))
     layout = build(array)
     layout.memory = CellMemory(8, layout.memory.cells[:-cut])
@@ -180,11 +184,29 @@ def test_reader_refuses_memory_shorter_than_params(build, cut):
     with pytest.raises(SimulationFault) as got:
         rank(layout, array.n)
     assert str(got.value) == str(want.value)
+    queries = [0, array.n - 1]
+    for run in (simulate_set, build_footprint, detached_pass):
+        with pytest.raises(SimulationFault) as got:
+            run(layout.step, queries, layout.memory, layout.published)
+        assert str(got.value) == str(want.value), run.__name__
+
+
+@pytest.mark.parametrize("free", [[], [3]], ids=["slice", "per-cell"])
+def test_replay_refuses_footprint_one_cell_short(free):
+    # the last query scans cells 0 .. 24: as one slice when none reads
+    # free, cell by cell when a published one does
+    layout = build_naive(BitArray.random(200, np.random.default_rng(17)), 8)
+    layout.published.publish_cells(layout.memory, free)
+    foot = build_footprint(layout.step, [199], layout.memory, layout.published)
+    assert foot.probed_cell_count == 25 - len(free)
+    short = Footprint(foot.bits[:-1], 8)
+    with pytest.raises(CorruptFootprint, match="^footprint exhausted at address 24$"):
+        replay_from_footprint(layout.step, [199], short, layout.published)
 
 
 def test_naive_w1_answers_past_the_step_guard():
     # one cell a bit: the last query scans 2^20 + 1 cells, past the
-    # driver's MAX_STEPS, and the builder's worst_probes says it may
+    # oracle driver's MAX_STEPS, and the builder's worst_probes says it may
     n = (1 << 20) + 1
     array = BitArray.random(n, np.random.default_rng(16))
     layout = build_naive(array, 1)

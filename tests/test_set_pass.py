@@ -1,9 +1,10 @@
 """The two routes of a set pass against the driver.
 
 A set pass over a layout's step takes :meth:`ProbePlan.set_pass` from
-``model.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the driver below
-that.  The driver, query by query, is the oracle: the plan route must
-give the same answers, and the same fetched cells in the same order.
+``model.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the layout's
+reader below that.  The generator driver of ``tests/oracles.py``, query
+by query, is the oracle: both routes must give the same answers, and
+the same fetched cells in the same order.
 """
 
 import inspect
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from rankprobe import model
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint
-from rankprobe.model import Footprint, build_footprint, replay_from_footprint, run_query, simulate_set
+from rankprobe.model import Footprint, build_footprint, replay_from_footprint, simulate_set
 from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage
+from oracles import run_query
 
 C = model.PLAN_MIN_QUERIES
 
@@ -119,24 +121,9 @@ def test_route_by_params_size_and_width(monkeypatch, w):
         for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
             assert answers == {q: array.rank(q + 1) for q in queries}
             assert list(fetched.items()) == want
-    # widths past 64 stay on the driver; below that the big set takes the
+    # widths past 64 stay on the reader; below that the big set takes the
     # plan three times, to simulate, to record and to replay
     assert sizes == ([C + 1] * 3 if w <= 64 else [])
-
-
-def test_steps_without_params_stay_on_the_driver(monkeypatch):
-    sizes = _spied(monkeypatch)
-    layout = build_two_level(BitArray.random(4096, np.random.default_rng(4)))
-
-    def bare(q):  # the layout's query without the params it carries
-        return (yield from layout.step(q))
-
-    queries = list(range(0, 4096, 17))
-    assert simulate_set(bare, queries, layout.memory) == simulate_set(layout.step, queries, layout.memory)
-    foot = build_footprint(bare, queries, layout.memory)
-    assert foot == build_footprint(layout.step, queries, layout.memory)
-    assert replay_from_footprint(bare, queries, foot) == replay_from_footprint(layout.step, queries, foot)
-    assert sizes == [len(queries)] * 3
 
 
 def _kinds(n):
@@ -187,7 +174,7 @@ def query_shapes(draw, n):
 
 
 def _routes():
-    """PLAN_MIN_QUERIES values that send every set to the plan (at w <= 64) or to the driver."""
+    """PLAN_MIN_QUERIES values that send every set to the plan (at w <= 64) or to the reader."""
     return [mock.patch.object(model, "PLAN_MIN_QUERIES", m) for m in (1, 10**9)]
 
 

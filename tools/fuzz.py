@@ -3,8 +3,9 @@
     python3 tools/fuzz.py --seconds 30 --seed 1
 
 Run from anywhere; it imports the ``rankprobe`` of the checkout it sits
-in.  Cases alternate between two families until the time budget is
-spent:
+in, and its oracle, the query-generator driver ``run_query``, from that
+checkout's ``tests/oracles.py``.  Cases alternate between two families
+until the time budget is spent:
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
   65 and 96) with random published cells, and a query set of about
@@ -37,12 +38,14 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rankprobe import model  # noqa: E402
 from rankprobe.bits import BitArray  # noqa: E402
-from rankprobe.model import build_footprint, detached_pass, replay_from_footprint, run_query, simulate_set  # noqa: E402
+from rankprobe.model import build_footprint, detached_pass, replay_from_footprint, simulate_set  # noqa: E402
 from rankprobe.structures import build_naive, build_recursive, build_two_level, max_stage, rank  # noqa: E402
+from oracles import run_query  # noqa: E402
 
 WIDTHS = (7, 32, 64, 65, 96)
 
