@@ -68,7 +68,7 @@ from .model import (
     replay_from_footprint,
     simulate_set,
 )
-from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, step_from_params, stride_cover
+from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, offset_starts, step_from_params, stride_cover
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
@@ -142,24 +142,28 @@ class EncodingRecord:
 def choose_offset(layout: StructureLayout, k: int) -> int:
     """Offset whose queries share the fewest probed cells with the
     offset-0 reference queries; ties go to the smallest offset.  Offset 0
-    itself is excluded (it IS the reference)."""
+    itself is excluded (it IS the reference).  Only the offsets of
+    :func:`~rankprobe.structures.offset_starts` are scored."""
     reference = block_queries(layout.n, k)
     bs = layout.n // k
     if bs < 2:
         raise ValueError("blocks too small to hold a nonzero offset")
     ref_cells = ProbePlan(layout.params, stride_cover(layout.params, k)).cells(layout.published_mask())
-    # Row d - 1 holds offset d's queries.  The reference cells exclude the
+    # A row holds one offset's queries.  The reference cells exclude the
     # published ones, so the reference cells a row reads are exactly the
-    # charged cells it shares with the reference.  The rows go in chunks
+    # charged cells it shares with the reference.  An offset's reads, and
+    # so its overlap, stay those of the last start before it, so the
+    # first offset of the least overlap is a start.  The rows go in chunks
     # of about 2^13 queries, so each int64 temporary of a chunk's plan stays
     # under glibc's 128 KiB mmap threshold and reuses freed heap instead of
     # faulting in fresh pages, and the peak stays flat in n.
+    starts = offset_starts(layout.params, k)
     rows = max(1, (1 << 13) // k)
     overlap = np.concatenate([
-        ProbePlan(layout.params, np.arange(d, min(d + rows, bs))[:, None] + reference).row_hits(ref_cells)
-        for d in range(1, bs, rows)
+        ProbePlan(layout.params, starts[i : i + rows, None] + reference).row_hits(ref_cells)
+        for i in range(0, starts.size, rows)
     ])
-    return int(np.argmin(overlap)) + 1
+    return int(starts[np.argmin(overlap)])
 
 
 def _simulate_sets(layout: StructureLayout, k: int, d: int):

@@ -16,7 +16,7 @@ reads are never charged.
 
 One function, :func:`_set_route`, picks a set's route, and one set pass
 on it serves live runs, footprints and replays.  The reader serves sets
-of fewer than PLAN_MIN_QUERIES distinct queries and cells wider than 64
+of fewer than PLAN_MIN_QUERIES (26) distinct queries and cells wider than 64
 bits.  A larger set goes to a :class:`structures.ProbePlan`, whose read
 step lists the same cells in the same first-seen order and fetches them
 in one ``gather``.  A footprint is those contents alone; a live set
@@ -169,7 +169,7 @@ class Footprint:
         return len(self.bits) * self.word_bits
 
 
-PLAN_MIN_QUERIES = 40  # set size from which the plan beats the reader
+PLAN_MIN_QUERIES = 26  # set size from which the plan beats the reader
 
 
 def _set_route(step_fn, queries):

@@ -547,6 +547,32 @@ def stride_cover(params: dict, k: int) -> np.ndarray:
     return b[np.diff(b, append=k) > 0] * stride  # np.unique would import numpy.ma
 
 
+def offset_starts(params: dict, k: int) -> np.ndarray:
+    """The offsets d in [1, n // k) at which some query of
+    :func:`block_queries` (n, k, d) reads other cells than at d - 1:
+    offset 1 and every later offset where a read changes.
+
+    Query b * (n // k) + d reads by its scan block (b * (n // k) + d + 1)
+    // block and its last raw cell (b * (n // k) + d) // w alone (the
+    last cell alone on a naive layout), so its reads change exactly where
+    one of those steps up: at the d congruent to -(b * (n // k)) modulo w
+    or to -(b * (n // k) + 1) modulo the block.  Costs O(n / k + k)
+    through one residue table per modulus."""
+    stride = _stride(params["n"], k, 0)
+    offsets = np.arange(stride, dtype=np.int64)
+    change = offsets == 1
+    column = np.arange(k, dtype=np.int64) * stride
+    steps = [(params["word_bits"], 0)]  # the last raw cell steps up where w divides the query
+    if params["kind"] != "naive":
+        steps.append((params["block"], 1))  # the scan block, where the block divides the query + 1
+    for modulus, shift in steps:
+        residues = -(column + shift) % modulus
+        table = np.zeros(min(modulus, stride), dtype=bool)  # a residue past the stride is no offset
+        table[residues[residues < table.size]] = True
+        change[2:] |= table[offsets[2:] % modulus]
+    return offsets[change]
+
+
 def sample_queries(n: int, sample: int, seed: int) -> np.ndarray:
     """The query indices probe statistics average over: all of them when
     n is small, otherwise a seeded uniform sample."""

@@ -15,6 +15,10 @@ program to.
   its params) or a hand-written generator.
 * ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
   the oracle of :func:`rankprobe.entropy.binom_entropy`.
+* ``choose_offset_full_grid``: the offset of least overlap with the
+  reference set by a plan over every offset, the oracle of
+  :func:`rankprobe.encoding.choose_offset`, which plans only the offsets
+  :func:`rankprobe.structures.offset_starts` gives.
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import functools
 import math
 import operator
 
+import numpy as np
+
 from rankprobe.entropy import _lg_int
 from rankprobe.errors import SimulationFault
 from rankprobe.model import CellMemory, ProbeTrace, PublishedBits
-from rankprobe.structures import _counter_geometry
+from rankprobe.structures import ProbePlan, _counter_geometry, block_queries, stride_cover
 
 
 def query_generator(params: dict):
@@ -137,3 +143,20 @@ def binom_entropy_exact(m: int) -> float:
             terms.append(p * (m - _lg_int(c)))
         c = c * (m - i) // (i + 1)
     return math.fsum(terms)
+
+
+def choose_offset_full_grid(layout, k: int) -> int:
+    """The offset d in [1, n // k) whose queries share the fewest charged
+    cells with the offset-0 reference queries, the smallest on a tie, by
+    one plan row per offset: every offset of the grid is scored."""
+    reference = block_queries(layout.n, k)
+    bs = layout.n // k
+    if bs < 2:
+        raise ValueError("blocks too small to hold a nonzero offset")
+    ref_cells = ProbePlan(layout.params, stride_cover(layout.params, k)).cells(layout.published_mask())
+    rows = max(1, (1 << 13) // k)
+    overlap = np.concatenate([
+        ProbePlan(layout.params, np.arange(d, min(d + rows, bs))[:, None] + reference).row_hits(ref_cells)
+        for d in range(1, bs, rows)
+    ])
+    return int(np.argmin(overlap)) + 1

@@ -8,7 +8,9 @@ meets a published cell exactly when its undiscounted count is the
 larger; its charged-cell mask must equal the union that
 ``probes_of_set`` collects, also when only the stride set's cover
 (``stride_cover``) is planned; and ``choose_offset`` must pick the
-offset a search over ``probes_of_set`` unions picks.
+offset a search over ``probes_of_set`` unions picks, and the offset the
+full-grid scan of ``tests/oracles.py`` picks, while every offset that
+``offset_starts`` leaves out reads what the offset before it reads.
 """
 
 import tracemalloc
@@ -27,9 +29,10 @@ from rankprobe.structures import (
     build_recursive,
     build_two_level,
     max_stage,
+    offset_starts,
     stride_cover,
 )
-from oracles import probes_of_set, run_query
+from oracles import choose_offset_full_grid, probes_of_set, run_query
 
 
 @st.composite
@@ -128,6 +131,26 @@ def test_choose_offset_matches_brute_force(case, k, share, seed):
     grid = [[b * bs + d for b in range(k)] for d in range(1, bs)]
     assert ProbePlan(layout.params, grid).row_hits(ref).tolist() == overlaps
     assert choose_offset(layout, k) == 1 + overlaps.index(min(overlaps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=layouts(), data=st.data(), share=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_choose_offset_plans_only_where_reads_change(case, data, share, seed):
+    n, build = case
+    if n < 2:
+        return  # no k leaves a nonzero offset
+    k = data.draw(st.integers(1, n // 2))
+    rng = np.random.default_rng(seed)
+    layout = build(BitArray.random(n, rng))
+    publish_at_random(layout, rng, share)
+    assert choose_offset(layout, k) == choose_offset_full_grid(layout, k)
+    bs = n // k
+    starts = offset_starts(layout.params, k)
+    assert starts[0] == 1 and (np.diff(starts) > 0).all() and starts[-1] < bs
+    plan = ProbePlan(layout.params, np.arange(bs)[:, None] + block_queries(n, k))
+    reads = np.stack((plan.abs_addr, plan.rel_addr, plan.lo, plan.hi))  # (read, offset, column)
+    for d in sorted(set(range(2, bs)) - set(starts.tolist())):
+        assert np.array_equal(reads[:, d], reads[:, d - 1]), d
 
 
 def test_choose_offset_benchmark_geometry():

@@ -3,8 +3,9 @@
     python3 tools/fuzz.py --seconds 30 --seed 1
 
 Run from anywhere; it imports the ``rankprobe`` of the checkout it sits
-in, and its oracle, the query-generator driver ``run_query``, from that
-checkout's ``tests/oracles.py``.  Cases alternate between two families
+in, and its oracles, the query-generator driver ``run_query`` and the
+full-grid offset scan ``choose_offset_full_grid``, from that checkout's
+``tests/oracles.py``.  Cases cycle through three families
 until the time budget is spent:
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
@@ -19,6 +20,9 @@ until the time budget is spent:
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace) and
   ``BitArray.rank``.
+* ``offset``: ``choose_offset`` on a random layout with a random share
+  (0, 0.1 or 0.5) of its cells published, at a random k, against the
+  full-grid scan ``choose_offset_full_grid``.
 
 Case i of a run draws everything from ``numpy.random.default_rng([seed,
 i])``, so ``case_seed`` names it.  Prints one JSON object: the count of
@@ -43,9 +47,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rankprobe import model  # noqa: E402
 from rankprobe.bits import BitArray  # noqa: E402
+from rankprobe.encoding import choose_offset  # noqa: E402
 from rankprobe.model import build_footprint, detached_pass, replay_from_footprint, simulate_set  # noqa: E402
 from rankprobe.structures import build_naive, build_recursive, build_two_level, max_stage, rank  # noqa: E402
-from oracles import run_query  # noqa: E402
+from oracles import choose_offset_full_grid, run_query  # noqa: E402
 
 WIDTHS = (7, 32, 64, 65, 96)
 
@@ -146,7 +151,20 @@ def rank_case(rng, case: dict) -> None:
         check(trace.steps == (), "rank(0) charged probes")
 
 
-FAMILIES = {"sets": sets_case, "rank": rank_case}
+def offset_case(rng, case: dict) -> None:
+    _, layout, case["layout"] = random_layout(rng)
+    n = layout.n
+    share = case["share"] = float(rng.choice([0.0, 0.1, 0.5]))
+    cells = np.flatnonzero(rng.random(layout.memory.cell_count) < share)
+    layout.published.publish_cells(layout.memory, cells)
+    if n < 2:
+        return  # no k leaves a nonzero offset
+    # k anywhere up to n // 2, or the k of a random block size
+    k = case["k"] = int(rng.integers(1, n // 2 + 1) if rng.random() < 0.5 else n // rng.integers(2, n + 1))
+    check(choose_offset(layout, k) == choose_offset_full_grid(layout, k), "choose_offset differs from the full grid")
+
+
+FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
