@@ -4,14 +4,15 @@ Two containers with different jobs:
 
 * :class:`BitArray` is the data under study: a fixed-length 0/1 array
   ``A[1..n]`` (1-indexed, as rank queries are phrased) backed by packed
-  64-bit little-endian words.  It answers exact prefix-sum queries and
-  round-trips through the ``RPL1`` file format.
+  64-bit little-endian words.  It answers batched prefix-sum queries
+  (``ranks``, where the layouts' counters come from) and round-trips
+  through the ``RPL1`` file format.
 * :class:`BitString` is a growable bit buffer used for published bits and
   encodings, backed by a Python int (LSB first) with an explicit length so
   trailing zeros survive.
 
 Both meet the cell memories of :mod:`structures` through one codec:
-:func:`cells_from_bytes` cuts packed bits into w-bit cells and
+:func:`cell_array` cuts packed bits into w-bit cells and
 :func:`cells_to_bytes` packs cells back, for any width, in time linear in
 the bits.
 """
@@ -25,18 +26,14 @@ import numpy as np
 RPL1_MAGIC = b"RPL1"
 
 
-def cells_from_bytes(data: np.ndarray, nbits: int, width: int) -> list:
+def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
     """Cut the first `nbits` bits of `data` into ceil(nbits / width) cells
-    of `width` bits, as Python ints; the last cell is zero-padded.
+    of `width` bits, in a uint64 array, or past width 64 an object array
+    of Python ints; the last cell is zero-padded.
 
     `data` is a uint8 array of packed bits, LSB first (a ``BitArray``'s
     words viewed as bytes), at least ceil(nbits / 8) long and zero past
     `nbits`."""
-    return cell_array(data, nbits, width).tolist()
-
-
-def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
-    """The cells of :func:`cells_from_bytes` in a uint64 array, or past width 64 an object one."""
     if width < 1:
         raise ValueError("cell width must be positive")
     count = -(-nbits // width)
@@ -56,7 +53,7 @@ def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
 
 def cells_to_bytes(cells, width: int) -> bytes:
     """Pack `width`-bit cells LSB first into ceil(len(cells) * width / 8)
-    bytes, padding bits zero: the inverse of :func:`cells_from_bytes`.
+    bytes, padding bits zero: the inverse of :func:`cell_array`.
     Raises ValueError on a cell that is negative or wider than `width`."""
     if width < 1:
         raise ValueError("cell width must be positive")
@@ -130,29 +127,17 @@ class BitArray:
 
     # -- access -----------------------------------------------------------
 
-    def rank(self, k: int) -> int:
-        """Number of ones among A[1..k].  O(1) after a lazy prefix pass."""
-        if not 0 <= k <= self.n:
-            raise IndexError(f"rank position {k} outside [0, {self.n}]")
-        if k == 0:
-            return 0
-        q, r = divmod(k - 1, 64)
-        return int(self._word_ranks()[q]) - (int(self.words[q]) >> (r + 1)).bit_count()
-
     def ranks(self, positions: np.ndarray) -> np.ndarray:
-        """Rank(k) for every k of an int64 array with 0 <= k <= n."""
+        """Rank(k), the ones among A[1..k], for every k of an int64 array
+        with 0 <= k <= n."""
         if not (self.n and positions.size):
             return np.zeros(positions.shape, dtype=np.int64)
+        if self._prefix is None:  # ones through each word, kept for the array's next layout
+            self._prefix = np.add.accumulate(np.bitwise_count(self.words), dtype=np.int64)
         q = np.minimum(positions >> 6, len(self.words) - 1)
         # ones through word q, less those of word q at or past position k
         high = self.words[q] >> (positions - (q << 6)).astype(np.uint64)
-        return self._word_ranks()[q] - np.bitwise_count(high)
-
-    def _word_ranks(self) -> np.ndarray:
-        """Ones through each 64-bit word; computed once, on first use."""
-        if self._prefix is None:
-            self._prefix = np.add.accumulate(np.bitwise_count(self.words), dtype=np.int64)
-        return self._prefix
+        return self._prefix[q] - np.bitwise_count(high)
 
     def popcount(self) -> int:
         return int(np.bitwise_count(self.words).sum())
@@ -240,7 +225,7 @@ class BitString:
         """`count` cells of `width` bits starting at bit `offset`."""
         nbits = count * width
         raw = self.read_bits(offset, nbits).to_bytes(-(-nbits // 8), "little")
-        return cells_from_bytes(np.frombuffer(raw, dtype=np.uint8), nbits, width)
+        return cell_array(np.frombuffer(raw, dtype=np.uint8), nbits, width).tolist()
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")

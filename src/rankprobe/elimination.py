@@ -92,7 +92,7 @@ def run_elimination(layout: StructureLayout, config: LabConfig | None = None) ->
         k = min(k, n)
         # the cells of the offset-0 queries of k blocks, from their cover
         new_cells = np.flatnonzero(ProbePlan(layout.params, stride_cover(layout.params, k)).cells(published))
-        layout.published.publish_cells(layout.memory, new_cells.tolist())
+        layout.published.publish_cells(layout.memory, new_cells)
         published[new_cells] = True
         after = plan.charged(published)
         rows.append(EliminationRow(

@@ -268,17 +268,6 @@ def _footprint_codes(ensemble: bool, params: dict, k: int, d: int):
     return _ensemble_tables(tuple(sorted(params.items())), k, d) if ensemble else _CellCode(params["word_bits"])
 
 
-def _write_footprint(codes, cond, cells: dict) -> BitString:
-    out = BitString()
-    codes[cond].encode_symbol(out, tuple(cells.values()))
-    return out
-
-
-def _read_footprint(codes, cond, comp: BitString, w: int) -> Footprint:
-    cells = codes[cond].decode_symbol(comp, 0)[0]
-    return Footprint(cells, w)
-
-
 # -- encode ---------------------------------------------------------------
 
 def _remaining(cell_count: int, *charged: dict) -> list:
@@ -365,15 +354,11 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
     rest = _remaining(layout.memory.cell_count, ref_cells, det_cells)
     comp6.append_cells(list(compress(layout.memory.cells, rest)), layout.memory.word_bits)
 
-    return EncodingRecord(
-        published=_published_bits(layout),
-        detached_id=comp2,
-        detached_answers=comp3,
-        foot_reference=_write_footprint(foot, (det_answers,), ref_cells),
-        foot_detached=_write_footprint(foot, (det_answers, tuple(ref.values())), det_cells),
-        remaining=comp6,
-        offset=d,
-    )
+    comp1 = _published_bits(layout)
+    comp4, comp5 = BitString(), BitString()
+    foot[(det_answers,)].encode_symbol(comp4, tuple(ref_cells.values()))
+    foot[(det_answers, tuple(ref.values()))].encode_symbol(comp5, tuple(det_cells.values()))
+    return EncodingRecord(comp1, comp2, comp3, comp4, comp5, comp6, offset=d)
 
 
 # -- decode ---------------------------------------------------------------
@@ -431,10 +416,10 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         det_answers = tuple(det_answers)
 
         # components 4 and 5: footprints, the reference set first
-        f_ref = _read_footprint(foot, (det_answers,), record.foot_reference, w)
+        f_ref = Footprint(foot[(det_answers,)].decode_symbol(record.foot_reference, 0)[0], w)
         ref_answers, seen_ref = replay_from_footprint(step, reference, f_ref, published)
         ref_cond = (det_answers, tuple(ref_answers.values()))
-        f_det = _read_footprint(foot, ref_cond, record.foot_detached, w)
+        f_det = Footprint(foot[ref_cond].decode_symbol(record.foot_detached, 0)[0], w)
         seen_det = replay_from_footprint(step, det, f_det, published)[1]
 
         # component 6: every cell neither replay charged, published ones

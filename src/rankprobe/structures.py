@@ -28,14 +28,16 @@ set's first-seen cells (all a footprint records) and whole set passes
 a query array, computed with numpy.  Which way a set goes, reader or
 plan, is decided in :mod:`model` alone.  Both need only a layout's
 params, because probe addresses depend on the query index and never on
-the data.  :func:`layout_from_params` rebuilds a whole layout from those
-params and an array.
+the data.  A :class:`StructureLayout` is its memory and params: its
+reader is the one of its params, and its published ledger starts empty.
+:func:`layout_from_params` rebuilds a whole layout from those params and
+an array.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +53,9 @@ STATS_SAMPLE = 4096  # queries structure_stats and run_elimination sample past t
 class StructureLayout:
     """A built structure: memory, query algorithm, and bookkeeping.
 
+    `step` is :func:`step_from_params` of `params`, and `published` a
+    ledger of the layout's own unless one is given.
+
     `redundancy_region` is the address range holding everything beyond the
     raw bits; publishing it (plus the padding slack in the last raw cell)
     releases exactly `redundancy_bits` bits, after which the unpublished
@@ -58,9 +63,12 @@ class StructureLayout:
     """
 
     memory: CellMemory
-    published: PublishedBits
     params: dict
-    step: callable
+    published: PublishedBits = field(default_factory=PublishedBits)
+    step: callable = field(init=False, compare=False)
+
+    def __post_init__(self):
+        self.step = step_from_params(self.params)
 
     @property
     def n(self) -> int:
@@ -178,12 +186,7 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     if extra:
         params.update(extra)
 
-    return StructureLayout(
-        memory=memory,
-        published=PublishedBits(),
-        params=params,
-        step=step_from_params(params),
-    )
+    return StructureLayout(memory, params)
 
 
 def _counter_geometry(params: dict):
@@ -445,12 +448,7 @@ def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:
         "cell_count": raw_cells,
         "worst_probes": raw_cells,
     }
-    return StructureLayout(
-        memory=memory,
-        published=PublishedBits(),
-        params=params,
-        step=step_from_params(params),
-    )
+    return StructureLayout(memory, params)
 
 
 def build_two_level(array: BitArray, superblock: int = 512, block: int = 64, word_bits: int = 64) -> StructureLayout:

@@ -13,6 +13,10 @@ program to.
   probe by fetching the cell into that map.  ``run_query`` and
   ``probes_of_set`` take a layout's reader (and drive the generator of
   its params) or a hand-written generator.
+* ``popcount_rank(array, k)``: the ones among A[1..k], counted over
+  the array's bits, apart from the prefix table
+  (:meth:`rankprobe.bits.BitArray.ranks`) every layout's counters come
+  from.
 * ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
   the oracle of :func:`rankprobe.entropy.binom_entropy`.
 * ``choose_offset_full_grid``: the offset of least overlap with the
@@ -29,6 +33,7 @@ import operator
 
 import numpy as np
 
+from rankprobe.bits import BitArray
 from rankprobe.entropy import _lg_int
 from rankprobe.errors import SimulationFault
 from rankprobe.model import CellMemory, ProbeTrace, PublishedBits
@@ -121,6 +126,14 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
     """Traces for a query set plus the union of charged addresses."""
     traces = [run_query(step_fn, q, memory, published) for q in queries]
     return traces, {a for tr in traces for a in tr.addresses}
+
+
+def popcount_rank(array: BitArray, k: int) -> int:
+    """Rank(k) of `array`, the ones among A[1..k], by a popcount over its
+    first k bits.  Raises IndexError unless 0 <= k <= n."""
+    if not 0 <= k <= array.n:
+        raise IndexError(f"rank position {k} outside [0, {array.n}]")
+    return int(np.count_nonzero(array.to_bits()[:k]))
 
 
 def binom_entropy_exact(m: int) -> float:

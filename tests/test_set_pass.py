@@ -20,7 +20,7 @@ from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint
 from rankprobe.model import Footprint, build_footprint, replay_from_footprint, simulate_set
 from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage
-from oracles import run_query
+from oracles import popcount_rank, run_query
 
 C = model.PLAN_MIN_QUERIES
 
@@ -72,7 +72,7 @@ def test_plan_route_matches_driver(case, data):
     n = layout.n
     queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * C + 8))
     want_answers, want = driver_pass(layout, queries)
-    assert want_answers == {q: array.rank(q + 1) for q in queries}
+    assert want_answers == {q: popcount_rank(array, q + 1) for q in queries}
     published = layout.published.cells
     before = list(published.items())
 
@@ -119,7 +119,7 @@ def test_route_by_params_size_and_width(monkeypatch, w):
         live = simulate_set(layout.step, queries, layout.memory, layout.published)
         foot = build_footprint(layout.step, queries, layout.memory, layout.published)
         for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
-            assert answers == {q: array.rank(q + 1) for q in queries}
+            assert answers == {q: popcount_rank(array, q + 1) for q in queries}
             assert list(fetched.items()) == want
     # widths past 64 stay on the reader; below that the big set takes the
     # plan three times, to simulate, to record and to replay

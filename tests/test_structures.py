@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
+    StructureLayout,
     block_queries,
     build_naive,
     build_recursive,
     build_two_level,
     max_stage,
     rank,
+    step_from_params,
     structure_stats,
 )
+from oracles import popcount_rank
 
 # frozen redundancy ladders for the staged family (64-bit cells)
 LADDER_2_20 = [262208, 78720, 22592, 5696]
@@ -47,7 +50,7 @@ def test_exhaustive_small():
             a = BitArray.from_int(n, v)
             layouts = all_layouts(a)
             for k in range(n + 1):
-                want = a.rank(k)
+                want = popcount_rank(a, k)
                 for layout in layouts:
                     tr = rank(layout, k)
                     assert tr.answer == want, (n, v, k, layout.kind)
@@ -62,7 +65,7 @@ def test_random_sweep_2_16():
     ]
     ks = rng.integers(0, a.n + 1, size=800)
     for k in ks:
-        want = a.rank(int(k))
+        want = popcount_rank(a, int(k))
         for layout in layouts:
             tr = rank(layout, int(k))
             assert tr.answer == want
@@ -119,6 +122,27 @@ def test_publish_redundancy_exact():
     assert all(adr not in region for adr in tr.addresses)
 
 
+def test_layouts_keep_their_own_ledgers():
+    a = BitArray.random(3000, np.random.default_rng(8))
+    layouts = all_layouts(a)
+    layouts += [StructureLayout(layouts[1].memory, layouts[1].params) for _ in range(2)]
+    for i, layout in enumerate(layouts):
+        layout.publish_redundancy()
+        layout.published.publish_cells(layout.memory, [0, 1])
+        for other in layouts[i + 1 :]:
+            assert other.published.length == 0
+            assert other.published.cells == {}
+
+
+def test_layout_reader_is_its_params_reader():
+    a = BitArray.random(3000, np.random.default_rng(9))
+    two = build_two_level(a)
+    for layout in all_layouts(a) + [StructureLayout(two.memory, two.params)]:
+        reader = step_from_params(layout.params)
+        for q in (0, 63, 64, 1499, 2999):
+            assert layout.step(q, {}, {}, layout.memory) == reader(q, {}, {}, layout.memory)
+
+
 def test_stage_too_deep_rejected():
     a = BitArray.random(64, np.random.default_rng(4))
     assert max_stage(64) == 1
@@ -146,7 +170,7 @@ def test_eight_bit_cells():
         a = BitArray.from_int(20, int(v))
         layout = build_two_level(a, superblock=64, block=8, word_bits=8)
         for k in range(21):
-            assert rank(layout, k).answer == a.rank(k)
+            assert rank(layout, k).answer == popcount_rank(a, k)
 
 
 def test_structure_stats():
@@ -174,7 +198,7 @@ def test_bad_geometry_rejected():
 def test_wide_cells_off_word_boundaries(superblock, block, w):
     a = BitArray.random(4096, np.random.default_rng(10))
     layout = build_two_level(a, superblock=superblock, block=block, word_bits=w)
-    wrong = [k for k in range(a.n + 1) if rank(layout, k).answer != a.rank(k)]
+    wrong = [k for k in range(a.n + 1) if rank(layout, k).answer != popcount_rank(a, k)]
     assert wrong == []
 
 
@@ -196,7 +220,7 @@ def test_every_accepted_geometry_ranks_exactly(n, w, cells_per_block, ratio, see
         return  # refused geometry: counters do not fit the cell width
     for k in range(n + 1):
         tr = rank(layout, k)
-        assert tr.answer == a.rank(k), (k, layout.params)
+        assert tr.answer == popcount_rank(a, k), (k, layout.params)
         assert len(tr.steps) <= layout.worst_probes
 
 

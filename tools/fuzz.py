@@ -3,38 +3,49 @@
     python3 tools/fuzz.py --seconds 30 --seed 1
 
 Run from anywhere; it imports the ``rankprobe`` of the checkout it sits
-in, and its oracles, the query-generator driver ``run_query`` and the
-full-grid offset scan ``choose_offset_full_grid``, from that checkout's
-``tests/oracles.py``.  Cases cycle through three families
-until the time budget is spent:
+in, and its oracles, the query-generator driver ``run_query``, the
+popcount rank ``popcount_rank`` and the full-grid offset scan
+``choose_offset_full_grid``, from that checkout's ``tests/oracles.py``.
+Cases cycle through four families until the time budget is spent:
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
   65 and 96) with random published cells, and a query set of about
   ``model.PLAN_MIN_QUERIES`` queries, so both routes of a set pass come
   up.  ``simulate_set``, ``build_footprint`` and
   ``replay_from_footprint`` must give what ``run_query`` gives query by
-  query, with each cell an earlier query fetched dropped.
+  query, with each cell an earlier query fetched dropped, and the
+  answers ``popcount_rank`` gives.
   ``detached_pass`` over the distinct queries must keep exactly the
   queries a greedy scan over ``run_query`` address sets keeps, with the
   answers and cells a set pass over them gives.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace) and
-  ``BitArray.rank``.
+  ``popcount_rank``.
 * ``offset``: ``choose_offset`` on a random layout with a random share
   (0, 0.1 or 0.5) of its cells published, at a random k, against the
   full-grid scan ``choose_offset_full_grid``.
+* ``encode``: ``encode`` on a random layout, after ``run_elimination``
+  (which first publishes the redundancy) half the time, at a random k in
+  [1, n // 2] and the offset ``choose_offset`` gives or a random one.
+  ``decode`` of the record, through its ``RPE1`` bytes, must give back
+  the array; the footprints must hold the cells the reference set and
+  the greedy detached set charge under ``run_query``, in probe order,
+  and component 6 every other cell in address order.  A ``RefusalError`` with one of the
+  two messages of a ledger a record cannot carry is counted as a
+  refusal, not a failure.
 
 Case i of a run draws everything from ``numpy.random.default_rng([seed,
 i])``, so ``case_seed`` names it.  Prints one JSON object: the count of
-cases and failures per family, and the first failing case with its seed
-and what went wrong (null when none failed).  Exits 1 when a case
-failed.  Not part of the test suite.
+cases, refusals and failures per family, and the first failing case
+with its seed and what went wrong (null when none failed).  Exits 1 when
+a case failed.  Not part of the test suite.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 import traceback
@@ -46,13 +57,19 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from rankprobe import model  # noqa: E402
-from rankprobe.bits import BitArray  # noqa: E402
-from rankprobe.encoding import choose_offset  # noqa: E402
+from rankprobe.bits import BitArray, BitString  # noqa: E402
+from rankprobe.elimination import run_elimination  # noqa: E402
+from rankprobe.encoding import EncodingRecord, choose_offset, decode, encode  # noqa: E402
+from rankprobe.errors import RefusalError  # noqa: E402
 from rankprobe.model import build_footprint, detached_pass, replay_from_footprint, simulate_set  # noqa: E402
-from rankprobe.structures import build_naive, build_recursive, build_two_level, max_stage, rank  # noqa: E402
-from oracles import choose_offset_full_grid, run_query  # noqa: E402
+from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, max_stage, rank  # noqa: E402
+from oracles import choose_offset_full_grid, popcount_rank, run_query  # noqa: E402
 
 WIDTHS = (7, 32, 64, 65, 96)
+REFUSALS = (  # the ledgers a record cannot carry, as encode words them
+    re.compile(r"published ledger \d+ bits, serialized \d+: a record cannot carry it"),
+    re.compile(r"a \d+-bit ledger of pairs reads as a bootstrap prefix: a record cannot carry it"),
+)
 
 
 def random_layout(rng):
@@ -99,6 +116,19 @@ def driver_pass(layout, queries):
     return answers, fetched
 
 
+def greedy_scan(layout, queries):
+    """The queries, in order, that share no charged cell with a query
+    kept before them, and the cells the kept ones charge: the oracle of
+    ``detached_pass``."""
+    kept, used = [], {}
+    for q in queries:
+        steps = run_query(layout.step, q, layout.memory, layout.published).steps
+        if not any(a in used for a, _ in steps):
+            kept.append(q)
+            used.update(steps)
+    return kept, used
+
+
 def check(ok: bool, what: str) -> None:
     if not ok:
         raise AssertionError(what)
@@ -114,7 +144,7 @@ def sets_case(rng, case: dict) -> None:
     queries = queries if rng.random() < 0.5 else queries.tolist()
     case["queries"] = np.asarray(queries).tolist()
     want_answers, want = driver_pass(layout, case["queries"])
-    check(want_answers == {q: array.rank(q + 1) for q in want_answers}, "driver answers differ from BitArray.rank")
+    check(want_answers == {q: popcount_rank(array, q + 1) for q in want_answers}, "driver answers differ from popcount_rank")
 
     args = (layout.memory, layout.published)
     foot = build_footprint(layout.step, queries, *args)
@@ -126,12 +156,7 @@ def sets_case(rng, case: dict) -> None:
         check(list(answers.items()) == list(want_answers.items()), f"{name} answers differ from the driver")
         check(list(fetched.items()) == list(want.items()), f"{name} cells differ from the driver")
 
-    kept, used = [], set()
-    for q in want_answers:
-        addrs = set(run_query(layout.step, q, *args).addresses)
-        if not addrs & used:
-            kept.append(q)
-            used |= addrs
+    kept = greedy_scan(layout, want_answers)[0]
     answers, cells = detached_pass(layout.step, list(want_answers), *args)
     check(list(answers) == kept, "detached_pass keeps other queries than the greedy scan")
     kept_answers, kept_cells = simulate_set(layout.step, kept, *args)
@@ -144,7 +169,7 @@ def rank_case(rng, case: dict) -> None:
     n = layout.n
     k = case["k"] = int(rng.choice([0, n, int(rng.integers(0, n + 1))]))
     trace = rank(layout, k)
-    check(trace.answer == array.rank(k), "rank differs from BitArray.rank")
+    check(trace.answer == popcount_rank(array, k), "rank differs from popcount_rank")
     if k:
         check(trace == run_query(layout.step, k - 1, layout.memory, layout.published), "rank differs from run_query")
     else:
@@ -164,11 +189,38 @@ def offset_case(rng, case: dict) -> None:
     check(choose_offset(layout, k) == choose_offset_full_grid(layout, k), "choose_offset differs from the full grid")
 
 
-FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case}
+def encode_case(rng, case: dict) -> str | None:
+    array, layout, case["layout"] = random_layout(rng)
+    n, w = layout.n, layout.memory.word_bits
+    if rng.random() < 0.5:
+        run_elimination(layout)
+        case["eliminated"] = True
+    if n < 2:
+        return None  # no k leaves a nonzero offset
+    k = case["k"] = int(rng.integers(1, n // 2 + 1))
+    d = case["d"] = choose_offset(layout, k) if rng.random() < 0.5 else int(rng.integers(1, n // k))
+    try:
+        record = encode(layout, k, d)
+    except RefusalError as e:
+        check(any(r.fullmatch(str(e)) for r in REFUSALS), f"refused with another message: {e}")
+        return "refused"
+    back = decode(EncodingRecord.from_rpe1(record.to_rpe1()), layout.params, k)
+    check(back == array, "decode does not give back the array")
+    ref = driver_pass(layout, block_queries(n, k).tolist())[1]
+    det = greedy_scan(layout, block_queries(n, k, d).tolist())[1]
+    rest = [c for a, c in enumerate(layout.memory.cells) if a not in ref and a not in det]
+    for name, cells in (("foot_reference", ref.values()), ("foot_detached", det.values()), ("remaining", rest)):
+        want = BitString()
+        want.append_cells(list(cells), w)
+        check(getattr(record, name) == want, f"{name} is not the cells the driver gives")
+    return None
+
+
+FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
-    counts = {name: {"cases": 0, "failures": 0} for name in FAMILIES}
+    counts = {name: {"cases": 0, "refusals": 0, "failures": 0} for name in FAMILIES}
     first = None
     deadline = time.monotonic() + seconds
     i = 0
@@ -177,7 +229,8 @@ def fuzz(seconds: float, seed: int) -> dict:
         case = {"family": name, "case_seed": [seed, i]}
         counts[name]["cases"] += 1
         try:
-            FAMILIES[name](np.random.default_rng([seed, i]), case)
+            if FAMILIES[name](np.random.default_rng([seed, i]), case) == "refused":
+                counts[name]["refusals"] += 1
         except Exception as e:  # any failure of the code under test is a finding
             counts[name]["failures"] += 1
             if first is None:
