@@ -5,22 +5,17 @@ encode/decode accounting engine, and a probe-elimination driver."""
 
 from .bits import BitArray, BitString
 from .errors import CorruptEncoding, CorruptFootprint, LabError, RefusalError, SimulationFault
-from .model import (
-    CellMemory,
-    Footprint,
-    ProbeTrace,
-    PublishedBits,
-    build_footprint,
-    replay_from_footprint,
-)
+from .model import CellMemory, Footprint, ProbeTrace, PublishedBits
 from .structures import (
     StructureLayout,
     StructureStats,
+    build_footprint,
     build_naive,
     build_recursive,
     build_two_level,
     max_stage,
     rank,
+    replay_from_footprint,
     structure_stats,
 )
 from .entropy import (

@@ -60,15 +60,19 @@ from .coding import (
 )
 from .entropy import analytic_deficit
 from .errors import CorruptEncoding, CorruptFootprint, RefusalError
-from .model import (
-    Footprint,
-    PublishedBits,
-    address_bits,
+from .model import Footprint, PublishedBits, address_bits
+from .structures import (
+    ProbePlan,
+    StructureLayout,
+    block_queries,
     detached_pass,
+    layout_from_params,
+    offset_starts,
     replay_from_footprint,
     simulate_set,
+    step_from_params,
+    stride_cover,
 )
-from .structures import ProbePlan, StructureLayout, block_queries, layout_from_params, offset_starts, step_from_params, stride_cover
 
 RPE1_MAGIC = b"RPE1"
 ENSEMBLE_LIMIT = 14
@@ -169,9 +173,9 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
 def _simulate_sets(layout: StructureLayout, k: int, d: int):
     """(answers dict, charged cells) for the reference set, by one set
     pass, then for the detached set at offset `d`, by the greedy
-    :func:`~rankprobe.model.detached_pass`."""
+    :func:`~rankprobe.structures.detached_pass`."""
     return (
-        simulate_set(layout.step, block_queries(layout.n, k).tolist(), layout.memory, layout.published),
+        simulate_set(layout.step, block_queries(layout.n, k), layout.memory, layout.published),
         detached_pass(layout.step, block_queries(layout.n, k, d).tolist(), layout.memory, layout.published),
     )
 
@@ -378,7 +382,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
     w = params["word_bits"]
     cell_count = params["cell_count"]
     step = step_from_params(params)
-    reference = block_queries(n, k).tolist()
+    reference = block_queries(n, k)
     d = record.offset
     if not 0 < d < n // k:
         raise CorruptEncoding(f"offset {d} outside (0, {n // k})")

@@ -18,17 +18,37 @@ Raw bits are stored contiguously, never compressed; padding in the last
 raw cell counts toward redundancy.  The relative counter for the first
 block of each superblock is always zero and is not stored.
 
-Queries run two ways over one geometry expression.  The reader of
-:func:`step_from_params` reads one query at a time: the counters, then
-the scan as one slice of memory or of a footprint.  It serves ``rank``,
-small sets and the greedy detached pass.  A :class:`ProbePlan` is the
-batch path: probe counts, published overlaps, charged-cell sets, a
-set's first-seen cells (all a footprint records) and whole set passes
-(those cells and every answer, as live runs and replays give them) for
-a query array, computed with numpy.  Which way a set goes, reader or
-plan, is decided in :mod:`model` alone.  Both need only a layout's
-params, because probe addresses depend on the query index and never on
-the data.  A :class:`StructureLayout` is its memory and params: its
+Queries run two ways over one geometry expression, and both need only
+a layout's params, because probe addresses depend on the query index
+and never on the data.  The query protocol is the reader of
+:func:`step_from_params`, ``step(query, known, fetched, source)``,
+which reads one query: the counters, then the scan.  It serves each
+cell from the published cells (`known`, read in place), then from the
+cells charged earlier in the same set (`fetched`), and only then
+charges a probe, taking the contents from `source`: memory for a live
+run, or the next cells of a recorded :class:`~model.Footprint`
+(first-seen contents in probe order) for a replay, which the encoding
+argument relies on.  Free reads are never charged.  It returns the
+charged (address, content) steps, in probe order, and the answer.  A :class:`ProbePlan`
+is the batch path: probe counts, published overlaps and charged-cell
+sets for a query array, computed with numpy.
+
+A set pass hands all its queries one fetched map, so a cell one query
+fetched reads free for the later ones, and the map is the set's
+footprint.  One set pass, :func:`_set_pass`, serves live runs
+(:func:`simulate_set`), footprints (:func:`build_footprint`) and
+replays (:func:`replay_from_footprint`), and it alone picks a set's
+route.  A set of at least PLAN_MIN_QUERIES (26) distinct queries at
+w <= 64 goes to a plan, whose :meth:`~ProbePlan.read_order` lists the
+same cells in the same first-seen order and fetches them in one
+``gather`` (all a footprint records), and whose
+:meth:`~ProbePlan.set_pass` also computes every answer from them.
+Every other set goes to the reader, as do a single ``rank`` and
+encoding's greedy :func:`detached_pass`, which reads each query on its
+own.  The tests hold the reader and every plan to a query-generator
+driver kept with them as their oracle.
+
+A :class:`StructureLayout` is its memory and params: its
 reader is the one of its params, and its published ledger starts empty.
 :func:`layout_from_params` rebuilds a whole layout from those params and
 an array.
@@ -38,12 +58,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .bits import BitArray, cell_array
-from .errors import SimulationFault
-from .model import CellMemory, ProbeTrace, PublishedBits
+from .errors import CorruptFootprint, SimulationFault
+from .model import CellMemory, Footprint, ProbeTrace, PublishedBits
 
 EXHAUSTIVE_LIMIT = 1 << 14  # sample_queries takes every query up to this n
 STATS_SAMPLE = 4096  # queries structure_stats and run_elimination sample past that
@@ -226,14 +247,12 @@ def step_from_params(params: dict):
     the same query with no counters, scanning from cell 0.  Only the last
     raw cell is masked: every earlier one lies wholly below the position.
 
-    The reader ``step(query, known, fetched, source)`` returns the query's
-    charged (address, content) steps, in probe order, and its answer.
-    Cells in `known` (the published cells, read in place) and in `fetched`
-    (cells charged earlier in the same set) read free; every other cell is
-    charged from `source`, which answers ``read(address)`` and
-    ``gather(addresses)`` as a :class:`~model.CellMemory` does.  A scan that
-    meets no free cell is one ``gather`` of its address range.  The reader
-    keeps `params`, by which :mod:`model` routes a set.
+    The reader ``step(query, known, fetched, source)`` is the query
+    protocol of this module's docstring; `source` answers
+    ``read(address)`` and ``gather(addresses)`` as a
+    :class:`~model.CellMemory` does.  A scan that meets no free cell is
+    one ``gather`` of its address range.  The reader keeps `params`, by
+    which :func:`_set_pass` checks and routes a set.
     """
     w = params["word_bits"]
     where = None
@@ -277,7 +296,7 @@ def step_from_params(params: dict):
             scan[-1] &= (1 << (pos - last * w)) - 1
         return steps, total + sum(map(int.bit_count, scan))
 
-    step.params = params  # model checks and routes a set by these
+    step.params = params
     return step
 
 
@@ -302,11 +321,11 @@ def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
 class ProbePlan:
     """A query array's probes, built from a layout's params alone.
 
-    The batch counterpart of the layout's reader.  For every query (an int64 array of any
-    shape, each in [0, n): :mod:`model` checks a set's queries before it
-    plans them) the plan holds the absolute-counter address (-1 for naive
-    layouts), the relative-counter address (-1 where the block stores
-    none) and the raw cells ``lo .. hi`` its scan reads (``hi = lo - 1``
+    The batch counterpart of the layout's reader.  For every query (an
+    int64 array of any shape, each in [0, n): :func:`_set_pass` checks a
+    set's queries before it plans them) the plan holds the
+    absolute-counter address (-1 for naive layouts), the relative-counter
+    address (-1 where the block stores none) and the raw cells ``lo .. hi`` its scan reads (``hi = lo - 1``
     when the scan is empty).  A query reads no cell twice, so its charged
     probes are the cells it reads that are not published.  Cell sets are
     boolean masks over the layout's cells, such as
@@ -400,7 +419,7 @@ class ProbePlan:
         return charged, gather(charged), (read, new_abs, new_rel, rel_at, scan_ends, raw_at)
 
     def set_pass(self, known: dict, gather):
-        """The set pass of :func:`model.simulate_set` over this plan's
+        """The set pass of :func:`simulate_set` over this plan's
         queries, which must be sorted and distinct, for w <= 64: the read
         step :meth:`read_order`, then every answer computed from the
         served contents.  Returns (answers dict, fetched cells) as the
@@ -430,6 +449,121 @@ class ProbePlan:
             slot = (word >> (self.entry % per * width).astype(np.uint64)) & np.uint64((1 << width) - 1)
             answers += slot * (self.rel_addr >= 0)  # a query with no relative counter adds none
         return dict(zip(self.queries.tolist(), answers.tolist())), dict(zip(charged, got))
+
+
+PLAN_MIN_QUERIES = 26  # set size from which the plan beats the reader
+
+
+def _set_pass(step_fn, queries, published: PublishedBits | None, source, answered: bool = True):
+    """Pass `queries` in increasing order through one charged map: a cell
+    fetched for one query reads free for the later ones.  Published cells
+    are read in place, never copied or changed.  Returns (answers dict,
+    fetched cells): every fetched address with its contents, in
+    first-seen order.  Unless `answered`, it returns those contents
+    alone; on the plan route they are then the plan's read step, with no
+    answer computed and no dict.
+
+    The set's distinct queries are checked against the step's params
+    before anything is read: TypeError for a query that is not an
+    integer, IndexError for one outside [0, n).  A list, tuple or array
+    of at least PLAN_MIN_QUERIES integers that is already strictly
+    increasing goes to numpy as it is; anything else is sorted and
+    deduplicated in Python.  The set then takes the route this module's
+    docstring gives.  Charged cells come from `source`, memory or a
+    footprint's :class:`_Tape`: a plan's :meth:`~ProbePlan.set_pass` (or
+    :meth:`~ProbePlan.read_order` alone) takes them in one
+    ``source.gather``, and the reader query by query."""
+    params = step_fn.params
+    plannable = params["word_bits"] <= 64
+    q = None
+    if plannable and isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
+        q = np.array(queries)
+        if q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
+            q = None  # floats, ints past 64 bits (object) or any other order
+    if q is None:
+        q = sorted(set(map(operator.index, queries)))
+    if len(q) and not (0 <= q[0] and q[-1] < params["n"]):
+        raise IndexError(f"query outside [0, {params['n']})")
+    known = published.cells if published is not None else {}
+    if plannable and len(q) >= PLAN_MIN_QUERIES:
+        plan = ProbePlan(params, q)
+        return plan.set_pass(known, source.gather) if answered else plan.read_order(known, source.gather)[1]
+    answers, fetched = {}, {}
+    for query in q:
+        steps, answers[query] = step_fn(query, known, fetched, source)
+        fetched.update(steps)
+    return (answers, fetched) if answered else fetched.values()
+
+
+def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
+    """Pass `queries` once against live memory, in increasing order.
+
+    Returns (answers dict, charged cells) as :func:`_set_pass` does.  The
+    contents are the set's footprint; the addresses are the union of the
+    charged probes of its queries."""
+    return _set_pass(step_fn, queries, published, memory)
+
+
+def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
+    """First-seen probed cell contents over `queries` in increasing order:
+    the set pass's fetched contents, with no answer computed on the plan
+    route."""
+    bits = _set_pass(step_fn, queries, published, memory, answered=False)
+    return Footprint(tuple(bits), memory.word_bits)
+
+
+class _Tape:
+    """A footprint read as memory: each charged cell is the next recorded
+    one, whatever its address."""
+
+    __slots__ = ("cells",)
+
+    def __init__(self, bits):
+        self.cells = iter(bits)
+
+    def read(self, address: int) -> int:
+        content = next(self.cells, None)
+        if content is None:
+            raise CorruptFootprint(f"footprint exhausted at address {address}")
+        return content
+
+    def gather(self, addresses) -> list:
+        contents = list(islice(self.cells, len(addresses)))
+        if len(contents) < len(addresses):
+            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
+        return contents
+
+
+def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):
+    """Re-run `queries` (increasing order) feeding charged probes from the
+    footprint instead of memory.
+
+    Returns (answers dict, charged cells), the same shape as
+    :func:`simulate_set` returns for the recorded set.  Raises
+    CorruptFootprint when the recording is too short or has cells left
+    over.
+    """
+    tape = _Tape(footprint.bits)
+    answers, charged = _set_pass(step_fn, queries, published, tape)
+    if next(tape.cells, None) is not None:
+        raise CorruptFootprint("footprint has cells left over")
+    return answers, charged
+
+
+def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits):
+    """Greedy detached pass over sorted `queries`: each is read once on its
+    own, and its answer and cells are kept when those cells miss every
+    kept query's.  Returns (answers dict, charged cells) as
+    :func:`simulate_set` over the kept queries does: their cells are
+    pairwise disjoint, so a set pass charges each the same cells."""
+    answers, kept = {}, {}
+    for q in queries:
+        steps, answer = step_fn(q, published.cells, {}, memory)
+        charged = dict(steps)
+        if kept.keys().isdisjoint(charged):
+            answers[q] = answer
+            kept.update(charged)
+    return answers, kept
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:

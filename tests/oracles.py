@@ -13,6 +13,10 @@ program to.
   probe by fetching the cell into that map.  ``run_query`` and
   ``probes_of_set`` take a layout's reader (and drive the generator of
   its params) or a hand-written generator.
+* ``driver_pass`` and ``greedy_scan``: a set pass and the greedy
+  detached pass, query by query through ``run_query``, the oracles of
+  :func:`rankprobe.structures.simulate_set` (and every route of a set
+  pass) and :func:`rankprobe.structures.detached_pass`.
 * ``popcount_rank(array, k)``: the ones among A[1..k], counted over
   the array's bits, apart from the prefix table
   (:meth:`rankprobe.bits.BitArray.ranks`) every layout's counters come
@@ -126,6 +130,31 @@ def probes_of_set(step_fn, queries, memory: CellMemory, published: PublishedBits
     """Traces for a query set plus the union of charged addresses."""
     traces = [run_query(step_fn, q, memory, published) for q in queries]
     return traces, {a for tr in traces for a in tr.addresses}
+
+
+def driver_pass(layout, queries):
+    """Each query's trace in increasing order, every cell an earlier one
+    fetched dropped: the oracle of a set pass."""
+    answers, fetched = {}, {}
+    for q in sorted(set(queries)):
+        trace = run_query(layout.step, q, layout.memory, layout.published)
+        answers[q] = trace.answer
+        for a, c in trace.steps:
+            fetched.setdefault(a, c)
+    return answers, fetched
+
+
+def greedy_scan(layout, queries):
+    """The queries, in order, that share no charged cell with a query
+    kept before them, and the cells the kept ones charge: the oracle of
+    ``detached_pass``."""
+    kept, used = [], {}
+    for q in queries:
+        steps = run_query(layout.step, q, layout.memory, layout.published).steps
+        if not any(a in used for a, _ in steps):
+            kept.append(q)
+            used.update(steps)
+    return kept, used
 
 
 def popcount_rank(array: BitArray, k: int) -> int:

@@ -25,11 +25,12 @@ from rankprobe.entropy import (
     deficit_from_counts,
     signature_counts,
 )
-from rankprobe.model import build_footprint, replay_from_footprint
 from rankprobe.structures import (
+    build_footprint,
     build_recursive,
     build_two_level,
     rank,
+    replay_from_footprint,
 )
 from oracles import binom_entropy_exact, run_query
 

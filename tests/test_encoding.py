@@ -21,9 +21,9 @@ from rankprobe.encoding import _simulate_sets
 from rankprobe.elimination import run_elimination
 from rankprobe.entropy import binom_entropy
 from rankprobe.errors import RefusalError
-from rankprobe.model import PublishedBits, detached_pass, simulate_set
-from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, layout_from_params
-from oracles import probes_of_set, run_query
+from rankprobe.model import PublishedBits
+from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, detached_pass, layout_from_params, simulate_set
+from oracles import greedy_scan, probes_of_set, run_query
 from test_set_pass import layouts as set_pass_layouts
 
 
@@ -336,12 +336,7 @@ def assert_detached_pass_is_greedy(layout, k, d):
     keeps, and gives what a set pass over them gives, in the same order.
     Returns the kept queries."""
     _, (answers, cells) = _simulate_sets(layout, k, d)
-    kept, used = [], set()
-    for q in block_queries(layout.n, k, d).tolist():
-        addrs = set(run_query(layout.step, q, layout.memory, layout.published).addresses)
-        if not addrs & used:
-            kept.append(q)
-            used |= addrs
+    kept = greedy_scan(layout, block_queries(layout.n, k, d).tolist())[0]
     assert list(answers) == kept
     want_answers, want_cells = simulate_set(layout.step, kept, layout.memory, layout.published)
     assert list(answers.items()) == list(want_answers.items())

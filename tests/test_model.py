@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from rankprobe.bits import BitArray
-from rankprobe.model import (
-    CellMemory,
-    CorruptFootprint,
-    Footprint,
-    PublishedBits,
-    SimulationFault,
+from rankprobe.errors import CorruptFootprint, SimulationFault
+from rankprobe.model import CellMemory, Footprint, PublishedBits
+from rankprobe.structures import (
+    ProbePlan,
     build_footprint,
+    build_naive,
+    build_recursive,
+    build_two_level,
     replay_from_footprint,
     simulate_set,
 )
-from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level
-from oracles import probes_of_set, run_query
+from oracles import driver_pass, probes_of_set, run_query
 
 
 def sum_step(query):
@@ -243,9 +243,6 @@ def test_set_pass_fetches_each_query_steps_once():
     layout.published.publish_cells(layout.memory, [1, 5, raw, raw + 3, layout.params["rel_base"]])
     queries = [4999, 300, 17, 310, 2047, 2048, 1000, 260, 3333, 3334, 0]
     _, fetched = simulate_set(layout.step, queries, layout.memory, layout.published)
-    want = {}
-    for q in sorted(queries):
-        for a, c in run_query(layout.step, q, layout.memory, layout.published).steps:
-            want.setdefault(a, c)
+    want = driver_pass(layout, queries)[1]
     assert list(fetched.items()) == list(want.items())
     assert not fetched.keys() & layout.published.cells.keys()

@@ -17,8 +17,19 @@ from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint, SimulationFault
-from rankprobe.model import CellMemory, Footprint, ProbeTrace, build_footprint, detached_pass, replay_from_footprint, simulate_set
-from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage, rank
+from rankprobe.model import CellMemory, Footprint, ProbeTrace
+from rankprobe.structures import (
+    ProbePlan,
+    build_footprint,
+    build_naive,
+    build_recursive,
+    build_two_level,
+    detached_pass,
+    max_stage,
+    rank,
+    replay_from_footprint,
+    simulate_set,
+)
 from oracles import popcount_rank, query_generator, run_query
 from test_set_pass import layouts as set_pass_layouts
 

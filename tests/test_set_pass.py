@@ -1,7 +1,7 @@
 """The two routes of a set pass against the driver.
 
 A set pass over a layout's step takes :meth:`ProbePlan.set_pass` from
-``model.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the layout's
+``structures.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the layout's
 reader below that.  The generator driver of ``tests/oracles.py``, query
 by query, is the oracle: both routes must give the same answers, and
 the same fetched cells in the same order.
@@ -15,14 +15,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rankprobe import model
+from rankprobe import structures
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint
-from rankprobe.model import Footprint, build_footprint, replay_from_footprint, simulate_set
-from rankprobe.structures import ProbePlan, build_naive, build_recursive, build_two_level, max_stage
-from oracles import popcount_rank, run_query
+from rankprobe.model import Footprint
+from rankprobe.structures import ProbePlan, build_footprint, build_naive, build_recursive, build_two_level, max_stage, replay_from_footprint, simulate_set
+from oracles import driver_pass, popcount_rank
 
-C = model.PLAN_MIN_QUERIES
+C = structures.PLAN_MIN_QUERIES
 
 
 @st.composite
@@ -51,18 +51,6 @@ def layouts(draw):
         cells = draw(st.lists(st.integers(0, layout.memory.cell_count - 1), max_size=20))
         layout.published.publish_cells(layout.memory, cells)
     return array, layout
-
-
-def driver_pass(layout, queries):
-    """What the driver gives for a set: each query's trace in increasing
-    order, with every cell an earlier query fetched dropped."""
-    answers, fetched = {}, {}
-    for q in sorted(queries):
-        trace = run_query(layout.step, q, layout.memory, layout.published)
-        answers[q] = trace.answer
-        for a, c in trace.steps:
-            fetched.setdefault(a, c)
-    return answers, fetched
 
 
 @settings(max_examples=250, deadline=None)
@@ -175,7 +163,7 @@ def query_shapes(draw, n):
 
 def _routes():
     """PLAN_MIN_QUERIES values that send every set to the plan (at w <= 64) or to the reader."""
-    return [mock.patch.object(model, "PLAN_MIN_QUERIES", m) for m in (1, 10**9)]
+    return [mock.patch.object(structures, "PLAN_MIN_QUERIES", m) for m in (1, 10**9)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,21 +3,21 @@
     python3 tools/fuzz.py --seconds 30 --seed 1
 
 Run from anywhere; it imports the ``rankprobe`` of the checkout it sits
-in, and its oracles, the query-generator driver ``run_query``, the
-popcount rank ``popcount_rank`` and the full-grid offset scan
-``choose_offset_full_grid``, from that checkout's ``tests/oracles.py``.
-Cases cycle through four families until the time budget is spent:
+in, and its oracles from that checkout's ``tests/oracles.py``: the
+query-generator driver ``run_query``, the set pass ``driver_pass`` and
+the greedy scan ``greedy_scan`` over it, the popcount rank
+``popcount_rank`` and the full-grid offset scan
+``choose_offset_full_grid``.  Four families share the time budget: each
+next case goes to the family that has spent the least time so far.
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
   65 and 96) with random published cells, and a query set of about
-  ``model.PLAN_MIN_QUERIES`` queries, so both routes of a set pass come
-  up.  ``simulate_set``, ``build_footprint`` and
-  ``replay_from_footprint`` must give what ``run_query`` gives query by
-  query, with each cell an earlier query fetched dropped, and the
-  answers ``popcount_rank`` gives.
-  ``detached_pass`` over the distinct queries must keep exactly the
-  queries a greedy scan over ``run_query`` address sets keeps, with the
-  answers and cells a set pass over them gives.
+  ``structures.PLAN_MIN_QUERIES`` queries, so both routes of a set pass
+  come up.  ``simulate_set``, ``build_footprint`` and
+  ``replay_from_footprint`` must give what ``driver_pass`` gives, and
+  the answers ``popcount_rank`` gives.  ``detached_pass`` over the
+  distinct queries must keep exactly the queries ``greedy_scan`` keeps,
+  with the answers and cells a set pass over them gives.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace) and
   ``popcount_rank``.
@@ -28,17 +28,17 @@ Cases cycle through four families until the time budget is spent:
   (which first publishes the redundancy) half the time, at a random k in
   [1, n // 2] and the offset ``choose_offset`` gives or a random one.
   ``decode`` of the record, through its ``RPE1`` bytes, must give back
-  the array; the footprints must hold the cells the reference set and
-  the greedy detached set charge under ``run_query``, in probe order,
-  and component 6 every other cell in address order.  A ``RefusalError`` with one of the
-  two messages of a ledger a record cannot carry is counted as a
-  refusal, not a failure.
+  the array; the footprints must hold the cells ``driver_pass`` of the
+  reference set and ``greedy_scan`` of the detached set charge, in
+  probe order, and component 6 every other cell in address order.  A
+  ``RefusalError`` with one of the two messages of a ledger a record
+  cannot carry is counted as a refusal, not a failure.
 
 Case i of a run draws everything from ``numpy.random.default_rng([seed,
 i])``, so ``case_seed`` names it.  Prints one JSON object: the count of
-cases, refusals and failures per family, and the first failing case
-with its seed and what went wrong (null when none failed).  Exits 1 when
-a case failed.  Not part of the test suite.
+cases, refusals and failures and the seconds spent per family, and the
+first failing case with its seed and what went wrong (null when none
+failed).  Exits 1 when a case failed.  Not part of the test suite.
 """
 
 from __future__ import annotations
@@ -56,14 +56,24 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rankprobe import model  # noqa: E402
+from rankprobe import structures  # noqa: E402
 from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
 from rankprobe.encoding import EncodingRecord, choose_offset, decode, encode  # noqa: E402
 from rankprobe.errors import RefusalError  # noqa: E402
-from rankprobe.model import build_footprint, detached_pass, replay_from_footprint, simulate_set  # noqa: E402
-from rankprobe.structures import block_queries, build_naive, build_recursive, build_two_level, max_stage, rank  # noqa: E402
-from oracles import choose_offset_full_grid, popcount_rank, run_query  # noqa: E402
+from rankprobe.structures import (  # noqa: E402
+    block_queries,
+    build_footprint,
+    build_naive,
+    build_recursive,
+    build_two_level,
+    detached_pass,
+    max_stage,
+    rank,
+    replay_from_footprint,
+    simulate_set,
+)
+from oracles import choose_offset_full_grid, driver_pass, greedy_scan, popcount_rank, run_query  # noqa: E402
 
 WIDTHS = (7, 32, 64, 65, 96)
 REFUSALS = (  # the ledgers a record cannot carry, as encode words them
@@ -104,31 +114,6 @@ def random_layout(rng):
     return array, layout, desc
 
 
-def driver_pass(layout, queries):
-    """Each query's trace in increasing order, every cell an earlier one
-    fetched dropped: the oracle of a set pass."""
-    answers, fetched = {}, {}
-    for q in sorted(set(queries)):
-        trace = run_query(layout.step, q, layout.memory, layout.published)
-        answers[q] = trace.answer
-        for a, c in trace.steps:
-            fetched.setdefault(a, c)
-    return answers, fetched
-
-
-def greedy_scan(layout, queries):
-    """The queries, in order, that share no charged cell with a query
-    kept before them, and the cells the kept ones charge: the oracle of
-    ``detached_pass``."""
-    kept, used = [], {}
-    for q in queries:
-        steps = run_query(layout.step, q, layout.memory, layout.published).steps
-        if not any(a in used for a, _ in steps):
-            kept.append(q)
-            used.update(steps)
-    return kept, used
-
-
 def check(ok: bool, what: str) -> None:
     if not ok:
         raise AssertionError(what)
@@ -136,7 +121,7 @@ def check(ok: bool, what: str) -> None:
 
 def sets_case(rng, case: dict) -> None:
     array, layout, case["layout"] = random_layout(rng)
-    n, c = layout.n, model.PLAN_MIN_QUERIES
+    n, c = layout.n, structures.PLAN_MIN_QUERIES
     size = int(rng.integers(max(1, c - 8), c + 9)) if rng.random() < 0.8 else int(rng.integers(1, 3 * c))
     queries = rng.integers(0, n, size=size)
     if rng.random() < 0.5:
@@ -220,12 +205,12 @@ FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode
 
 
 def fuzz(seconds: float, seed: int) -> dict:
-    counts = {name: {"cases": 0, "refusals": 0, "failures": 0} for name in FAMILIES}
+    counts = {name: {"cases": 0, "refusals": 0, "failures": 0, "seconds": 0.0} for name in FAMILIES}
     first = None
     deadline = time.monotonic() + seconds
     i = 0
-    while time.monotonic() < deadline:
-        name = list(FAMILIES)[i % len(FAMILIES)]
+    while (start := time.monotonic()) < deadline:
+        name = min(FAMILIES, key=lambda f: counts[f]["seconds"])  # ties go to the first listed
         case = {"family": name, "case_seed": [seed, i]}
         counts[name]["cases"] += 1
         try:
@@ -237,7 +222,10 @@ def fuzz(seconds: float, seed: int) -> dict:
                 case["error"] = f"{type(e).__name__}: {e}"
                 case["where"] = traceback.format_exc(limit=-1).strip().splitlines()[-3:]
                 first = case
+        counts[name]["seconds"] += time.monotonic() - start
         i += 1
+    for c in counts.values():
+        c["seconds"] = round(c["seconds"], 3)
     return {"seed": seed, "seconds": seconds, "families": counts, "first_failure": first}
 
 
