@@ -43,10 +43,17 @@ w <= 64 goes to a plan, whose :meth:`~ProbePlan.read_order` lists the
 same cells in the same first-seen order and fetches them in one
 ``gather`` (all a footprint records), and whose
 :meth:`~ProbePlan.set_pass` also computes every answer from them.
-Every other set goes to the reader, as do a single ``rank`` and
-encoding's greedy :func:`detached_pass`, which reads each query on its
-own.  The tests hold the reader and every plan to a query-generator
-driver kept with them as their oracle.
+What the plan computes from the params and the queries alone is its
+program: the read order and where each answer's cells stand in it.
+Only the data step that serves the cells and sums them depends on the
+memory or tape and on the published cells.  So a set pass takes its
+plan from a small cache keyed by the params and the query values, and
+a replay, or the re-encode that checks a decode, runs the program of
+the pass before it over new contents.  The cached arrays are
+read-only.  Every other set goes to the reader, as do a single
+``rank`` and encoding's greedy :func:`detached_pass`, which reads each
+query on its own.  The tests hold the reader and every plan to a
+query-generator driver kept with them as their oracle.
 
 A :class:`StructureLayout` is its memory and params: its
 reader is the one of its params, and its published ledger starts empty.
@@ -56,6 +63,7 @@ an array.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -336,6 +344,7 @@ class ProbePlan:
         q = np.asarray(queries, dtype=np.int64)
         self.params = params
         self.queries = q
+        self._reads = self._answers = None  # the set-pass program, once a pass needs it
         self.hi = q // params["word_bits"]
         if params["kind"] == "naive":
             self.abs_addr = self.rel_addr = np.full(q.shape, -1, dtype=np.int64)
@@ -391,64 +400,130 @@ class ProbePlan:
         hits += _flagged(self.rel_addr, mask) & new_rel
         return hits.sum(axis=-1)
 
+    def _read_program(self):
+        """The read half of the set-pass program over this plan's queries,
+        which must be sorted and distinct, computed once per plan: it
+        depends on the params and the queries alone.
+
+        Per query the set reads three runs of cells, each where
+        :meth:`_new_reads` finds it new: the absolute counter, the
+        relative counter, then the new part of the scan.  Returns the
+        cells read, as a tuple in that first-seen probe order, and three
+        read-only arrays: per run (query-major) the position just past its
+        last cell in that order, or 0 where it reads none; per query how
+        many raw cells the set has read through it; and, after a first
+        entry for a zero cell (any position), the position of each raw
+        cell read, in address order."""
+        if self._reads is None:
+            new_abs, new_rel, start = self._new_reads()
+            runs = np.empty((self.queries.size, 3), dtype=np.int64)
+            runs[:, 0], runs[:, 1] = new_abs, new_rel
+            scan = runs[:, 2]
+            np.maximum(self.hi + 1 - start, 0, out=scan)
+            firsts = np.empty_like(runs)  # the address each run starts at
+            firsts[:, 0], firsts[:, 1], firsts[:, 2] = self.abs_addr, self.rel_addr, start
+            runs = runs.ravel()
+            ends = np.add.accumulate(runs)
+            read = np.repeat(firsts.ravel() - ends + runs, runs) + np.arange(ends[-1])
+            scan_ends = np.add.accumulate(scan)
+            raw_at = np.zeros(scan_ends[-1] + 1, dtype=np.int64)
+            raw_at[1:] = np.repeat(ends[2::3] - scan_ends, scan) + np.arange(scan_ends[-1])
+            self._reads = (tuple(read.tolist()), *_read_only(ends * runs, scan_ends, raw_at))
+        return self._reads
+
+    def _answer_program(self):
+        """The answer half of the set-pass program, computed the first time
+        an answered pass needs it.
+
+        After one zero cell, the raw cells read in address order hold a
+        query's scan lo .. hi as the last hi + 1 - lo of them through its
+        own, so the scan is read between two entries of their popcount
+        prefix.  A shift takes the bits at or past the position off its
+        last cell (an empty scan shifts that cell by w, and numpy shifts a
+        uint64 by 64 to 0, so it takes off nothing).  Its counters are the
+        latest new ones in the read order; a query whose block stores no
+        relative counter shifts that word by 64, so it adds none.  Returns
+        the query list; read-only rows of, per query, where its scan starts
+        among the raw cells, its last-cell shift and, on a counter layout,
+        the positions of its absolute counter and relative word and its
+        slot shift; the same rows as uint64; and the slot mask (None on a
+        naive layout)."""
+        if self._answers is None:
+            _, reached, scan_ends, _ = self._read_program()
+            counters = self.params["kind"] != "naive"
+            rows = np.empty((5 if counters else 2, self.queries.size), dtype=np.int64)
+            np.subtract(scan_ends, self.hi + 1 - self.lo, out=rows[0])
+            np.remainder(self.queries, self.params["word_bits"], out=rows[1])
+            rows[1] += 1
+            slot_mask = None
+            if counters:
+                # query 0 reads its absolute counter, so only a relative word can stay at -1
+                np.maximum.accumulate(reached.reshape(-1, 3).T[:2], axis=1, out=rows[2:4])
+                rows[2:4] -= 1
+                width, per = self.params["width"], self.params["per_cell"]
+                np.multiply(self.entry % per, width, out=rows[4])
+                rows[4][self.rel_addr < 0] = 64
+                slot_mask = np.uint64((1 << width) - 1)
+            _read_only(rows)
+            self._answers = (tuple(self.queries.tolist()), rows, rows.view(np.uint64), slot_mask)
+        return self._answers
+
     def read_order(self, known: dict, gather):
         """The read step of a set pass over this plan's queries, which must
-        be sorted and distinct.
-
-        Lists the cells the set reads in first-seen probe order by
-        :meth:`_new_reads`'s rule: per query the absolute counter, the
-        relative counter, then the new part of the scan, each where it is
-        new.  Cells in `known` (the published cells, read in place) are
+        be sorted and distinct: the cells of :meth:`_read_program`'s
+        order.  Cells in `known` (the published cells, read in place) are
         served from it; `gather(addresses)` gives the contents of the
         others, in that order, as a list.  Returns (charged addresses,
-        their contents, the read order), the last for :meth:`set_pass`.  A
-        footprint is the contents alone."""
-        new_abs, new_rel, start = self._new_reads()
-        scan = np.maximum(self.hi + 1 - start, 0)
-        ends = np.add.accumulate(scan + new_abs + new_rel)
-        rel_at = ends - scan - new_rel  # where a query's relative counter goes
-        scan_ends = np.add.accumulate(scan)  # the raw cells read so far, in address order
-        read = np.empty(ends[-1], dtype=np.int64)
-        read[(rel_at - 1)[new_abs]] = self.abs_addr[new_abs]
-        read[rel_at[new_rel]] = self.rel_addr[new_rel]
-        ramp = np.arange(scan_ends[-1])
-        raw_at = ramp + np.repeat(ends - scan_ends, scan)
-        read[raw_at] = ramp + np.repeat(start - scan_ends + scan, scan)
-        read = read.tolist()
+        their contents).  A footprint is the contents alone."""
+        read = self._read_program()[0]
         charged = [a for a in read if a not in known] if known else read
-        return charged, gather(charged), (read, new_abs, new_rel, rel_at, scan_ends, raw_at)
+        return charged, gather(charged)
 
     def set_pass(self, known: dict, gather):
         """The set pass of :func:`simulate_set` over this plan's
         queries, which must be sorted and distinct, for w <= 64: the read
         step :meth:`read_order`, then every answer computed from the
-        served contents.  Returns (answers dict, fetched cells) as the
-        reader's set pass does."""
-        charged, got, (read, new_abs, new_rel, rel_at, scan_ends, raw_at) = self.read_order(known, gather)
-        w = self.params["word_bits"]
+        served contents by :meth:`_answer_program`.  Returns (answers
+        dict, fetched cells) as the reader's set pass does."""
+        charged, got = self.read_order(known, gather)
+        read, _, scan_ends, raw_at = self._read_program()
+        keys, rows, urows, slot_mask = self._answer_program()
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)
         else:
             served = np.array(got, dtype=np.uint64)
-
-        # The raw cells read, in address order, after one zero cell: a
-        # query's scan lo .. hi is the last hi + 1 - lo of them through its
-        # own.  Its last cell's bits at or past the position come off (an
-        # empty scan shifts its cell by w, and numpy shifts a uint64 by 64
-        # to 0, so it takes off nothing).
-        raw = np.zeros(raw_at.size + 1, dtype=np.uint64)
-        raw[1:] = served[raw_at]
+        raw = served[raw_at]
+        raw[0] = 0
         ones = np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64)
-        answers = ones[scan_ends] - ones[scan_ends - (self.hi + 1 - self.lo)]
-        answers -= np.bitwise_count(raw[scan_ends] >> (self.queries + 1 - self.hi * w).astype(np.uint64))
-        if self.params["kind"] != "naive":  # the latest new counter is each query's
-            width, per = self.params["width"], self.params["per_cell"]
-            answers += served[np.maximum.accumulate(np.where(new_abs, rel_at - 1, 0))]
-            word = served[np.maximum.accumulate(np.where(new_rel, rel_at, 0))]
-            slot = (word >> (self.entry % per * width).astype(np.uint64)) & np.uint64((1 << width) - 1)
-            answers += slot * (self.rel_addr >= 0)  # a query with no relative counter adds none
-        return dict(zip(self.queries.tolist(), answers.tolist())), dict(zip(charged, got))
+        answers = ones[scan_ends] - ones[rows[0]]
+        answers -= np.bitwise_count(raw[scan_ends] >> urows[1])
+        if slot_mask is not None:
+            answers += served[rows[2]]
+            answers += (served[rows[3]] >> urows[4]) & slot_mask
+        return dict(zip(keys, answers.tolist())), dict(zip(charged, got))
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, each made read-only in place."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+SET_PLANS = 2  # a decode's reference and detached replays, reused by its re-encode
+
+
+@functools.lru_cache(maxsize=SET_PLANS)
+def _set_plan(params: tuple, queries: bytes) -> ProbePlan:
+    """The plan of a set pass, cached by value: `params` is a layout's
+    params as a tuple of items and `queries` the set's int64 bytes.
+    Probe addresses depend on those alone, never on the data or the
+    published cells, so a replay reuses the program of the footprint
+    that recorded it.  Every array of a cached plan is read-only."""
+    plan = ProbePlan(dict(params), np.frombuffer(queries, dtype=np.int64))
+    _read_only(*(a for a in vars(plan).values() if isinstance(a, np.ndarray)))
+    return plan
 
 
 PLAN_MIN_QUERIES = 26  # set size from which the plan beats the reader
@@ -469,10 +544,10 @@ def _set_pass(step_fn, queries, published: PublishedBits | None, source, answere
     of at least PLAN_MIN_QUERIES integers that is already strictly
     increasing goes to numpy as it is; anything else is sorted and
     deduplicated in Python.  The set then takes the route this module's
-    docstring gives.  Charged cells come from `source`, memory or a
-    footprint's :class:`_Tape`: a plan's :meth:`~ProbePlan.set_pass` (or
-    :meth:`~ProbePlan.read_order` alone) takes them in one
-    ``source.gather``, and the reader query by query."""
+    docstring gives, a plan coming from :func:`_set_plan`.  Charged cells
+    come from `source`, memory or a footprint's :class:`_Tape`: a plan's
+    :meth:`~ProbePlan.set_pass` (or :meth:`~ProbePlan.read_order` alone)
+    takes them in one ``source.gather``, and the reader query by query."""
     params = step_fn.params
     plannable = params["word_bits"] <= 64
     q = None
@@ -481,12 +556,14 @@ def _set_pass(step_fn, queries, published: PublishedBits | None, source, answere
         if q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
             q = None  # floats, ints past 64 bits (object) or any other order
     if q is None:
+        if isinstance(queries, np.ndarray) and queries.dtype.kind in "iu":
+            queries = queries.tolist()  # Python ints, not numpy scalars, for the reader
         q = sorted(set(map(operator.index, queries)))
     if len(q) and not (0 <= q[0] and q[-1] < params["n"]):
         raise IndexError(f"query outside [0, {params['n']})")
     known = published.cells if published is not None else {}
     if plannable and len(q) >= PLAN_MIN_QUERIES:
-        plan = ProbePlan(params, q)
+        plan = _set_plan(tuple(params.items()), np.asarray(q, dtype=np.int64).tobytes())
         return plan.set_pass(known, source.gather) if answered else plan.read_order(known, source.gather)[1]
     answers, fetched = {}, {}
     for query in q:

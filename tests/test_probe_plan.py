@@ -19,20 +19,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankprobe import structures
 from rankprobe.bits import BitArray
-from rankprobe.encoding import choose_offset
+from rankprobe.encoding import choose_offset, decode, encode
 from rankprobe.model import PublishedBits
 from rankprobe.structures import (
     ProbePlan,
     block_queries,
+    build_footprint,
     build_naive,
     build_recursive,
     build_two_level,
     max_stage,
     offset_starts,
+    replay_from_footprint,
+    simulate_set,
     stride_cover,
 )
-from oracles import choose_offset_full_grid, popcount_rank, probes_of_set, run_query
+from oracles import choose_offset_full_grid, driver_pass, popcount_rank, probes_of_set, run_query
 
 
 @st.composite
@@ -171,3 +175,87 @@ def test_choose_offset_memory_bounded():
         tracemalloc.stop()
     assert d == 511
     assert peak < 4 << 20
+
+
+def _programs(monkeypatch):
+    """Empty the set-pass plan cache and record the queries of every
+    read program computed from then on."""
+    structures._set_plan.cache_clear()
+    computed, new_reads = [], ProbePlan._new_reads
+
+    def spy(plan):
+        computed.append(plan.queries.tolist())
+        return new_reads(plan)
+
+    monkeypatch.setattr(ProbePlan, "_new_reads", spy)
+    return computed
+
+
+def test_footprint_and_replay_share_one_program(monkeypatch):
+    computed = _programs(monkeypatch)
+    array = BitArray.random(4096, np.random.default_rng(21))
+    layout = build_two_level(array)
+    layout.published.publish_cells(layout.memory, [64, 65, 3])
+    queries = list(range(5, 4096, 97))
+    assert len(queries) >= structures.PLAN_MIN_QUERIES
+    foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+    answers, fetched = replay_from_footprint(layout.step, queries, foot, layout.published)
+    assert computed == [queries]
+    assert answers == {q: popcount_rank(array, q + 1) for q in queries}
+    assert tuple(fetched.values()) == foot.bits
+    assert simulate_set(layout.step, np.array(queries), layout.memory, layout.published) == (answers, fetched)
+    # more published cells read free on the same program
+    layout.published.publish_cells(layout.memory, [0, 1, 2, 70, 71])
+    answers, fetched = simulate_set(layout.step, queries, layout.memory, layout.published)
+    want_answers, want = driver_pass(layout, queries)
+    assert list(answers.items()) == list(want_answers.items())
+    assert list(fetched.items()) == list(want.items()) and len(want) < len(foot.bits)
+    assert computed == [queries]
+
+
+def test_decode_computes_the_reference_program_once(monkeypatch):
+    # with the counters published each detached query reads its raw cell
+    # alone, so all k are kept and the detached replay takes a plan too
+    n, k = 4096, 64
+    array = BitArray.random(n, np.random.default_rng(22))
+    layout = build_two_level(array)
+    layout.publish_redundancy()
+    record = encode(layout, k)
+    computed = _programs(monkeypatch)
+    assert decode(record, layout.params, k) == array
+    reference = block_queries(n, k).tolist()
+    assert computed.count(reference) == 1
+    assert len(computed) == 2 and computed[1] == [q + record.offset for q in reference]
+
+
+def test_changed_query_list_gets_its_own_answers():
+    array = BitArray.random(4096, np.random.default_rng(23))
+    layout = build_two_level(array)
+    for queries in (list(range(3, 4096, 131)), np.arange(3, 4096, 131)):
+        for _ in range(3):
+            answers, _ = simulate_set(layout.step, queries, layout.memory, layout.published)
+            assert answers == {q: popcount_rank(array, q + 1) for q in map(int, queries)}
+            queries[4] += 1  # changed in place, still increasing
+
+
+def test_same_queries_on_other_geometries_get_their_own_answers():
+    a, b = (BitArray.random(4096, np.random.default_rng(seed)) for seed in (24, 25))
+    cases = [(a, build_two_level(a)), (a, build_recursive(a, 2)), (a, build_naive(a)), (b, build_two_level(b)), (a, build_two_level(a, 256, 32, 32))]
+    queries = list(range(11, 4096, 101))
+    for _ in range(2):
+        for array, layout in cases:
+            answers, fetched = simulate_set(layout.step, queries, layout.memory, layout.published)
+            assert answers == {q: popcount_rank(array, q + 1) for q in queries}
+            assert list(fetched.items()) == list(driver_pass(layout, queries)[1].items())
+
+
+def test_cached_plan_arrays_are_read_only():
+    for build in (build_two_level, build_naive):
+        layout = build(BitArray.random(4096, np.random.default_rng(26)))
+        queries = list(range(0, 4096, 77))
+        simulate_set(layout.step, queries, layout.memory, layout.published)
+        plan = structures._set_plan(tuple(layout.params.items()), np.array(queries, dtype=np.int64).tobytes())
+        arrays = [a for a in (*vars(plan).values(), *plan._read_program(), *plan._answer_program()) if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 8
+        for a in arrays:
+            assert not a.flags.writeable

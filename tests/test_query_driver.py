@@ -227,3 +227,24 @@ def test_naive_w1_answers_past_the_step_guard():
     assert trace.addresses == tuple(range(n))
     answers, cells = simulate_set(layout.step, [n - 1], layout.memory)
     assert answers == {n - 1: trace.answer} and list(cells.items()) == list(trace.steps)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
+def test_reader_route_takes_integer_arrays(dtype):
+    # arrays that stay on the reader (w > 64, or fewer than
+    # PLAN_MIN_QUERIES queries) give what the same list gives, keyed by
+    # Python ints; float arrays and queries outside [0, n) are refused
+    array = BitArray.random(4096, np.random.default_rng(18))
+    for layout, queries in (
+        (build_two_level(array, 384, 96, 96), [4000, 7, 7, 1000, 64, 3000, 5, 900, 2222, 4095, 96, 97, 191, 1500, 0, 3333, 2500, 2600, 2700, 2800, 2900, 3100, 3200, 3400, 3500, 3600, 3700]),
+        (build_two_level(array), [4000, 7, 7, 1000, 64]),
+    ):
+        want = simulate_set(layout.step, queries, layout.memory, layout.published)
+        got = simulate_set(layout.step, np.array(queries, dtype=dtype), layout.memory, layout.published)
+        assert list(got[0].items()) == list(want[0].items()) and list(got[1].items()) == list(want[1].items())
+        assert all(type(v) is int for v in (*got[0], *got[1]))
+        assert got[0] == {q: popcount_rank(array, q + 1) for q in queries}
+        with pytest.raises(TypeError):
+            simulate_set(layout.step, np.array(queries, dtype=np.float64), layout.memory, layout.published)
+        with pytest.raises(IndexError):
+            simulate_set(layout.step, np.array([*queries, 4096], dtype=dtype), layout.memory, layout.published)

@@ -17,7 +17,10 @@ next case goes to the family that has spent the least time so far.
   ``replay_from_footprint`` must give what ``driver_pass`` gives, and
   the answers ``popcount_rank`` gives.  ``detached_pass`` over the
   distinct queries must keep exactly the queries ``greedy_scan`` keeps,
-  with the answers and cells a set pass over them gives.
+  with the answers and cells a set pass over them gives.  The three set
+  passes then run the same queries twice more, held to ``driver_pass``
+  each time: after a few more cells are published, and on a layout of
+  the same geometry over another array.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace) and
   ``popcount_rank``.
@@ -68,6 +71,7 @@ from rankprobe.structures import (  # noqa: E402
     build_recursive,
     build_two_level,
     detached_pass,
+    layout_from_params,
     max_stage,
     rank,
     replay_from_footprint,
@@ -119,6 +123,24 @@ def check(ok: bool, what: str) -> None:
         raise AssertionError(what)
 
 
+def check_set_passes(array, layout, queries, what: str) -> dict:
+    """``simulate_set``, ``build_footprint`` and ``replay_from_footprint``
+    of `queries` on `layout` against ``driver_pass`` and
+    ``popcount_rank``; returns the driver's answers."""
+    want_answers, want = driver_pass(layout, np.asarray(queries).tolist())
+    check(want_answers == {q: popcount_rank(array, q + 1) for q in want_answers}, "driver answers differ from popcount_rank")
+    args = (layout.memory, layout.published)
+    foot = build_footprint(layout.step, queries, *args)
+    check(foot.bits == tuple(want.values()), f"build_footprint differs from the driver{what}")
+    for name, (answers, fetched) in (
+        ("simulate_set", simulate_set(layout.step, queries, *args)),
+        ("replay_from_footprint", replay_from_footprint(layout.step, queries, foot, layout.published)),
+    ):
+        check(list(answers.items()) == list(want_answers.items()), f"{name} answers differ from the driver{what}")
+        check(list(fetched.items()) == list(want.items()), f"{name} cells differ from the driver{what}")
+    return want_answers
+
+
 def sets_case(rng, case: dict) -> None:
     array, layout, case["layout"] = random_layout(rng)
     n, c = layout.n, structures.PLAN_MIN_QUERIES
@@ -128,25 +150,24 @@ def sets_case(rng, case: dict) -> None:
         queries = np.unique(queries)
     queries = queries if rng.random() < 0.5 else queries.tolist()
     case["queries"] = np.asarray(queries).tolist()
-    want_answers, want = driver_pass(layout, case["queries"])
-    check(want_answers == {q: popcount_rank(array, q + 1) for q in want_answers}, "driver answers differ from popcount_rank")
+    want_answers = check_set_passes(array, layout, queries, "")
 
     args = (layout.memory, layout.published)
-    foot = build_footprint(layout.step, queries, *args)
-    check(foot.bits == tuple(want.values()), "build_footprint differs from the driver")
-    for name, (answers, fetched) in (
-        ("simulate_set", simulate_set(layout.step, queries, *args)),
-        ("replay_from_footprint", replay_from_footprint(layout.step, queries, foot, layout.published)),
-    ):
-        check(list(answers.items()) == list(want_answers.items()), f"{name} answers differ from the driver")
-        check(list(fetched.items()) == list(want.items()), f"{name} cells differ from the driver")
-
     kept = greedy_scan(layout, want_answers)[0]
     answers, cells = detached_pass(layout.step, list(want_answers), *args)
     check(list(answers) == kept, "detached_pass keeps other queries than the greedy scan")
     kept_answers, kept_cells = simulate_set(layout.step, kept, *args)
     check(list(answers.items()) == list(kept_answers.items()), "detached_pass answers differ from a set pass")
     check(list(cells.items()) == list(kept_cells.items()), "detached_pass cells differ from a set pass")
+
+    # The same queries again, after more cells are published and on
+    # another array of the same geometry: a set pass may reuse what it
+    # computed from the params and the queries, never the ledger or the data.
+    more = case["published_more"] = rng.integers(0, layout.memory.cell_count, size=int(rng.integers(1, 6))).tolist()
+    layout.published.publish_cells(layout.memory, more)
+    check_set_passes(array, layout, queries, " after more cells were published")
+    other = BitArray.random(n, rng)
+    check_set_passes(other, layout_from_params(other, layout.params), queries, " on another array")
 
 
 def rank_case(rng, case: dict) -> None:
