@@ -57,21 +57,21 @@ class CellMemory:
 
     def gather(self, addresses) -> list:
         """The contents of a list of addresses, checked as :meth:`read`
-        checks one; a range of them in memory is one slice, and a sequence
-        of several with no negative address one ``itemgetter`` call."""
+        checks one: a range of them in memory is one slice, and a list of
+        several one ``itemgetter`` call."""
         cells = self.cells
         if addresses.__class__ is range and addresses.start >= 0 and addresses.step == 1:
             got = cells[addresses.start : addresses.stop]
             if len(got) == len(addresses):
                 return got
-        elif len(addresses) > 1 and min(addresses) >= 0:
+        if len(addresses) < 2:
+            return [self.read(a) for a in addresses]
+        if min(addresses) >= 0:
             try:
                 return list(itemgetter(*addresses)(cells))
-            except IndexError:  # past the end: reported below
+            except IndexError:  # past the end
                 pass
-        if addresses and (min(addresses) < 0 or max(addresses) >= len(cells)):
-            self.read(next(a for a in addresses if not 0 <= a < len(cells)))
-        return [cells[a] for a in addresses]
+        self.read(next(a for a in addresses if not 0 <= a < len(cells)))
 
     def total_bits(self) -> int:
         return len(self.cells) * self.word_bits

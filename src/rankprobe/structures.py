@@ -344,7 +344,7 @@ class ProbePlan:
         q = np.asarray(queries, dtype=np.int64)
         self.params = params
         self.queries = q
-        self._reads = self._answers = None  # the set-pass program, once a pass needs it
+        self._cached = None  # the set-pass program, once a pass needs it
         self.hi = q // params["word_bits"]
         if params["kind"] == "naive":
             self.abs_addr = self.rel_addr = np.full(q.shape, -1, dtype=np.int64)
@@ -400,21 +400,33 @@ class ProbePlan:
         hits += _flagged(self.rel_addr, mask) & new_rel
         return hits.sum(axis=-1)
 
-    def _read_program(self):
-        """The read half of the set-pass program over this plan's queries,
-        which must be sorted and distinct, computed once per plan: it
-        depends on the params and the queries alone.
+    def _program(self):
+        """The set-pass program over this plan's queries, which must be
+        sorted and distinct, computed on the plan's first pass: it depends
+        on the params and the queries alone.
 
         Per query the set reads three runs of cells, each where
         :meth:`_new_reads` finds it new: the absolute counter, the
-        relative counter, then the new part of the scan.  Returns the
-        cells read, as a tuple in that first-seen probe order, and three
-        read-only arrays: per run (query-major) the position just past its
-        last cell in that order, or 0 where it reads none; per query how
-        many raw cells the set has read through it; and, after a first
-        entry for a zero cell (any position), the position of each raw
-        cell read, in address order."""
-        if self._reads is None:
+        relative counter, then the new part of the scan.  After one zero
+        cell, the raw cells read in address order hold a query's scan
+        lo .. hi as the last hi + 1 - lo of them through its own, so the
+        scan is read between two entries of their popcount prefix.  A
+        shift takes the bits at or past the position off its last cell (an
+        empty scan shifts that cell by w, and numpy shifts a uint64 by 64
+        to 0, so it takes off nothing).  Its counters are the latest new
+        ones in the read order; a query whose block stores no relative
+        counter shifts that word by 64, so it adds none.
+
+        Returns the cells read, as a tuple in that first-seen probe order;
+        per query how many raw cells the set has read through it; after a
+        first entry for the zero cell (any position), the position of each
+        raw cell read, in address order; the query list; rows of, per
+        query, where its scan starts among the raw cells, its last-cell
+        shift and, on a counter layout, the positions of its absolute
+        counter and relative word and its slot shift; the same rows as
+        uint64; and the slot mask (None on a naive layout).  The arrays
+        are read-only."""
+        if self._cached is None:
             new_abs, new_rel, start = self._new_reads()
             runs = np.empty((self.queries.size, 3), dtype=np.int64)
             runs[:, 0], runs[:, 1] = new_abs, new_rel
@@ -428,28 +440,7 @@ class ProbePlan:
             scan_ends = np.add.accumulate(scan)
             raw_at = np.zeros(scan_ends[-1] + 1, dtype=np.int64)
             raw_at[1:] = np.repeat(ends[2::3] - scan_ends, scan) + np.arange(scan_ends[-1])
-            self._reads = (tuple(read.tolist()), *_read_only(ends * runs, scan_ends, raw_at))
-        return self._reads
 
-    def _answer_program(self):
-        """The answer half of the set-pass program, computed the first time
-        an answered pass needs it.
-
-        After one zero cell, the raw cells read in address order hold a
-        query's scan lo .. hi as the last hi + 1 - lo of them through its
-        own, so the scan is read between two entries of their popcount
-        prefix.  A shift takes the bits at or past the position off its
-        last cell (an empty scan shifts that cell by w, and numpy shifts a
-        uint64 by 64 to 0, so it takes off nothing).  Its counters are the
-        latest new ones in the read order; a query whose block stores no
-        relative counter shifts that word by 64, so it adds none.  Returns
-        the query list; read-only rows of, per query, where its scan starts
-        among the raw cells, its last-cell shift and, on a counter layout,
-        the positions of its absolute counter and relative word and its
-        slot shift; the same rows as uint64; and the slot mask (None on a
-        naive layout)."""
-        if self._answers is None:
-            _, reached, scan_ends, _ = self._read_program()
             counters = self.params["kind"] != "naive"
             rows = np.empty((5 if counters else 2, self.queries.size), dtype=np.int64)
             np.subtract(scan_ends, self.hi + 1 - self.lo, out=rows[0])
@@ -458,24 +449,26 @@ class ProbePlan:
             slot_mask = None
             if counters:
                 # query 0 reads its absolute counter, so only a relative word can stay at -1
-                np.maximum.accumulate(reached.reshape(-1, 3).T[:2], axis=1, out=rows[2:4])
+                reached = (ends * runs).reshape(-1, 3).T[:2]  # past a run's last cell, or 0
+                np.maximum.accumulate(reached, axis=1, out=rows[2:4])
                 rows[2:4] -= 1
                 width, per = self.params["width"], self.params["per_cell"]
                 np.multiply(self.entry % per, width, out=rows[4])
                 rows[4][self.rel_addr < 0] = 64
                 slot_mask = np.uint64((1 << width) - 1)
-            _read_only(rows)
-            self._answers = (tuple(self.queries.tolist()), rows, rows.view(np.uint64), slot_mask)
-        return self._answers
+            _read_only(scan_ends, raw_at, rows)
+            self._cached = (tuple(read.tolist()), scan_ends, raw_at, tuple(self.queries.tolist()),
+                            rows, rows.view(np.uint64), slot_mask)
+        return self._cached
 
     def read_order(self, known: dict, gather):
         """The read step of a set pass over this plan's queries, which must
-        be sorted and distinct: the cells of :meth:`_read_program`'s
+        be sorted and distinct: the cells of :meth:`_program`'s read
         order.  Cells in `known` (the published cells, read in place) are
         served from it; `gather(addresses)` gives the contents of the
         others, in that order, as a list.  Returns (charged addresses,
         their contents).  A footprint is the contents alone."""
-        read = self._read_program()[0]
+        read = self._program()[0]
         charged = [a for a in read if a not in known] if known else read
         return charged, gather(charged)
 
@@ -483,11 +476,10 @@ class ProbePlan:
         """The set pass of :func:`simulate_set` over this plan's
         queries, which must be sorted and distinct, for w <= 64: the read
         step :meth:`read_order`, then every answer computed from the
-        served contents by :meth:`_answer_program`.  Returns (answers
+        served contents by :meth:`_program`.  Returns (answers
         dict, fetched cells) as the reader's set pass does."""
         charged, got = self.read_order(known, gather)
-        read, _, scan_ends, raw_at = self._read_program()
-        keys, rows, urows, slot_mask = self._answer_program()
+        read, scan_ends, raw_at, keys, rows, urows, slot_mask = self._program()
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)

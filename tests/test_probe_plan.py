@@ -179,7 +179,7 @@ def test_choose_offset_memory_bounded():
 
 def _programs(monkeypatch):
     """Empty the set-pass plan cache and record the queries of every
-    read program computed from then on."""
+    set-pass program computed from then on."""
     structures._set_plan.cache_clear()
     computed, new_reads = [], ProbePlan._new_reads
 
@@ -255,7 +255,7 @@ def test_cached_plan_arrays_are_read_only():
         queries = list(range(0, 4096, 77))
         simulate_set(layout.step, queries, layout.memory, layout.published)
         plan = structures._set_plan(tuple(layout.params.items()), np.array(queries, dtype=np.int64).tobytes())
-        arrays = [a for a in (*vars(plan).values(), *plan._read_program(), *plan._answer_program()) if isinstance(a, np.ndarray)]
+        arrays = [a for a in (*vars(plan).values(), *plan._program()) if isinstance(a, np.ndarray)]
         assert len(arrays) >= 8
         for a in arrays:
             assert not a.flags.writeable

@@ -167,7 +167,11 @@ def sets_case(rng, case: dict) -> None:
     layout.published.publish_cells(layout.memory, more)
     check_set_passes(array, layout, queries, " after more cells were published")
     other = BitArray.random(n, rng)
-    check_set_passes(other, layout_from_params(other, layout.params), queries, " on another array")
+    try:
+        other_layout = layout_from_params(other, layout.params)
+    except ValueError:  # a counter of the other array wider than the cell
+        return
+    check_set_passes(other, other_layout, queries, " on another array")
 
 
 def rank_case(rng, case: dict) -> None:
