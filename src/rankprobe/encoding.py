@@ -176,7 +176,7 @@ def _simulate_sets(layout: StructureLayout, k: int, d: int):
     :func:`~rankprobe.structures.detached_pass`."""
     return (
         simulate_set(layout.step, block_queries(layout.n, k), layout.memory, layout.published),
-        detached_pass(layout.step, block_queries(layout.n, k, d).tolist(), layout.memory, layout.published),
+        detached_pass(layout.step, block_queries(layout.n, k, d), layout.memory, layout.published),
     )
 
 

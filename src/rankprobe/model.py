@@ -57,21 +57,22 @@ class CellMemory:
 
     def gather(self, addresses) -> list:
         """The contents of a list of addresses, checked as :meth:`read`
-        checks one: a range of them in memory is one slice, and a list of
-        several one ``itemgetter`` call."""
+        checks one: a range of them in memory is one slice, and any other
+        list one ``itemgetter`` call once its least address is checked."""
         cells = self.cells
         if addresses.__class__ is range and addresses.start >= 0 and addresses.step == 1:
             got = cells[addresses.start : addresses.stop]
             if len(got) == len(addresses):
                 return got
-        if len(addresses) < 2:
-            return [self.read(a) for a in addresses]
+        if not addresses:
+            return []
         if min(addresses) >= 0:
             try:
-                return list(itemgetter(*addresses)(cells))
+                got = itemgetter(*addresses)(cells)
+                return list(got) if len(addresses) > 1 else [got]
             except IndexError:  # past the end
                 pass
-        self.read(next(a for a in addresses if not 0 <= a < len(cells)))
+        self.read(next(a for a in addresses if not 0 <= a < len(cells)))  # raises for the first bad address
 
     def total_bits(self) -> int:
         return len(self.cells) * self.word_bits

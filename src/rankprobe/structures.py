@@ -20,40 +20,34 @@ block of each superblock is always zero and is not stored.
 
 Queries run two ways over one geometry expression, and both need only
 a layout's params, because probe addresses depend on the query index
-and never on the data.  The query protocol is the reader of
-:func:`step_from_params`, ``step(query, known, fetched, source)``,
-which reads one query: the counters, then the scan.  It serves each
-cell from the published cells (`known`, read in place), then from the
-cells charged earlier in the same set (`fetched`), and only then
-charges a probe, taking the contents from `source`: memory for a live
-run, or the next cells of a recorded :class:`~model.Footprint`
-(first-seen contents in probe order) for a replay, which the encoding
-argument relies on.  Free reads are never charged.  It returns the
-charged (address, content) steps, in probe order, and the answer.  A :class:`ProbePlan`
-is the batch path: probe counts, published overlaps and charged-cell
-sets for a query array, computed with numpy.
+and never on the data.  The reader of :func:`step_from_params`,
+``step(query, known, source)``, reads one query: the counters, then
+the scan.  It serves each cell from the published cells (`known`, read
+in place) and charges a probe for every other, taking the contents from
+`source`, the memory.  Free reads are never charged.  It returns the
+charged (address, content) steps, in probe order, and the answer.  A
+single ``rank`` and encoding's greedy :func:`detached_pass` read each
+query on its own through it.  A :class:`ProbePlan` is the batch path:
+probe counts, published overlaps and charged-cell sets for a query
+array, computed with numpy.
 
-A set pass hands all its queries one fetched map, so a cell one query
-fetched reads free for the later ones, and the map is the set's
-footprint.  One set pass, :func:`_set_pass`, serves live runs
+A set pass charges each cell once: a cell one query fetched reads free
+for the later ones, and the cells the set fetches, in first-seen order,
+are its footprint.  One set pass, :func:`_set_pass`, serves live runs
 (:func:`simulate_set`), footprints (:func:`build_footprint`) and
-replays (:func:`replay_from_footprint`), and it alone picks a set's
-route.  A set of at least PLAN_MIN_QUERIES (26) distinct queries at
-w <= 64 goes to a plan, whose :meth:`~ProbePlan.read_order` lists the
-same cells in the same first-seen order and fetches them in one
-``gather`` (all a footprint records), and whose
-:meth:`~ProbePlan.set_pass` also computes every answer from them.
-What the plan computes from the params and the queries alone is its
-program: the read order and where each answer's cells stand in it.
-Only the data step that serves the cells and sums them depends on the
-memory or tape and on the published cells.  So a set pass takes its
-plan from a small cache keyed by the params and the query values, and
-a replay, or the re-encode that checks a decode, runs the program of
-the pass before it over new contents.  The cached arrays are
-read-only.  Every other set goes to the reader, as do a single
-``rank`` and encoding's greedy :func:`detached_pass`, which reads each
-query on its own.  The tests hold the reader and every plan to a
-query-generator driver kept with them as their oracle.
+replays (:func:`replay_from_footprint`) at every cell width, through
+the set's plan.  What the plan computes from the params and the
+queries alone is its program: the read order and where each answer's
+cells stand in it.  Only the data step that serves the cells and sums
+them depends on the memory or footprint and on the published cells:
+:meth:`~ProbePlan.read_order` fetches the charged cells in one
+``gather`` (all a footprint records), and :meth:`~ProbePlan.set_pass`
+also computes every answer from them.  So a set pass takes its plan
+from a small cache keyed by the params and the query values, and a
+replay, or the re-encode that checks a decode, runs the program of the
+pass before it over new contents.  The cached arrays are read-only.
+The tests hold the reader and every plan to a query-generator driver
+kept with them as their oracle.
 
 A :class:`StructureLayout` is its memory and params: its
 reader is the one of its params, and its published ledger starts empty.
@@ -66,7 +60,6 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -255,12 +248,12 @@ def step_from_params(params: dict):
     the same query with no counters, scanning from cell 0.  Only the last
     raw cell is masked: every earlier one lies wholly below the position.
 
-    The reader ``step(query, known, fetched, source)`` is the query
-    protocol of this module's docstring; `source` answers
-    ``read(address)`` and ``gather(addresses)`` as a
-    :class:`~model.CellMemory` does.  A scan that meets no free cell is
-    one ``gather`` of its address range.  The reader keeps `params`, by
-    which :func:`_set_pass` checks and routes a set.
+    The reader ``step(query, known, source)`` is the one-query protocol
+    of this module's docstring; `source` answers ``read(address)`` and
+    ``gather(addresses)`` as a :class:`~model.CellMemory` does.  A scan
+    that meets no published cell is one ``gather`` of its address range.
+    The reader keeps `params`, by which :func:`_set_pass` checks and
+    plans a set.
     """
     w = params["word_bits"]
     where = None
@@ -269,7 +262,7 @@ def step_from_params(params: dict):
         width, per = params["width"], params["per_cell"]
         slot_mask = (1 << width) - 1
 
-    def step(query, known, fetched, source):
+    def step(query, known, source):
         pos = operator.index(query) + 1
         steps = []
         total = lo = 0
@@ -277,29 +270,25 @@ def step_from_params(params: dict):
             a_abs, has_rel, a_rel, entry, lo = where(pos)
             total = known.get(a_abs)
             if total is None:
-                total = fetched.get(a_abs)
-                if total is None:
-                    total = source.read(a_abs)
-                    steps.append((a_abs, total))
+                total = source.read(a_abs)
+                steps.append((a_abs, total))
             if has_rel:
                 word = known.get(a_rel)
                 if word is None:
-                    word = fetched.get(a_rel)
-                    if word is None:
-                        word = source.read(a_rel)
-                        steps.append((a_rel, word))
+                    word = source.read(a_rel)
+                    steps.append((a_rel, word))
                 total += (word >> (entry % per * width)) & slot_mask
         last = (pos - 1) // w
         span = range(lo, last + 1)
-        if (not known or known.keys().isdisjoint(span)) and (not fetched or fetched.keys().isdisjoint(span)):
+        if not known or known.keys().isdisjoint(span):
             scan = source.gather(span)
             steps += zip(span, scan)
         else:
-            charged = [a for a in span if a not in known and a not in fetched]
+            charged = [a for a in span if a not in known]
             got = source.gather(charged)
             steps += zip(charged, got)
             got = iter(got)
-            scan = [known[a] if a in known else fetched[a] if a in fetched else next(got) for a in span]
+            scan = [known[a] if a in known else next(got) for a in span]
         if scan:
             scan[-1] &= (1 << (pos - last * w)) - 1
         return steps, total + sum(map(int.bit_count, scan))
@@ -402,8 +391,8 @@ class ProbePlan:
 
     def _program(self):
         """The set-pass program over this plan's queries, which must be
-        sorted and distinct, computed on the plan's first pass: it depends
-        on the params and the queries alone.
+        sorted, distinct and at least one, computed on the plan's first
+        pass: it depends on the params and the queries alone.
 
         Per query the set reads three runs of cells, each where
         :meth:`_new_reads` finds it new: the absolute counter, the
@@ -412,10 +401,10 @@ class ProbePlan:
         lo .. hi as the last hi + 1 - lo of them through its own, so the
         scan is read between two entries of their popcount prefix.  A
         shift takes the bits at or past the position off its last cell (an
-        empty scan shifts that cell by w, and numpy shifts a uint64 by 64
-        to 0, so it takes off nothing).  Its counters are the latest new
-        ones in the read order; a query whose block stores no relative
-        counter shifts that word by 64, so it adds none.
+        empty scan shifts that cell by w, so it takes off nothing).  Its
+        counters are the latest new ones in the read order; a query whose
+        block stores no relative counter shifts that word by w, so it adds
+        none.
 
         Returns the cells read, as a tuple in that first-seen probe order;
         per query how many raw cells the set has read through it; after a
@@ -454,7 +443,7 @@ class ProbePlan:
                 rows[2:4] -= 1
                 width, per = self.params["width"], self.params["per_cell"]
                 np.multiply(self.entry % per, width, out=rows[4])
-                rows[4][self.rel_addr < 0] = 64
+                rows[4][self.rel_addr < 0] = self.params["word_bits"]
                 slot_mask = np.uint64((1 << width) - 1)
             _read_only(scan_ends, raw_at, rows)
             self._cached = (tuple(read.tolist()), scan_ends, raw_at, tuple(self.queries.tolist()),
@@ -465,29 +454,29 @@ class ProbePlan:
         """The read step of a set pass over this plan's queries, which must
         be sorted and distinct: the cells of :meth:`_program`'s read
         order.  Cells in `known` (the published cells, read in place) are
-        served from it; `gather(addresses)` gives the contents of the
-        others, in that order, as a list.  Returns (charged addresses,
-        their contents).  A footprint is the contents alone."""
+        served from it; one call of `gather(addresses)` gives the contents
+        of the others, in that order, as a list.  Returns (charged
+        addresses, their contents).  A footprint is the contents alone."""
         read = self._program()[0]
         charged = [a for a in read if a not in known] if known else read
         return charged, gather(charged)
 
     def set_pass(self, known: dict, gather):
         """The set pass of :func:`simulate_set` over this plan's
-        queries, which must be sorted and distinct, for w <= 64: the read
+        queries, which must be sorted, distinct and at least one: the read
         step :meth:`read_order`, then every answer computed from the
-        served contents by :meth:`_program`.  Returns (answers
-        dict, fetched cells) as the reader's set pass does."""
+        served contents by :meth:`_program`, as uint64 up to w = 64 and
+        as Python ints past it.  Returns (answers dict, fetched cells)."""
         charged, got = self.read_order(known, gather)
         read, scan_ends, raw_at, keys, rows, urows, slot_mask = self._program()
+        cells = got
         if known:  # the published contents go back in probe order
             fetched = iter(got)
-            served = np.array([known[a] if a in known else next(fetched) for a in read], dtype=np.uint64)
-        else:
-            served = np.array(got, dtype=np.uint64)
+            cells = [known[a] if a in known else next(fetched) for a in read]
+        served = np.array(cells, dtype=np.uint64 if self.params["word_bits"] <= 64 else object)
         raw = served[raw_at]
         raw[0] = 0
-        ones = np.add.accumulate(np.bitwise_count(raw), dtype=np.uint64)
+        ones = np.add.accumulate(np.bitwise_count(raw), dtype=served.dtype)
         answers = ones[scan_ends] - ones[rows[0]]
         answers -= np.bitwise_count(raw[scan_ends] >> urows[1])
         if slot_mask is not None:
@@ -503,7 +492,7 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-SET_PLANS = 2  # a decode's reference and detached replays, reused by its re-encode
+SET_PLANS = 2  # a decode's two replays; its re-encode reuses only the reference program, as the greedy gives the detached set
 
 
 @functools.lru_cache(maxsize=SET_PLANS)
@@ -518,50 +507,47 @@ def _set_plan(params: tuple, queries: bytes) -> ProbePlan:
     return plan
 
 
-PLAN_MIN_QUERIES = 26  # set size from which the plan beats the reader
-
-
-def _set_pass(step_fn, queries, published: PublishedBits | None, source, answered: bool = True):
-    """Pass `queries` in increasing order through one charged map: a cell
-    fetched for one query reads free for the later ones.  Published cells
-    are read in place, never copied or changed.  Returns (answers dict,
-    fetched cells): every fetched address with its contents, in
-    first-seen order.  Unless `answered`, it returns those contents
-    alone; on the plan route they are then the plan's read step, with no
-    answer computed and no dict.
-
-    The set's distinct queries are checked against the step's params
-    before anything is read: TypeError for a query that is not an
-    integer, IndexError for one outside [0, n).  A list, tuple or array
-    of at least PLAN_MIN_QUERIES integers that is already strictly
-    increasing goes to numpy as it is; anything else is sorted and
-    deduplicated in Python.  The set then takes the route this module's
-    docstring gives, a plan coming from :func:`_set_plan`.  Charged cells
-    come from `source`, memory or a footprint's :class:`_Tape`: a plan's
-    :meth:`~ProbePlan.set_pass` (or :meth:`~ProbePlan.read_order` alone)
-    takes them in one ``source.gather``, and the reader query by query."""
-    params = step_fn.params
-    plannable = params["word_bits"] <= 64
+def _sorted_queries(params: dict, queries) -> np.ndarray:
+    """The distinct `queries` in increasing order, as an int64 array,
+    checked against `params` before anything is read: TypeError for a
+    query that is not an integer, IndexError for one outside [0, n).  A
+    list, tuple or array of integers that is already strictly increasing
+    goes to numpy as it is; anything else is sorted and deduplicated in
+    Python."""
     q = None
-    if plannable and isinstance(queries, (list, tuple, np.ndarray)) and len(queries) >= PLAN_MIN_QUERIES:
+    if isinstance(queries, (list, tuple, np.ndarray)):
         q = np.array(queries)
         if q.dtype.kind not in "iu" or q.ndim != 1 or not (q[1:] > q[:-1]).all():
             q = None  # floats, ints past 64 bits (object) or any other order
     if q is None:
-        if isinstance(queries, np.ndarray) and queries.dtype.kind in "iu":
-            queries = queries.tolist()  # Python ints, not numpy scalars, for the reader
         q = sorted(set(map(operator.index, queries)))
     if len(q) and not (0 <= q[0] and q[-1] < params["n"]):
         raise IndexError(f"query outside [0, {params['n']})")
+    return np.asarray(q, dtype=np.int64)
+
+
+def _set_pass(step_fn, queries, published: PublishedBits | None, gather, answered: bool = True):
+    """Pass `queries` in increasing order, charging each cell once: a cell
+    fetched for one query reads free for the later ones.  Published cells
+    are read in place, never copied or changed.  Returns (answers dict,
+    fetched cells): every fetched address with its contents, in
+    first-seen order.  Unless `answered`, it returns those contents
+    alone, the plan's read step, with no answer computed and no dict.
+
+    The queries are checked and sorted by :func:`_sorted_queries` against
+    the step's params.  A set of any size, at any w, then runs the
+    program of its plan from :func:`_set_plan`, which fetches the charged
+    cells in one call of `gather`, from memory or from a footprint.  An
+    empty set reads nothing but still calls ``gather([])``, so a replay
+    sees a footprint with cells left over."""
+    params = step_fn.params
+    q = _sorted_queries(params, queries)
     known = published.cells if published is not None else {}
-    if plannable and len(q) >= PLAN_MIN_QUERIES:
-        plan = _set_plan(tuple(params.items()), np.asarray(q, dtype=np.int64).tobytes())
-        return plan.set_pass(known, source.gather) if answered else plan.read_order(known, source.gather)[1]
-    answers, fetched = {}, {}
-    for query in q:
-        steps, answers[query] = step_fn(query, known, fetched, source)
-        fetched.update(steps)
-    return (answers, fetched) if answered else fetched.values()
+    if not q.size:
+        gather([])
+        return ({}, {}) if answered else []
+    plan = _set_plan(tuple(params.items()), q.tobytes())
+    return plan.set_pass(known, gather) if answered else plan.read_order(known, gather)[1]
 
 
 def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None):
@@ -570,64 +556,48 @@ def simulate_set(step_fn, queries, memory: CellMemory, published: PublishedBits 
     Returns (answers dict, charged cells) as :func:`_set_pass` does.  The
     contents are the set's footprint; the addresses are the union of the
     charged probes of its queries."""
-    return _set_pass(step_fn, queries, published, memory)
+    return _set_pass(step_fn, queries, published, memory.gather)
 
 
 def build_footprint(step_fn, queries, memory: CellMemory, published: PublishedBits | None = None) -> Footprint:
     """First-seen probed cell contents over `queries` in increasing order:
-    the set pass's fetched contents, with no answer computed on the plan
-    route."""
-    bits = _set_pass(step_fn, queries, published, memory, answered=False)
+    the set pass's fetched contents, with no answer computed."""
+    bits = _set_pass(step_fn, queries, published, memory.gather, answered=False)
     return Footprint(tuple(bits), memory.word_bits)
-
-
-class _Tape:
-    """A footprint read as memory: each charged cell is the next recorded
-    one, whatever its address."""
-
-    __slots__ = ("cells",)
-
-    def __init__(self, bits):
-        self.cells = iter(bits)
-
-    def read(self, address: int) -> int:
-        content = next(self.cells, None)
-        if content is None:
-            raise CorruptFootprint(f"footprint exhausted at address {address}")
-        return content
-
-    def gather(self, addresses) -> list:
-        contents = list(islice(self.cells, len(addresses)))
-        if len(contents) < len(addresses):
-            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(contents)]}")
-        return contents
 
 
 def replay_from_footprint(step_fn, queries, footprint: Footprint, published: PublishedBits | None = None):
     """Re-run `queries` (increasing order) feeding charged probes from the
-    footprint instead of memory.
+    footprint instead of memory: the set pass's one ``gather`` takes the
+    recorded cells in order, whatever their addresses.
 
     Returns (answers dict, charged cells), the same shape as
     :func:`simulate_set` returns for the recorded set.  Raises
     CorruptFootprint when the recording is too short or has cells left
     over.
     """
-    tape = _Tape(footprint.bits)
-    answers, charged = _set_pass(step_fn, queries, published, tape)
-    if next(tape.cells, None) is not None:
-        raise CorruptFootprint("footprint has cells left over")
-    return answers, charged
+
+    def gather(addresses) -> list:
+        bits = list(footprint.bits)
+        if len(bits) < len(addresses):
+            raise CorruptFootprint(f"footprint exhausted at address {addresses[len(bits)]}")
+        if len(bits) > len(addresses):
+            raise CorruptFootprint("footprint has cells left over")
+        return bits
+
+    return _set_pass(step_fn, queries, published, gather)
 
 
 def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits):
-    """Greedy detached pass over sorted `queries`: each is read once on its
-    own, and its answer and cells are kept when those cells miss every
-    kept query's.  Returns (answers dict, charged cells) as
-    :func:`simulate_set` over the kept queries does: their cells are
-    pairwise disjoint, so a set pass charges each the same cells."""
+    """Greedy detached pass over `queries`, checked and sorted as a set
+    pass checks them: each is read once on its own, and its answer and
+    cells are kept when those cells miss every kept query's.  Returns
+    (answers dict, charged cells) as :func:`simulate_set` over the kept
+    queries does: their cells are pairwise disjoint, so a set pass
+    charges each the same cells."""
     answers, kept = {}, {}
-    for q in queries:
-        steps, answer = step_fn(q, published.cells, {}, memory)
+    for q in _sorted_queries(step_fn.params, queries).tolist():
+        steps, answer = step_fn(q, published.cells, memory)
         charged = dict(steps)
         if kept.keys().isdisjoint(charged):
             answers[q] = answer
@@ -703,7 +673,7 @@ def rank(layout: StructureLayout, k: int) -> ProbeTrace:
         raise IndexError(f"rank position {k} outside [0, {params['n']}]")
     if k == 0:
         return ProbeTrace(query=-1, steps=(), answer=0)
-    steps, answer = layout.step(k - 1, layout.published.cells, {}, layout.memory)
+    steps, answer = layout.step(k - 1, layout.published.cells, layout.memory)
     if len(steps) > params["worst_probes"]:
         raise SimulationFault(
             f"rank({k}) charged {len(steps)} probes, over the budget of {params['worst_probes']}"

@@ -149,7 +149,7 @@ def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
     def overrunning(args, array):
         layout = build(args, array)
 
-        def step(query, known, fetched, source):
+        def step(query, known, source):
             return [(a, source.read(a)) for a in range(layout.worst_probes + 1)], 0
 
         step.params = layout.params

@@ -63,6 +63,17 @@ def test_cell_memory_rejects_out_of_range_cells(w, cells):
             assert all(type(c) is int for c in mem.cells)
 
 
+def test_gather_checks_every_address_as_read_does():
+    mem = CellMemory(8, [10, 11, 12, 13, 14])
+    for addresses in ([], (), range(0), [3], (4,), range(2, 3), [4, 0, 2, 2], (1, 3), range(1, 5), range(0, 5, 2)):
+        got = mem.gather(addresses)
+        assert type(got) is list and got == [mem.read(a) for a in addresses]
+    # the first address outside memory, in list order, is the one reported
+    for addresses, bad in (([-1], -1), ([5], 5), ([2, 7, -3], 7), ([2, -3, 7], -3), ((0, 1, 5, 6), 5), (range(3, 6), 5), (range(-1, 2), -1)):
+        with pytest.raises(SimulationFault, match=rf"^probe address {bad} outside memory of 5 cells$"):
+            mem.gather(addresses)
+
+
 def test_builder_image_still_range_checked():
     # the absolute counters of a 600-bit array overflow 8-bit cells
     with pytest.raises(ValueError, match="wider than word"):

@@ -197,7 +197,6 @@ def test_footprint_and_replay_share_one_program(monkeypatch):
     layout = build_two_level(array)
     layout.published.publish_cells(layout.memory, [64, 65, 3])
     queries = list(range(5, 4096, 97))
-    assert len(queries) >= structures.PLAN_MIN_QUERIES
     foot = build_footprint(layout.step, queries, layout.memory, layout.published)
     answers, fetched = replay_from_footprint(layout.step, queries, foot, layout.published)
     assert computed == [queries]

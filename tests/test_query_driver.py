@@ -231,9 +231,9 @@ def test_naive_w1_answers_past_the_step_guard():
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])
 def test_reader_route_takes_integer_arrays(dtype):
-    # arrays that stay on the reader (w > 64, or fewer than
-    # PLAN_MIN_QUERIES queries) give what the same list gives, keyed by
-    # Python ints; float arrays and queries outside [0, n) are refused
+    # integer arrays, at w > 64 and in sets of a few queries, give what
+    # the same list gives, keyed by Python ints; float arrays and queries
+    # outside [0, n) are refused
     array = BitArray.random(4096, np.random.default_rng(18))
     for layout, queries in (
         (build_two_level(array, 384, 96, 96), [4000, 7, 7, 1000, 64, 3000, 5, 900, 2222, 4095, 96, 97, 191, 1500, 0, 3333, 2500, 2600, 2700, 2800, 2900, 3100, 3200, 3400, 3500, 3600, 3700]),

@@ -1,14 +1,14 @@
-"""The two routes of a set pass against the driver.
+"""Set passes against the driver.
 
-A set pass over a layout's step takes :meth:`ProbePlan.set_pass` from
-``structures.PLAN_MIN_QUERIES`` queries on, at w <= 64, and the layout's
-reader below that.  The generator driver of ``tests/oracles.py``, query
-by query, is the oracle: both routes must give the same answers, and
-the same fetched cells in the same order.
+Every set pass over a layout's step, of any size and at any cell width,
+runs the program of its cached plan (:meth:`ProbePlan.set_pass`, or
+:meth:`ProbePlan.read_order` alone for a footprint).  The generator
+driver of ``tests/oracles.py``, query by query, is the oracle: a set
+pass must give its answers, and the same fetched cells in the same
+order.
 """
 
 import inspect
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +19,8 @@ from rankprobe import structures
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint
 from rankprobe.model import Footprint
-from rankprobe.structures import ProbePlan, build_footprint, build_naive, build_recursive, build_two_level, max_stage, replay_from_footprint, simulate_set
+from rankprobe.structures import ProbePlan, build_footprint, build_naive, build_recursive, build_two_level, detached_pass, max_stage, replay_from_footprint, simulate_set
 from oracles import driver_pass, popcount_rank
-
-C = structures.PLAN_MIN_QUERIES
 
 
 @st.composite
@@ -58,7 +56,7 @@ def layouts(draw):
 def test_plan_route_matches_driver(case, data):
     array, layout = case
     n = layout.n
-    queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * C + 8))
+    queries = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60))
     want_answers, want = driver_pass(layout, queries)
     assert want_answers == {q: popcount_rank(array, q + 1) for q in queries}
     published = layout.published.cells
@@ -68,8 +66,7 @@ def test_plan_route_matches_driver(case, data):
     foot = build_footprint(layout.step, queries, layout.memory, layout.published)
     assert foot.bits == tuple(want.values())
     routes.append(replay_from_footprint(layout.step, queries, foot, layout.published))
-    if layout.memory.word_bits <= 64:  # the plan itself, at any set size
-        routes.append(ProbePlan(layout.params, np.unique(queries)).set_pass(published, layout.memory.gather))
+    routes.append(ProbePlan(layout.params, np.unique(queries)).set_pass(published, layout.memory.gather))
     for answers, fetched in routes:
         assert list(answers.items()) == list(want_answers.items())
         assert list(fetched.items()) == list(want.items())
@@ -95,23 +92,37 @@ def _spied(monkeypatch):
     return sizes
 
 
-@pytest.mark.parametrize("w", [64, 65, 96])
+def _layouts_at(array, w):
+    """Naive, two-level and, where its blocks hold whole cells, staged
+    layouts at width `w`."""
+    yield build_naive(array, w)
+    yield build_two_level(array, 8 * w, w, w)
+    if 64 % w == 0:
+        yield build_recursive(array, 2, w)
+
+
+@pytest.mark.parametrize("w", [7, 64, 65, 96])
 def test_route_by_params_size_and_width(monkeypatch, w):
+    # every set, from one query on and at every width, takes the cached
+    # plan: one program per set, run to simulate, to record and to replay
     sizes = _spied(monkeypatch)
-    array = BitArray.random(4096, np.random.default_rng(3))
-    layout = build_naive(array, w) if w == 65 else build_two_level(array, 8 * w, w, w)
-    big = list(range(7, 4096, 4096 // (C + 3)))[: C + 1] + [7]  # C + 1 distinct queries
-    small = big[: C - 1]
-    for queries in (small, big):
-        want = list(driver_pass(layout, queries)[1].items())
-        live = simulate_set(layout.step, queries, layout.memory, layout.published)
-        foot = build_footprint(layout.step, queries, layout.memory, layout.published)
-        for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
-            assert answers == {q: popcount_rank(array, q + 1) for q in queries}
-            assert list(fetched.items()) == want
-    # widths past 64 stay on the reader; below that the big set takes the
-    # plan three times, to simulate, to record and to replay
-    assert sizes == ([C + 1] * 3 if w <= 64 else [])
+    n = 120 if w == 7 else 4096  # absolute counters of 7 bits
+    array = BitArray.random(n, np.random.default_rng(3))
+    for layout in _layouts_at(array, w):
+        for size in (1, 2, 25, 27):
+            queries = list(range(n - 1, 0, -(n // size)))[:size] + [n - 1]  # unsorted, a repeat
+            want_answers, want = driver_pass(layout, queries)
+            assert len(want_answers) == size
+            before = structures._set_plan.cache_info()
+            del sizes[:]
+            live = simulate_set(layout.step, queries, layout.memory, layout.published)
+            foot = build_footprint(layout.step, queries, layout.memory, layout.published)
+            for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
+                assert answers == {q: popcount_rank(array, q + 1) for q in queries}
+                assert list(fetched.items()) == list(want.items())
+            after = structures._set_plan.cache_info()
+            assert sizes == [size] * 3
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
 def _kinds(n):
@@ -122,7 +133,7 @@ def _kinds(n):
     yield "two_level-w96", build_two_level(array, 384, 96, 96)
 
 
-@pytest.mark.parametrize("size", [3, C + 5], ids=["driver", "plan"])
+@pytest.mark.parametrize("size", [3, 31], ids=["driver", "plan"])
 @pytest.mark.parametrize("offset", [-1, 0, 4])
 def test_set_passes_refuse_queries_outside_the_array(size, offset):
     n = 4096
@@ -150,7 +161,7 @@ def query_shapes(draw, n):
         span = range(draw(st.integers(0, n - 1)), n, step)
         span = span[::-1] if draw(st.booleans()) else span
         return lambda: span, sorted(span)
-    values = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * C + 8))
+    values = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=60))
     if draw(st.booleans()):
         values = sorted(set(values))
     if shape == "ndarray":
@@ -161,41 +172,64 @@ def query_shapes(draw, n):
     return make, sorted(set(values))
 
 
-def _routes():
-    """PLAN_MIN_QUERIES values that send every set to the plan (at w <= 64) or to the reader."""
-    return [mock.patch.object(structures, "PLAN_MIN_QUERIES", m) for m in (1, 10**9)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(case=layouts(), data=st.data())
-def test_set_shapes_match_on_both_routes(case, data):
+def test_set_shapes_match_driver(case, data):
     array, layout = case
     n = layout.n
     make, distinct = data.draw(query_shapes(n))
     want_answers, want = driver_pass(layout, distinct)
-    for route in _routes():
-        with route:
-            answers, fetched = simulate_set(layout.step, make(), layout.memory, layout.published)
-            foot = build_footprint(layout.step, make(), layout.memory, layout.published)
-            replayed = replay_from_footprint(layout.step, make(), foot, layout.published)
-        assert foot.bits == tuple(want.values())
-        for got_answers, got in ((answers, fetched), replayed):
-            assert list(got_answers.items()) == list(want_answers.items())
-            assert list(got.items()) == list(want.items())
-            assert all(type(v) is int for v in (*got_answers, *got_answers.values(), *got.values()))
+    answers, fetched = simulate_set(layout.step, make(), layout.memory, layout.published)
+    foot = build_footprint(layout.step, make(), layout.memory, layout.published)
+    replayed = replay_from_footprint(layout.step, make(), foot, layout.published)
+    assert foot.bits == tuple(want.values())
+    for got_answers, got in ((answers, fetched), replayed):
+        assert list(got_answers.items()) == list(want_answers.items())
+        assert list(got.items()) == list(want.items())
+        assert all(type(v) is int for v in (*got_answers, *got_answers.values(), *got.values()))
 
     bad = data.draw(st.sampled_from([0.0, 1.5, float(distinct[0]), -1, -(2**70), n, n + 7, 2**70]))
     queries = [*distinct[:-1], bad, distinct[-1]]
     error = TypeError if isinstance(bad, float) else IndexError
-    for route in _routes():
-        with route:
-            for run in (
-                lambda: simulate_set(layout.step, iter(queries), layout.memory, layout.published),
-                lambda: build_footprint(layout.step, list(queries), layout.memory, layout.published),
-            ):
-                with pytest.raises(error):
-                    run()
-            bits = (c for c in want.values())
-            with pytest.raises(error):
-                replay_from_footprint(layout.step, tuple(queries), Footprint(bits, layout.memory.word_bits), layout.published)
-            assert inspect.getgeneratorstate(bits) == inspect.GEN_CREATED  # no cell was read
+    for run in (
+        lambda: simulate_set(layout.step, iter(queries), layout.memory, layout.published),
+        lambda: build_footprint(layout.step, list(queries), layout.memory, layout.published),
+        lambda: detached_pass(layout.step, list(queries), layout.memory, layout.published),
+    ):
+        with pytest.raises(error):
+            run()
+    bits = (c for c in want.values())
+    with pytest.raises(error):
+        replay_from_footprint(layout.step, tuple(queries), Footprint(bits, layout.memory.word_bits), layout.published)
+    assert inspect.getgeneratorstate(bits) == inspect.GEN_CREATED  # no cell was read
+
+
+@pytest.mark.parametrize("empty", [[], (), range(0), np.array([], dtype=np.int64)], ids=["list", "tuple", "range", "ndarray"])
+def test_empty_set_reads_nothing(empty):
+    for _, layout in _kinds(4096):
+        args = (layout.memory, layout.published)
+        assert simulate_set(layout.step, empty, *args) == ({}, {})
+        assert build_footprint(layout.step, empty, *args) == Footprint((), layout.memory.word_bits)
+        assert replay_from_footprint(layout.step, empty, Footprint((), layout.memory.word_bits)) == ({}, {})
+        assert detached_pass(layout.step, empty, *args) == ({}, {})
+        with pytest.raises(CorruptFootprint, match="^footprint has cells left over$"):
+            replay_from_footprint(layout.step, empty, Footprint((0,), layout.memory.word_bits))
+
+
+def test_detached_pass_checks_queries_as_set_passes_do():
+    for _, layout in _kinds(4096):
+        args = (layout.memory, layout.published)
+        for bad in (4096, -1, 5000, 2**70):
+            with pytest.raises(IndexError, match=r"query outside \[0, 4096\)"):
+                detached_pass(layout.step, [3, bad, 7], *args)
+        for bad in (1.0, "3"):
+            with pytest.raises(TypeError):
+                detached_pass(layout.step, [3, bad, 7], *args)
+        # sorted and deduplicated first: the order a caller gives keeps no other query
+        queries = list(range(5, 4096, 61))
+        want = detached_pass(layout.step, queries, *args)
+        for shuffled in (queries[::-1], queries + queries[:9], np.array(queries[::-1], dtype=np.int64)):
+            got = detached_pass(layout.step, shuffled, *args)
+            assert list(got[0].items()) == list(want[0].items()) and list(got[1].items()) == list(want[1].items())
+            assert all(type(q) is int for q in got[0])
+        assert want[0] == driver_pass(layout, list(want[0]))[0]

@@ -140,7 +140,7 @@ def test_layout_reader_is_its_params_reader():
     for layout in all_layouts(a) + [StructureLayout(two.memory, two.params)]:
         reader = step_from_params(layout.params)
         for q in (0, 63, 64, 1499, 2999):
-            assert layout.step(q, {}, {}, layout.memory) == reader(q, {}, {}, layout.memory)
+            assert layout.step(q, {}, layout.memory) == reader(q, {}, layout.memory)
 
 
 def test_stage_too_deep_rejected():

@@ -7,13 +7,13 @@ in, and its oracles from that checkout's ``tests/oracles.py``: the
 query-generator driver ``run_query``, the set pass ``driver_pass`` and
 the greedy scan ``greedy_scan`` over it, the popcount rank
 ``popcount_rank`` and the full-grid offset scan
-``choose_offset_full_grid``.  Four families share the time budget: each
+``choose_offset_full_grid``.  Five families share the time budget: each
 next case goes to the family that has spent the least time so far.
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
-  65 and 96) with random published cells, and a query set of about
-  ``structures.PLAN_MIN_QUERIES`` queries, so both routes of a set pass
-  come up.  ``simulate_set``, ``build_footprint`` and
+  65 and 96) with random published cells, and a query set of 0 to 60
+  queries, empty sets and single queries included.  ``simulate_set``,
+  ``build_footprint`` and
   ``replay_from_footprint`` must give what ``driver_pass`` gives, and
   the answers ``popcount_rank`` gives.  ``detached_pass`` over the
   distinct queries must keep exactly the queries ``greedy_scan`` keeps,
@@ -36,6 +36,12 @@ next case goes to the family that has spent the least time so far.
   probe order, and component 6 every other cell in address order.  A
   ``RefusalError`` with one of the two messages of a ledger a record
   cannot carry is counted as a refusal, not a failure.
+* ``rpe1``: the ``RPE1`` bytes of ``encode`` on a random layout at w in
+  7, 64, 65 and 96, at a random k, with one random bit flipped.  The
+  mutant must be rejected with ``CorruptEncoding`` or be canonical: the
+  decoded array, with the cells the mutant's own ledger publishes read
+  from it, must encode to exactly the mutant's bytes.  Refusals count as
+  in ``encode``.
 
 Case i of a run draws everything from ``numpy.random.default_rng([seed,
 i])``, so ``case_seed`` names it.  Prints one JSON object: the count of
@@ -59,11 +65,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from rankprobe import structures  # noqa: E402
 from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
-from rankprobe.encoding import EncodingRecord, choose_offset, decode, encode  # noqa: E402
-from rankprobe.errors import RefusalError  # noqa: E402
+from rankprobe.encoding import EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
+from rankprobe.errors import CorruptEncoding, RefusalError  # noqa: E402
+from rankprobe.model import PublishedBits, address_bits  # noqa: E402
 from rankprobe.structures import (  # noqa: E402
     block_queries,
     build_footprint,
@@ -86,12 +92,12 @@ REFUSALS = (  # the ledgers a record cannot carry, as encode words them
 )
 
 
-def random_layout(rng):
+def random_layout(rng, widths=WIDTHS):
     """A built layout over a random array, published at random, and a
     description of it; geometries a builder refuses are drawn again."""
     while True:
         n = int(rng.integers(1, 3000))
-        w = int(rng.choice(WIDTHS))
+        w = int(rng.choice(widths))
         kind = str(rng.choice(["naive", "two_level", "recursive"]))
         array = BitArray.random(n, rng)
         desc = {"kind": kind, "n": n, "w": w}
@@ -143,9 +149,8 @@ def check_set_passes(array, layout, queries, what: str) -> dict:
 
 def sets_case(rng, case: dict) -> None:
     array, layout, case["layout"] = random_layout(rng)
-    n, c = layout.n, structures.PLAN_MIN_QUERIES
-    size = int(rng.integers(max(1, c - 8), c + 9)) if rng.random() < 0.8 else int(rng.integers(1, 3 * c))
-    queries = rng.integers(0, n, size=size)
+    n = layout.n
+    queries = rng.integers(0, n, size=int(rng.integers(0, 61)))
     if rng.random() < 0.5:
         queries = np.unique(queries)
     queries = queries if rng.random() < 0.5 else queries.tolist()
@@ -209,10 +214,8 @@ def encode_case(rng, case: dict) -> str | None:
         return None  # no k leaves a nonzero offset
     k = case["k"] = int(rng.integers(1, n // 2 + 1))
     d = case["d"] = choose_offset(layout, k) if rng.random() < 0.5 else int(rng.integers(1, n // k))
-    try:
-        record = encode(layout, k, d)
-    except RefusalError as e:
-        check(any(r.fullmatch(str(e)) for r in REFUSALS), f"refused with another message: {e}")
+    record = encode_or_refuse(layout, k, d)
+    if record is None:
         return "refused"
     back = decode(EncodingRecord.from_rpe1(record.to_rpe1()), layout.params, k)
     check(back == array, "decode does not give back the array")
@@ -226,7 +229,46 @@ def encode_case(rng, case: dict) -> str | None:
     return None
 
 
-FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case}
+def encode_or_refuse(layout, k: int, d: int | None):
+    """``encode`` of the layout, or None for a ledger a record cannot carry."""
+    try:
+        return encode(layout, k, d)
+    except RefusalError as e:
+        check(any(r.fullmatch(str(e)) for r in REFUSALS), f"refused with another message: {e}")
+        return None
+
+
+def rpe1_case(rng, case: dict) -> str | None:
+    _, layout, case["layout"] = random_layout(rng, (7, 64, 65, 96))
+    n = layout.n
+    if n < 2:
+        return None  # no k leaves a nonzero offset
+    k = case["k"] = int(rng.integers(1, n // 2 + 1))
+    record = encode_or_refuse(layout, k, None)
+    if record is None:
+        return "refused"
+    blob = bytearray(record.to_rpe1())
+    bit = case["bit"] = int(rng.integers(0, 8 * len(blob)))
+    blob[bit // 8] ^= 1 << (bit % 8)
+    try:
+        mutant = EncodingRecord.from_rpe1(bytes(blob))
+        array = decode(mutant, layout.params, k)
+    except CorruptEncoding:
+        return None
+    # the ledger the mutant names: the redundancy region when its length
+    # admits a bootstrap prefix, then the address in each pair's low bits
+    params, ledger = layout.params, mutant.published
+    prefix = _bootstrap_prefix(params, ledger.length)
+    shift = address_bits(params["cell_count"])
+    pairs = ledger.read_cells(prefix, (ledger.length - prefix) // (shift + params["word_bits"]), shift + params["word_bits"])
+    named = [*(range(params["raw_cells"], params["cell_count"]) if prefix else ()), *(p & ((1 << shift) - 1) for p in pairs)]
+    again = layout_from_params(array, params)
+    again.published = PublishedBits(ledger.length, {a: again.memory.read(a) for a in named}, bool(prefix))
+    check(encode(again, k, mutant.offset).to_rpe1() == bytes(blob), "a mutated record decodes but is not canonical")
+    return None
+
+
+FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case, "rpe1": rpe1_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
