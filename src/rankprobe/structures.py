@@ -401,10 +401,10 @@ class ProbePlan:
         lo .. hi as the last hi + 1 - lo of them through its own, so the
         scan is read between two entries of their popcount prefix.  A
         shift takes the bits at or past the position off its last cell (an
-        empty scan shifts that cell by w, so it takes off nothing).  Its
-        counters are the latest new ones in the read order; a query whose
-        block stores no relative counter shifts that word by w, so it adds
-        none.
+        empty scan shifts that cell by w, and numpy shifts a uint64 by 64
+        to 0, so it takes off nothing).  Its counters are the latest new
+        ones in the read order; a query whose block stores no relative
+        counter shifts that word by w, so it adds none.
 
         Returns the cells read, as a tuple in that first-seen probe order;
         per query how many raw cells the set has read through it; after a

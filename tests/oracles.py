@@ -15,8 +15,8 @@ program to.
   its params) or a hand-written generator.
 * ``driver_pass`` and ``greedy_scan``: a set pass and the greedy
   detached pass, query by query through ``run_query``, the oracles of
-  :func:`rankprobe.structures.simulate_set` (and every route of a set
-  pass) and :func:`rankprobe.structures.detached_pass`.
+  :func:`rankprobe.structures.simulate_set` (and every set pass) and
+  :func:`rankprobe.structures.detached_pass`.
 * ``popcount_rank(array, k)``: the ones among A[1..k], counted over
   the array's bits, apart from the prefix table
   (:meth:`rankprobe.bits.BitArray.ranks`) every layout's counters come

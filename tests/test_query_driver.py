@@ -184,9 +184,10 @@ def test_reader_matches_driver(case, data):
 )
 def test_reader_refuses_memory_shorter_than_params(build, cut):
     # the scan of the last query, or its counter, runs past the cells
-    # left; a slice would silently come back short.  Every route that
-    # reads the query by the reader says so as the oracle does, also a
-    # set pass whose earlier query fetched some of its cells
+    # left; a slice would silently come back short.  rank and the greedy
+    # detached pass, which read it by the reader, and the set passes,
+    # whose one gather reports the first address past the end, say so as
+    # the oracle does
     array = BitArray.random(200, np.random.default_rng(15))
     layout = build(array)
     layout.memory = CellMemory(8, layout.memory.cells[:-cut])
@@ -204,8 +205,8 @@ def test_reader_refuses_memory_shorter_than_params(build, cut):
 
 @pytest.mark.parametrize("free", [[], [3]], ids=["slice", "per-cell"])
 def test_replay_refuses_footprint_one_cell_short(free):
-    # the last query scans cells 0 .. 24: as one slice when none reads
-    # free, cell by cell when a published one does
+    # the last query scans cells 0 .. 24, less a published one; the
+    # replay's one gather names the first cell the footprint lacks
     layout = build_naive(BitArray.random(200, np.random.default_rng(17)), 8)
     layout.published.publish_cells(layout.memory, free)
     foot = build_footprint(layout.step, [199], layout.memory, layout.published)

@@ -104,20 +104,26 @@ def _layouts_at(array, w):
 @pytest.mark.parametrize("w", [7, 64, 65, 96])
 def test_route_by_params_size_and_width(monkeypatch, w):
     # every set, from one query on and at every width, takes the cached
-    # plan: one program per set, run to simulate, to record and to replay
+    # plan: one program per set, run to simulate, to record and to replay,
+    # and the reader, which only rank and the detached pass call, is never read
     sizes = _spied(monkeypatch)
     n = 120 if w == 7 else 4096  # absolute counters of 7 bits
     array = BitArray.random(n, np.random.default_rng(3))
     for layout in _layouts_at(array, w):
+
+        def step(*args):
+            raise AssertionError("a set pass called the reader")
+
+        step.params = layout.params
         for size in (1, 2, 25, 27):
             queries = list(range(n - 1, 0, -(n // size)))[:size] + [n - 1]  # unsorted, a repeat
             want_answers, want = driver_pass(layout, queries)
             assert len(want_answers) == size
             before = structures._set_plan.cache_info()
-            del sizes[:]
-            live = simulate_set(layout.step, queries, layout.memory, layout.published)
-            foot = build_footprint(layout.step, queries, layout.memory, layout.published)
-            for answers, fetched in (live, replay_from_footprint(layout.step, queries, foot, layout.published)):
+            sizes.clear()
+            live = simulate_set(step, queries, layout.memory, layout.published)
+            foot = build_footprint(step, queries, layout.memory, layout.published)
+            for answers, fetched in (live, replay_from_footprint(step, queries, foot, layout.published)):
                 assert answers == {q: popcount_rank(array, q + 1) for q in queries}
                 assert list(fetched.items()) == list(want.items())
             after = structures._set_plan.cache_info()
