@@ -15,7 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import asdict, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -81,12 +84,32 @@ def _rounded(value, digits):
     return value
 
 
+CHUNK = 1 << 14  # CSV list values, or JSON encoder pieces, joined and written at a time
+
+
 def _field(value, digits):
+    """A CSV field, as the strings to write: a float to `digits` places,
+    and a list or an iterator of values space-joined, CHUNK at a time."""
     if isinstance(value, float):
-        return f"{value:.{digits}f}"
-    if isinstance(value, list):
-        return " ".join(str(v) for v in value)
-    return str(value)
+        yield f"{value:.{digits}f}"
+    elif isinstance(value, (list, Iterator)):
+        values, sep = iter(value), ""
+        while chunk := list(islice(values, CHUNK)):
+            yield sep + " ".join(map(str, chunk))
+            sep = " "
+    else:
+        yield str(value)
+
+
+def _csv(columns, rows, head, digits):
+    """The CSV text, piece by piece: `head`, the column line, and `columns`
+    read from each mapping in `rows`."""
+    yield head + "\n" + ",".join(columns)
+    for row in rows:
+        for i, c in enumerate(columns):
+            yield "," if i else "\n"
+            yield from _field(row[c], digits)
+    yield "\n"
 
 
 def _emit(args, obj, columns, rows, head=None, digits=6):
@@ -95,19 +118,17 @@ def _emit(args, obj, columns, rows, head=None, digits=6):
     JSON is `obj` plus the command and seed, every float rounded to
     `digits` places.  CSV is a comment line (`head`, or the command and
     seed), the column line, and `columns` read from each mapping in
-    `rows`: floats to `digits` places, lists space-joined."""
+    `rows`: floats to `digits` places, lists and iterators space-joined.
+    Either is written as it is rendered, CHUNK pieces or list values at a
+    time, so a long list never stands whole as one string."""
     if args.format == "json":
         report = {"command": args.cmd, "seed": args.seed, **obj}
-        text = json.dumps(_rounded(report, digits), sort_keys=True, indent=2) + "\n"
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(_rounded(report, digits))
+        pieces = chain(iter(lambda: "".join(islice(chunks, CHUNK)), ""), "\n")
     else:
-        lines = [head or f"# rankprobe {args.cmd} seed={args.seed}", ",".join(columns)]
-        lines += [",".join(_field(row[c], digits) for c in columns) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        pieces = _csv(columns, rows, head or f"# rankprobe {args.cmd} seed={args.seed}", digits)
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+        fh.writelines(pieces)
 
 
 def _cmd_build(args):
@@ -132,11 +153,12 @@ def _cmd_query(args):
     if args.k is None:
         raise ValueError("query needs --k (the rank position)")
     tr = rank(_build_layout(args, _array(args)), args.k)
+    addresses = chain((a for a, _ in tr.head), tr.span)  # the scan stays a range
     obj = {
         "position": args.k,
         "answer": tr.answer,
-        "probes": len(tr.steps),
-        "addresses": list(tr.addresses),
+        "probes": tr.probes,
+        "addresses": list(addresses) if args.format == "json" else addresses,
     }
     _emit(args, obj, ("position", "answer", "probes", "addresses"), [obj])
 

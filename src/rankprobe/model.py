@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import SimulationFault
 
+_first = itemgetter(0)  # a step's address
+
 
 def address_bits(cell_count: int) -> int:
     """Bits needed to name any of `cell_count` cells (at least one)."""
@@ -120,21 +122,61 @@ class PublishedBits:
         self.length += bits
 
 
-@dataclass(frozen=True)
 class ProbeTrace:
     """One query's charged probes, in order, plus its answer.
+
+    A trace keeps its probes in two parts: `head`, the charged
+    (address, content) steps before the scan, and the scan as its first
+    address `start` plus the list `scan` of the contents read from there
+    on, one cell each, charged in address order.  A trace given its steps
+    alone has an empty scan.  `steps` and `addresses` are derived when
+    asked, and ``==``, ``hash`` and ``repr`` read a trace as the
+    (query, steps, answer) it stands for, whichever way its probes are
+    split.  Traces are not to be changed once made.
 
     Determinism contract: same memory, same published set, same query index
     always yields the identical trace.
     """
 
-    query: int
-    steps: tuple  # ((address, content), ...)
-    answer: int
+    __slots__ = ("query", "head", "answer", "start", "scan")
+
+    def __init__(self, query: int, steps: tuple, answer: int, start: int = 0, scan=()):
+        self.query = query
+        self.head = steps
+        self.answer = answer
+        self.start = start
+        self.scan = scan
+
+    @property
+    def span(self) -> range:
+        """The addresses of the scan."""
+        return range(self.start, self.start + len(self.scan))
+
+    @property
+    def probes(self) -> int:
+        return len(self.head) + len(self.scan)
+
+    @property
+    def steps(self) -> tuple:  # ((address, content), ...)
+        if not self.scan:
+            return self.head
+        return (*self.head, *zip(self.span, self.scan))
 
     @property
     def addresses(self) -> tuple:
-        return tuple(a for a, _ in self.steps)
+        return (*map(_first, self.head), *self.span)
+
+    def _key(self) -> tuple:
+        return self.query, self.steps, self.answer
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "ProbeTrace(query={!r}, steps={!r}, answer={!r})".format(*self._key())
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,13 @@ and never on the data.  The reader of :func:`step_from_params`,
 the scan.  It serves each cell from the published cells (`known`, read
 in place) and charges a probe for every other, taking the contents from
 `source`, the memory.  Free reads are never charged.  It returns the
-charged (address, content) steps, in probe order, and the answer.  A
-single ``rank`` and encoding's greedy :func:`detached_pass` read each
-query on its own through it.  A :class:`ProbePlan` is the batch path:
-probe counts, published overlaps and charged-cell sets for a query
-array, computed with numpy.
+query's :class:`~model.ProbeTrace`: the charged counter steps, then
+the scan as its address range and the contents read there, or, when
+the scan meets published cells, its charged cells as explicit
+(address, content) steps.  A single ``rank`` and encoding's greedy
+:func:`detached_pass` read each query on its own through it.  A
+:class:`ProbePlan` is the batch path: probe counts, published overlaps
+and charged-cell sets for a query array, computed with numpy.
 
 A set pass charges each cell once: a cell one query fetched reads free
 for the later ones, and the cells the set fetches, in first-seen order,
@@ -246,14 +248,16 @@ def step_from_params(params: dict):
     relative counter (absent for a superblock's first block), then the raw
     cells from the block start up to the query position; a naive query is
     the same query with no counters, scanning from cell 0.  Only the last
-    raw cell is masked: every earlier one lies wholly below the position.
+    raw cell holds bits at or past the position, and their ones are taken
+    off the scan's count.
 
     The reader ``step(query, known, source)`` is the one-query protocol
     of this module's docstring; `source` answers ``read(address)`` and
     ``gather(addresses)`` as a :class:`~model.CellMemory` does.  A scan
-    that meets no published cell is one ``gather`` of its address range.
-    The reader keeps `params`, by which :func:`_set_pass` checks and
-    plans a set.
+    that meets no published cell is one ``gather`` of its address range,
+    and its trace keeps that range and the gathered list, with no pair
+    per cell.  The reader keeps `params`, by which :func:`_set_pass`
+    checks and plans a set.
     """
     w = params["word_bits"]
     where = None
@@ -263,38 +267,45 @@ def step_from_params(params: dict):
         slot_mask = (1 << width) - 1
 
     def step(query, known, source):
-        pos = operator.index(query) + 1
-        steps = []
+        query = operator.index(query)
+        pos = query + 1
+        head = ()
         total = lo = 0
         if where is not None:
             a_abs, has_rel, a_rel, entry, lo = where(pos)
             total = known.get(a_abs)
             if total is None:
                 total = source.read(a_abs)
-                steps.append((a_abs, total))
+                head = ((a_abs, total),)
             if has_rel:
                 word = known.get(a_rel)
                 if word is None:
                     word = source.read(a_rel)
-                    steps.append((a_rel, word))
+                    head += ((a_rel, word),)
                 total += (word >> (entry % per * width)) & slot_mask
         last = (pos - 1) // w
         span = range(lo, last + 1)
-        if not known or known.keys().isdisjoint(span):
-            scan = source.gather(span)
-            steps += zip(span, scan)
-        else:
+        if known and not known.keys().isdisjoint(span):  # its charged scan cells join the head
             charged = [a for a in span if a not in known]
             got = source.gather(charged)
-            steps += zip(charged, got)
+            head += tuple(zip(charged, got))
             got = iter(got)
-            scan = [known[a] if a in known else next(got) for a in span]
-        if scan:
-            scan[-1] &= (1 << (pos - last * w)) - 1
-        return steps, total + sum(map(int.bit_count, scan))
+            cells = [known[a] if a in known else next(got) for a in span]
+            return ProbeTrace(query, head, total + _ones_below(cells, pos - last * w))
+        scan = source.gather(span)
+        return ProbeTrace(query, head, total + _ones_below(scan, pos - last * w), lo, scan)
 
     step.params = params
     return step
+
+
+def _ones_below(scan: list, shift: int) -> int:
+    """The ones of a scan's cells below the position, which lies `shift`
+    bits into the last one: every earlier cell lies wholly below it.  The
+    cells are read, never masked in place."""
+    if not scan:
+        return 0
+    return sum(map(int.bit_count, scan)) - (scan[-1] >> shift).bit_count()
 
 
 def _before(a: np.ndarray, increasing: bool = False) -> np.ndarray:
@@ -401,8 +412,9 @@ class ProbePlan:
         lo .. hi as the last hi + 1 - lo of them through its own, so the
         scan is read between two entries of their popcount prefix.  A
         shift takes the bits at or past the position off its last cell (an
-        empty scan shifts that cell by w, and numpy shifts a uint64 by 64
-        to 0, so it takes off nothing).  Its counters are the latest new
+        empty scan shifts that cell, or the first cell read when the set
+        has read no raw cell yet, by w, and numpy shifts a uint64 by 64 to
+        0, so it takes off nothing).  Its counters are the latest new
         ones in the read order; a query whose block stores no relative
         counter shifts that word by w, so it adds none.
 
@@ -473,16 +485,24 @@ class ProbePlan:
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             cells = [known[a] if a in known else next(fetched) for a in read]
-        served = np.array(cells, dtype=np.uint64 if self.params["word_bits"] <= 64 else object)
-        raw = served[raw_at]
+        wide = self.params["word_bits"] > 64
+        served = np.array(cells, dtype=object if wide else np.uint64)
+        raw = _bit_counts(served)[raw_at]
         raw[0] = 0
-        ones = np.add.accumulate(np.bitwise_count(raw), dtype=served.dtype)
+        ones = np.add.accumulate(raw, dtype=np.int64 if wide else np.uint64)
         answers = ones[scan_ends] - ones[rows[0]]
-        answers -= np.bitwise_count(raw[scan_ends] >> urows[1])
-        if slot_mask is not None:
-            answers += served[rows[2]]
-            answers += (served[rows[3]] >> urows[4]) & slot_mask
+        answers -= _bit_counts(served[raw_at[scan_ends]] >> urows[1])
+        if slot_mask is not None:  # Python ints past w = 64
+            answers = answers + served[rows[2]] + ((served[rows[3]] >> urows[4]) & slot_mask)
         return dict(zip(keys, answers.tolist())), dict(zip(charged, got))
+
+
+def _bit_counts(cells: np.ndarray) -> np.ndarray:
+    """The popcount of each cell of a uint64 array, or of an object array
+    of Python ints (cells past w = 64), as int64 for the latter."""
+    if cells.dtype == object:
+        return np.fromiter(map(int.bit_count, cells), np.int64, len(cells))
+    return np.bitwise_count(cells)
 
 
 def _read_only(*arrays) -> tuple:
@@ -596,12 +616,12 @@ def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits
     queries does: their cells are pairwise disjoint, so a set pass
     charges each the same cells."""
     answers, kept = {}, {}
+    first = operator.itemgetter(0)  # a step's address
     for q in _sorted_queries(step_fn.params, queries).tolist():
-        steps, answer = step_fn(q, published.cells, memory)
-        charged = dict(steps)
-        if kept.keys().isdisjoint(charged):
-            answers[q] = answer
-            kept.update(charged)
+        trace = step_fn(q, published.cells, memory)
+        if kept.keys().isdisjoint(trace.span) and kept.keys().isdisjoint(map(first, trace.head)):
+            answers[q] = trace.answer
+            kept.update(trace.steps)
     return answers, kept
 
 
@@ -667,18 +687,18 @@ def layout_from_params(array: BitArray, params: dict) -> StructureLayout:
 
 
 def rank(layout: StructureLayout, k: int) -> ProbeTrace:
-    """Rank(k) by the layout's reader.  k = 0 needs no probes."""
+    """Rank(k) by the layout's reader, as its trace.  k = 0 needs no probes."""
     params = layout.params
-    if not 0 <= k <= params["n"]:
+    if not 0 < k <= params["n"]:
+        if k == 0:
+            return ProbeTrace(query=-1, steps=(), answer=0)
         raise IndexError(f"rank position {k} outside [0, {params['n']}]")
-    if k == 0:
-        return ProbeTrace(query=-1, steps=(), answer=0)
-    steps, answer = layout.step(k - 1, layout.published.cells, layout.memory)
-    if len(steps) > params["worst_probes"]:
+    trace = layout.step(k - 1, layout.published.cells, layout.memory)
+    if trace.probes > params["worst_probes"]:
         raise SimulationFault(
-            f"rank({k}) charged {len(steps)} probes, over the budget of {params['worst_probes']}"
+            f"rank({k}) charged {trace.probes} probes, over the budget of {params['worst_probes']}"
         )
-    return ProbeTrace(k - 1, tuple(steps), answer)
+    return trace
 
 
 def block_queries(n: int, k: int, d: int = 0) -> np.ndarray:

@@ -14,6 +14,7 @@ from rankprobe.elimination import run_elimination
 from rankprobe.encoding import EncodingRecord, decode
 from rankprobe.entropy import LabConfig, binom_entropy_estimate
 from rankprobe.errors import CorruptEncoding, CorruptFootprint, RefusalError, SimulationFault
+from rankprobe.model import ProbeTrace
 from rankprobe.structures import build_recursive, build_two_level, max_stage
 from oracles import popcount_rank
 
@@ -150,7 +151,7 @@ def test_probe_budget_overrun_exits_4(capsys, monkeypatch):
         layout = build(args, array)
 
         def step(query, known, source):
-            return [(a, source.read(a)) for a in range(layout.worst_probes + 1)], 0
+            return ProbeTrace(query, tuple((a, source.read(a)) for a in range(layout.worst_probes + 1)), 0)
 
         step.params = layout.params
         layout.step = step

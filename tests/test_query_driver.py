@@ -178,6 +178,28 @@ def test_reader_matches_driver(case, data):
 
 
 @pytest.mark.parametrize(
+    "build", [lambda a: build_naive(a, 8), lambda a: build_two_level(a, 64, 8, 8)], ids=["naive", "two_level"]
+)
+@pytest.mark.parametrize("case", ["bare", "published", "rank0"])
+def test_trace_equals_and_hashes_as_its_steps(build, case):
+    # rank keeps a scan that meets no published cell as its range and
+    # contents, and one that does as explicit pairs; either way the trace
+    # equals, hashes and prints as the driver's (query, steps, answer)
+    array = BitArray.random(200, np.random.default_rng(19))
+    layout = build(array)
+    k = 0 if case == "rank0" else 190
+    if case == "published":
+        layout.published.publish_cells(layout.memory, [20, 23])  # cell 23 holds position 190
+    got = rank(layout, k)
+    want = ProbeTrace(-1, (), 0) if k == 0 else run_query(layout.step, k - 1, layout.memory, layout.published)
+    assert (got.span[-1] == 23) if case == "bare" else got.scan == ()
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert got.steps == want.steps and got.addresses == want.addresses and got.probes == len(want.steps)
+    assert {want: k}[got] == k
+    assert got != ProbeTrace(want.query, want.steps, want.answer + 1)
+
+
+@pytest.mark.parametrize(
     "build,cut",
     [(lambda a: build_naive(a, 8), 3), (lambda a: build_two_level(a, 64, 8, 8), 1)],
     ids=["naive-scan", "two_level-counter"],

@@ -239,3 +239,23 @@ def test_detached_pass_checks_queries_as_set_passes_do():
             assert list(got[0].items()) == list(want[0].items()) and list(got[1].items()) == list(want[1].items())
             assert all(type(q) is int for q in got[0])
         assert want[0] == driver_pass(layout, list(want[0]))[0]
+
+
+@pytest.mark.parametrize("w", [64, 65, 96])
+@pytest.mark.parametrize("published", [False, True], ids=["bare", "published"])
+def test_wide_set_pass_answers_match_popcount(w, published):
+    # past w = 64 the served cells stay Python ints and are counted into
+    # int64; only the last-cell and counter terms are Python ints.  A set
+    # whose first query reads no raw cell (its position ends a block)
+    # shifts the first cell read by w, which takes off nothing
+    array = BitArray.random(4096, np.random.default_rng(21))
+    for layout in _layouts_at(array, w):
+        if published:
+            layout.publish_redundancy()
+            layout.published.publish_cells(layout.memory, range(0, layout.params["raw_cells"], 3))
+        for queries in ([w - 1], [w - 1, 8 * w - 1, 100], [*range(0, 4096, 37), 4095]):
+            want = {q: popcount_rank(array, q + 1) for q in queries}
+            answers, _ = simulate_set(layout.step, queries, layout.memory, layout.published)
+            assert answers == want and all(type(v) is int for v in answers.values())
+            plan = ProbePlan(layout.params, np.array(sorted(queries)))
+            assert plan.set_pass(layout.published.cells, layout.memory.gather)[0] == want

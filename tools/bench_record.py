@@ -83,7 +83,8 @@ CLI_TIMEOUT_S = 120
 SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode --n 1048576 --k 65536",
               "entropy --n 1048576 --k 1", "entropy --n 1073741824 --k 2",
               "eliminate --n 1048576 --structure recursive --t 4",
-              "query --n 1048577 --structure naive --w 1 --k 1048577")
+              "query --n 1048577 --structure naive --w 1 --k 1048577",
+              "query --n 1048577 --structure naive --w 1 --k 1048577 --format json")
 SCALE_LIMIT_AS = 2 << 30  # a blow-up ends in MemoryError (exit 3), not the OOM killer
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]

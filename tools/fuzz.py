@@ -22,8 +22,8 @@ next case goes to the family that has spent the least time so far.
   each time: after a few more cells are published, and on a layout of
   the same geometry over another array.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
-  included, against ``run_query`` (the whole trace) and
-  ``popcount_rank``.
+  included, against ``run_query`` (the whole trace, its hash and its
+  addresses) and ``popcount_rank``.
 * ``offset``: ``choose_offset`` on a random layout with a random share
   (0, 0.1 or 0.5) of its cells published, at a random k, against the
   full-grid scan ``choose_offset_full_grid``.
@@ -69,7 +69,7 @@ from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
 from rankprobe.encoding import EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
 from rankprobe.errors import CorruptEncoding, RefusalError  # noqa: E402
-from rankprobe.model import PublishedBits, address_bits  # noqa: E402
+from rankprobe.model import ProbeTrace, PublishedBits, address_bits  # noqa: E402
 from rankprobe.structures import (  # noqa: E402
     block_queries,
     build_footprint,
@@ -185,10 +185,10 @@ def rank_case(rng, case: dict) -> None:
     k = case["k"] = int(rng.choice([0, n, int(rng.integers(0, n + 1))]))
     trace = rank(layout, k)
     check(trace.answer == popcount_rank(array, k), "rank differs from popcount_rank")
-    if k:
-        check(trace == run_query(layout.step, k - 1, layout.memory, layout.published), "rank differs from run_query")
-    else:
-        check(trace.steps == (), "rank(0) charged probes")
+    want = run_query(layout.step, k - 1, layout.memory, layout.published) if k else ProbeTrace(-1, (), 0)
+    check(trace == want, "rank differs from run_query")
+    check(hash(trace) == hash(want), "rank hashes unlike run_query")
+    check(trace.addresses == want.addresses, "rank addresses differ from run_query")
 
 
 def offset_case(rng, case: dict) -> None:
