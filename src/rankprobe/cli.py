@@ -160,6 +160,7 @@ def _cmd_query(args):
         "probes": tr.probes,
         "addresses": list(addresses) if args.format == "json" else addresses,
     }
+    del tr  # the scan's contents, no part of the report, are freed before it is written
     _emit(args, obj, ("position", "answer", "probes", "addresses"), [obj])
 
 
