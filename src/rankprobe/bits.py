@@ -105,19 +105,21 @@ class BitArray:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def from_bytes(cls, n: int, data: bytes) -> "BitArray":
+        """A[1..n] from packed bits, LSB first: bit i - 1 of `data` is A[i].
+        Bits past n are dropped, and a short `data` reads as zeros past its end."""
+        size = ((n + 63) // 64) * 8
+        return cls(n, np.frombuffer(data[:size].ljust(size, b"\0"), dtype=np.uint64).copy())
+
+    @classmethod
     def from_bits(cls, bits) -> "BitArray":
         arr = np.asarray(bits, dtype=np.uint8)
-        n = len(arr)
-        padded = np.zeros(((n + 63) // 64) * 64, dtype=np.uint8)
-        padded[:n] = arr
-        words = np.packbits(padded, bitorder="little").view(np.uint64)
-        return cls(n, words)
+        return cls.from_bytes(len(arr), np.packbits(arr, bitorder="little").tobytes())
 
     @classmethod
     def from_int(cls, n: int, value: int) -> "BitArray":
         # bit i of value (LSB first) becomes A[i+1]
-        raw = value.to_bytes(((n + 63) // 64) * 8, "little")
-        return cls(n, np.frombuffer(raw, dtype=np.uint64).copy())
+        return cls.from_bytes(n, value.to_bytes(((n + 63) // 64) * 8, "little"))
 
     @classmethod
     def random(cls, n: int, rng: np.random.Generator) -> "BitArray":
@@ -185,8 +187,7 @@ class BitArray:
             raise ValueError("trailing bytes after RPL1 payload")
         if n % 8 and payload[-1] >> (n % 8):
             raise ValueError("RPL1 padding bits are not zero")
-        padded = payload + b"\x00" * (((n + 63) // 64) * 8 - n_bytes)
-        return cls(n, np.frombuffer(padded, dtype=np.uint64).copy())
+        return cls.from_bytes(n, payload)
 
     def write_rpl1(self, path) -> None:
         with open(path, "wb") as fh:

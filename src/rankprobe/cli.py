@@ -79,9 +79,9 @@ def _rounded(value, digits):
         return round(value, digits)
     if isinstance(value, dict):
         return {key: _rounded(v, digits) for key, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, list) and any(issubclass(t, (float, dict, list)) for t in set(map(type, value))):
         return [_rounded(v, digits) for v in value]
-    return value
+    return value  # a list of no float, dict or list as it is
 
 
 CHUNK = 1 << 14  # CSV list values, or JSON encoder pieces, joined and written at a time

@@ -25,8 +25,9 @@ the ensemble: exact conditional canonical codes built by enumerating
 every array of the given length, honest only at enumerable sizes.
 
 Decoding parses the record back into cells: it replays the recorded
-footprints through the structure's own query reader, fills the
-untouched cells from component 6 and reads the array from the raw cells.
+footprints through the structure's own query reader and reads the array
+from the raw cells, which lie ahead of every counter cell, so the ones
+no replay charged are component 6's leading cells.
 One rule then decides acceptance: the record is valid exactly when
 encoding that array again (the layout rebuilt by
 :func:`~rankprobe.structures.layout_from_params`, with the cells the
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 import numpy as np
 
@@ -274,16 +275,6 @@ def _footprint_codes(ensemble: bool, params: dict, k: int, d: int):
 
 # -- encode ---------------------------------------------------------------
 
-def _remaining(cell_count: int, *charged: dict) -> list:
-    """Component 6's cells as a mask over the cell range: True where no
-    set's charged cells hold the cell."""
-    rest = [True] * cell_count
-    for cells in charged:
-        for a in cells:
-            rest[a] = False
-    return rest
-
-
 def _bootstrap_prefix(params: dict, ledger_bits: int) -> int:
     """Bits of the bootstrap prefix (the redundancy region's contents in
     address order, then the zero padding slack) that a published ledger
@@ -355,7 +346,9 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
 
     foot = _footprint_codes(ensemble, layout.params, k, d)
     comp6 = BitString()
-    rest = _remaining(layout.memory.cell_count, ref_cells, det_cells)
+    rest = [True] * layout.memory.cell_count  # component 6 is every other cell, in address order
+    for a in chain(ref_cells, det_cells):
+        rest[a] = False
     comp6.append_cells(list(compress(layout.memory.cells, rest)), layout.memory.word_bits)
 
     comp1 = _published_bits(layout)
@@ -373,11 +366,11 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
     Pass the `ensemble` flag the record was encoded with.  Parsing reads
     the published ledger, the detached set and answers, replays the
     reference footprint and then the detached one (whose ensemble code
-    is conditioned on the reference answers), and reads component 6 for
-    the cells neither replay charged, published ones included.  The
-    array is the raw cells.  Raises CorruptEncoding unless encoding that
-    array again, with the cells the record publishes, gives back every
-    component of the record."""
+    is conditioned on the reference answers), and takes each raw cell
+    from the replays' charged cells or, where neither charged it, from
+    component 6.  The array is the raw cells.  Raises CorruptEncoding
+    unless encoding that array again, with the cells the record
+    publishes, gives back every component of the record."""
     n = params["n"]
     w = params["word_bits"]
     cell_count = params["cell_count"]
@@ -426,15 +419,11 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         f_det = Footprint(foot[ref_cond].decode_symbol(record.foot_detached, 0)[0], w)
         seen_det = replay_from_footprint(step, det, f_det, published)[1]
 
-        # component 6: every cell neither replay charged, published ones
-        # included, by the mask encode writes it with
-        rest = _remaining(cell_count, seen_ref, seen_det)
-        cells = np.empty(cell_count, dtype=object)
-        cells[np.array(rest)] = record.remaining.read_cells(0, rest.count(True), w)
-        for seen in (seen_ref, seen_det):
-            cells[list(seen)] = list(seen.values())
-        raw = cells_to_bytes(cells[: params["raw_cells"]], w)
-        array = BitArray.from_bits(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=n, bitorder="little"))
+        # the raw cells: each a replay charged, else the next leading cell
+        # of component 6, which holds every other cell in address order
+        charged, raw = seen_ref | seen_det, range(params["raw_cells"])
+        leading = iter(record.remaining.read_cells(0, sum(a not in charged for a in raw), w))
+        array = BitArray.from_bytes(n, cells_to_bytes([charged[a] if a in charged else next(leading) for a in raw], w))
 
         # the one acceptance rule: the record is the array's encoding
         rebuilt = layout_from_params(array, params)

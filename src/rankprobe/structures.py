@@ -407,8 +407,10 @@ class ProbePlan:
 
         Per query the set reads three runs of cells, each where
         :meth:`_new_reads` finds it new: the absolute counter, the
-        relative counter, then the new part of the scan.  After one zero
-        cell, the raw cells read in address order hold a query's scan
+        relative counter, then the new part of the scan.  A sorted set
+        reads each raw cell once and in address order, so the raw cells
+        read are the places where the read order holds an address below
+        ``raw_cells``.  After one zero cell, they hold a query's scan
         lo .. hi as the last hi + 1 - lo of them through its own, so the
         scan is read between two entries of their popcount prefix.  A
         shift takes the bits at or past the position off its last cell (an
@@ -432,15 +434,14 @@ class ProbePlan:
             runs = np.empty((self.queries.size, 3), dtype=np.int64)
             runs[:, 0], runs[:, 1] = new_abs, new_rel
             scan = runs[:, 2]
-            np.maximum(self.hi + 1 - start, 0, out=scan)
+            np.subtract(self.hi + 1, start, out=scan)
             firsts = np.empty_like(runs)  # the address each run starts at
             firsts[:, 0], firsts[:, 1], firsts[:, 2] = self.abs_addr, self.rel_addr, start
             runs = runs.ravel()
             ends = np.add.accumulate(runs)
             read = np.repeat(firsts.ravel() - ends + runs, runs) + np.arange(ends[-1])
             scan_ends = np.add.accumulate(scan)
-            raw_at = np.zeros(scan_ends[-1] + 1, dtype=np.int64)
-            raw_at[1:] = np.repeat(ends[2::3] - scan_ends, scan) + np.arange(scan_ends[-1])
+            raw_at = np.concatenate(([0], np.flatnonzero(read < self.params["raw_cells"])))
 
             counters = self.params["kind"] != "naive"
             rows = np.empty((5 if counters else 2, self.queries.size), dtype=np.int64)

@@ -27,6 +27,19 @@ def test_bitarray_random_round_trips():
         assert BitArray.from_bits(a.to_bits()) == a
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 300), data=st.binary(max_size=48))
+def test_from_bytes_keeps_the_first_n_bits(n, data):
+    # bits past n are dropped, and bytes past the end of data read as zeros
+    a = BitArray.from_bytes(n, data)
+    value = int.from_bytes(data, "little") & ((1 << n) - 1)
+    assert a.n == n and a.to_int() == value
+    assert a == BitArray.from_bits(np.array([value >> i & 1 for i in range(n)], dtype=np.uint8))
+    assert a == BitArray.from_int(n, value)
+    payload = value.to_bytes((n + 7) // 8, "little")
+    assert a == BitArray.from_rpl1(b"RPL1" + n.to_bytes(8, "little") + payload)
+
+
 def test_rpl1_layout():
     # bit i (1-indexed) sits in byte (i-1)//8 at position (i-1) % 8
     a = BitArray.from_int(12, 0x101)

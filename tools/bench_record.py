@@ -23,12 +23,14 @@ incorrect; neither is dropped, and neither enters the medians.  Then
 every CLI example of the README (each line of it that starts with
 ``rankprobe``) and every perfbench CLI twin (``TWIN_ARGS`` in
 ``perfbench/run.py``, at seed 0) runs ``CLI_REPEATS`` times per tree as
-``python3 -m rankprobe.cli ...`` in a scratch directory, the trees
-alternating.  Each run keeps its wall time, the peak RSS of that child
-alone and its minor page faults (both from its own ``wait4`` rusage, not
-the maximum over all children so far), its exit status and a digest of
-its stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and recorded
-as a timeout.  Then each
+the ``rankprobe.cli`` module (``PEAK_REPORTER``) in a scratch directory,
+the trees alternating.  Each run keeps its wall time, the peak RSS of
+that child alone (the ``VmHWM`` the child reads from its own
+``/proc/self/status`` at exit and writes to a pipe: on Linux ``wait4``'s
+``ru_maxrss`` starts from the RSS of the process that forked it), its
+minor page faults (from its own ``wait4`` rusage), its exit status and a
+digest of its stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and
+recorded as a timeout.  Then each
 command of ``SCALE_ARGS`` (runs past the README's sizes) runs
 once per tree the same way, the trees alternating from command to
 command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
@@ -86,6 +88,17 @@ SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode -
               "query --n 1048577 --structure naive --w 1 --k 1048577",
               "query --n 1048577 --structure naive --w 1 --k 1048577 --format json")
 SCALE_LIMIT_AS = 2 << 30  # a blow-up ends in MemoryError (exit 3), not the OOM killer
+# `python -c PEAK_REPORTER FD ARGS...` runs `python -m rankprobe.cli ARGS...`
+# and at exit writes the process's own peak RSS (VmHWM, in KiB) to FD
+PEAK_REPORTER = """\
+import atexit, os, runpy, sys
+fd = int(sys.argv.pop(1))
+def report():
+    with open("/proc/self/status") as fh:
+        os.write(fd, next(line for line in fh if line.startswith("VmHWM:")).split()[1].encode())
+atexit.register(report)
+runpy.run_module("rankprobe.cli", run_name="__main__", alter_sys=True)
+"""
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]
 
@@ -177,20 +190,25 @@ def cli_commands(root: Path) -> dict:
 
 
 def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> dict:
-    """One CLI run: wall time, the child's own peak RSS and minor page
-    faults, exit status and stdout digest, or a timeout.  `limit_as` caps
-    the child's address space (``RLIMIT_AS``, set in the child alone)."""
+    """One CLI run: wall time, the child's own peak RSS (None when it
+    wrote none) and minor page faults, exit status and stdout digest, or
+    a timeout.  `limit_as` caps the child's address space
+    (``RLIMIT_AS``, set in the child alone)."""
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     fired = threading.Event()
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
 
-    with tempfile.TemporaryFile() as out:
+    read_end, write_end = os.pipe()
+    with tempfile.TemporaryFile() as out, os.fdopen(read_end, "rb") as peak:
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "rankprobe.cli", *args], stdout=out,
-                                stderr=subprocess.DEVNULL, cwd=cwd, env=env,
-                                preexec_fn=limit if limit_as else None)
+        try:
+            proc = subprocess.Popen([sys.executable, "-c", PEAK_REPORTER, str(write_end), *args], stdout=out,
+                                    stderr=subprocess.DEVNULL, cwd=cwd, env=env, pass_fds=(write_end,),
+                                    preexec_fn=limit if limit_as else None)
+        finally:
+            os.close(write_end)
         killer = threading.Timer(CLI_TIMEOUT_S, lambda: (fired.set(), os.kill(proc.pid, signal.SIGKILL)))
         killer.start()
         try:
@@ -204,8 +222,10 @@ def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> 
             return {"status": "timeout", "wall_s": wall}
         out.seek(0)
         digest = hashlib.sha256(out.read()).hexdigest()
+        hwm = peak.read()
     return {"status": "ok" if code == 0 else f"exit {code}", "wall_s": wall,
-            "peak_rss_mib": usage.ru_maxrss / 1024.0, "minor_faults": usage.ru_minflt, "stdout_sha256": digest}
+            "peak_rss_mib": int(hwm) / 1024.0 if hwm else None, "minor_faults": usage.ru_minflt,
+            "stdout_sha256": digest}
 
 
 def summarize_cli(runs: list) -> dict:
@@ -213,7 +233,7 @@ def summarize_cli(runs: list) -> dict:
     out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs),
            "stdout_sha256": sorted({r["stdout_sha256"] for r in runs if "stdout_sha256" in r})}
     for name in ("wall_s", "peak_rss_mib", "minor_faults"):
-        values = [r[name] for r in good]
+        values = [r[name] for r in good if r[name] is not None]
         if values:
             out[name] = {"median": statistics.median(values), "min": min(values), "max": max(values)}
     return out

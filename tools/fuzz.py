@@ -7,7 +7,7 @@ in, and its oracles from that checkout's ``tests/oracles.py``: the
 query-generator driver ``run_query``, the set pass ``driver_pass`` and
 the greedy scan ``greedy_scan`` over it, the popcount rank
 ``popcount_rank`` and the full-grid offset scan
-``choose_offset_full_grid``.  Five families share the time budget: each
+``choose_offset_full_grid``.  Six families share the time budget: each
 next case goes to the family that has spent the least time so far.
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
@@ -42,6 +42,15 @@ next case goes to the family that has spent the least time so far.
   decoded array, with the cells the mutant's own ledger publishes read
   from it, must encode to exactly the mutant's bytes.  Refusals count as
   in ``encode``.
+* ``cli``: ``cli.main`` in process on a random argv for one of the
+  seven subcommands: each flag missing or given a valid or an invalid
+  value (n at most 2^12), now and then a flag the subcommand lacks, and
+  ``--out`` into a temporary directory, a missing one or the directory
+  itself.  The exit code must be 0, 2, 3, 4, 5, 6 or 7 with no exception
+  escaping; a library failure must print exactly one stderr line,
+  starting ``error:`` or ``refused:`` (argparse usage errors keep its own
+  lines and exit 2); and the same argv run again must give byte-identical
+  stdout and output file.
 
 Case i of a run draws everything from ``numpy.random.default_rng([seed,
 i])``, so ``case_seed`` names it.  Prints one JSON object: the count of
@@ -53,11 +62,14 @@ failed).  Exits 1 when a case failed.  Not part of the test suite.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
+import tempfile
 import time
 import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +77,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from rankprobe import cli  # noqa: E402
 from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
 from rankprobe.encoding import EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
@@ -268,7 +281,86 @@ def rpe1_case(rng, case: dict) -> str | None:
     return None
 
 
-FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case, "rpe1": rpe1_case}
+CLI_FLAGS = {  # the flags each subcommand takes
+    "build": ("n", "t", "w", "seed", "structure", "out", "format"),
+    "query": ("n", "k", "t", "w", "seed", "structure", "out", "format"),
+    "stats": ("n", "t", "w", "seed", "structure", "out", "format"),
+    "entropy": ("n", "k", "delta", "seed", "out", "format"),
+    "encode": ("n", "k", "delta", "t", "w", "seed", "structure", "out", "format"),
+    "eliminate": ("n", "t", "w", "seed", "structure", "out", "format"),
+    "tradeoff": ("n", "w", "seed", "out", "format"),
+}
+CLI_EXITS = (0, 2, 3, 4, 5, 6, 7)
+
+
+def cli_value(rng, flag: str, n: int, tmp: str) -> str:
+    """A value for `flag`: valid most of the time, else one the CLI or
+    the library must turn away.  An ``--out`` path always lies in `tmp`."""
+    if flag == "out":
+        return str(rng.choice([f"{tmp}/report.out", f"{tmp}/missing/report.out", tmp]))
+    if rng.random() < 0.1:
+        return str(rng.choice(["x", "1.5", "", "-1", "0"]))
+    if flag == "n":
+        return str(n)
+    if flag == "k":  # anywhere, or a block count of whole blocks
+        return str(int(rng.integers(-1, n + 2)) if rng.random() < 0.5 else n >> int(rng.integers(1, 8)))
+    if flag == "delta":
+        return str(int(rng.integers(-1, 40)))
+    if flag == "t":
+        return str(int(rng.integers(0, 7)))
+    if flag == "w":
+        return str(rng.choice([1, 7, 8, 32, 64, 65, 96]))
+    if flag == "seed":
+        return str(int(rng.integers(0, 4)))
+    if flag == "structure":
+        return str(rng.choice(["naive", "two_level", "recursive"]))
+    return str(rng.choice(["csv", "json"]))
+
+
+def run_cli(argv: list) -> tuple:
+    """``cli.main(argv)`` in process: (exit code, stdout, stderr), the
+    code None where argparse turned the argv away."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse turned the argv away
+            check(e.code == 2, f"argparse exited with {e.code}")
+            return None, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def cli_case(rng, case: dict) -> None:
+    cmd = str(rng.choice(list(CLI_FLAGS)))
+    n = int(rng.integers(1, 65) if rng.random() < 0.5 else rng.integers(1, 4097))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [cmd]
+        flags = list(CLI_FLAGS[cmd])
+        if rng.random() < 0.1:  # a flag this subcommand does not take
+            flags.append(str(rng.choice(["k", "delta", "t", "bogus"])))
+        for flag in flags:
+            if rng.random() < (0.9 if flag in ("n", "k") else 0.6):
+                argv += [f"--{flag}", cli_value(rng, flag, n, tmp)]
+        case["argv"] = [a.replace(tmp, "TMP") for a in argv]
+        out_file = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+        runs = []
+        for _ in range(2):
+            code, stdout, stderr = run_cli(argv)
+            written = out_file.read_bytes() if out_file and out_file.is_file() else None
+            runs.append((stdout, written))
+            if code is None:  # argparse's own usage lines
+                check(stderr.startswith("usage:"), "argparse exit without its usage lines")
+                continue
+            check(code in CLI_EXITS, f"exit code {code}")
+            if code:
+                lines = stderr.splitlines()
+                check(len(lines) == 1 and lines[0].startswith(("error:", "refused:")) and stderr.endswith("\n"),
+                      f"exit {code} with stderr {stderr!r}")
+        check(runs[0] == runs[1], "the same argv gave other output the second time")
+
+
+FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case, "rpe1": rpe1_case,
+            "cli": cli_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
