@@ -56,21 +56,6 @@ def _lg_int(x: int) -> float:
     return (d - 53) + math.log2(x >> (d - 53))
 
 
-_CENTRAL = [0, 1]  # the last (m, C(m, m // 2)) binom_entropy computed
-
-
-def _central_binomial(m: int) -> int:
-    """C(m, m // 2), stepped exactly from C(m - 1, (m - 1) // 2) when that
-    was the last one computed, as in a fill over consecutive m."""
-    last, c = _CENTRAL
-    if last == m - 1:
-        c = 2 * c if m % 2 == 0 else c * m // (m // 2 + 1)
-    elif last != m:
-        c = math.comb(m, m // 2)
-    _CENTRAL[:] = (m, c)
-    return c
-
-
 EXACT_CENTRE_MAX = 4096  # past it, the centre comes from Stirling's series
 
 
@@ -92,7 +77,7 @@ def binom_entropy(m: int) -> float:
     mid = m // 2
     # the centre's p and lg, with the pmf p = 2^(lg - scale)
     if m <= EXACT_CENTRE_MAX:
-        c_mid = _central_binomial(m)
+        c_mid = math.comb(m, mid)
         p_mid, lg_mid, scale = c_mid / (1 << m), _lg_int(c_mid), m
     else:
         h = (m + 1) // 2

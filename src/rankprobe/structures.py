@@ -39,9 +39,9 @@ are its footprint.  One set pass, :func:`_set_pass`, serves live runs
 (:func:`simulate_set`), footprints (:func:`build_footprint`) and
 replays (:func:`replay_from_footprint`) at every cell width, through
 the set's plan.  What the plan computes from the params and the
-queries alone is its program: the read order and where each answer's
-cells stand in it.  Only the data step that serves the cells and sums
-them depends on the memory or footprint and on the published cells:
+queries alone is its program: the read order and each answer's shifts.
+Only the data step that sets the served cells at their addresses and
+sums them depends on the memory or footprint and on the published cells:
 :meth:`~ProbePlan.read_order` fetches the charged cells in one
 ``gather`` (all a footprint records), and :meth:`~ProbePlan.set_pass`
 also computes every answer from them.  So a set pass takes its plan
@@ -407,60 +407,37 @@ class ProbePlan:
 
         Per query the set reads three runs of cells, each where
         :meth:`_new_reads` finds it new: the absolute counter, the
-        relative counter, then the new part of the scan.  A sorted set
-        reads each raw cell once and in address order, so the raw cells
-        read are the places where the read order holds an address below
-        ``raw_cells``.  After one zero cell, they hold a query's scan
-        lo .. hi as the last hi + 1 - lo of them through its own, so the
-        scan is read between two entries of their popcount prefix.  A
-        shift takes the bits at or past the position off its last cell (an
-        empty scan shifts that cell, or the first cell read when the set
-        has read no raw cell yet, by w, and numpy shifts a uint64 by 64 to
-        0, so it takes off nothing).  Its counters are the latest new
-        ones in the read order; a query whose block stores no relative
-        counter shifts that word by w, so it adds none.
+        relative counter, then the new part of the scan.  The answers need
+        nothing more, as :meth:`set_pass` reads each query's cells at
+        their addresses, the way the reader does.
 
-        Returns the cells read, as a tuple in that first-seen probe order;
-        per query how many raw cells the set has read through it; after a
-        first entry for the zero cell (any position), the position of each
-        raw cell read, in address order; the query list; rows of, per
-        query, where its scan starts among the raw cells, its last-cell
-        shift and, on a counter layout, the positions of its absolute
-        counter and relative word and its slot shift; the same rows as
-        uint64; and the slot mask (None on a naive layout).  The arrays
-        are read-only."""
+        Returns the cells read, in that first-seen probe order, as a tuple
+        and as an int64 array; the query list; per query hi + 1; rows of,
+        per query, its last-cell shift and, on a counter layout, its slot
+        shift (w where its block stores no relative counter), as uint64;
+        and the slot mask (None on a naive layout).  The arrays are
+        read-only."""
         if self._cached is None:
             new_abs, new_rel, start = self._new_reads()
             runs = np.empty((self.queries.size, 3), dtype=np.int64)
             runs[:, 0], runs[:, 1] = new_abs, new_rel
-            scan = runs[:, 2]
-            np.subtract(self.hi + 1, start, out=scan)
+            np.subtract(self.hi + 1, start, out=runs[:, 2])
             firsts = np.empty_like(runs)  # the address each run starts at
             firsts[:, 0], firsts[:, 1], firsts[:, 2] = self.abs_addr, self.rel_addr, start
             runs = runs.ravel()
             ends = np.add.accumulate(runs)
             read = np.repeat(firsts.ravel() - ends + runs, runs) + np.arange(ends[-1])
-            scan_ends = np.add.accumulate(scan)
-            raw_at = np.concatenate(([0], np.flatnonzero(read < self.params["raw_cells"])))
-
-            counters = self.params["kind"] != "naive"
-            rows = np.empty((5 if counters else 2, self.queries.size), dtype=np.int64)
-            np.subtract(scan_ends, self.hi + 1 - self.lo, out=rows[0])
-            np.remainder(self.queries, self.params["word_bits"], out=rows[1])
-            rows[1] += 1
+            w = self.params["word_bits"]
+            shifts = [self.queries % w + 1]
             slot_mask = None
-            if counters:
-                # query 0 reads its absolute counter, so only a relative word can stay at -1
-                reached = (ends * runs).reshape(-1, 3).T[:2]  # past a run's last cell, or 0
-                np.maximum.accumulate(reached, axis=1, out=rows[2:4])
-                rows[2:4] -= 1
-                width, per = self.params["width"], self.params["per_cell"]
-                np.multiply(self.entry % per, width, out=rows[4])
-                rows[4][self.rel_addr < 0] = self.params["word_bits"]
+            if self.params["kind"] != "naive":
+                width = self.params["width"]
+                shifts.append(np.where(self.rel_addr < 0, w, self.entry % self.params["per_cell"] * width))
                 slot_mask = np.uint64((1 << width) - 1)
-            _read_only(scan_ends, raw_at, rows)
-            self._cached = (tuple(read.tolist()), scan_ends, raw_at, tuple(self.queries.tolist()),
-                            rows, rows.view(np.uint64), slot_mask)
+            shifts = np.array(shifts, dtype=np.uint64)
+            past = self.hi + 1
+            _read_only(read, past, shifts)
+            self._cached = (tuple(read.tolist()), read, tuple(self.queries.tolist()), past, shifts, slot_mask)
         return self._cached
 
     def read_order(self, known: dict, gather):
@@ -477,24 +454,31 @@ class ProbePlan:
     def set_pass(self, known: dict, gather):
         """The set pass of :func:`simulate_set` over this plan's
         queries, which must be sorted, distinct and at least one: the read
-        step :meth:`read_order`, then every answer computed from the
-        served contents by :meth:`_program`, as uint64 up to w = 64 and
-        as Python ints past it.  Returns (answers dict, fetched cells)."""
+        step :meth:`read_order`, then every answer read from the served
+        contents set at their addresses, as the reader reads it: a scan
+        lo .. hi between two entries of a popcount prefix over addresses,
+        less cell hi's ones at or past the position, plus the counters.
+        An empty scan (lo = hi + 1) and an absent relative counter (-1)
+        shift their cell by w, and numpy shifts a uint64 by 64 to 0.  So
+        the data step costs the layout's cell count, not the cells read.
+        The answers are uint64 up to w = 64 and Python ints past it.
+        Returns (answers dict, fetched cells)."""
         charged, got = self.read_order(known, gather)
-        read, scan_ends, raw_at, keys, rows, urows, slot_mask = self._program()
+        read, at, keys, past, shifts, slot_mask = self._program()
         cells = got
         if known:  # the published contents go back in probe order
             fetched = iter(got)
             cells = [known[a] if a in known else next(fetched) for a in read]
         wide = self.params["word_bits"] > 64
         served = np.array(cells, dtype=object if wide else np.uint64)
-        raw = _bit_counts(served)[raw_at]
-        raw[0] = 0
-        ones = np.add.accumulate(raw, dtype=np.int64 if wide else np.uint64)
-        answers = ones[scan_ends] - ones[rows[0]]
-        answers -= _bit_counts(served[raw_at[scan_ends]] >> urows[1])
+        image = np.zeros(self.params["cell_count"], dtype=served.dtype)
+        image[at] = served
+        ones = np.zeros(image.size + 1, dtype=np.int64 if wide else np.uint64)
+        ones[1:][at] = _bit_counts(served)  # ones[a + 1] for the cell at a
+        np.add.accumulate(ones, out=ones)
+        answers = ones[past] - ones[self.lo] - _bit_counts(image[self.hi] >> shifts[0])
         if slot_mask is not None:  # Python ints past w = 64
-            answers = answers + served[rows[2]] + ((served[rows[3]] >> urows[4]) & slot_mask)
+            answers = answers + image[self.abs_addr] + ((image[self.rel_addr] >> shifts[1]) & slot_mask)
         return dict(zip(keys, answers.tolist())), dict(zip(charged, got))
 
 

@@ -247,13 +247,15 @@ def test_wide_set_pass_answers_match_popcount(w, published):
     # past w = 64 the served cells stay Python ints and are counted into
     # int64; only the last-cell and counter terms are Python ints.  A set
     # whose first query reads no raw cell (its position ends a block)
-    # shifts the first cell read by w, which takes off nothing
+    # shifts its cell hi by w, which takes off nothing; with a
+    # block of one cell, query w - 1 has an empty scan in the cell query
+    # w - 2 reads, and only the shift by w keeps that cell out of its answer
     array = BitArray.random(4096, np.random.default_rng(21))
     for layout in _layouts_at(array, w):
         if published:
             layout.publish_redundancy()
             layout.published.publish_cells(layout.memory, range(0, layout.params["raw_cells"], 3))
-        for queries in ([w - 1], [w - 1, 8 * w - 1, 100], [*range(0, 4096, 37), 4095]):
+        for queries in ([w - 1], [w - 2, w - 1], [w - 1, 8 * w - 1, 100], [*range(0, 4096, 37), 4095]):
             want = {q: popcount_rank(array, q + 1) for q in queries}
             answers, _ = simulate_set(layout.step, queries, layout.memory, layout.published)
             assert answers == want and all(type(v) is int for v in answers.values())

@@ -35,8 +35,12 @@ command of ``SCALE_ARGS`` (runs past the README's sizes) runs
 once per tree the same way, the trees alternating from command to
 command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
 that a blow-up ends in ``MemoryError`` (exit 3) rather than in the OOM
-killer.  Last, the tier-1 suite runs four times in the order change,
-baseline, baseline, change (twice on the one tree without
+killer.  Then each tree's own ``tools/fuzz.py`` runs once with
+``FUZZ_ARGS``, the change first, and the record keeps its JSON under the
+tree's ``fuzz``: cases, refusals, failures and seconds per family and
+the first failure, with the exit status; a run that exits nonzero is
+kept as it is.  Last, the tier-1 suite runs four times in the order
+change, baseline, baseline, change (twice on the one tree without
 ``--baseline``), so host drift over the runs falls on both trees alike.
 Every run is kept with its wall time and pytest's ten slowest test
 durations; per tree the record holds the median wall time and, for each
@@ -99,6 +103,8 @@ def report():
 atexit.register(report)
 runpy.run_module("rankprobe.cli", run_name="__main__", alter_sys=True)
 """
+FUZZ_ARGS = ("--seconds", "20", "--seed", "11")
+FUZZ_TIMEOUT_S = 300
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
          "--durations=10"]
 
@@ -255,6 +261,23 @@ def time_tier1(root: Path) -> dict:
             "slowest": slowest, **counts}
 
 
+def run_fuzz(root: Path) -> dict:
+    """One run of the tree's own fuzz: its JSON report and exit status,
+    or why there is no report."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    start = time.perf_counter()
+    try:
+        done = subprocess.run([sys.executable, "tools/fuzz.py", *FUZZ_ARGS], cwd=root, capture_output=True,
+                              text=True, timeout=FUZZ_TIMEOUT_S, env=env)
+    except subprocess.TimeoutExpired:
+        return {"status": "timeout", "wall_s": time.perf_counter() - start}
+    run = {"status": f"exit {done.returncode}", "wall_s": time.perf_counter() - start}
+    try:
+        return {**run, **json.loads(done.stdout)}
+    except ValueError:
+        return {**run, "stderr": done.stderr[-2000:]}
+
+
 def summarize_tier1(runs: list) -> dict:
     """Median wall time of the runs that finished, and each slowest test's
     median duration over the runs that list it, slowest first."""
@@ -353,6 +376,11 @@ def main(argv=None) -> int:
                 run = time_cli(trees[tree], line.split(), Path(scratch), SCALE_LIMIT_AS)
                 scale_runs[tree][line] = run
                 print(f"{tree} scale {line!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
+    fuzz_runs = {}
+    for tree in trees:
+        fuzz_runs[tree] = run = run_fuzz(trees[tree])
+        failures = sum(f["failures"] for f in run.get("families", {}).values())
+        print(f"{tree} fuzz {run['status']} failures={failures}", flush=True)
     tier1_runs = {tree: [] for tree in trees}
     for tree in [t for t in TIER1_ORDER if t in trees]:
         run = time_tier1(trees[tree])
@@ -361,6 +389,7 @@ def main(argv=None) -> int:
     for tree in trees:
         report["trees"][tree]["cli"] = {label: summarize_cli(rs) for label, rs in cli_runs[tree].items()}
         report["trees"][tree]["scale"] = {"limit_as_bytes": SCALE_LIMIT_AS, "runs": scale_runs[tree]}
+        report["trees"][tree]["fuzz"] = fuzz_runs[tree]
         report["trees"][tree]["tier1"] = summarize_tier1(tier1_runs[tree])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
