@@ -1,7 +1,8 @@
 """Command-line front end.
 
 One binary, seven subcommands: build, query, stats, entropy, encode,
-eliminate, tradeoff.  Everything is seeded and deterministic: the same
+eliminate, tradeoff, each a row of one table, ``COMMANDS`` (handler,
+help line, flags).  Everything is seeded and deterministic: the same
 invocation produces byte-identical output, and the seed is recorded in
 the output header.  Exit codes: 0 success, 2 usage error, 3 refusal
 (the computation was out of honest range), 4 simulation fault (a probe
@@ -37,29 +38,22 @@ from .structures import (
 )
 
 
-def _add_flags(sp, *names):
-    if "n" in names:
-        sp.add_argument("--n", type=int, required=True, help="array length in bits")
-    if "k" in names:
-        sp.add_argument("--k", type=int, help="block count (or rank position for query)")
-    if "delta" in names:
-        sp.add_argument("--delta", type=int, help="offset inside each block")
-    if "t" in names:
-        sp.add_argument("--t", type=int, default=2, help="recursion stage")
-    if "w" in names:
-        sp.add_argument("--w", type=int, default=64, help="cell width in bits")
-    if "seed" in names:
-        sp.add_argument("--seed", type=int, default=0, help="array RNG seed")
-    if "structure" in names:
-        sp.add_argument(
-            "--structure",
-            choices=("naive", "two_level", "recursive"),
-            default="two_level",
-        )
-    if "out" in names:
-        sp.add_argument("--out", help="write output to this file")
-    if "format" in names:
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+FLAGS = {  # each flag's argparse spec, the flag being `--name`
+    "n": {"type": int, "required": True, "help": "array length in bits"},
+    "k": {"type": int, "help": "block count (or rank position for query)"},
+    "delta": {"type": int, "help": "offset inside each block"},
+    "t": {"type": int, "default": 2, "help": "recursion stage"},
+    "w": {"type": int, "default": 64, "help": "cell width in bits"},
+    "seed": {"type": int, "default": 0, "help": "array RNG seed"},
+    "structure": {"choices": ("naive", "two_level", "recursive"), "default": "two_level"},
+    "out": {"help": "write output to this file"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+}
+
+
+def _flags(names, **own):
+    """The specs of the space-separated flag `names`, then the subcommand's `own` specs, in --help order."""
+    return {**{name: FLAGS[name] for name in names.split()}, **own}
 
 
 def _build_layout(args, array):
@@ -244,42 +238,28 @@ def _cmd_tradeoff(args):
     _emit(args, {"n": args.n, "stages": stages}, columns, stages)
 
 
+COMMANDS = {  # subcommand: (handler, help line, the flags it takes), in --help order
+    "build": (_cmd_build, "build a structure over a seeded random array", _flags("n t w seed structure out format")),
+    "query": (_cmd_query, "answer one rank query, with its probe trace", _flags("n k t w seed structure out format")),
+    "stats": (_cmd_stats, "redundancy and probe statistics", _flags("n t w seed structure out format")),
+    "entropy": (_cmd_entropy, "answer-correlation deficit report", _flags("n k delta seed out format")),
+    "encode": (_cmd_encode, "encode the array through its structure",
+               _flags("n k delta t w seed structure out format")),
+    "eliminate": (_cmd_eliminate, "run the probe-elimination rounds", _flags("n t w seed structure out format")),
+    "tradeoff": (_cmd_tradeoff, "redundancy vs probes across stages",
+                 _flags("n w seed out format", t={"type": int, "help": "deepest stage (default: all)"})),
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="rankprobe",
-        description="Desk-scale laboratory for the redundancy/probe-count "
-        "trade-off of succinct rank structures.",
-    )
+    parser = argparse.ArgumentParser(prog="rankprobe", description="Desk-scale laboratory for the "
+                                     "redundancy/probe-count trade-off of succinct rank structures.")
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    sp = sub.add_parser("build", help="build a structure over a seeded random array")
-    _add_flags(sp, "n", "t", "w", "seed", "structure", "out", "format")
-    sp.set_defaults(fn=_cmd_build)
-
-    sp = sub.add_parser("query", help="answer one rank query, with its probe trace")
-    _add_flags(sp, "n", "k", "t", "w", "seed", "structure", "out", "format")
-    sp.set_defaults(fn=_cmd_query)
-
-    sp = sub.add_parser("stats", help="redundancy and probe statistics")
-    _add_flags(sp, "n", "t", "w", "seed", "structure", "out", "format")
-    sp.set_defaults(fn=_cmd_stats)
-
-    sp = sub.add_parser("entropy", help="answer-correlation deficit report")
-    _add_flags(sp, "n", "k", "delta", "seed", "out", "format")
-    sp.set_defaults(fn=_cmd_entropy)
-
-    sp = sub.add_parser("encode", help="encode the array through its structure")
-    _add_flags(sp, "n", "k", "delta", "t", "w", "seed", "structure", "out", "format")
-    sp.set_defaults(fn=_cmd_encode)
-
-    sp = sub.add_parser("eliminate", help="run the probe-elimination rounds")
-    _add_flags(sp, "n", "t", "w", "seed", "structure", "out", "format")
-    sp.set_defaults(fn=_cmd_eliminate)
-
-    sp = sub.add_parser("tradeoff", help="redundancy vs probes across stages")
-    _add_flags(sp, "n", "w", "seed", "out", "format")
-    sp.add_argument("--t", type=int, default=None, help="deepest stage (default: all)")
-    sp.set_defaults(fn=_cmd_tradeoff)
+    for cmd, (fn, help_line, flags) in COMMANDS.items():
+        sp = sub.add_parser(cmd, help=help_line)
+        for name, spec in flags.items():
+            sp.add_argument(f"--{name}", **spec)
+        sp.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     try:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -385,6 +386,31 @@ def test_tradeoff_stage_cap(capsys):
 def test_bad_structure_choice(capsys):
     with pytest.raises(SystemExit):
         main(["build", "--n", "64", "--structure", "fancy"])
+
+
+HELP_OPTIONS = {  # the long options each subcommand's --help lists, subcommands in `rankprobe --help` order
+    "build": {"--help", "--n", "--t", "--w", "--seed", "--structure", "--out", "--format"},
+    "query": {"--help", "--n", "--k", "--t", "--w", "--seed", "--structure", "--out", "--format"},
+    "stats": {"--help", "--n", "--t", "--w", "--seed", "--structure", "--out", "--format"},
+    "entropy": {"--help", "--n", "--k", "--delta", "--seed", "--out", "--format"},
+    "encode": {"--help", "--n", "--k", "--delta", "--t", "--w", "--seed", "--structure", "--out", "--format"},
+    "eliminate": {"--help", "--n", "--t", "--w", "--seed", "--structure", "--out", "--format"},
+    "tradeoff": {"--help", "--n", "--w", "--seed", "--out", "--format", "--t"},
+}
+
+
+@pytest.mark.parametrize("cmd", [None, *HELP_OPTIONS])
+def test_help_lists_subcommands_and_flags(capsys, cmd):
+    # read out of the help text, not its layout, which argparse changes
+    # between Python versions
+    with pytest.raises(SystemExit) as done:
+        main([cmd, "--help"] if cmd else ["--help"])
+    text = capsys.readouterr().out
+    assert done.value.code == 0
+    if cmd is None:
+        assert re.search(r"\{([\w,]+)\}", text).group(1).split(",") == list(HELP_OPTIONS)
+    else:
+        assert set(re.findall(r"(?<![\w-])--\w+", text)) == HELP_OPTIONS[cmd]
 
 
 def test_console_script():

@@ -30,13 +30,14 @@ that child alone (the ``VmHWM`` the child reads from its own
 ``ru_maxrss`` starts from the RSS of the process that forked it), its
 minor page faults (from its own ``wait4`` rusage), its exit status and a
 digest of its stdout; a run that passes ``CLI_TIMEOUT_S`` is killed and
-recorded as a timeout.  Then each
-command of ``SCALE_ARGS`` (runs past the README's sizes) runs
-once per tree the same way, the trees alternating from command to
-command, with the child's address space capped at ``SCALE_LIMIT_AS`` so
+recorded as a timeout.  Then each command of ``SCALE_ARGS`` (runs past
+the README's sizes) runs ``SCALE_REPEATS`` times per tree in the same
+loop, with the child's address space capped at ``SCALE_LIMIT_AS`` so
 that a blow-up ends in ``MemoryError`` (exit 3) rather than in the OOM
-killer.  Then each tree's own ``tools/fuzz.py`` runs once with
-``FUZZ_ARGS``, the change first, and the record keeps its JSON under the
+killer; the record keeps every scale run and, per row, the summary a
+README row gets (median, min and max, and the stdout digests).  Then
+each tree's own ``tools/fuzz.py`` runs once with ``FUZZ_ARGS``, the
+change first, and the record keeps its JSON under the
 tree's ``fuzz``: cases, refusals, failures and seconds per family and
 the first failure, with the exit status; a run that exits nonzero is
 kept as it is.  Last, the tier-1 suite runs four times in the order
@@ -85,12 +86,13 @@ TIER1_TIMEOUT_S = 1800
 TIER1_ORDER = ("change", "baseline", "baseline", "change")
 CLI_REPEATS = 5
 CLI_TIMEOUT_S = 120
-# runs past the README sizes, once per tree, each child under one address-space limit
+# runs past the README sizes, SCALE_REPEATS times per tree, each child under one address-space limit
 SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode --n 1048576 --k 65536",
               "entropy --n 1048576 --k 1", "entropy --n 1073741824 --k 2",
               "eliminate --n 1048576 --structure recursive --t 4",
               "query --n 1048577 --structure naive --w 1 --k 1048577",
               "query --n 1048577 --structure naive --w 1 --k 1048577 --format json")
+SCALE_REPEATS = 3
 SCALE_LIMIT_AS = 2 << 30  # a blow-up ends in MemoryError (exit 3), not the OOM killer
 # `python -c PEAK_REPORTER FD ARGS...` runs `python -m rankprobe.cli ARGS...`
 # and at exit writes the process's own peak RSS (VmHWM, in KiB) to FD
@@ -234,6 +236,20 @@ def time_cli(root: Path, args: list, cwd: Path, limit_as: int | None = None) -> 
             "stdout_sha256": digest}
 
 
+def repeat_cli(trees: dict, commands: dict, cwd: Path, repeats: int, what: str, limit_as: int | None = None) -> dict:
+    """`repeats` rounds of ``time_cli`` over every command and tree, the
+    tree order alternating from round to round: per tree, each command's
+    runs."""
+    runs = {tree: {label: [] for label in commands} for tree in trees}
+    for i in range(repeats):
+        for label, args in commands.items():
+            for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
+                run = time_cli(trees[tree], args, cwd, limit_as)
+                runs[tree][label].append(run)
+                print(f"{tree} {what} {label!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
+    return runs
+
+
 def summarize_cli(runs: list) -> dict:
     good = [r for r in runs if r["status"] == "ok"]
     out = {"runs": len(runs), "ok": len(good), "timeouts": sum(r["status"] == "timeout" for r in runs),
@@ -361,21 +377,10 @@ def main(argv=None) -> int:
         pairs = {w: ok_pairs(runs["change"][w], runs["baseline"][w]) for w in WORKLOADS}
         report["change_wins"] = {w: change_wins(pairs[w]) for w in WORKLOADS}
         report["pair_ratios"] = {w: pair_ratios(pairs[w]) for w in WORKLOADS}
-    commands = cli_commands(trees["change"])
-    cli_runs = {tree: {label: [] for label in commands} for tree in trees}
     with tempfile.TemporaryDirectory() as scratch:
-        for i in range(CLI_REPEATS):
-            for label, cli_args in commands.items():
-                for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
-                    run = time_cli(trees[tree], cli_args, Path(scratch))
-                    cli_runs[tree][label].append(run)
-                    print(f"{tree} cli {label!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
-        scale_runs = {tree: {} for tree in trees}
-        for i, line in enumerate(SCALE_ARGS):
-            for tree in list(trees) if i % 2 == 0 else list(trees)[::-1]:
-                run = time_cli(trees[tree], line.split(), Path(scratch), SCALE_LIMIT_AS)
-                scale_runs[tree][line] = run
-                print(f"{tree} scale {line!r} {run['status']} wall={run['wall_s']:.3f}", flush=True)
+        cli_runs = repeat_cli(trees, cli_commands(trees["change"]), Path(scratch), CLI_REPEATS, "cli")
+        scale_runs = repeat_cli(trees, {line: line.split() for line in SCALE_ARGS}, Path(scratch), SCALE_REPEATS,
+                                "scale", SCALE_LIMIT_AS)
     fuzz_runs = {}
     for tree in trees:
         fuzz_runs[tree] = run = run_fuzz(trees[tree])
@@ -388,7 +393,8 @@ def main(argv=None) -> int:
         print(f"{tree} tier-1 {run['status']} wall={run['wall_s']:.1f} {run.get('summary', '')}", flush=True)
     for tree in trees:
         report["trees"][tree]["cli"] = {label: summarize_cli(rs) for label, rs in cli_runs[tree].items()}
-        report["trees"][tree]["scale"] = {"limit_as_bytes": SCALE_LIMIT_AS, "runs": scale_runs[tree]}
+        report["trees"][tree]["scale"] = {"limit_as_bytes": SCALE_LIMIT_AS, "runs": scale_runs[tree],
+                                          "rows": {line: summarize_cli(rs) for line, rs in scale_runs[tree].items()}}
         report["trees"][tree]["fuzz"] = fuzz_runs[tree]
         report["trees"][tree]["tier1"] = summarize_tier1(tier1_runs[tree])
     Path(args.out).write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

@@ -43,8 +43,10 @@ next case goes to the family that has spent the least time so far.
   from it, must encode to exactly the mutant's bytes.  Refusals count as
   in ``encode``.
 * ``cli``: ``cli.main`` in process on a random argv for one of the
-  seven subcommands: each flag missing or given a valid or an invalid
-  value (n at most 2^12), now and then a flag the subcommand lacks, and
+  seven subcommands, with the flags each takes read from the CLI's own
+  table (``cli.COMMANDS``): each flag missing or given a valid or an
+  invalid value (n at most 2^12), now and then a flag of ``cli.FLAGS``
+  the subcommand lacks or an unknown one, and
   ``--out`` into a temporary directory, a missing one or the directory
   itself.  The exit code must be 0, 2, 3, 4, 5, 6 or 7 with no exception
   escaping; a library failure must print exactly one stderr line,
@@ -281,15 +283,6 @@ def rpe1_case(rng, case: dict) -> str | None:
     return None
 
 
-CLI_FLAGS = {  # the flags each subcommand takes
-    "build": ("n", "t", "w", "seed", "structure", "out", "format"),
-    "query": ("n", "k", "t", "w", "seed", "structure", "out", "format"),
-    "stats": ("n", "t", "w", "seed", "structure", "out", "format"),
-    "entropy": ("n", "k", "delta", "seed", "out", "format"),
-    "encode": ("n", "k", "delta", "t", "w", "seed", "structure", "out", "format"),
-    "eliminate": ("n", "t", "w", "seed", "structure", "out", "format"),
-    "tradeoff": ("n", "w", "seed", "out", "format"),
-}
 CLI_EXITS = (0, 2, 3, 4, 5, 6, 7)
 
 
@@ -331,13 +324,13 @@ def run_cli(argv: list) -> tuple:
 
 
 def cli_case(rng, case: dict) -> None:
-    cmd = str(rng.choice(list(CLI_FLAGS)))
+    cmd = str(rng.choice(list(cli.COMMANDS)))
     n = int(rng.integers(1, 65) if rng.random() < 0.5 else rng.integers(1, 4097))
     with tempfile.TemporaryDirectory() as tmp:
         argv = [cmd]
-        flags = list(CLI_FLAGS[cmd])
+        flags = list(cli.COMMANDS[cmd][2])  # the flags the CLI's table gives this subcommand
         if rng.random() < 0.1:  # a flag this subcommand does not take
-            flags.append(str(rng.choice(["k", "delta", "t", "bogus"])))
+            flags.append(str(rng.choice([*(f for f in cli.FLAGS if f not in flags), "bogus"])))
         for flag in flags:
             if rng.random() < (0.9 if flag in ("n", "k") else 0.6):
                 argv += [f"--{flag}", cli_value(rng, flag, n, tmp)]
