@@ -33,7 +33,7 @@ def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
 
     `data` is a uint8 array of packed bits, LSB first (a ``BitArray``'s
     words viewed as bytes), at least ceil(nbits / 8) long and zero past
-    `nbits`."""
+    `nbits`.  Up to width 64 the cells own their data, but at 64 may view `data`."""
     if width < 1:
         raise ValueError("cell width must be positive")
     count = -(-nbits // width)
@@ -42,12 +42,14 @@ def cell_array(data: np.ndarray, nbits: int, width: int) -> np.ndarray:
     bits = np.zeros(count * width, dtype=np.uint8)
     bits[:nbits] = np.unpackbits(data, count=nbits, bitorder="little")
     rows = np.packbits(bits.reshape(count, width), axis=1, bitorder="little")
-    limbs = np.zeros((count, -(-width // 64) * 8), dtype=np.uint8)  # each cell as 64-bit limbs, low first
-    limbs[:, : rows.shape[1]] = rows
-    limbs = limbs.view("<u8")
-    cells = limbs[:, -1]
-    for i in range(limbs.shape[1] - 2, -1, -1):  # past width 64, Python ints: the top limb up
-        cells = cells.astype(object) << 64 | limbs[:, i].astype(object)
+    nl = -(-width // 64)  # 64-bit limbs per cell
+    flat = np.zeros(count * nl, dtype="<u8")  # each cell's limbs, low first; owns its data up to width 64
+    flat.view(np.uint8).reshape(count, nl * 8)[:, : rows.shape[1]] = rows
+    if nl == 1:
+        return flat
+    cells = flat[nl - 1 :: nl]
+    for i in range(nl - 2, -1, -1):  # past width 64, Python ints: the top limb up
+        cells = cells.astype(object) << 64 | flat[i::nl].astype(object)
     return cells
 
 

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass
-from itertools import chain, compress
 
 import numpy as np
 
@@ -346,10 +345,9 @@ def encode(layout: StructureLayout, k: int, d: int | None = None, ensemble: bool
 
     foot = _footprint_codes(ensemble, layout.params, k, d)
     comp6 = BitString()
-    rest = [True] * layout.memory.cell_count  # component 6 is every other cell, in address order
-    for a in chain(ref_cells, det_cells):
-        rest[a] = False
-    comp6.append_cells(list(compress(layout.memory.cells, rest)), layout.memory.word_bits)
+    rest = np.ones(layout.memory.cell_count, dtype=bool)  # component 6 is every other cell, in address order
+    rest[[*ref_cells, *det_cells]] = False
+    comp6.append_cells(layout.memory.image[rest], layout.memory.word_bits)
 
     comp1 = _published_bits(layout)
     comp4, comp5 = BitString(), BitString()
@@ -427,7 +425,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
 
         # the one acceptance rule: the record is the array's encoding
         rebuilt = layout_from_params(array, params)
-        rebuilt.published = PublishedBits(comp1.length, {a: rebuilt.memory.cells[a] for a in published.cells}, published.bootstrapped)
+        rebuilt.published = PublishedBits(comp1.length, dict(zip(published.cells, rebuilt.memory.gather([*published.cells]))), published.bootstrapped)
         again = encode(rebuilt, k, d, ensemble)
     except (ValueError, KeyError, CorruptFootprint, RefusalError) as e:
         raise CorruptEncoding(str(e)) from None

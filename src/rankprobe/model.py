@@ -2,7 +2,8 @@
 ledger, probe traces and footprints.
 
 A query costs the cells it probes.  A :class:`CellMemory` holds a
-structure's cells, a :class:`PublishedBits` ledger the bits given away
+structure's cells, up to w = 64 as the builder's uint64 image with no
+Python int per cell, a :class:`PublishedBits` ledger the bits given away
 for free (its cells read free), a :class:`ProbeTrace` one query's
 charged probes and answer, and a :class:`Footprint` a query set's
 first-seen charged contents.  The readers, the batch plans and the set
@@ -28,8 +29,11 @@ def address_bits(cell_count: int) -> int:
 
 class CellMemory:
     """Word-addressable memory: `cell_count` cells of `word_bits` bits, from
-    an iterable of ints or an integer ndarray (a builder's uint64 image,
-    range-checked by numpy before one ``tolist``)."""
+    an iterable of ints or an integer ndarray, range-checked once.  Up to
+    w = 64 it is one read-only uint64 image, and `cells` a memoryview of it
+    whose items read as Python ints: an array that owns its data (a
+    builder's fresh image) is taken as it is and anything else copied, so
+    it never aliases a lent buffer.  Past w = 64 `cells` is a list of ints."""
 
     __slots__ = ("word_bits", "cells")
 
@@ -39,12 +43,23 @@ class CellMemory:
         self.word_bits = word_bits
         if isinstance(cells, np.ndarray):  # the OR of the cells is negative if one is
             wide = int(np.bitwise_or.reduce(cells)) >> word_bits
-            self.cells = cells.tolist()
         else:
-            self.cells = list(cells)
-            wide = self.cells and (min(self.cells) < 0 or max(self.cells) >> word_bits)
+            cells = list(cells)
+            wide = cells and (min(cells) < 0 or max(cells) >> word_bits)
         if wide:
             raise ValueError("cell content wider than word")
+        if word_bits > 64:
+            self.cells = cells.tolist() if isinstance(cells, np.ndarray) else cells
+            return
+        if not (isinstance(cells, np.ndarray) and cells.dtype == np.uint64 and cells.base is None):
+            cells = np.array(cells, dtype=np.uint64)
+        cells.setflags(write=False)
+        self.cells = memoryview(cells)
+
+    @property
+    def image(self) -> np.ndarray:
+        """The cells as an array: the uint64 image, or past w = 64 an object array."""
+        return self.cells.obj if self.word_bits <= 64 else np.array(self.cells, dtype=object)
 
     @property
     def cell_count(self) -> int:
@@ -59,17 +74,21 @@ class CellMemory:
 
     def gather(self, addresses) -> list:
         """The contents of a list of addresses, checked as :meth:`read`
-        checks one: a range of them in memory is one slice, and any other
-        list one ``itemgetter`` call once its least address is checked."""
+        checks one: a range of them in memory is one slice, an int64 array
+        of them one numpy take over the image, and any other list one
+        ``itemgetter`` call once its least address is checked."""
         cells = self.cells
         if addresses.__class__ is range and addresses.start >= 0 and addresses.step == 1:
             got = cells[addresses.start : addresses.stop]
             if len(got) == len(addresses):
-                return got
-        if not addresses:
+                return got if got.__class__ is list else got.tolist()
+        if not len(addresses):
             return []
-        if min(addresses) >= 0:
+        take = addresses.__class__ is np.ndarray and cells.__class__ is memoryview
+        if (addresses.min() if take else min(addresses)) >= 0:
             try:
+                if take:
+                    return cells.obj.take(addresses).tolist()
                 got = itemgetter(*addresses)(cells)
                 return list(got) if len(addresses) > 1 else [got]
             except IndexError:  # past the end

@@ -43,16 +43,16 @@ queries alone is its program: the read order and each answer's shifts.
 Only the data step that sets the served cells at their addresses and
 sums them depends on the memory or footprint and on the published cells:
 :meth:`~ProbePlan.read_order` fetches the charged cells in one
-``gather`` (all a footprint records), and :meth:`~ProbePlan.set_pass`
-also computes every answer from them.  So a set pass takes its plan
-from a small cache keyed by the params and the query values, and a
-replay, or the re-encode that checks a decode, runs the program of the
-pass before it over new contents.  The cached arrays are read-only.
+``gather`` (all a footprint records; one numpy take from a memory's
+uint64 image), and :meth:`~ProbePlan.set_pass` computes every answer.
+So a set pass takes its plan from a small cache keyed by the params and
+the query values, and a replay, or the re-encode that checks a decode,
+runs the program of the pass before it over new contents.  The cached arrays are read-only.
 The tests hold the reader and every plan to a query-generator driver
 kept with them as their oracle.
 
-A :class:`StructureLayout` is its memory and params: its
-reader is the one of its params, and its published ledger starts empty.
+A :class:`StructureLayout` is its memory (the builder's image) and params:
+its reader is the one of its params, and its published ledger starts empty.
 :func:`layout_from_params` rebuilds a whole layout from those params and
 an array.
 """
@@ -169,7 +169,7 @@ def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int
     raw_cells = (n + w - 1) // w
     width = max(1, min(superblock - block, n).bit_length())
     per = w // width
-    if per < 1:
+    if per < 1 or (n // superblock * superblock).bit_length() > w:  # a relative or the largest absolute counter
         raise ValueError("counter width exceeds cell width")
     # ones before each block start, one row per superblock
     n_abs = n // superblock + 1
@@ -445,11 +445,12 @@ class ProbePlan:
         be sorted and distinct: the cells of :meth:`_program`'s read
         order.  Cells in `known` (the published cells, read in place) are
         served from it; one call of `gather(addresses)` gives the contents
-        of the others, in that order, as a list.  Returns (charged
-        addresses, their contents).  A footprint is the contents alone."""
-        read = self._program()[0]
+        of the others, in that order, as a list: with none known, of the
+        read order's int64 array, one numpy take from a memory.  Returns
+        (charged addresses, their contents), a footprint the contents."""
+        read, at = self._program()[:2]
         charged = [a for a in read if a not in known] if known else read
-        return charged, gather(charged)
+        return charged, gather(charged if known else at)
 
     def set_pass(self, known: dict, gather):
         """The set pass of :func:`simulate_set` over this plan's

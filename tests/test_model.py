@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint, SimulationFault
@@ -42,7 +44,7 @@ def test_cell_memory_contract():
         mem.read(-1)
     with pytest.raises(ValueError):
         CellMemory(8, [256])
-    assert CellMemory(8, np.zeros(0, dtype=np.uint64)).cells == []
+    assert list(CellMemory(8, np.zeros(0, dtype=np.uint64)).cells) == []
 
 
 @pytest.mark.parametrize("w,cells", [(8, [0, 256, 1]), (8, [3, -1]), (64, [1 << 64]), (96, [5, 1 << 96, 0])])
@@ -59,7 +61,7 @@ def test_cell_memory_rejects_out_of_range_cells(w, cells):
                 CellMemory(w, np.array(cells, dtype=dtype))
         if all(info.min <= c <= info.max for c in clamped):
             mem = CellMemory(w, np.array(clamped, dtype=dtype))
-            assert mem.cells == clamped
+            assert list(mem.cells) == clamped
             assert all(type(c) is int for c in mem.cells)
 
 
@@ -74,10 +76,57 @@ def test_gather_checks_every_address_as_read_does():
             mem.gather(addresses)
 
 
+@settings(max_examples=150, deadline=None)
+@given(w=st.integers(1, 130), data=st.data())
+def test_cell_memory_image_contract(w, data):
+    # up to w = 64 the memory is a read-only uint64 image, past it a list;
+    # either way it reads and gathers Python ints, in a list, and faults
+    # on an address outside it whatever form the addresses take
+    cells = data.draw(st.lists(st.integers(0, (1 << w) - 1), max_size=20))
+    n = len(cells)
+    mem = CellMemory(w, cells)
+    for dtype in (np.int64, np.uint64):
+        if all(c <= np.iinfo(dtype).max for c in cells):
+            assert list(CellMemory(w, np.array(cells, dtype=dtype)).cells) == cells
+    assert list(mem.cells) == cells and all(type(c) is int for c in mem.cells)
+    addresses = data.draw(st.lists(st.integers(0, n - 1), max_size=10)) if n else []
+    lo = data.draw(st.integers(0, n))
+    for form in (range(lo, data.draw(st.integers(lo, n))), addresses, tuple(addresses), np.array(addresses, dtype=np.int64)):
+        got = mem.gather(form)
+        assert type(got) is list and got == [cells[a] for a in form] and all(type(c) is int for c in got)
+    assert all(type(mem.read(a)) is int and mem.read(a) == cells[a] for a in addresses)
+    bad = data.draw(st.sampled_from([-1, n, n + 5]))
+    for form in ([bad], (*addresses, bad), np.array([*addresses, bad], dtype=np.int64), range(max(bad, 0), n + 6)):
+        with pytest.raises(SimulationFault):
+            mem.gather(form)
+    with pytest.raises(SimulationFault):
+        mem.read(bad)
+    image = mem.image
+    assert image.tolist() == cells
+    if w <= 64:
+        assert image.dtype == np.uint64 and not image.flags.writeable and mem.cells.readonly
+        with pytest.raises(ValueError, match="read-only"):
+            image[:] = 0
+
+
+def test_cell_memory_takes_fresh_images_and_copies_lent_ones():
+    fresh = np.arange(5, dtype=np.uint64)
+    assert CellMemory(8, fresh).image is fresh
+    a = BitArray.random(640, np.random.default_rng(4))
+    for layout in (build_naive(a, 64), build_naive(a, 7), build_two_level(a), build_recursive(a, 1)):
+        before = list(layout.memory.cells)
+        assert not np.shares_memory(layout.memory.image, a.words)
+        a.words[:] = ~a.words  # the array stays writeable, and the memory as it was built
+        assert list(layout.memory.cells) == before
+
+
 def test_builder_image_still_range_checked():
-    # the absolute counters of a 600-bit array overflow 8-bit cells
+    # a builder's fresh image, taken without a copy, is range-checked as
+    # any other: here one holding a counter past its 8-bit cells
+    image = build_two_level(BitArray.random(200, np.random.default_rng(0)), 64, 8, 8).memory.image.copy()
+    image[-1] = 1 << 8
     with pytest.raises(ValueError, match="wider than word"):
-        build_two_level(BitArray.random(600, np.random.default_rng(0)), 64, 8, 8)
+        CellMemory(8, image)
 
 
 def test_run_query_trace_and_determinism():

@@ -275,7 +275,7 @@ BUILD_CASES = [
 def test_builders_match_old_construction(n, case, seed):
     w, build, kw = case
     a = BitArray.random(n, np.random.default_rng(seed))
-    assert build_naive(a, w).memory.cells == _old_build(a, w)
+    assert list(build_naive(a, w).memory.cells) == _old_build(a, w)
     if build is build_recursive:
         if kw["t"] > max_stage(n):
             return
@@ -290,8 +290,23 @@ def test_builders_match_old_construction(n, case, seed):
             build(a, word_bits=w, **kw)
         return
     layout = build(a, word_bits=w, **kw)
-    assert layout.memory.cells == want
+    assert list(layout.memory.cells) == want
     assert layout.params["cell_count"] == len(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(0, 600), w=st.integers(1, 16), cells=st.integers(1, 3), ratio=st.sampled_from([2, 4, 8]))
+def test_geometry_accepted_by_params_alone(n, w, cells, ratio):
+    # a counter geometry is accepted or refused before any counter is
+    # computed, so the all-zero and the all-one array of a length agree
+    block = w * cells
+    outcomes = []
+    for bit in (0, 1):
+        try:
+            outcomes.append(build_two_level(BitArray.from_bits([bit] * n), block * ratio, block, w).params)
+        except ValueError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("w", [0, -3])
