@@ -148,13 +148,9 @@ def _cmd_query(args):
         raise ValueError("query needs --k (the rank position)")
     tr = rank(_build_layout(args, _array(args)), args.k)
     addresses = chain((a for a, _ in tr.head), tr.span)  # the scan stays a range
-    obj = {
-        "position": args.k,
-        "answer": tr.answer,
-        "probes": tr.probes,
-        "addresses": list(addresses) if args.format == "json" else addresses,
-    }
-    del tr  # the scan's contents, no part of the report, are freed before it is written
+    obj = {"position": args.k, "answer": tr.answer, "probes": tr.probes}
+    del tr  # its scan (a view that alone keeps the layout's image alive; a list past w = 64) goes before the report is built
+    obj["addresses"] = list(addresses) if args.format == "json" else addresses
     _emit(args, obj, ("position", "answer", "probes", "addresses"), [obj])
 
 

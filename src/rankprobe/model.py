@@ -73,15 +73,13 @@ class CellMemory:
         return self.cells[address]
 
     def gather(self, addresses) -> list:
-        """The contents of a list of addresses, checked as :meth:`read`
-        checks one: a range of them in memory is one slice, an int64 array
-        of them one numpy take over the image, and any other list one
-        ``itemgetter`` call once its least address is checked."""
+        """The contents of a list of addresses, as a list of ints, checked
+        as :meth:`read` checks one: an int64 array of them is one numpy
+        take over the image, and any other sequence one ``itemgetter``
+        call once its least address is checked.  The reader slices
+        `cells` for a scan itself, and gathers only the cells a published
+        one interrupts or a scan that runs past the end."""
         cells = self.cells
-        if addresses.__class__ is range and addresses.start >= 0 and addresses.step == 1:
-            got = cells[addresses.start : addresses.stop]
-            if len(got) == len(addresses):
-                return got if got.__class__ is list else got.tolist()
         if not len(addresses):
             return []
         take = addresses.__class__ is np.ndarray and cells.__class__ is memoryview
@@ -146,12 +144,13 @@ class ProbeTrace:
 
     A trace keeps its probes in two parts: `head`, the charged
     (address, content) steps before the scan, and the scan as its first
-    address `start` plus the list `scan` of the contents read from there
-    on, one cell each, charged in address order.  A trace given its steps
-    alone has an empty scan.  `steps` and `addresses` are derived when
-    asked, and ``==``, ``hash`` and ``repr`` read a trace as the
-    (query, steps, answer) it stands for, whichever way its probes are
-    split.  Traces are not to be changed once made.
+    address `start` plus `scan`, the contents read from there on, one
+    cell each, charged in address order: a read-only view of the
+    memory's uint64 image up to w = 64, a list past it.  A trace given
+    its steps alone has an empty scan.  `steps` and `addresses` are
+    derived when asked, and ``==``, ``hash`` and ``repr`` read a trace as
+    the (query, steps, answer) it stands for, whichever way its probes
+    are split.  Traces are not to be changed once made.
 
     Determinism contract: same memory, same published set, same query index
     always yields the identical trace.

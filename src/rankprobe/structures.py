@@ -24,12 +24,14 @@ and never on the data.  The reader of :func:`step_from_params`,
 ``step(query, known, source)``, reads one query: the counters, then
 the scan.  It serves each cell from the published cells (`known`, read
 in place) and charges a probe for every other, taking the contents from
-`source`, the memory.  Free reads are never charged.  It returns the
-query's :class:`~model.ProbeTrace`: the charged counter steps, then
-the scan as its address range and the contents read there, or, when
-the scan meets published cells, its charged cells as explicit
-(address, content) steps.  A single ``rank`` and encoding's greedy
-:func:`detached_pass` read each query on its own through it.  A
+`source`, the memory, in place.  Free reads are never charged.  It
+returns the query's :class:`~model.ProbeTrace`: the charged counter
+steps, then the scan as its address range and a slice of the memory's
+cells there (a read-only view of the uint64 image up to w = 64, whose
+ones are counted as whole bytes), or, when the scan meets published
+cells, its charged cells as explicit (address, content) steps.  A
+single ``rank`` and encoding's greedy :func:`detached_pass` read each
+query on its own through it.  A
 :class:`ProbePlan` is the batch path: probe counts, published overlaps
 and charged-cell sets for a query array, computed with numpy.
 
@@ -142,16 +144,12 @@ class StructureStats:
 
 def _slot_cells(values: np.ndarray, width: int, per: int, w: int) -> np.ndarray:
     """Pack counters of `width` bits, `per` to a cell from the low end, into
-    w-bit cells: a bit matrix of one row per cell, zero-padded to w."""
-    if not len(values):  # below one block: spare tiny builds the numpy calls
-        return np.zeros(0, dtype=np.uint64)
-    rows = -(-len(values) // per)
-    slots = np.zeros(rows * per, dtype="<u8")
+    w-bit cells: one OR over each cell's row of slots, each shifted into
+    place, on uint64 up to w = 64 and on Python ints (an object array) past it."""
+    dtype = np.uint64 if w <= 64 else object
+    slots = np.zeros(-(-len(values) // per) * per, dtype=dtype)
     slots[: len(values)] = values
-    bits = np.unpackbits(slots.view(np.uint8).reshape(-1, 8), axis=1, count=width, bitorder="little")
-    matrix = np.zeros((rows, w), dtype=np.uint8)
-    matrix[:, : per * width] = bits.reshape(rows, per * width)
-    return cell_array(np.packbits(matrix, bitorder="little"), rows * w, w)
+    return np.bitwise_or.reduce(slots.reshape(-1, per) << np.arange(per, dtype=dtype) * width, axis=1)
 
 
 def _counter_layout(array: BitArray, superblock: int, block: int, word_bits: int, kind: str, extra: dict | None = None) -> StructureLayout:
@@ -252,12 +250,15 @@ def step_from_params(params: dict):
     off the scan's count.
 
     The reader ``step(query, known, source)`` is the one-query protocol
-    of this module's docstring; `source` answers ``read(address)`` and
-    ``gather(addresses)`` as a :class:`~model.CellMemory` does.  A scan
-    that meets no published cell is one ``gather`` of its address range,
-    and its trace keeps that range and the gathered list, with no pair
-    per cell.  The reader keeps `params`, by which :func:`_set_pass`
-    checks and plans a set.
+    of this module's docstring; `source` is a :class:`~model.CellMemory`.
+    The counters are read from its `cells` by address, and a scan that
+    meets no published cell is one slice of them, which its trace keeps
+    with the scan's range: a read-only view of the uint64 image up to
+    w = 64, with no Python int or pair per cell.  An address past the
+    end faults through ``source.read`` or ``source.gather``.  With
+    nothing published (`known` empty) no cell is looked up in `known`.
+    The reader keeps `params`, by which :func:`_set_pass` checks and
+    plans a set.
     """
     w = params["word_bits"]
     where = None
@@ -269,18 +270,20 @@ def step_from_params(params: dict):
     def step(query, known, source):
         query = operator.index(query)
         pos = query + 1
+        cells = source.cells
+        size = len(cells)
         head = ()
         total = lo = 0
         if where is not None:
             a_abs, has_rel, a_rel, entry, lo = where(pos)
-            total = known.get(a_abs)
+            total = known.get(a_abs) if known else None
             if total is None:
-                total = source.read(a_abs)
+                total = cells[a_abs] if a_abs < size else source.read(a_abs)
                 head = ((a_abs, total),)
             if has_rel:
-                word = known.get(a_rel)
+                word = known.get(a_rel) if known else None
                 if word is None:
-                    word = source.read(a_rel)
+                    word = cells[a_rel] if a_rel < size else source.read(a_rel)
                     head += ((a_rel, word),)
                 total += (word >> (entry % per * width)) & slot_mask
         last = (pos - 1) // w
@@ -290,22 +293,37 @@ def step_from_params(params: dict):
             got = source.gather(charged)
             head += tuple(zip(charged, got))
             got = iter(got)
-            cells = [known[a] if a in known else next(got) for a in span]
-            return ProbeTrace(query, head, total + _ones_below(cells, pos - last * w))
-        scan = source.gather(span)
+            scanned = [known[a] if a in known else next(got) for a in span]
+            return ProbeTrace(query, head, total + _ones_below(scanned, pos - last * w))
+        scan = cells[lo : last + 1]
+        if len(scan) != len(span):
+            scan = source.gather(span)  # faults at the first address past the end
         return ProbeTrace(query, head, total + _ones_below(scan, pos - last * w), lo, scan)
 
     step.params = params
     return step
 
 
-def _ones_below(scan: list, shift: int) -> int:
+POPCOUNT_RUN = 1024  # cells per int of a scan's popcount: 8 KiB, however long the scan
+
+
+def _ones_below(scan, shift: int) -> int:
     """The ones of a scan's cells below the position, which lies `shift`
-    bits into the last one: every earlier cell lies wholly below it.  The
-    cells are read, never masked in place."""
+    bits into the last one: every earlier cell lies wholly below it.  A
+    view of the uint64 image counts as the bytes of one int per run of
+    :data:`POPCOUNT_RUN` cells, exact as each cell is its own range-checked
+    word; a list of Python ints cell by cell.  The cells are read, never
+    masked in place."""
     if not scan:
         return 0
-    return sum(map(int.bit_count, scan)) - (scan[-1] >> shift).bit_count()
+    if scan.__class__ is list:
+        ones = sum(map(int.bit_count, scan))
+    elif len(scan) <= POPCOUNT_RUN:
+        ones = int.from_bytes(scan, "little").bit_count()
+    else:
+        runs = range(0, len(scan), POPCOUNT_RUN)
+        ones = sum(int.from_bytes(scan[i : i + POPCOUNT_RUN], "little").bit_count() for i in runs)
+    return ones - (scan[-1] >> shift).bit_count()
 
 
 def _before(a: np.ndarray, increasing: bool = False) -> np.ndarray:

@@ -21,6 +21,9 @@ program to.
   the array's bits, apart from the prefix table
   (:meth:`rankprobe.bits.BitArray.ranks`) every layout's counters come
   from.
+* ``slot_cells_by_bits``: counters packed into cells through a
+  matrix of one byte per bit, the oracle of
+  :func:`rankprobe.structures._slot_cells`.
 * ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
   the oracle of :func:`rankprobe.entropy.binom_entropy`.
 * ``choose_offset_full_grid``: the offset of least overlap with the
@@ -37,7 +40,7 @@ import operator
 
 import numpy as np
 
-from rankprobe.bits import BitArray
+from rankprobe.bits import BitArray, cell_array
 from rankprobe.entropy import _lg_int
 from rankprobe.errors import SimulationFault
 from rankprobe.model import CellMemory, ProbeTrace, PublishedBits
@@ -163,6 +166,21 @@ def popcount_rank(array: BitArray, k: int) -> int:
     if not 0 <= k <= array.n:
         raise IndexError(f"rank position {k} outside [0, {array.n}]")
     return int(np.count_nonzero(array.to_bits()[:k]))
+
+
+def slot_cells_by_bits(values: np.ndarray, width: int, per: int, w: int) -> np.ndarray:
+    """Counters of `width` bits, `per` to a cell from the low end, packed
+    into w-bit cells through a bit matrix of one row per cell, zero-padded
+    to w, then cut into cells by ``cell_array``."""
+    if not len(values):
+        return np.zeros(0, dtype=np.uint64)
+    rows = -(-len(values) // per)
+    slots = np.zeros(rows * per, dtype="<u8")
+    slots[: len(values)] = values
+    bits = np.unpackbits(slots.view(np.uint8).reshape(-1, 8), axis=1, count=width, bitorder="little")
+    matrix = np.zeros((rows, w), dtype=np.uint8)
+    matrix[:, : per * width] = bits.reshape(rows, per * width)
+    return cell_array(np.packbits(matrix, bitorder="little"), rows * w, w)
 
 
 def binom_entropy_exact(m: int) -> float:

@@ -19,6 +19,7 @@ from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint, SimulationFault
 from rankprobe.model import CellMemory, Footprint, ProbeTrace
 from rankprobe.structures import (
+    POPCOUNT_RUN,
     ProbePlan,
     build_footprint,
     build_naive,
@@ -250,6 +251,26 @@ def test_naive_w1_answers_past_the_step_guard():
     assert trace.addresses == tuple(range(n))
     answers, cells = simulate_set(layout.step, [n - 1], layout.memory)
     assert answers == {n - 1: trace.answer} and list(cells.items()) == list(trace.steps)
+
+
+@pytest.mark.parametrize("w", [1, 8, 63, 64, 65])
+def test_rank_counts_long_scans_run_by_run(w):
+    # naive scans of one popcount run, one cell past it and a few runs
+    # deep: the answer is the popcount's, the trace the driver's, and up
+    # to w = 64 the scan a read-only view of the memory
+    n = (3 * POPCOUNT_RUN + 100) * w
+    array = BitArray.random(n, np.random.default_rng(20 + w))
+    layout = build_naive(array, w)
+    for k in (POPCOUNT_RUN * w, POPCOUNT_RUN * w + 1, 2 * POPCOUNT_RUN * w + 37, n):
+        got = rank(layout, k)
+        want = run_query(layout.step, k - 1, layout.memory)
+        assert got.answer == popcount_rank(array, k)
+        assert got == want and hash(got) == hash(want)
+        assert got.steps == want.steps and got.addresses == want.addresses
+        if w <= 64:
+            assert got.scan.readonly
+            with pytest.raises(TypeError):
+                got.scan[0] = 0
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint16, np.uint64])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rankprobe.bits import BitArray
 from rankprobe.structures import (
     StructureLayout,
+    _slot_cells,
     block_queries,
     build_naive,
     build_recursive,
@@ -15,7 +16,7 @@ from rankprobe.structures import (
     step_from_params,
     structure_stats,
 )
-from oracles import popcount_rank
+from oracles import popcount_rank, slot_cells_by_bits
 
 # frozen redundancy ladders for the staged family (64-bit cells)
 LADDER_2_20 = [262208, 78720, 22592, 5696]
@@ -315,3 +316,18 @@ def test_nonpositive_width_refused(w, build):
     a = BitArray.random(64, np.random.default_rng(0))
     with pytest.raises(ValueError, match="cell width must be positive"):
         build(a, word_bits=w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 130), data=st.data())
+def test_slot_cells_match_bit_matrix_packer(w, data):
+    # counters of any width a cell holds (int64, as the builders give
+    # them), any number to a cell, packed by shifts and ors as the bit
+    # matrix packs them: uint64 up to w = 64, Python ints past it
+    width = data.draw(st.integers(1, min(w, 63)))
+    per = data.draw(st.integers(1, w // width))
+    values = np.array(data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40)), dtype=np.int64)
+    got = _slot_cells(values, width, per, w)
+    assert got.tolist() == slot_cells_by_bits(values, width, per, w).tolist()
+    assert got.dtype == (np.uint64 if w <= 64 else object)
+    assert all(type(c) is int for c in got.tolist())

@@ -23,7 +23,8 @@ next case goes to the family that has spent the least time so far.
   the same geometry over another array.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace, its hash and its
-  addresses) and ``popcount_rank``.
+  addresses) and ``popcount_rank``.  Its widths add w = 1, at which a
+  naive scan of up to 3,000 cells crosses the reader's popcount run.
 * ``offset``: ``choose_offset`` on a random layout with a random share
   (0, 0.1 or 0.5) of its cells published, at a random k, against the
   full-grid scan ``choose_offset_full_grid``.
@@ -37,8 +38,13 @@ next case goes to the family that has spent the least time so far.
   ``RefusalError`` with one of the two messages of a ledger a record
   cannot carry is counted as a refusal, not a failure.
 * ``rpe1``: the ``RPE1`` bytes of ``encode`` on a random layout at w in
-  7, 64, 65 and 96, at a random k, with one random bit flipped.  The
-  mutant must be rejected with ``CorruptEncoding`` or be canonical: the
+  7, 64, 65 and 96, at a random k, mutated in one field drawn first:
+  a component's length header or payload (padding bits included) or
+  the offset trailer, with one random bit of it flipped, or, where
+  component 1 holds (address, content) pairs and addresses of
+  ``address_bits`` bits can name a cell past the layout, one pair's
+  address set to such a cell.  The report counts mutants per field.
+  The mutant must be rejected with ``CorruptEncoding`` or be canonical: the
   decoded array, with the cells the mutant's own ledger publishes read
   from it, must encode to exactly the mutant's bytes.  Refusals count as
   in ``encode``.
@@ -71,6 +77,7 @@ import sys
 import tempfile
 import time
 import traceback
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -82,7 +89,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from rankprobe import cli  # noqa: E402
 from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
-from rankprobe.encoding import EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
+from rankprobe.encoding import COMPONENTS, RPE1_MAGIC, EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
 from rankprobe.errors import CorruptEncoding, RefusalError  # noqa: E402
 from rankprobe.model import ProbeTrace, PublishedBits, address_bits  # noqa: E402
 from rankprobe.structures import (  # noqa: E402
@@ -191,7 +198,7 @@ def sets_case(rng, case: dict) -> None:
 
 
 def rank_case(rng, case: dict) -> None:
-    array, layout, case["layout"] = random_layout(rng)
+    array, layout, case["layout"] = random_layout(rng, (1, *WIDTHS))
     n = layout.n
     k = case["k"] = int(rng.choice([0, n, int(rng.integers(0, n + 1))]))
     trace = rank(layout, k)
@@ -251,6 +258,27 @@ def encode_or_refuse(layout, k: int, d: int | None):
         return None
 
 
+def rpe1_fields(record) -> dict:
+    """The bits of each field of a record's ``RPE1`` bytes, past the
+    magic: each component's length header and payload, its padding bits
+    included, then the offset trailer."""
+    fields, at = {}, 8 * len(RPE1_MAGIC)
+    for name, comp in zip(COMPONENTS, record.components):
+        fields[f"{name}.length"] = range(at, at + 64)
+        fields[f"{name}.payload"] = range(at + 64, at + 64 + 8 * -(-comp.length // 8))
+        at = fields[f"{name}.payload"].stop
+    fields["offset"] = range(at, at + 64)
+    return fields
+
+
+def set_bits(blob: bytearray, at: int, count: int, value: int) -> None:
+    """Write `value` into the `count` bits of `blob` from bit `at` on, LSB first."""
+    lo, hi = at // 8, -(-(at + count) // 8)
+    shift = at - 8 * lo
+    word = int.from_bytes(blob[lo:hi], "little") & ~(((1 << count) - 1) << shift) | value << shift
+    blob[lo:hi] = word.to_bytes(hi - lo, "little")
+
+
 def rpe1_case(rng, case: dict) -> str | None:
     _, layout, case["layout"] = random_layout(rng, (7, 64, 65, 96))
     n = layout.n
@@ -261,8 +289,23 @@ def rpe1_case(rng, case: dict) -> str | None:
     if record is None:
         return "refused"
     blob = bytearray(record.to_rpe1())
-    bit = case["bit"] = int(rng.integers(0, 8 * len(blob)))
-    blob[bit // 8] ^= 1 << (bit % 8)
+    params = layout.params
+    cell_count, shift = params["cell_count"], address_bits(params["cell_count"])
+    pair_bits = shift + params["word_bits"]
+    fields = rpe1_fields(record)
+    prefix = _bootstrap_prefix(params, record.published.length)
+    pair_count = (record.published.length - prefix) // pair_bits
+    names = [name for name, bits in fields.items() if bits]
+    if pair_count and cell_count < 1 << shift:  # an address can name a cell past the layout
+        names.append("published.address")
+    field = case["field"] = str(rng.choice(names))
+    if field == "published.address":
+        pair = case["pair"] = int(rng.integers(0, pair_count))
+        address = case["address"] = int(rng.integers(cell_count, 1 << shift))
+        set_bits(blob, fields["published.payload"].start + prefix + pair * pair_bits, shift, address)
+    else:
+        bit = case["bit"] = fields[field][int(rng.integers(0, len(fields[field])))]
+        blob[bit // 8] ^= 1 << (bit % 8)
     try:
         mutant = EncodingRecord.from_rpe1(bytes(blob))
         array = decode(mutant, layout.params, k)
@@ -270,10 +313,9 @@ def rpe1_case(rng, case: dict) -> str | None:
         return None
     # the ledger the mutant names: the redundancy region when its length
     # admits a bootstrap prefix, then the address in each pair's low bits
-    params, ledger = layout.params, mutant.published
+    ledger = mutant.published
     prefix = _bootstrap_prefix(params, ledger.length)
-    shift = address_bits(params["cell_count"])
-    pairs = ledger.read_cells(prefix, (ledger.length - prefix) // (shift + params["word_bits"]), shift + params["word_bits"])
+    pairs = ledger.read_cells(prefix, (ledger.length - prefix) // pair_bits, pair_bits)
     named = [*(range(params["raw_cells"], params["cell_count"]) if prefix else ()), *(p & ((1 << shift) - 1) for p in pairs)]
     again = layout_from_params(array, params)
     again.published = PublishedBits(ledger.length, {a: again.memory.read(a) for a in named}, bool(prefix))
@@ -372,10 +414,14 @@ def fuzz(seconds: float, seed: int) -> dict:
                 case["error"] = f"{type(e).__name__}: {e}"
                 case["where"] = traceback.format_exc(limit=-1).strip().splitlines()[-3:]
                 first = case
+        if "field" in case:  # an rpe1 mutant, counted by the field it mutates
+            counts[name].setdefault("fields", Counter())[case["field"]] += 1
         counts[name]["seconds"] += time.monotonic() - start
         i += 1
     for c in counts.values():
         c["seconds"] = round(c["seconds"], 3)
+        if "fields" in c:
+            c["fields"] = dict(sorted(c["fields"].items()))
     return {"seed": seed, "seconds": seconds, "families": counts, "first_failure": first}
 
 
