@@ -119,15 +119,19 @@ class PublishedBits:
 
     def publish_cells(self, memory: CellMemory, addresses) -> int:
         """Publish whole cells: content plus address, charged exactly
-        (word_bits + address_bits) per *new* cell.  Returns bits added.
-        An integer ndarray of addresses is read as Python ints, which the
-        ledger keys by.  The new cells are fetched in one checked gather
-        before anything changes, so a bad address leaves the ledger as it
-        was."""
-        if isinstance(addresses, np.ndarray):
-            addresses = addresses.tolist()
-        new = [a for a in dict.fromkeys(addresses) if a not in self.cells]
-        self.cells.update(zip(new, memory.gather(new)))
+        (word_bits + address_bits) per *new* cell, each once in first-seen
+        order.  Returns bits added.  Repeats and published addresses drop
+        out through dict operations, not a Python step per cell, and the
+        new cells alone are read, in one checked gather before anything
+        changes, so a bad address leaves the ledger as it was.  A signed
+        integer ndarray of new cells alone is that gather as it stands
+        (one numpy take on a uint64 image); the ledger keys by Python ints."""
+        array = isinstance(addresses, np.ndarray)
+        new = dict.fromkeys(addresses.tolist() if array else addresses)
+        for a in new.keys() & self.cells.keys():
+            del new[a]
+        whole = array and addresses.dtype.kind == "i" and len(new) == addresses.size  # else its list: a float faults, never truncates
+        self.cells.update(zip(new, memory.gather(addresses if whole else list(new))))
         added = len(new) * (memory.word_bits + memory.address_bits())
         self.length += added
         return added

@@ -125,9 +125,14 @@ class StructureLayout:
     def publish_redundancy(self) -> int:
         """Free the counter region: contents plus padding slack, exactly
         redundancy_bits published.  Addresses are fixed by the layout and
-        cost nothing.  Returns bits added to the ledger."""
-        new = [a for a in self.redundancy_region if a not in self.published.cells]
-        self.published.cells.update(zip(new, self.memory.gather(new)))
+        cost nothing.  The region is read as one slice of the memory's
+        cells, not gathered: publishing it is not a probe.  Cells already
+        published keep their place.  Returns bits added to the ledger."""
+        region = self.redundancy_region
+        new = dict(zip(region, self.memory.cells[region.start : region.stop]))
+        for a in new.keys() & self.published.cells.keys():
+            del new[a]
+        self.published.cells.update(new)
         pad = self.params["raw_cells"] * self.memory.word_bits - self.n
         added = len(new) * self.memory.word_bits + pad
         self.published.publish_raw(added)
@@ -339,9 +344,13 @@ def _before(a: np.ndarray, increasing: bool = False) -> np.ndarray:
     return out
 
 
-def _flagged(addresses: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Whether each address (-1 for none) is a cell that `mask` flags."""
-    return (addresses >= 0) & mask[addresses]
+_NO_CELL = np.zeros(1, dtype=bool)
+
+
+def _padded(mask: np.ndarray) -> np.ndarray:
+    """`mask` with one False entry appended: the entry an absent
+    counter's address -1 reads, so it flags no cell."""
+    return np.concatenate((mask, _NO_CELL))
 
 
 class ProbePlan:
@@ -355,7 +364,9 @@ class ProbePlan:
     when the scan is empty).  A query reads no cell twice, so its charged
     probes are the cells it reads that are not published.  Cell sets are
     boolean masks over the layout's cells, such as
-    :meth:`StructureLayout.published_mask`.
+    :meth:`StructureLayout.published_mask`.  Address -1 reads the False
+    entry :func:`_padded` appends to a mask (:meth:`cells` marks it in an
+    array one entry longer), so an absent counter needs no guard.
     """
 
     def __init__(self, params: dict, queries):
@@ -378,20 +389,20 @@ class ProbePlan:
 
     def charged(self, published: np.ndarray) -> np.ndarray:
         """Charged probes per query: the cells it reads that are not published."""
-        free = ~published
+        free = _padded(~published)
         pre = self._raw_prefix(free)
-        return pre[self.hi + 1] - pre[self.lo] + _flagged(self.abs_addr, free) + _flagged(self.rel_addr, free)
+        return pre.take(self.hi + 1) - pre.take(self.lo) + free[self.abs_addr] + free[self.rel_addr]
 
     def cells(self, published: np.ndarray) -> np.ndarray:
         """Mask of the cells some query charges: the union of the charged
         addresses of its queries."""
         raw = self.params["raw_cells"]
-        read = np.zeros(published.shape, dtype=bool)
-        for addresses in (self.abs_addr, self.rel_addr):
-            read[addresses[addresses >= 0]] = True
+        read = np.zeros(published.size + 1, dtype=bool)  # address -1 marks the entry past the cells
+        read[self.abs_addr] = True
+        read[self.rel_addr] = True
         edges = np.bincount(self.lo.ravel(), minlength=raw + 1) - np.bincount(self.hi.ravel() + 1, minlength=raw + 1)
         read[:raw] |= np.cumsum(edges)[:raw] > 0
-        return read & ~published
+        return read[:-1] & ~published
 
     def _new_reads(self):
         """Per query of an array sorted along the last axis: whether its
@@ -412,10 +423,11 @@ class ProbePlan:
         """Per row (the last axis) of a query array sorted by position
         along each row, how many distinct cells `mask` flags the row reads."""
         new_abs, new_rel, start = self._new_reads()
+        mask = _padded(mask)
         pre = self._raw_prefix(mask)
-        hits = pre[self.hi + 1] - pre[start]
-        hits += _flagged(self.abs_addr, mask) & new_abs
-        hits += _flagged(self.rel_addr, mask) & new_rel
+        hits = pre.take(self.hi + 1) - pre.take(start)
+        hits += mask[self.abs_addr] & new_abs
+        hits += mask[self.rel_addr] & new_rel
         return hits.sum(axis=-1)
 
     def _program(self):
@@ -739,7 +751,9 @@ def stride_cover(params: dict, k: int) -> np.ndarray:
     # one in block j - 1 is b = (j * block - 2) // stride
     j = np.arange(1, (last + 1) // block + 2, dtype=np.int64)
     b = np.minimum((j * block - 2) // stride, k - 1)  # nondecreasing, ends at k - 1
-    return b[np.diff(b, append=k) > 0] * stride  # np.unique would import numpy.ma
+    last_of_run = np.ones(b.size, dtype=bool)  # the last entry always ends a run
+    np.not_equal(b[1:], b[:-1], out=last_of_run[:-1])
+    return b[last_of_run] * stride  # np.unique would import numpy.ma
 
 
 def offset_starts(params: dict, k: int) -> np.ndarray:

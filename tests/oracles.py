@@ -24,6 +24,10 @@ program to.
 * ``slot_cells_by_bits``: counters packed into cells through a
   matrix of one byte per bit, the oracle of
   :func:`rankprobe.structures._slot_cells`.
+* ``publish_cells_per_cell`` and ``publish_redundancy_per_cell``: the
+  ledger's publish steps, filtering and fetching one cell at a time, the
+  oracles of :meth:`rankprobe.model.PublishedBits.publish_cells` and
+  :meth:`rankprobe.structures.StructureLayout.publish_redundancy`.
 * ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
   the oracle of :func:`rankprobe.entropy.binom_entropy`.
 * ``choose_offset_full_grid``: the offset of least overlap with the
@@ -181,6 +185,33 @@ def slot_cells_by_bits(values: np.ndarray, width: int, per: int, w: int) -> np.n
     matrix = np.zeros((rows, w), dtype=np.uint8)
     matrix[:, : per * width] = bits.reshape(rows, per * width)
     return cell_array(np.packbits(matrix, bitorder="little"), rows * w, w)
+
+
+def publish_cells_per_cell(ledger: PublishedBits, memory: CellMemory, addresses) -> int:
+    """Publish the cells at `addresses` into `ledger` cell by cell: drop
+    repeats, then every address already published, then fetch the rest
+    in one checked gather before the ledger changes, and charge
+    word_bits + address_bits per new cell.  Returns bits added."""
+    if isinstance(addresses, np.ndarray):
+        addresses = addresses.tolist()
+    new = [a for a in dict.fromkeys(addresses) if a not in ledger.cells]
+    ledger.cells.update(zip(new, memory.gather(new)))
+    added = len(new) * (memory.word_bits + memory.address_bits())
+    ledger.length += added
+    return added
+
+
+def publish_redundancy_per_cell(layout) -> int:
+    """Publish a layout's redundancy region cell by cell, skipping the
+    cells already published, plus the padding slack of its last raw
+    cell.  Returns bits added."""
+    ledger = layout.published
+    new = [a for a in layout.redundancy_region if a not in ledger.cells]
+    ledger.cells.update((a, layout.memory.read(a)) for a in new)
+    added = len(new) * layout.memory.word_bits + layout.params["raw_cells"] * layout.memory.word_bits - layout.n
+    ledger.publish_raw(added)
+    ledger.bootstrapped = True
+    return added
 
 
 def binom_entropy_exact(m: int) -> float:

@@ -15,7 +15,7 @@ from rankprobe.structures import (
     replay_from_footprint,
     simulate_set,
 )
-from oracles import driver_pass, probes_of_set, run_query
+from oracles import driver_pass, probes_of_set, publish_cells_per_cell, run_query
 
 
 def sum_step(query):
@@ -167,6 +167,58 @@ def test_publish_cells_bad_address_leaves_ledger_untouched():
     with pytest.raises(SimulationFault):
         pub.publish_cells(CellMemory(8, [1, 2, 3]), [0, 1, 7])
     assert pub.cells == {} and pub.length == 0
+
+
+def _address_forms(addresses: list, start: int, stop: int, step: int) -> list:
+    """Ways to hand `addresses` to publish_cells, each a fresh callable
+    (a generator is read once), plus a range of its own."""
+    kind = np.int64 if all(type(a) is int for a in addresses) else None
+    return [
+        lambda: np.array(addresses, dtype=kind),
+        lambda: list(addresses),
+        lambda: tuple(addresses),
+        lambda: (a for a in addresses),
+        lambda: range(start, stop, step),
+    ]
+
+
+def _publish_both(ledgers, memory, form):
+    """Publish `form()` into the two ledgers, the program's and the per-cell
+    oracle's.  Returns each one's result, or the error it raised with its
+    ledger's items and length unchanged."""
+    out = []
+    for ledger, publish in zip(ledgers, (PublishedBits.publish_cells, publish_cells_per_cell)):
+        before = list(ledger.cells.items()), ledger.length
+        try:
+            out.append(publish(ledger, memory, form()))
+        except (SimulationFault, TypeError) as e:
+            assert (list(ledger.cells.items()), ledger.length) == before
+            out.append((type(e), str(e)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(w=st.integers(1, 130), data=st.data())
+def test_publish_cells_matches_per_cell_oracle(w, data):
+    # repeats, already-published and bad addresses, in every form an
+    # address list takes, at every width (a list memory past w = 64): the
+    # program's dict operations and one gather leave the ledger the per-cell
+    # filter leaves, item for item, and raise where it raises
+    count = data.draw(st.integers(1, 24))
+    memory = CellMemory(w, data.draw(st.lists(st.integers(0, (1 << w) - 1), min_size=count, max_size=count)))
+    ledgers = [PublishedBits(), PublishedBits()]
+    good = st.integers(0, count - 1)
+    bad = st.sampled_from([-1, count, count + 3, 0.5, 2.0, -1.5])
+    for _ in range(data.draw(st.integers(1, 4))):
+        addresses = data.draw(st.lists(st.one_of(good, good, good, bad) if data.draw(st.booleans()) else good, max_size=2 * count))
+        start = data.draw(st.integers(-1, count + 1))
+        stop = data.draw(st.integers(start, count + 2))
+        form = data.draw(st.sampled_from(_address_forms(addresses, start, stop, data.draw(st.integers(1, 3)))))
+        got, want = _publish_both(ledgers, memory, form)
+        assert got == want
+        assert list(ledgers[0].cells.items()) == list(ledgers[1].cells.items())
+        assert ledgers[0].length == ledgers[1].length
+        assert all(type(c) is int for c in ledgers[0].cells.values())
 
 
 def test_bad_step_faults():

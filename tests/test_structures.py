@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankprobe.bits import BitArray
+from rankprobe.model import CellMemory
 from rankprobe.structures import (
     StructureLayout,
     _slot_cells,
@@ -16,7 +17,7 @@ from rankprobe.structures import (
     step_from_params,
     structure_stats,
 )
-from oracles import popcount_rank, slot_cells_by_bits
+from oracles import popcount_rank, publish_redundancy_per_cell, slot_cells_by_bits
 
 # frozen redundancy ladders for the staged family (64-bit cells)
 LADDER_2_20 = [262208, 78720, 22592, 5696]
@@ -121,6 +122,42 @@ def test_publish_redundancy_exact():
     tr = rank(layout, 4999)
     region = set(layout.redundancy_region)
     assert all(adr not in region for adr in tr.addresses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 1500), w=st.integers(1, 130), data=st.data())
+def test_publish_redundancy_matches_per_cell_oracle(n, w, data):
+    # the region read as one slice of the memory leaves the ledger the
+    # per-cell reads leave, with cells published before (in the region
+    # and out of it) kept where they are: at every width a layout takes,
+    # a list memory past w = 64 included
+    a = BitArray.random(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    block = w * data.draw(st.integers(1, 3))
+    try:
+        layout = build_two_level(a, superblock=data.draw(st.integers(2, 6)) * block, block=block, word_bits=w)
+    except ValueError:
+        layout = build_naive(a, w)  # refused geometry: the padding alone
+    twin = StructureLayout(layout.memory, layout.params)
+    before = data.draw(st.lists(st.integers(0, layout.memory.cell_count - 1), max_size=8))
+    for ledger in (layout.published, twin.published):
+        ledger.publish_cells(layout.memory, before)
+    added = layout.publish_redundancy()
+    assert added == publish_redundancy_per_cell(twin)
+    assert list(layout.published.cells.items()) == list(twin.published.cells.items())
+    assert layout.published.length == twin.published.length and layout.published.bootstrapped
+    assert all(type(c) is int for c in layout.published.cells.values())
+
+
+def test_publish_redundancy_reads_no_probe(monkeypatch):
+    # publishing the region is not a probe: it never gathers
+    a = BitArray.random(3000, np.random.default_rng(5))
+    layouts = all_layouts(a) + [build_two_level(a, superblock=384, block=96, word_bits=96)]
+    gathered = []
+    monkeypatch.setattr(CellMemory, "gather", lambda memory, addresses: gathered.append(addresses))
+    for layout in layouts:
+        assert layout.publish_redundancy() == layout.redundancy_bits
+        assert len(layout.published.cells) == len(layout.redundancy_region)
+    assert gathered == []
 
 
 def test_layouts_keep_their_own_ledgers():

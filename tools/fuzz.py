@@ -43,7 +43,10 @@ next case goes to the family that has spent the least time so far.
   the offset trailer, with one random bit of it flipped, or, where
   component 1 holds (address, content) pairs and addresses of
   ``address_bits`` bits can name a cell past the layout, one pair's
-  address set to such a cell.  The report counts mutants per field.
+  address set to such a cell: a pair whose cell no query of the
+  reference set or of the offset-d set reads, where there is one, so
+  that no replay refuses the mutant before the address is checked.  The
+  report counts mutants per field.
   The mutant must be rejected with ``CorruptEncoding`` or be canonical: the
   decoded array, with the cells the mutant's own ledger publishes read
   from it, must encode to exactly the mutant's bytes.  Refusals count as
@@ -93,6 +96,7 @@ from rankprobe.encoding import COMPONENTS, RPE1_MAGIC, EncodingRecord, _bootstra
 from rankprobe.errors import CorruptEncoding, RefusalError  # noqa: E402
 from rankprobe.model import ProbeTrace, PublishedBits, address_bits  # noqa: E402
 from rankprobe.structures import (  # noqa: E402
+    ProbePlan,
     block_queries,
     build_footprint,
     build_naive,
@@ -300,7 +304,16 @@ def rpe1_case(rng, case: dict) -> str | None:
         names.append("published.address")
     field = case["field"] = str(rng.choice(names))
     if field == "published.address":
-        pair = case["pair"] = int(rng.integers(0, pair_count))
+        # move a pair whose cell no query of the reference set or of the
+        # offset-d set reads, where there is one: the replays then read as
+        # they did, and the address check alone stands between the mutant
+        # and the rebuilt ledger
+        addresses = [p & ((1 << shift) - 1) for p in record.published.read_cells(prefix, pair_count, pair_bits)]
+        queries = np.concatenate((block_queries(n, k), block_queries(n, k, record.offset)))
+        read = ProbePlan(params, queries).cells(np.zeros(cell_count, dtype=bool))
+        unread = [i for i, a in enumerate(addresses) if not read[a]]
+        case["unread"] = bool(unread)
+        pair = case["pair"] = int(rng.choice(unread)) if unread else int(rng.integers(0, pair_count))
         address = case["address"] = int(rng.integers(cell_count, 1 << shift))
         set_bits(blob, fields["published.payload"].start + prefix + pair * pair_bits, shift, address)
     else:
