@@ -124,7 +124,7 @@ class PublishedBits:
         out through dict operations, not a Python step per cell, and the
         new cells alone are read, in one checked gather before anything
         changes, so a bad address leaves the ledger as it was.  A signed
-        integer ndarray of new cells alone is that gather as it stands
+        integer ndarray of new cells alone goes to the gather as it is
         (one numpy take on a uint64 image); the ledger keys by Python ints."""
         array = isinstance(addresses, np.ndarray)
         new = dict.fromkeys(addresses.tolist() if array else addresses)
