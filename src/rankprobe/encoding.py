@@ -15,17 +15,18 @@ and account for every bit.  A record has six components:
 5. the footprint of the detached queries,
 6. every cell probed by neither, verbatim in address order.
 
-Each query set is simulated once into (answers dict, charged cells):
-the reference set by a set pass, the detached set by a greedy pass.
-The cells are its footprint and what component 6 leaves out.  One
-footprint codec writes and reads components 4 and 5.  By default it
-stores the raw first-seen cell contents (exactly probed_cells *
-word_bits bits), which works at any size.  With ``ensemble=True`` it is
-the ensemble: exact conditional canonical codes built by enumerating
-every array of the given length, honest only at enumerable sizes.
+Each query set is simulated once, by a set pass, into (answers dict,
+charged cells); the detached set's queries are kept greedily by their
+probe addresses alone.  The cells are its footprint and what component
+6 leaves out.  One footprint codec writes and reads components 4 and 5.
+By default it stores the raw first-seen cell contents (exactly
+probed_cells * word_bits bits), which works at any size.  With
+``ensemble=True`` it is the ensemble: exact conditional canonical codes
+built by enumerating every array of the given length, honest only at
+enumerable sizes.
 
 Decoding parses the record back into cells: it replays the recorded
-footprints through the structure's own query reader and reads the array
+footprints through the structure's own set pass and reads the array
 from the raw cells, which lie ahead of every counter cell, so the ones
 no replay charged are component 6's leading cells.
 One rule then decides acceptance: the record is valid exactly when
@@ -66,6 +67,7 @@ from .structures import (
     StructureLayout,
     block_queries,
     detached_pass,
+    detached_set,
     layout_from_params,
     offset_starts,
     replay_from_footprint,
@@ -171,9 +173,8 @@ def choose_offset(layout: StructureLayout, k: int) -> int:
 
 
 def _simulate_sets(layout: StructureLayout, k: int, d: int):
-    """(answers dict, charged cells) for the reference set, by one set
-    pass, then for the detached set at offset `d`, by the greedy
-    :func:`~rankprobe.structures.detached_pass`."""
+    """(answers dict, charged cells) of the reference set and of the greedy
+    :func:`~rankprobe.structures.detached_pass` at offset `d`, one set pass each."""
     return (
         simulate_set(layout.step, block_queries(layout.n, k), layout.memory, layout.published),
         detached_pass(layout.step, block_queries(layout.n, k, d), layout.memory, layout.published),
@@ -252,13 +253,10 @@ def _ensemble_tables(config: tuple, k: int, d: int):
             f"ensemble tables need full enumeration; n capped at {ENSEMBLE_LIMIT}"
         )
     weights: dict = {}
-    det_queries = None
+    reference, detached = block_queries(n, k), detached_set(params, block_queries(n, k, d), {})
     for v in range(1 << n):
         layout = layout_from_params(BitArray.from_int(n, v), params)
-        (ref, ref_cells), (det, det_cells) = _simulate_sets(layout, k, d)
-        det_queries = det_queries or list(det)
-        if det_queries != list(det):
-            raise CorruptEncoding("detached set varies with data")
+        (ref, ref_cells), (det, det_cells) = (simulate_set(layout.step, q, layout.memory) for q in (reference, detached))
         det_ans = tuple(det.values())
         for cond, cells in (((det_ans,), ref_cells), ((det_ans, tuple(ref.values())), det_cells)):
             counts = weights.setdefault(cond, {})
@@ -398,8 +396,7 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         hdr = subset_header_bits(k)
         j = record.detached_id.read_bits(0, hdr)
         det_blocks = subset_unrank(k, j, record.detached_id.read_bits(hdr, subset_index_bits(k, j)))
-        detached = block_queries(n, k, d).tolist()
-        det = [detached[b] for b in det_blocks]
+        det = [b * (n // k) + d for b in det_blocks]  # the queries of block_queries(n, k, d) it names
 
         # component 3: detached answers, one increment code per block
         pos = prev = 0

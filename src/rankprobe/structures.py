@@ -29,38 +29,39 @@ returns the query's :class:`~model.ProbeTrace`: the charged counter
 steps, then the scan as its address range and a slice of the memory's
 cells there (a read-only view of the uint64 image up to w = 64, whose
 ones are counted as whole bytes), or, when the scan meets published
-cells, its charged cells as explicit (address, content) steps.  A
-single ``rank`` and encoding's greedy :func:`detached_pass` read each
-query on its own through it.  A
-:class:`ProbePlan` is the batch path: probe counts, published overlaps
-and charged-cell sets for a query array, computed with numpy.
+cells, its charged cells as explicit (address, content) steps.  Only
+``rank`` reads through it.  A :class:`ProbePlan` is the batch path:
+probe counts, published overlaps and charged-cell sets for a query
+array, computed with numpy.
 
 A set pass charges each cell once: a cell one query fetched reads free
 for the later ones, and the cells the set fetches, in first-seen order,
 are its footprint.  One set pass, :func:`_set_pass`, serves live runs
-(:func:`simulate_set`), footprints (:func:`build_footprint`) and
-replays (:func:`replay_from_footprint`) at every cell width, through
-the set's plan.  What the plan computes from the params and the
-queries alone is its program: the read order and each answer's shifts.
-Only the data step that sets the served cells at their addresses and
-sums them depends on the memory or footprint and on the published cells:
-:meth:`~ProbePlan.read_order` fetches the charged cells in one
-``gather`` (all a footprint records; one numpy take from a memory's
-uint64 image), and :meth:`~ProbePlan.set_pass` computes every answer.
-So a set pass takes its plan from a small cache keyed by the params and
-the query values, and a replay, or the re-encode that checks a decode,
-runs the program of the pass before it over new contents.  The cached arrays are read-only.
-The tests hold the reader and every plan to a query-generator driver
-kept with them as their oracle.
+(:func:`simulate_set`), footprints (:func:`build_footprint`), replays
+(:func:`replay_from_footprint`) and the greedy :func:`detached_pass`,
+which chooses its queries by their addresses (:func:`detached_set`),
+at every cell width, through the set's plan.  What the plan computes
+from the params and the queries alone is its program: the read order
+and each answer's shifts.  Only the data step that sets the served
+cells at their addresses and sums them depends on the memory or
+footprint and on the published cells: :meth:`~ProbePlan.read_order`
+fetches the charged cells in one ``gather`` (all a footprint records;
+one numpy take from a memory's uint64 image), and
+:meth:`~ProbePlan.set_pass` computes every answer.  So a set pass takes
+its plan from a small cache keyed by the params and the query values,
+and a replay, or the re-encode that checks a decode, runs the program
+of the pass before it over new contents.  The cached arrays are
+read-only.  The tests hold the reader and every plan to a
+query-generator driver kept with them as their oracle.
 
 A :class:`StructureLayout` is its memory (the builder's image) and params:
-its reader is the one of its params, and its published ledger starts empty.
-:func:`layout_from_params` rebuilds a whole layout from those params and
-an array.
+its reader is the one of its params, and its published ledger starts
+empty.  :func:`layout_from_params` rebuilds one from params and an array.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -528,7 +529,7 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-SET_PLANS = 2  # a decode's two replays; its re-encode reuses only the reference program, as the greedy gives the detached set
+SET_PLANS = 2  # the reference set and the kept detached set: a decode's two replays and its re-encode reuse both
 
 
 @functools.lru_cache(maxsize=SET_PLANS)
@@ -624,21 +625,33 @@ def replay_from_footprint(step_fn, queries, footprint: Footprint, published: Pub
     return _set_pass(step_fn, queries, published, gather)
 
 
+def detached_set(params: dict, queries: np.ndarray, known: dict) -> list:
+    """The sorted, distinct `queries` whose charged cells miss every earlier
+    kept one's, chosen by :func:`_counter_geometry` and the published
+    addresses (`known`) alone.  In sorted order each kind of counter and both
+    scan ends never decrease, so a query is kept when each charged counter lies
+    past its kind's largest kept one and lo .. the last kept hi is published."""
+    where = params["kind"] != "naive" and _counter_geometry(params)
+    w, raw = params["word_bits"], sorted(a for a in known if a < params["raw_cells"])
+    kept, top_abs, top_rel, top_hi = [], -1, -1, -1
+    for q in queries.tolist():
+        a, has_rel, r, _, lo = where(q + 1) if where else (-1, False, -1, 0, 0)
+        a, r = -1 if a in known else a, r if has_rel and r not in known else -1
+        if (a < 0 or a > top_abs) and (r < 0 or r > top_rel) and (
+            top_hi < lo or bisect.bisect_right(raw, top_hi) - bisect.bisect_left(raw, lo) == top_hi - lo + 1
+        ):
+            kept.append(q)
+            top_abs, top_rel, top_hi = max(a, top_abs), max(r, top_rel), q // w
+    return kept
+
+
 def detached_pass(step_fn, queries, memory: CellMemory, published: PublishedBits):
-    """Greedy detached pass over `queries`, checked and sorted as a set
-    pass checks them: each is read once on its own, and its answer and
-    cells are kept when those cells miss every kept query's.  Returns
-    (answers dict, charged cells) as :func:`simulate_set` over the kept
-    queries does: their cells are pairwise disjoint, so a set pass
-    charges each the same cells."""
-    answers, kept = {}, {}
-    first = operator.itemgetter(0)  # a step's address
-    for q in _sorted_queries(step_fn.params, queries).tolist():
-        trace = step_fn(q, published.cells, memory)
-        if kept.keys().isdisjoint(trace.span) and kept.keys().isdisjoint(map(first, trace.head)):
-            answers[q] = trace.answer
-            kept.update(trace.steps)
-    return answers, kept
+    """Greedy detached pass over `queries`, checked and sorted as a set pass
+    checks them: :func:`simulate_set` over the ones :func:`detached_set` keeps."""
+    params, q = step_fn.params, _sorted_queries(step_fn.params, queries)
+    if memory.cell_count < params["cell_count"]:  # a memory shorter than its params: fault at the first cell past
+        simulate_set(step_fn, q, memory, published)  # the end any query names, as its reads would, kept or not
+    return simulate_set(step_fn, detached_set(params, q, published.cells), memory, published)
 
 
 def build_naive(array: BitArray, word_bits: int = 64) -> StructureLayout:

@@ -207,10 +207,10 @@ def test_trace_equals_and_hashes_as_its_steps(build, case):
 )
 def test_reader_refuses_memory_shorter_than_params(build, cut):
     # the scan of the last query, or its counter, runs past the cells
-    # left; a slice would silently come back short.  rank and the greedy
-    # detached pass, which read it by the reader, and the set passes,
-    # whose one gather reports the first address past the end, say so as
-    # the oracle does
+    # left; a slice would silently come back short.  rank, which reads it
+    # by the reader, and the set passes, whose one gather reports the
+    # first address past the end, say so as the oracle does; so does the
+    # detached pass, whether it keeps that query or not
     array = BitArray.random(200, np.random.default_rng(15))
     layout = build(array)
     layout.memory = CellMemory(8, layout.memory.cells[:-cut])

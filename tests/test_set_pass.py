@@ -18,9 +18,21 @@ from hypothesis import strategies as st
 from rankprobe import structures
 from rankprobe.bits import BitArray
 from rankprobe.errors import CorruptFootprint
-from rankprobe.model import Footprint
-from rankprobe.structures import ProbePlan, build_footprint, build_naive, build_recursive, build_two_level, detached_pass, max_stage, replay_from_footprint, simulate_set
-from oracles import driver_pass, popcount_rank
+from rankprobe.model import CellMemory, Footprint
+from rankprobe.structures import (
+    ProbePlan,
+    block_queries,
+    build_footprint,
+    build_naive,
+    build_recursive,
+    build_two_level,
+    detached_pass,
+    layout_from_params,
+    max_stage,
+    replay_from_footprint,
+    simulate_set,
+)
+from oracles import driver_pass, greedy_scan, popcount_rank
 
 
 @st.composite
@@ -105,7 +117,7 @@ def _layouts_at(array, w):
 def test_route_by_params_size_and_width(monkeypatch, w):
     # every set, from one query on and at every width, takes the cached
     # plan: one program per set, run to simulate, to record and to replay,
-    # and the reader, which only rank and the detached pass call, is never read
+    # and the reader, which only rank calls, is never read
     sizes = _spied(monkeypatch)
     n = 120 if w == 7 else 4096  # absolute counters of 7 bits
     array = BitArray.random(n, np.random.default_rng(3))
@@ -239,6 +251,56 @@ def test_detached_pass_checks_queries_as_set_passes_do():
             assert list(got[0].items()) == list(want[0].items()) and list(got[1].items()) == list(want[1].items())
             assert all(type(q) is int for q in got[0])
         assert want[0] == driver_pass(layout, list(want[0]))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=layouts(), data=st.data())
+def test_detached_choice_ignores_the_data(case, data):
+    # the kept queries depend on the params, the queries and the
+    # published addresses alone: another array of the same geometry, with
+    # the same cells published (their contents its own), keeps the same
+    # ones.  layouts() draws naive layouts and widths past 64 among others
+    _, layout = case
+    n = layout.n
+    other = layout_from_params(BitArray.random(n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))), layout.params)
+    other.published.publish_cells(other.memory, list(layout.published.cells))
+    k = data.draw(st.integers(1, n))
+    queries = block_queries(n, k, data.draw(st.integers(0, n // k - 1)))
+    kept = [list(detached_pass(x.step, queries, x.memory, x.published)[0]) for x in (layout, other)]
+    assert kept[0] == kept[1]
+
+
+class GatherLog(CellMemory):
+    """A memory that keeps the addresses of each ``gather`` call."""
+
+    def __init__(self, word_bits, cells):
+        super().__init__(word_bits, cells)
+        self.gathers = []
+
+    def gather(self, addresses):
+        self.gathers.append([int(a) for a in addresses])
+        return super().gather(addresses)
+
+
+@pytest.mark.parametrize("d", [1, 500, 1023])
+@pytest.mark.parametrize("published", [(), range(0, 20)], ids=["bare", "published"])
+def test_detached_pass_gathers_only_the_kept_cells(d, published):
+    # every candidate scans from cell 0 of a naive layout, so most are
+    # dropped: the pass reads none of theirs, only the kept set's charged
+    # cells, in one gather, and never calls the reader
+    n = 1 << 16
+    layout = build_naive(BitArray.random(n, np.random.default_rng(21)))
+    layout.published.publish_cells(layout.memory, published)
+    memory = GatherLog(64, layout.memory.image)
+
+    def step(*args):
+        raise AssertionError("the detached pass called the reader")
+
+    step.params = layout.params
+    answers, cells = detached_pass(step, block_queries(n, 64, d), memory, layout.published)
+    assert memory.gathers == [list(cells)]
+    assert list(answers) == greedy_scan(layout, block_queries(n, 64, d).tolist())[0]
+    assert len(answers) < 64
 
 
 @pytest.mark.parametrize("w", [64, 65, 96])

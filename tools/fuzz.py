@@ -7,8 +7,8 @@ in, and its oracles from that checkout's ``tests/oracles.py``: the
 query-generator driver ``run_query``, the set pass ``driver_pass`` and
 the greedy scan ``greedy_scan`` over it, the popcount rank
 ``popcount_rank`` and the full-grid offset scan
-``choose_offset_full_grid``.  Six families share the time budget: each
-next case goes to the family that has spent the least time so far.
+``choose_offset_full_grid``.  Seven families share the time budget:
+each next case goes to the family that has spent the least time so far.
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
   65 and 96) with random published cells, and a query set of 0 to 60
@@ -21,6 +21,12 @@ next case goes to the family that has spent the least time so far.
   passes then run the same queries twice more, held to ``driver_pass``
   each time: after a few more cells are published, and on a layout of
   the same geometry over another array.
+* ``detached``: ``detached_pass`` over a set ``encode`` draws from,
+  ``block_queries(n, k, d)`` at a random k and d, on a random layout
+  (as in ``sets``), after ``run_elimination`` half the time.  It must
+  keep exactly the queries ``greedy_scan`` keeps, with the answers and
+  cells a set pass over them gives, and another array of the same
+  geometry, with the same cells published, must keep the same queries.
 * ``rank``: ``rank`` on a random layout at a random position, 0 and n
   included, against ``run_query`` (the whole trace, its hash and its
   addresses) and ``popcount_rank``.  Its widths add w = 1, at which a
@@ -199,6 +205,28 @@ def sets_case(rng, case: dict) -> None:
     check_set_passes(array, layout, queries, " after more cells were published")
     other = BitArray.random(n, rng)
     check_set_passes(other, layout_from_params(other, layout.params), queries, " on another array")
+
+
+def detached_case(rng, case: dict) -> None:
+    _, layout, case["layout"] = random_layout(rng)
+    n = layout.n
+    if rng.random() < 0.5:
+        run_elimination(layout)
+        case["eliminated"] = True
+    k = case["k"] = int(rng.integers(1, n + 1))
+    d = case["d"] = int(rng.integers(0, n // k))
+    queries = block_queries(n, k, d)
+    args = (layout.memory, layout.published)
+    kept = greedy_scan(layout, queries.tolist())[0]
+    answers, cells = detached_pass(layout.step, queries, *args)
+    check(list(answers) == kept, "detached_pass keeps other queries than the greedy scan")
+    kept_answers, kept_cells = simulate_set(layout.step, kept, *args)
+    check(list(answers.items()) == list(kept_answers.items()), "detached_pass answers differ from a set pass")
+    check(list(cells.items()) == list(kept_cells.items()), "detached_pass cells differ from a set pass")
+    other = layout_from_params(BitArray.random(n, rng), layout.params)
+    other.published.publish_cells(other.memory, list(layout.published.cells))
+    check(list(detached_pass(other.step, queries, other.memory, other.published)[0]) == kept,
+          "detached_pass keeps other queries on another array of the same geometry")
 
 
 def rank_case(rng, case: dict) -> None:
@@ -405,8 +433,8 @@ def cli_case(rng, case: dict) -> None:
         check(runs[0] == runs[1], "the same argv gave other output the second time")
 
 
-FAMILIES = {"sets": sets_case, "rank": rank_case, "offset": offset_case, "encode": encode_case, "rpe1": rpe1_case,
-            "cli": cli_case}
+FAMILIES = {"sets": sets_case, "detached": detached_case, "rank": rank_case, "offset": offset_case, "encode": encode_case,
+            "rpe1": rpe1_case, "cli": cli_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
