@@ -226,9 +226,13 @@ class BitString:
 
     def read_cells(self, offset: int, count: int, width: int) -> list:
         """`count` cells of `width` bits starting at bit `offset`."""
+        return self.cell_array(offset, count, width).tolist()
+
+    def cell_array(self, offset: int, count: int, width: int) -> np.ndarray:
+        """The cells of :meth:`read_cells` as :func:`cell_array` gives them."""
         nbits = count * width
         raw = self.read_bits(offset, nbits).to_bytes(-(-nbits // 8), "little")
-        return cell_array(np.frombuffer(raw, dtype=np.uint8), nbits, width).tolist()
+        return cell_array(np.frombuffer(raw, dtype=np.uint8), nbits, width)
 
     def to_bytes(self) -> bytes:
         return self.value.to_bytes((self.length + 7) // 8, "little")

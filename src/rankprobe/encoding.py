@@ -54,6 +54,7 @@ import numpy as np
 from .bits import BitArray, BitString, cells_to_bytes
 from .coding import (
     CanonicalCode,
+    binomial_code,
     subset_header_bits,
     subset_index_bits,
     subset_rank,
@@ -185,19 +186,11 @@ def _simulate_sets(layout: StructureLayout, k: int, d: int):
 
 @functools.lru_cache
 def _binom_code(m: int) -> CanonicalCode:
-    return CanonicalCode.from_leaves(range(m + 1), _binom_leaves(m))
-
-
-def _binom_leaves(m: int):
-    """(C(m, v), v) in ascending order, by the running product: v = 0, m,
-    1, m - 1 and so on, the centre last.  C(m, v) grows up to the centre,
-    and of two equal weights the lower v comes first."""
-    c = 1
-    for v in range(m // 2 + 1):
-        yield c, v
-        if m - v != v:
-            yield c, m - v
-        c = c * (m - v) // (v + 1)
+    """The canonical code of a Binomial(m, 1/2) increment, weights C(m, v):
+    :func:`~rankprobe.coding.binomial_code`, which merges float log2
+    weights and settles near ties exactly, so the lengths are those of
+    the exact weights.  Cached by m."""
+    return binomial_code(m)
 
 
 def _increment_codes(queries: list) -> list:
@@ -302,7 +295,8 @@ def _published_bits(layout: StructureLayout) -> BitString:
     else:
         extra = sorted(pub.cells)
     shift = layout.memory.address_bits()
-    out.append_cells([pub.cells[a] << shift | a for a in extra], shift + w)
+    dtype = np.uint64 if shift + w <= 64 else object
+    out.append_cells(np.fromiter(map(pub.cells.__getitem__, extra), dtype, len(extra)) << shift | np.array(extra, dtype), shift + w)
     if out.length != pub.length:
         raise RefusalError(f"published ledger {pub.length} bits, serialized {out.length}: a record cannot carry it")
     if not pub.bootstrapped and _bootstrap_prefix(layout.params, pub.length):
@@ -386,11 +380,11 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
         region = range(params["raw_cells"], cell_count) if prefix else range(0)
         published = PublishedBits(comp1.length, dict(zip(region, comp1.read_cells(0, len(region), w))), bool(prefix))
         shift = address_bits(cell_count)
-        for pair in comp1.read_cells(prefix, (comp1.length - prefix) // (shift + w), shift + w):
-            a = pair & ((1 << shift) - 1)
-            if a >= cell_count:
-                raise CorruptEncoding("published address out of range")
-            published.cells[a] = pair >> shift
+        pairs = comp1.cell_array(prefix, (comp1.length - prefix) // (shift + w), shift + w)
+        addresses = pairs & ((1 << shift) - 1)
+        if (addresses >= cell_count).any():
+            raise CorruptEncoding("published address out of range")
+        published.cells.update(zip(addresses.tolist(), (pairs >> shift).tolist()))
 
         # component 2: detached set identity
         hdr = subset_header_bits(k)
@@ -416,9 +410,15 @@ def decode(record: EncodingRecord, params: dict, k: int, ensemble: bool = False)
 
         # the raw cells: each a replay charged, else the next leading cell
         # of component 6, which holds every other cell in address order
-        charged, raw = seen_ref | seen_det, range(params["raw_cells"])
-        leading = iter(record.remaining.read_cells(0, sum(a not in charged for a in raw), w))
-        array = BitArray.from_bytes(n, cells_to_bytes([charged[a] if a in charged else next(leading) for a in raw], w))
+        charged = seen_ref | seen_det
+        hit = np.fromiter(charged, np.int64, len(charged))
+        hit = hit[hit < params["raw_cells"]]
+        rest = np.ones(params["raw_cells"], dtype=bool)
+        rest[hit] = False
+        cells = np.empty(params["raw_cells"], dtype=np.uint64 if w <= 64 else object)
+        cells[hit] = [charged[a] for a in hit.tolist()]
+        cells[rest] = record.remaining.cell_array(0, int(rest.sum()), w)
+        array = BitArray.from_bytes(n, cells_to_bytes(cells, w))
 
         # the one acceptance rule: the record is the array's encoding
         rebuilt = layout_from_params(array, params)

@@ -30,6 +30,10 @@ program to.
   :meth:`rankprobe.structures.StructureLayout.publish_redundancy`.
 * ``binom_entropy_exact``: H(Binomial(m, 1/2)) by exact big-int terms,
   the oracle of :func:`rankprobe.entropy.binom_entropy`.
+* ``binom_code_exact``: the binomial answer code from exact weights
+  C(m, v), made by a big-int running product and merged as they are,
+  the oracle of :func:`rankprobe.coding.binomial_code`, which merges
+  float log2 weights.
 * ``choose_offset_full_grid``: the offset of least overlap with the
   reference set by a plan over every offset, the oracle of
   :func:`rankprobe.encoding.choose_offset`, which plans only the offsets
@@ -45,6 +49,7 @@ import operator
 import numpy as np
 
 from rankprobe.bits import BitArray, cell_array
+from rankprobe.coding import CanonicalCode, _huffman_depths
 from rankprobe.entropy import _lg_int
 from rankprobe.errors import SimulationFault
 from rankprobe.model import CellMemory, ProbeTrace, PublishedBits
@@ -251,3 +256,20 @@ def choose_offset_full_grid(layout, k: int) -> int:
         for d in range(1, bs, rows)
     ])
     return int(np.argmin(overlap)) + 1
+
+
+def binom_code_exact(m: int) -> CanonicalCode:
+    """The canonical code of Binomial(m, 1/2) from its exact weights, in
+    the leaf order v = 0, m, 1, m - 1 and so on, the centre last: C(m, v)
+    grows up to the centre, and of two equal weights the lower v comes
+    first.  The weights come from the running product, so the route costs
+    about m big-int steps of up to m bits each."""
+    weights, leaves, c = [], [], 1
+    for v in range(m // 2 + 1):
+        weights.append(c)
+        leaves.append(v)
+        if m - v != v:
+            weights.append(c)
+            leaves.append(m - v)
+        c = c * (m - v) // (v + 1)
+    return CanonicalCode(dict(zip(leaves, _huffman_depths(weights))))

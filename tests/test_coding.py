@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankprobe import encoding
+from oracles import binom_code_exact
+from rankprobe import coding, encoding
 from rankprobe.bits import BitString
 from rankprobe.coding import (
     CanonicalCode,
+    binomial_code,
     subset_header_bits,
     subset_index_bits,
     subset_rank,
@@ -257,6 +259,39 @@ def test_binom_leaves_match_comb_weights():
         half = [math.comb(m, v) for v in range(m // 2 + 1)]
         want = CanonicalCode.from_weights({v: half[min(v, m - v)] for v in range(m + 1)})
         assert code_words(encoding._binom_code(m)) == code_words(want), m
+
+
+def assert_binom_code_exact(m):
+    # every length, and the codewords of a sweep: canonical codewords
+    # follow from the lengths, and test_binom_leaves_match_comb_weights
+    # compares every codeword of the smaller codes
+    code, want = binomial_code(m), binom_code_exact(m)
+    assert code.lengths == want.lengths, m
+    sweep = sorted({*range(0, m + 1, max(1, m // 64)), m // 2, m})
+    assert [code.codeword(v) for v in sweep] == [want.codeword(v) for v in sweep], m
+
+
+def test_binom_code_matches_exact_route():
+    # float log2 weights, with near ties settled exactly, give the code of
+    # the exact weights: every m up to 1,500, every m = 2 (mod 3) up to
+    # 3,000, where 2 C(m, v) = C(m, v + 1) ties exactly, and sampled m to 2^15
+    rng = np.random.default_rng(40)
+    for m in [*range(1, 1501), *range(1502, 3001, 3), *rng.integers(3001, (1 << 15) + 1, 16).tolist()]:
+        assert_binom_code_exact(m)
+
+
+def test_binom_code_exact_settlement_forced(monkeypatch):
+    # with the close bound at infinity every comparison of the merge is
+    # settled exactly, and the code is still that of the exact weights
+    monkeypatch.setattr(coding, "_close_bound", lambda m: math.inf)
+    settled = []
+    merge = coding._huffman_depths
+    monkeypatch.setattr(coding, "_huffman_depths", lambda weights, log, close, settle: merge(
+        weights, log, close, lambda *args: settled.append(1) or settle(*args)))
+    for m in range(1, 201):
+        settled.clear()
+        assert_binom_code_exact(m)
+        assert len(settled) >= m - 1  # the exact path decided the merge: m - 1 settlements at least
 
 
 def test_empty_alphabet_rejected():

@@ -88,7 +88,7 @@ CLI_REPEATS = 5
 CLI_TIMEOUT_S = 120
 # runs past the README sizes, SCALE_REPEATS times per tree, each child under one address-space limit
 SCALE_ARGS = ("encode --n 1048576 --k 16", "encode --n 1048576 --k 4", "encode --n 1048576 --k 65536",
-              "encode --n 4194304 --k 1024 --structure naive",
+              "encode --n 4194304 --k 1024 --structure naive", "encode --n 4194304 --k 16",
               "entropy --n 1048576 --k 1", "entropy --n 1073741824 --k 2",
               "eliminate --n 1048576 --structure recursive --t 4",
               "query --n 1048577 --structure naive --w 1 --k 1048577",

@@ -7,7 +7,8 @@ in, and its oracles from that checkout's ``tests/oracles.py``: the
 query-generator driver ``run_query``, the set pass ``driver_pass`` and
 the greedy scan ``greedy_scan`` over it, the popcount rank
 ``popcount_rank`` and the full-grid offset scan
-``choose_offset_full_grid``.  Seven families share the time budget:
+``choose_offset_full_grid``, and the exact binomial answer codes
+``binom_code_exact``.  Eight families share the time budget:
 each next case goes to the family that has spent the least time so far.
 
 * ``sets``: a random layout (naive, two-level or staged, w in 7, 32, 64,
@@ -57,6 +58,13 @@ each next case goes to the family that has spent the least time so far.
   decoded array, with the cells the mutant's own ledger publishes read
   from it, must encode to exactly the mutant's bytes.  Refusals count as
   in ``encode``.
+* ``codes``: the answer code ``_binom_code(m)`` at a random m up to
+  3,000, two draws in three m = 2 (mod 3), where weights tie exactly,
+  with a log-uniform quotient, so small codes come up often, and now and
+  then m = 4096 or 4097.  Its lengths and codewords must be those
+  of ``binom_code_exact``, and a sweep of symbols (0, m, m // 2 and 61
+  random ones) must encode to the bits the exact code writes and decode
+  back through ``decode_symbol``, ending where the bits end.
 * ``cli``: ``cli.main`` in process on a random argv for one of the
   seven subcommands, with the flags each takes read from the CLI's own
   table (``cli.COMMANDS``): each flag missing or given a valid or an
@@ -98,7 +106,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from rankprobe import cli  # noqa: E402
 from rankprobe.bits import BitArray, BitString  # noqa: E402
 from rankprobe.elimination import run_elimination  # noqa: E402
-from rankprobe.encoding import COMPONENTS, RPE1_MAGIC, EncodingRecord, _bootstrap_prefix, choose_offset, decode, encode  # noqa: E402
+from rankprobe.encoding import (  # noqa: E402
+    COMPONENTS,
+    RPE1_MAGIC,
+    EncodingRecord,
+    _binom_code,
+    _bootstrap_prefix,
+    choose_offset,
+    decode,
+    encode,
+)
 from rankprobe.errors import CorruptEncoding, RefusalError  # noqa: E402
 from rankprobe.model import ProbeTrace, PublishedBits, address_bits  # noqa: E402
 from rankprobe.structures import (  # noqa: E402
@@ -115,7 +132,7 @@ from rankprobe.structures import (  # noqa: E402
     replay_from_footprint,
     simulate_set,
 )
-from oracles import choose_offset_full_grid, driver_pass, greedy_scan, popcount_rank, run_query  # noqa: E402
+from oracles import binom_code_exact, choose_offset_full_grid, driver_pass, greedy_scan, popcount_rank, run_query  # noqa: E402
 
 WIDTHS = (7, 32, 64, 65, 96)
 REFUSALS = (  # the ledgers a record cannot carry, as encode words them
@@ -433,8 +450,33 @@ def cli_case(rng, case: dict) -> None:
         check(runs[0] == runs[1], "the same argv gave other output the second time")
 
 
+def codes_case(rng, case: dict) -> None:
+    # m = 2 (mod 3) with a log-uniform quotient, so small codes come up too,
+    # or any m up to 64 or up to 3,000, or 4096 or 4097
+    draw = rng.random()
+    if draw < 0.65:
+        m = 3 * int(np.exp(rng.uniform(0, np.log(1000)))) - 1
+    else:
+        m = int(rng.integers(1, 65) if draw < 0.8 else rng.integers(1, 3001) if draw < 0.95 else rng.choice([4096, 4097]))
+    case["m"] = m
+    code, want = _binom_code(m), binom_code_exact(m)
+    check(code.lengths == want.lengths, "answer code lengths differ from the exact route")
+    check(all(code.codeword(v) == want.codeword(v) for v in range(m + 1)), "answer codewords differ from the exact route")
+    sweep = case["sweep"] = [0, m, m // 2, *rng.integers(0, m + 1, 61).tolist()]
+    out, exact = BitString(), BitString()
+    for v in sweep:
+        code.encode_symbol(out, v)
+        want.encode_symbol(exact, v)
+    check(out == exact, "encode_symbol writes other bits than the exact code")
+    pos = 0
+    for v in sweep:
+        got, pos = code.decode_symbol(out, pos)
+        check(got == v, f"decode_symbol gave {got} for {v}")
+    check(pos == out.length, "decode_symbol did not end where the bits end")
+
+
 FAMILIES = {"sets": sets_case, "detached": detached_case, "rank": rank_case, "offset": offset_case, "encode": encode_case,
-            "rpe1": rpe1_case, "cli": cli_case}
+            "rpe1": rpe1_case, "codes": codes_case, "cli": cli_case}
 
 
 def fuzz(seconds: float, seed: int) -> dict:
